@@ -47,7 +47,6 @@ from .solver import (
     gap_sweep,
     min_feasible_horizon,
     movement_solution,
-    probe_horizon,
 )
 
 __all__ = ["main"]
@@ -111,15 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mode(solve)
     solve.add_argument("--max-T", type=int, required=True, metavar="N", help="search bound")
     solve.add_argument(
-        "--float",
-        action="store_true",
-        dest="use_float",
-        help="probe with floating point arithmetic (faster, verdicts inexact)",
-    )
-    solve.add_argument(
-        "--emit-flow",
-        metavar="FILE",
-        help="write a witness flow for the minimal horizon (exact mode only)",
+        "--emit-flow", metavar="FILE", help="write a witness flow for the minimal horizon"
     )
     solve.add_argument("instance", metavar="INSTANCE", help="instance file")
 
@@ -155,13 +146,9 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _read_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
-
-
 def _validated_instance(path: str) -> Instance:
-    instance = _read_instance(path)
+    with open(path, "r", encoding="utf-8") as handle:
+        instance = parse_instance(handle.read())
     report = validate_instance(instance)
     if not report.ok:
         for defect in report.defects:
@@ -195,14 +182,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.use_float and args.emit_flow:
-        print("error: --emit-flow requires exact arithmetic, drop --float", file=sys.stderr)
-        return 2
     instance = _validated_instance(args.instance)
-    mode = _MODES[args.mode]
-    horizon = min_feasible_horizon(instance, mode, args.max_T, exact=not args.use_float)
+    witness = []
+
+    def keep_feasible(horizon, expansion, result) -> None:
+        if result.feasible:
+            witness[:] = [expansion, result]
+
+    horizon = min_feasible_horizon(instance, _MODES[args.mode], args.max_T, observer=keep_feasible)
     if args.emit_flow:
-        expansion, result = probe_horizon(instance, horizon, mode)
+        expansion, result = witness
+        if expansion.horizon != horizon:
+            raise RuntimeError(
+                f"last feasible probe is at T={expansion.horizon}, not at the minimum {horizon}"
+            )
         flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
         _emit(serialize_flow(flow), args.emit_flow)
         print(f"witness flow written to {args.emit_flow}", file=sys.stderr)
@@ -211,7 +204,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.instance)
+    instance = _validated_instance(args.instance)
     with open(args.flow, "r", encoding="utf-8") as handle:
         flow = parse_flow(handle.read())
     try:

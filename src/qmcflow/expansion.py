@@ -5,8 +5,8 @@ time theta in 0..T, and two kinds of arcs:
 
 * movement copies (a, theta) from (tail(a), theta) to (head(a), theta +
   transit(a)), one for each theta in 0..T-transit(a)-1, with capacity
-  equal to the arc capacity times the unit step. A unit of flow on the
-  copy stands for flow entering arc a during [theta, theta+1).
+  equal to the arc capacity. A unit of flow on the copy stands for flow
+  entering arc a during [theta, theta+1).
 * holdover arcs (v, theta) -> (v, theta+1) for theta in 0..T-1, with
   unbounded capacity, usable by a commodity only where its storage mask
   allows: everywhere when storage is permitted, and only at the
@@ -40,17 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    """Integer horizon, storage mode and the (fixed, unit) time step."""
+    """Integer horizon and storage mode; time steps are unit intervals."""
 
     horizon: int
     mode: StorageMode
-    step: int = 1
 
     def __post_init__(self) -> None:
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
-        if self.step != 1:
-            raise ValueError("only the unit time step is supported")
         if not isinstance(self.mode, StorageMode):
             raise ValueError("mode must be a StorageMode")
 
@@ -90,7 +87,7 @@ class ExpandedNetwork:
         )
 
     def movement_capacity(self, arc_id: str) -> Fraction:
-        return self.instance.network.arc_by_id[arc_id].capacity * self.config.step
+        return self.instance.network.arc_by_id[arc_id].capacity
 
     def holdover_allowed(self, node: str, commodity: int) -> bool:
         return node in self.holdover_nodes[commodity]
@@ -132,7 +129,7 @@ class ExpandedNetwork:
         """Debug dump of copies and masks. Not a stable format."""
         network = self.instance.network
         lines = [
-            f"time expansion: T={self.horizon} mode={self.mode.value} step={self.config.step}",
+            f"time expansion: T={self.horizon} mode={self.mode.value}",
             f"node copies: {len(network.nodes)} nodes x {self.horizon + 1} layers"
             f" = {len(self.node_copies)}",
             f"movement copies: {len(self.movement_copies)}",

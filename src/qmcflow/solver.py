@@ -20,9 +20,7 @@ largest reduced cost with smallest-index tie break, switching to Bland's
 smallest-index rule after a run of degenerate pivots; ties in the ratio
 test always go to the smallest basic variable index. Bland's rule
 guarantees the procedure cannot cycle, so it always terminates, and with
-exact arithmetic every verdict is exact. An opt-in floating point mode
-trades exactness for speed on horizons where rational pivots become
-expensive.
+exact arithmetic every verdict is exact.
 
 Minimum feasible horizons are found by probing: start at the largest
 shortest transit time among commodities with positive demand, double
@@ -35,16 +33,16 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .core import Instance, StorageMode, format_rational, shortest_transit, validate_instance
 from .expansion import ExpandedNetwork, ExpansionConfig, build_time_expanded
-from .instances import CycleParams, cycle_instance
+from .instances import cycle_instance
 
 __all__ = [
     "Constraint",
-    "GapReport",
     "LESS_EQUAL",
     "EQUAL",
     "LPResult",
@@ -71,10 +69,6 @@ _ONE = Fraction(1)
 # rule to Bland's. Any cycle consists solely of degenerate pivots, so
 # running Bland's rule from within such a run guarantees termination.
 _BLAND_TRIGGER = 32
-
-_FLOAT_FEAS_TOL = 1e-9
-_FLOAT_DROP_TOL = 1e-12
-_FLOAT_ITERATION_CAP = 200_000
 
 
 class NoHorizonFound(Exception):
@@ -111,19 +105,19 @@ class LinearProgram:
                 if not 0 <= index < self.num_vars:
                     raise ValueError(f"constraint {row}: variable index {index} out of range")
 
-    def check_assignment(self, assignment: Sequence, tol=_ZERO) -> bool:
-        """Exact row-by-row verification (with tol=0) of an assignment."""
+    def check_assignment(self, assignment: Sequence) -> bool:
+        """Exact row-by-row verification of an assignment."""
         if len(assignment) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(assignment)}")
-        if any(value < -tol for value in assignment):
+        if any(value < 0 for value in assignment):
             return False
         for constraint in self.constraints:
             total = sum(coeff * assignment[j] for j, coeff in constraint.coeffs.items())
             residual = total - constraint.rhs
             if constraint.relation == EQUAL:
-                if not -tol <= residual <= tol:
+                if residual != 0:
                     return False
-            elif residual > tol:
+            elif residual > 0:
                 return False
         return True
 
@@ -196,74 +190,22 @@ def feasibility_lp_from_expansion(expansion: ExpandedNetwork) -> LinearProgram:
     return LinearProgram(num_vars, tuple(constraints))
 
 
-def lp_feasible(lp: LinearProgram, *, exact: bool = True) -> LPResult:
-    """Decide feasibility; with exact=True the verdict is exact.
+def lp_feasible(lp: LinearProgram) -> LPResult:
+    """Decide feasibility exactly.
 
-    The floating point mode accepts assignments whose constraint
-    residuals stay within 1e-9 and returns float values; use it only for
-    probing sizes where rational arithmetic is too slow.
+    A feasible verdict's assignment is checked row by row against the
+    LP; a failed check raises RuntimeError.
     """
-    if exact:
-        result = _phase_one_exact(lp)
-        if result.feasible:
-            assert lp.check_assignment(result.assignment), "simplex produced an invalid assignment"
-        return result
-    return _phase_one_float(lp)
+    result = _phase_one_exact(lp)
+    if result.feasible and not lp.check_assignment(result.assignment):
+        raise RuntimeError("simplex produced an assignment that violates the LP")
+    return result
 
 
 # Right-hand-side pseudo-column: stored inside each row dict so pivots
 # update it with the same arithmetic as every other column. Real columns
 # are nonnegative, so -1 never collides.
 _RHS = -1
-
-
-def _prepare_rows(lp: LinearProgram, convert):
-    """Initial tableau: slack basics for satisfied <= rows, artificials
-    elsewhere, artificials on zero right-hand sides pinned.
-
-    A pinned artificial is a fixed variable, zero now and forever: it is
-    excluded from the phase-one objective and pricing, and any step
-    through its row is blocked at zero by the ratio test. Without
-    pinning, the many zero balance rows of a time expansion drown phase
-    one in bookkeeping pivots that exist only to clear artificials that
-    already sit at zero. The returned row dicts hold the right-hand side
-    under the _RHS key.
-    """
-    n = lp.num_vars
-    slack_count = sum(1 for c in lp.constraints if c.relation == LESS_EQUAL)
-    art_start = n + slack_count
-
-    rows: list[dict] = []
-    basis: list[int] = []
-    pinned: set[int] = set()
-    next_slack = n
-    next_art = art_start
-    for constraint in lp.constraints:
-        row = {j: convert(v) for j, v in constraint.coeffs.items() if v != 0}
-        b = convert(constraint.rhs)
-        basic = None
-        if constraint.relation == LESS_EQUAL:
-            slack = next_slack
-            next_slack += 1
-            row[slack] = 1
-            if b >= 0:
-                basic = slack
-        if b < 0:
-            row = {j: -v for j, v in row.items()}
-            b = -b
-            basic = None
-        if b != 0:
-            row[_RHS] = b
-        if basic is None:
-            art = next_art
-            next_art += 1
-            row[art] = 1
-            basic = art
-            if b == 0:
-                pinned.add(art)
-        rows.append(row)
-        basis.append(basic)
-    return rows, basis, pinned, art_start
 
 
 def _phase_one_exact(lp: LinearProgram) -> LPResult:
@@ -496,146 +438,15 @@ def _pivot_exact(rows, dens, basis, obj, obj_den, r, entering, art_start) -> int
     return obj_den
 
 
-def _phase_one_float(lp: LinearProgram) -> LPResult:
-    """Floating point twin of _phase_one_exact; same pivoting rules,
-    verdicts within tolerance instead of exact."""
-
-    def is_zero(value: float) -> bool:
-        return -_FLOAT_DROP_TOL <= value <= _FLOAT_DROP_TOL
-
-    rows, basis, pinned, art_start = _prepare_rows(lp, float)
-    m = len(rows)
-    n = lp.num_vars
-
-    obj: dict[int, float] = {}
-    for i in range(m):
-        if basis[i] >= art_start and basis[i] not in pinned:
-            for j, v in rows[i].items():
-                if j >= art_start:
-                    continue
-                updated = obj.get(j, 0.0) + v
-                if is_zero(updated):
-                    obj.pop(j, None)
-                else:
-                    obj[j] = updated
-
-    bland = False
-    degenerate_streak = 0
-    iterations = 0
-
-    while obj.get(_RHS, 0.0) > _FLOAT_FEAS_TOL:
-        entering = None
-        best_value = 0.0
-        if bland:
-            for j, v in obj.items():
-                if v > _FLOAT_FEAS_TOL and j != _RHS and (entering is None or j < entering):
-                    entering = j
-        else:
-            for j, v in obj.items():
-                if j == _RHS or v <= _FLOAT_FEAS_TOL:
-                    continue
-                if entering is None or v > best_value or (v == best_value and j < entering):
-                    entering, best_value = j, v
-        if entering is None:
-            return LPResult(False, None)
-
-        pivot_row = None
-        best_ratio = 0.0
-        best_basic = -1
-        for i in range(m):
-            coeff = rows[i].get(entering)
-            if coeff is None:
-                continue
-            if basis[i] in pinned:
-                if is_zero(coeff):
-                    continue
-                ratio = 0.0
-            elif coeff > _FLOAT_FEAS_TOL:
-                ratio = rows[i].get(_RHS, 0.0) / coeff
-            else:
-                continue
-            if (
-                pivot_row is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[i] < best_basic)
-            ):
-                pivot_row, best_ratio, best_basic = i, ratio, basis[i]
-        if pivot_row is None:
-            raise RuntimeError("phase-one ratio test found no pivot row")
-
-        evicted_pinned = best_basic in pinned
-        _pivot_float(rows, basis, obj, pivot_row, entering, art_start, is_zero)
-        pinned.discard(best_basic)
-
-        if is_zero(best_ratio):
-            if not evicted_pinned:
-                degenerate_streak += 1
-                if degenerate_streak >= _BLAND_TRIGGER:
-                    bland = True
-        else:
-            degenerate_streak = 0
-            bland = False
-
-        iterations += 1
-        if iterations > _FLOAT_ITERATION_CAP:
-            raise RuntimeError("floating point simplex exceeded its iteration cap")
-
-    assignment = [0.0] * n
-    for i in range(m):
-        if basis[i] < n:
-            assignment[basis[i]] = rows[i].get(_RHS, 0.0)
-    return LPResult(True, tuple(assignment))
-
-
-def _pivot_float(rows, basis, obj, r, entering, art_start, is_zero) -> None:
-    pivot_row = rows[r]
-    pivot_value = pivot_row.pop(entering)
-    if pivot_value != 1.0:
-        pivot_row = {j: v / pivot_value for j, v in pivot_row.items()}
-        rows[r] = pivot_row
-    leaving = basis[r]
-    basis[r] = entering
-
-    pivot_items = tuple(pivot_row.items())
-    for i, row in enumerate(rows):
-        if i == r or (factor := row.pop(entering, None)) is None:
-            continue
-        if not is_zero(factor):
-            for j, v in pivot_items:
-                updated = row.get(j, 0.0) - factor * v
-                if is_zero(updated):
-                    row.pop(j, None)
-                else:
-                    row[j] = updated
-
-    factor = obj.pop(entering, None)
-    if factor is not None and not is_zero(factor):
-        for j, v in pivot_items:
-            if j >= art_start:
-                continue
-            updated = obj.get(j, 0.0) - factor * v
-            if is_zero(updated):
-                obj.pop(j, None)
-            else:
-                obj[j] = updated
-
-    if leaving >= art_start:
-        for row in rows:
-            row.pop(leaving, None)
-    rows[r][entering] = 1.0
-
-
 def probe_horizon(
     instance: Instance,
     horizon: int,
     mode: StorageMode,
-    *,
-    exact: bool = True,
 ) -> tuple[ExpandedNetwork, LPResult]:
     """Build the expansion for one horizon and decide its feasibility."""
     expansion = build_time_expanded(instance, ExpansionConfig(horizon, mode))
     lp = feasibility_lp_from_expansion(expansion)
-    return expansion, lp_feasible(lp, exact=exact)
+    return expansion, lp_feasible(lp)
 
 
 def movement_solution(
@@ -662,7 +473,6 @@ def min_feasible_horizon(
     mode: StorageMode,
     t_max: int,
     *,
-    exact: bool = True,
     observer: Observer | None = None,
 ) -> int:
     """Smallest integer horizon T <= t_max whose expansion is feasible.
@@ -674,7 +484,9 @@ def min_feasible_horizon(
     strictly needs more time than its path transit), doubles until
     feasible and binary searches the remaining bracket, all justified by
     monotonicity of feasibility in T. The optional observer receives
-    every (horizon, expansion, result) probed.
+    every (horizon, expansion, result) probed. Each feasible probe is at
+    a smaller horizon than the one before, so the last feasible result
+    the observer receives is at the returned minimum.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -692,7 +504,7 @@ def min_feasible_horizon(
 
     def feasible(horizon: int) -> bool:
         if horizon not in cache:
-            expansion, result = probe_horizon(instance, horizon, mode, exact=exact)
+            expansion, result = probe_horizon(instance, horizon, mode)
             if observer is not None:
                 observer(horizon, expansion, result)
             cache[horizon] = result.feasible
@@ -731,59 +543,34 @@ class SpeedupReport:
         return Fraction(self.without_storage, self.with_storage)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """SpeedupReport for one member of the cycle family."""
-
-    k: int
-    with_storage: int
-    without_storage: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.without_storage, self.with_storage)
-
-
 def speedup_ratio(
     instance: Instance,
     t_max: int,
     *,
-    exact: bool = True,
     observer: Observer | None = None,
 ) -> SpeedupReport:
-    """Minimum horizons with and without storage, and their ratio."""
+    """Minimum horizons with and without storage, and their ratio.
+
+    Storage speeds things up by at most a factor of two, so the
+    no-storage search never looks past 2 * minT_with; a violation of
+    that bound would surface loudly as NoHorizonFound, never as a
+    silently wrong minimum.
+    """
     with_storage = min_feasible_horizon(
-        instance, StorageMode.WITH_STORAGE, t_max, exact=exact, observer=observer
+        instance, StorageMode.WITH_STORAGE, t_max, observer=observer
     )
     without_storage = min_feasible_horizon(
-        instance, StorageMode.NO_INTERMEDIATE_STORAGE, t_max, exact=exact, observer=observer
+        instance,
+        StorageMode.NO_INTERMEDIATE_STORAGE,
+        min(t_max, 2 * with_storage),
+        observer=observer,
     )
     return SpeedupReport(with_storage, without_storage)
 
 
-def _sweep_one(k: int, t_max: int | None, exact: bool, observer: Observer | None) -> GapReport:
-    instance = cycle_instance(CycleParams(k))
-    bound = t_max if t_max is not None else 4 * k
-    with_storage = min_feasible_horizon(
-        instance, StorageMode.WITH_STORAGE, bound, exact=exact, observer=observer
-    )
-    # Storage speeds things up by at most a factor of two, so the
-    # no-storage search never needs to look past 2 * minT_with; a
-    # violation of that bound would surface loudly as NoHorizonFound,
-    # never as a silently wrong minimum.
-    without_storage = min_feasible_horizon(
-        instance,
-        StorageMode.NO_INTERMEDIATE_STORAGE,
-        min(bound, 2 * with_storage),
-        exact=exact,
-        observer=observer,
-    )
-    return GapReport(k, with_storage, without_storage)
-
-
-def _sweep_worker(args: tuple[int, int | None, bool]) -> GapReport:
-    k, t_max, exact = args
-    return _sweep_one(k, t_max, exact, None)
+def _sweep_one(k: int, t_max: int | None, observer: Observer | None = None) -> SpeedupReport:
+    bound = 4 * k if t_max is None else t_max
+    return speedup_ratio(cycle_instance(k), bound, observer=observer)
 
 
 def gap_sweep(
@@ -791,11 +578,10 @@ def gap_sweep(
     k_max: int,
     *,
     t_max: int | None = None,
-    exact: bool = True,
     parallel: bool = False,
     observer: Observer | None = None,
-) -> list[GapReport]:
-    """Speed-up reports for the cycle family, k from k_min to k_max.
+) -> dict[int, SpeedupReport]:
+    """Speed-up reports for the cycle family, keyed by k from k_min to k_max.
 
     Serial and deterministic by default; parallel=True fans the k values
     out to worker processes (observer is unsupported there). Requires
@@ -808,16 +594,17 @@ def gap_sweep(
         if observer is not None:
             raise ValueError("observer is not supported with parallel sweeps")
         with ProcessPoolExecutor() as pool:
-            return list(pool.map(_sweep_worker, [(k, t_max, exact) for k in ks]))
-    return [_sweep_one(k, t_max, exact, observer) for k in ks]
+            return dict(zip(ks, pool.map(_sweep_one, ks, repeat(t_max))))
+    return {k: _sweep_one(k, t_max, observer) for k in ks}
 
 
-def gap_csv(reports: Sequence[GapReport]) -> str:
-    """Render sweep reports as CSV; identical reports give identical bytes."""
+def gap_csv(reports: Mapping[int, SpeedupReport]) -> str:
+    """Render sweep reports, keyed by k, as CSV in order of k; equal
+    mappings give identical bytes."""
     lines = ["k,minT_with,minT_without,ratio"]
-    for report in reports:
+    for k, report in sorted(reports.items()):
         lines.append(
-            f"{report.k},{report.with_storage},{report.without_storage},"
+            f"{k},{report.with_storage},{report.without_storage},"
             f"{format_rational(report.ratio)}"
         )
     return "\n".join(lines) + "\n"

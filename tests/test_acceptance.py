@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from qmcflow import (
     CycleParams,
-    GapReport,
+    SpeedupReport,
     StorageMode,
     check_flow,
     cycle_instance,
@@ -41,12 +41,12 @@ def _log(horizon, expansion, result):
     _PROBE_LOG.append((expansion, result))
 
 
-_SWEEP: dict[int, GapReport] = {}
+_SWEEP: dict[int, SpeedupReport] = {}
 
 
-def sweep() -> dict[int, GapReport]:
+def sweep() -> dict[int, SpeedupReport]:
     if not _SWEEP:
-        _SWEEP.update((r.k, r) for r in gap_sweep(3, 8, observer=_log))
+        _SWEEP.update(gap_sweep(3, 8, observer=_log))
     return _SWEEP
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qmcflow import solver
 from qmcflow.checker import check_flow
 from qmcflow.cli import main
 from qmcflow.core import StorageMode, parse_flow, parse_instance, serialize_instance
@@ -103,26 +104,22 @@ class TestSolve:
         assert flow.horizon == 7
         assert check_flow(flow, cycle_instance(4), StorageMode.NO_INTERMEDIATE_STORAGE).ok
 
-    def test_float_mode_prints_the_same_minimum(self, capsys, cycle4):
-        code, out, _ = run(capsys, "solve", "--mode", "with-storage", "--max-T", "10", "--float", cycle4)
-        assert code == 0
-        assert out == "5\n"
+    def test_emit_flow_solves_no_extra_lp(self, capsys, cycle4, tmp_path, monkeypatch):
+        calls = []
+        lp_feasible = solver.lp_feasible
 
-    def test_float_with_emit_flow_is_a_usage_error(self, capsys, cycle4):
-        code, _, err = run(
-            capsys,
-            "solve",
-            "--mode",
-            "with-storage",
-            "--max-T",
-            "10",
-            "--float",
-            "--emit-flow",
-            "x.json",
-            cycle4,
-        )
-        assert code == 2
-        assert "--float" in err
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lp_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "lp_feasible", counted)
+        counts = []
+        for extra in ([], ["--emit-flow", str(tmp_path / "flow.json")]):
+            calls.clear()
+            code, out, _ = run(capsys, "solve", "--mode", "no-storage", "--max-T", "10", *extra, cycle4)
+            assert (code, out) == (0, "7\n")
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_invalid_instance_is_exit_one(self, capsys, tmp_path):
         doc = json.loads(serialize_instance(cycle_instance(3)))
@@ -188,6 +185,39 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--mode", "with-storage", cycle4, str(flow_path))
         assert code == 1
         assert "invalid flow" in err
+
+    def test_invalid_instance_is_rejected_before_checking(self, capsys, tmp_path):
+        arc = {"id": "a", "tail": "s", "head": "t", "capacity": 1, "transit": 1}
+        instance_path = tmp_path / "duplicate.json"
+        instance_path.write_text(
+            json.dumps(
+                {
+                    "nodes": ["s", "t"],
+                    "arcs": [arc, dict(arc)],
+                    "commodities": [{"source": "s", "sink": "t", "demand": 1}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        flow_path = tmp_path / "flow.json"
+        flow_path.write_text(
+            json.dumps(
+                {
+                    "horizon": 2,
+                    "rates": [
+                        {"arc": "a", "commodity": 0, "pieces": [{"from": 0, "to": 1, "rate": 1}]}
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys, "check", "--mode", "with-storage", str(instance_path), str(flow_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert "invalid instance" in err
+        assert "duplicate" in err
 
 
 class TestExpand:

@@ -30,10 +30,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExpansionConfig(True, WITH)
 
-    def test_only_unit_steps(self):
-        with pytest.raises(ValueError):
-            ExpansionConfig(4, WITH, step=2)
-
     def test_mode_must_be_storage_mode(self):
         with pytest.raises(ValueError):
             ExpansionConfig(4, "with-storage")  # type: ignore[arg-type]
