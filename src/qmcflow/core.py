@@ -44,6 +44,7 @@ __all__ = [
     "serialize_instance",
     "shortest_transit",
     "step_function",
+    "transit_distances",
     "validate_instance",
 ]
 
@@ -345,31 +346,41 @@ def reachable_nodes(network: Network, source: str) -> frozenset[str]:
     return frozenset(seen)
 
 
+def transit_distances(network: Network, origin: str, *, reverse: bool = False) -> dict[str, int]:
+    """Smallest total transit time from origin to every reachable node.
+
+    With reverse=True, arcs are followed backwards, so the result gives
+    each node's smallest transit time to origin. Unreachable nodes are
+    absent; origin maps to 0. Transit times are nonnegative integers, so
+    this is a plain Dijkstra search. An unknown origin raises ValueError.
+    """
+    if origin not in network.node_set:
+        raise ValueError(f"unknown node: {origin!r}")
+    arcs_at = network.in_arcs if reverse else network.out_arcs
+    best: dict[str, int] = {origin: 0}
+    heap: list[tuple[int, str]] = [(0, origin)]
+    while heap:
+        dist, node = heappop(heap)
+        if dist > best[node]:
+            continue
+        for arc in arcs_at.get(node, ()):
+            other = arc.tail if reverse else arc.head
+            candidate = dist + arc.transit
+            if candidate < best.get(other, candidate + 1):
+                best[other] = candidate
+                heappush(heap, (candidate, other))
+    return best
+
+
 def shortest_transit(network: Network, source: str, sink: str) -> int | None:
     """Smallest total transit time of a directed path, or None if unreachable.
 
-    Transit times are nonnegative integers, so this is a plain Dijkstra
-    search. source == sink gives 0. Unknown nodes raise ValueError.
+    source == sink gives 0. Unknown nodes raise ValueError.
     """
     for node in (source, sink):
         if node not in network.node_set:
             raise ValueError(f"unknown node: {node!r}")
-    if source == sink:
-        return 0
-    best: dict[str, int] = {source: 0}
-    heap: list[tuple[int, str]] = [(0, source)]
-    while heap:
-        dist, node = heappop(heap)
-        if node == sink:
-            return dist
-        if dist > best.get(node, dist):
-            continue
-        for arc in network.out_arcs.get(node, ()):
-            candidate = dist + arc.transit
-            if candidate < best.get(arc.head, candidate + 1):
-                best[arc.head] = candidate
-                heappush(heap, (candidate, arc.head))
-    return None
+    return transit_distances(network, source).get(sink)
 
 
 # --- file formats ---------------------------------------------------------

@@ -7,7 +7,8 @@ equality per (commodity, node copy), with supplies entering at
 (source, 0) and demands leaving at (sink, T). Variables follow the
 expansion's canonical order, movement copies first, then holdover arcs.
 
-Feasibility is decided by a phase-one simplex over Fraction arithmetic:
+Feasibility is decided by a phase-one simplex in exact integer
+arithmetic (integer numerators over per-row denominators):
 artificial variables are attached to the equality rows and their sum is
 minimized; the problem is feasible exactly when that minimum is zero.
 Artificials on zero right-hand sides start at value zero and are pinned
@@ -22,10 +23,22 @@ test always go to the smallest basic variable index. Bland's rule
 guarantees the procedure cannot cycle, so it always terminates, and with
 exact arithmetic every verdict is exact.
 
+probe_horizon does not hand the full LP to the simplex. A time-window
+presolve first fixes at zero every copy that no source-to-sink path of
+its commodity can use in time: commodity i keeps movement copy (a,
+theta) only if its tail is reachable from s_i by theta and its head can
+still reach t_i by T, and holdover (v, theta) likewise. Dropping the
+cycles of a feasible static flow keeps it feasible, and what is left
+uses only kept copies, so the verdict is unchanged. The simplex runs on
+the reduced LP and a feasible assignment is lifted back to the full
+columns and checked against the full LP.
+
 Minimum feasible horizons are found by probing: start at the largest
-shortest transit time among commodities with positive demand, double
-until feasible, then binary search. This is sound because feasibility is
-monotone in the horizon (any schedule for T is also one for T+1).
+shortest transit time plus one among commodities with positive demand,
+double until feasible, then binary search. A movement copy entered at
+theta arrives by T - 1, so a commodity needs T >= its transit + 1. The
+search is sound because feasibility is monotone in the horizon (any
+schedule for T is also one for T+1).
 """
 
 from __future__ import annotations
@@ -37,7 +50,14 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
-from .core import Instance, StorageMode, format_rational, shortest_transit, validate_instance
+from .core import (
+    Instance,
+    StorageMode,
+    format_rational,
+    shortest_transit,
+    transit_distances,
+    validate_instance,
+)
 from .expansion import ExpandedNetwork, ExpansionConfig, build_time_expanded
 from .instances import cycle_instance
 
@@ -196,10 +216,74 @@ def lp_feasible(lp: LinearProgram) -> LPResult:
     A feasible verdict's assignment is checked row by row against the
     LP; a failed check raises RuntimeError.
     """
-    result = _phase_one_exact(lp)
+    return _checked(lp, _phase_one_exact(lp))
+
+
+def _checked(lp: LinearProgram, result: LPResult) -> LPResult:
     if result.feasible and not lp.check_assignment(result.assignment):
         raise RuntimeError("simplex produced an assignment that violates the LP")
     return result
+
+
+def _window_columns(expansion: ExpandedNetwork) -> list[int]:
+    """Columns of feasibility_lp_from_expansion, in order, that some
+    source-to-sink path of their commodity can use in time.
+
+    Commodity i can use movement copy (a, theta) only if dist(s_i,
+    tail a) <= theta and theta + transit(a) + dist(head a, t_i) <= T,
+    and holdover (v, theta) only if dist(s_i, v) <= theta and theta + 1
+    + dist(v, t_i) <= T, where dist is the smallest transit time.
+    """
+    network = expansion.instance.network
+    horizon = expansion.horizon
+    unreachable = horizon + 1
+    windows = [
+        (
+            transit_distances(network, commodity.source),
+            transit_distances(network, commodity.sink, reverse=True),
+        )
+        for commodity in expansion.instance.commodities
+    ]
+    columns: list[int] = []
+    for j, (arc_id, theta, commodity) in enumerate(expansion.movement_variables):
+        arc = network.arc_by_id[arc_id]
+        from_source, to_sink = windows[commodity]
+        if (
+            from_source.get(arc.tail, unreachable) <= theta
+            and theta + arc.transit + to_sink.get(arc.head, unreachable) <= horizon
+        ):
+            columns.append(j)
+    offset = len(expansion.movement_variables)
+    for j, (node, theta, commodity) in enumerate(expansion.holdover_variables, offset):
+        from_source, to_sink = windows[commodity]
+        if (
+            from_source.get(node, unreachable) <= theta
+            and theta + 1 + to_sink.get(node, unreachable) <= horizon
+        ):
+            columns.append(j)
+    return columns
+
+
+def _restrict(lp: LinearProgram, columns: Sequence[int]) -> LinearProgram:
+    """The LP with every column outside `columns` fixed at zero and the
+    kept columns renumbered in order. A row left empty is dropped when
+    zero satisfies it and kept otherwise, so that phase one reports the
+    LP infeasible."""
+    renumbered = {j: i for i, j in enumerate(columns)}
+    constraints = []
+    for constraint in lp.constraints:
+        coeffs = {
+            renumbered[j]: value
+            for j, value in constraint.coeffs.items()
+            if j in renumbered
+        }
+        if not coeffs:
+            if constraint.relation == LESS_EQUAL and constraint.rhs >= 0:
+                continue
+            if constraint.relation == EQUAL and constraint.rhs == 0:
+                continue
+        constraints.append(Constraint(coeffs, constraint.relation, constraint.rhs))
+    return LinearProgram(len(columns), tuple(constraints))
 
 
 # Right-hand-side pseudo-column: stored inside each row dict so pivots
@@ -443,10 +527,23 @@ def probe_horizon(
     horizon: int,
     mode: StorageMode,
 ) -> tuple[ExpandedNetwork, LPResult]:
-    """Build the expansion for one horizon and decide its feasibility."""
+    """Build the expansion for one horizon and decide its feasibility.
+
+    The simplex runs on the time-window presolve of the full LP (see
+    the module docstring). A feasible result is lifted back to the full
+    LP's columns, with zeros for the dropped ones, and checked against
+    the full LP; a failed check raises RuntimeError.
+    """
     expansion = build_time_expanded(instance, ExpansionConfig(horizon, mode))
     lp = feasibility_lp_from_expansion(expansion)
-    return expansion, lp_feasible(lp)
+    columns = _window_columns(expansion)
+    result = _phase_one_exact(_restrict(lp, columns))
+    if result.feasible:
+        assignment = [_ZERO] * lp.num_vars
+        for j, value in zip(columns, result.assignment):
+            assignment[j] = value
+        result = _checked(lp, LPResult(True, tuple(assignment)))
+    return expansion, result
 
 
 def movement_solution(
@@ -479,14 +576,16 @@ def min_feasible_horizon(
 
     Raises NoHorizonFound when even t_max is infeasible, and ValueError
     for invalid instances. The search never misses a smaller feasible
-    horizon: probing starts at a lower bound (the largest shortest
-    transit among commodities with positive demand; delivering anything
-    strictly needs more time than its path transit), doubles until
-    feasible and binary searches the remaining bracket, all justified by
-    monotonicity of feasibility in T. The optional observer receives
-    every (horizon, expansion, result) probed. Each feasible probe is at
-    a smaller horizon than the one before, so the last feasible result
-    the observer receives is at the returned minimum.
+    horizon: probing starts at a proven lower bound, the largest
+    shortest transit plus one among commodities with positive demand
+    (movement copies arrive by T - 1, so delivering anything needs a
+    horizon beyond its path transit), doubles until feasible and binary
+    searches the remaining bracket, whose lower end is never below that
+    bound; all of this is justified by monotonicity of feasibility in T.
+    The optional observer receives every (horizon, expansion, result)
+    probed. Each feasible probe is at a smaller horizon than the one
+    before, so the last feasible result the observer receives is at the
+    returned minimum.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -498,7 +597,7 @@ def min_feasible_horizon(
     for commodity in instance.commodities:
         if commodity.demand > 0:
             transit = shortest_transit(instance.network, commodity.source, commodity.sink)
-            lower = max(lower, transit)
+            lower = max(lower, transit + 1)
 
     cache: dict[int, bool] = {}
 
@@ -511,7 +610,7 @@ def min_feasible_horizon(
         return cache[horizon]
 
     probe = min(lower, t_max)
-    last_infeasible = 0
+    last_infeasible = probe - 1
     while not feasible(probe):
         last_infeasible = probe
         if probe >= t_max:

@@ -27,6 +27,7 @@ from qmcflow.core import (
     serialize_instance,
     shortest_transit,
     step_function,
+    transit_distances,
     validate_instance,
 )
 from qmcflow.instances import cycle_instance, random_instance, wait_schedule_with_storage
@@ -191,6 +192,55 @@ class TestPaths:
     def test_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown node"):
             shortest_transit(two_node_instance().network, "v0", "vX")
+
+    def test_distances_cover_every_reachable_node(self):
+        network = cycle_instance(4).network
+        assert transit_distances(network, "v1") == {"v1": 0, "v2": 1, "v3": 2, "v0": 3}
+
+    def test_reverse_distances_lead_to_the_origin(self):
+        network = cycle_instance(4).network
+        assert transit_distances(network, "v1", reverse=True) == {
+            "v1": 0,
+            "v0": 1,
+            "v3": 2,
+            "v2": 3,
+        }
+
+    def test_unreachable_nodes_are_absent(self):
+        network = Network(
+            ("s", "m", "t", "x"),
+            (
+                Arc("a0", "s", "m", Fraction(1), 2),
+                Arc("a1", "m", "t", Fraction(1), 0),
+                Arc("a2", "x", "m", Fraction(1), 1),
+            ),
+        )
+        assert transit_distances(network, "s") == {"s": 0, "m": 2, "t": 2}
+        assert transit_distances(network, "t", reverse=True) == {"t": 0, "m": 0, "s": 2, "x": 1}
+        assert transit_distances(network, "x", reverse=True) == {"x": 0}
+        assert transit_distances(network, "s", reverse=True) == {"s": 0}
+
+    def test_reverse_takes_the_cheaper_parallel_arc(self):
+        network = Network(
+            ("u", "v"),
+            (Arc("slow", "u", "v", Fraction(1), 5), Arc("fast", "u", "v", Fraction(1), 2)),
+        )
+        assert transit_distances(network, "v", reverse=True) == {"v": 0, "u": 2}
+
+    def test_distances_unknown_origin(self):
+        with pytest.raises(ValueError, match="unknown node"):
+            transit_distances(two_node_instance().network, "nope", reverse=True)
+
+    @given(st.integers(min_value=3, max_value=10), st.data())
+    def test_reverse_distances_match_shortest_transit(self, k: int, data):
+        network = random_instance(data.draw(st.integers(0, 10**6)), k, 2 * k, 1, 3).network
+        origin = data.draw(st.sampled_from(network.nodes))
+        expected = {
+            node: shortest_transit(network, node, origin)
+            for node in network.nodes
+            if shortest_transit(network, node, origin) is not None
+        }
+        assert transit_distances(network, origin, reverse=True) == expected
 
     @given(st.integers(min_value=3, max_value=10), st.data())
     def test_triangle_inequality_on_cycles(self, k: int, data):

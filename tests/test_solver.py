@@ -13,9 +13,11 @@ import qmcflow
 from qmcflow.checker import check_flow
 from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode
 from qmcflow.expansion import ExpansionConfig, build_time_expanded, extract_flow_over_time
+from qmcflow import solver
 from qmcflow.instances import (
     CycleParams,
     cycle_instance,
+    random_instance,
     wait_schedule_with_storage,
     wave_schedule_no_storage,
 )
@@ -281,8 +283,9 @@ class TestHorizonSearch:
         )
         assert minimum == 2
         # The empty commodity's transit of 5 must not inflate the start
-        # of the search past the only demand that matters.
-        assert probes[0] == 1
+        # of the search past the only demand that matters: its transit
+        # of 1 plus the step a movement copy needs to arrive by T - 1.
+        assert probes[0] == 2
 
     def test_observer_sees_every_probe(self):
         probes: list[tuple[int, bool]] = []
@@ -319,13 +322,183 @@ class TestHorizonSearch:
 
         gap_sweep(3, 5, observer=record)
         assert probes == {
-            (3, WITH): [2, 4, 3],
-            (3, WITHOUT): [2, 4, 8, 6, 5],
-            (4, WITH): [3, 6, 5, 4],
-            (4, WITHOUT): [3, 6, 10, 8, 7],
-            (5, WITH): [4, 8, 6, 5],
-            (5, WITHOUT): [4, 8, 12, 10, 9],
+            (3, WITH): [3, 6, 5, 4],
+            (3, WITHOUT): [3, 6, 5, 4],
+            (4, WITH): [4, 8, 6, 5],
+            (4, WITHOUT): [4, 8, 6, 7],
+            (5, WITH): [5, 10, 8, 7, 6],
+            (5, WITHOUT): [5, 10, 8, 9],
         }
+
+
+def window_names(expansion) -> set[tuple[str, int, int]]:
+    """Variable keys of the columns the window presolve keeps."""
+    names = list(expansion.movement_variables) + list(expansion.holdover_variables)
+    return {names[j] for j in solver._window_columns(expansion)}
+
+
+def full_verdict(expansion) -> bool:
+    return lp_feasible(feasibility_lp_from_expansion(expansion)).feasible
+
+
+class TestWindowPresolve:
+    def test_verdicts_match_the_full_lp(self):
+        instances = [random_instance(seed, 5, 8, 3, 3) for seed in range(1, 26)]
+        assert any(arc.transit == 0 for i in instances for arc in i.network.arcs)
+        instances += [cycle_instance(k) for k in (3, 4, 5)]
+        for instance in instances:
+            for mode in (WITH, WITHOUT):
+                for horizon in range(1, 11):
+                    expansion, result = probe_horizon(instance, horizon, mode)
+                    assert result.feasible == full_verdict(expansion), (instance, horizon, mode)
+
+    def test_sweep_minima_follow_the_closed_form(self):
+        assert gap_sweep(3, 8) == {k: SpeedupReport(k + 1, 2 * k - 1) for k in range(3, 9)}
+
+    def test_lifted_witness_has_full_length(self):
+        expansion, result = probe_horizon(cycle_instance(4), 5, WITH)
+        lp = feasibility_lp_from_expansion(expansion)
+        assert result.feasible
+        assert len(result.assignment) == lp.num_vars
+        assert lp.check_assignment(result.assignment)
+        kept = set(solver._window_columns(expansion))
+        assert all(value == 0 for j, value in enumerate(result.assignment) if j not in kept)
+
+    def test_zero_demand_commodity(self):
+        network = Network(
+            ("v0", "v1", "v2"),
+            (Arc("a0", "v0", "v1", F(1), 1), Arc("a1", "v1", "v2", F(1), 1)),
+        )
+        instance = Instance(
+            network, (Commodity("v0", "v2", F(1)), Commodity("v1", "v2", F(0)))
+        )
+        for mode in (WITH, WITHOUT):
+            for horizon in range(1, 6):
+                expansion, result = probe_horizon(instance, horizon, mode)
+                assert result.feasible == full_verdict(expansion)
+                assert result.feasible == (horizon >= 3)
+        expansion, result = probe_horizon(instance, 3, WITH)
+        # The empty commodity keeps its windows: a1 entered at 1 reaches
+        # v2 at 2, and it may wait at v2 until T.
+        assert {key for key in window_names(expansion) if key[2] == 1} == {
+            ("a1", 0, 1),
+            ("a1", 1, 1),
+            ("v1", 0, 1),
+            ("v1", 1, 1),
+            ("v2", 1, 1),
+            ("v2", 2, 1),
+        }
+
+    def test_node_no_source_reaches_keeps_no_copies(self):
+        network = Network(
+            ("s", "t", "x"),
+            (Arc("a0", "s", "t", F(1), 1), Arc("a1", "x", "t", F(1), 1)),
+        )
+        instance = Instance(network, (Commodity("s", "t", F(2)),))
+        for horizon in range(1, 6):
+            expansion, result = probe_horizon(instance, horizon, WITH)
+            names = window_names(expansion)
+            assert not any(key[0] in ("x", "a1") for key in names)
+            assert result.feasible == full_verdict(expansion) == (horizon >= 3)
+
+    def test_zero_capacity_arc_still_binds(self):
+        network = Network(
+            ("s", "t"),
+            (Arc("shut", "s", "t", F(0), 1), Arc("open", "s", "t", F(1), 3)),
+        )
+        instance = Instance(network, (Commodity("s", "t", F(1)),))
+        for mode in (WITH, WITHOUT):
+            for horizon in range(1, 7):
+                expansion, result = probe_horizon(instance, horizon, mode)
+                # The closed arc's copies lie inside the window, so its
+                # capacity rows (rhs 0) must survive the presolve.
+                assert ("shut", 0, 0) in window_names(expansion) or horizon < 2
+                assert result.feasible == full_verdict(expansion) == (horizon >= 4)
+                if result.feasible:
+                    movement = movement_solution(expansion, result)
+                    assert not any(key[0] == "shut" for key in movement)
+
+    def test_zero_transit_arc_at_the_window_edge(self):
+        network = Network(
+            ("s", "v", "t"),
+            (Arc("a0", "s", "v", F(1), 0), Arc("a1", "v", "t", F(1), 1)),
+        )
+        instance = Instance(network, (Commodity("s", "t", F(2)),))
+        expansion, result = probe_horizon(instance, 3, WITHOUT)
+        names = window_names(expansion)
+        # dist(s, v) = 0: a1 is usable from theta 0, and a0 at theta 1
+        # still arrives at v in time for a1 to reach t by T = 3.
+        assert {("a0", 0, 0), ("a0", 1, 0), ("a1", 0, 0), ("a1", 1, 0)} <= names
+        assert ("a1", 2, 0) not in expansion.movement_variables
+        assert result.feasible == full_verdict(expansion)
+        assert result.feasible
+        assert min_feasible_horizon(instance, WITHOUT, 10) == 3
+
+    def test_horizon_below_every_transit_is_infeasible(self):
+        network = Network(("s", "t"), (Arc("a0", "s", "t", F(1), 3),))
+        instance = Instance(network, (Commodity("s", "t", F(1)),))
+        for mode in (WITH, WITHOUT):
+            expansion, result = probe_horizon(instance, 3, mode)
+            reduced = solver._restrict(
+                feasibility_lp_from_expansion(expansion), solver._window_columns(expansion)
+            )
+            # Nothing can move, so only the supply and demand rows stay,
+            # empty and with their nonzero right-hand sides.
+            assert reduced.num_vars == 0
+            assert [(c.coeffs, c.rhs) for c in reduced.constraints] == [({}, -1), ({}, 1)]
+            assert not result.feasible
+            assert not full_verdict(expansion)
+
+    def test_empty_rows_satisfied_by_zero_are_dropped(self):
+        lp = LinearProgram(
+            2,
+            (
+                row({1: 1}, "<=", 0),
+                row({1: 1}, "<=", 2),
+                row({1: 1}, "=", 0),
+                row({1: 1}, "<=", -1),
+                row({1: 1}, "=", 3),
+                row({0: 2, 1: 1}, "=", 1),
+            ),
+        )
+        reduced = solver._restrict(lp, [0])
+        assert reduced.num_vars == 1
+        assert reduced.constraints == (
+            row({}, "<=", -1),
+            row({}, "=", 3),
+            row({0: 2}, "=", 1),
+        )
+
+    def test_corrupt_reduced_solution_raises_even_under_python_O(self):
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from qmcflow import solver\n"
+            "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
+            "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
+            "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
+            "solve = solver._phase_one_exact\n"
+            "def corrupted(lp):\n"
+            "    result = solve(lp)\n"
+            "    return solver.LPResult(True, tuple(v + 1 for v in result.assignment))\n"
+            "solver._phase_one_exact = corrupted\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "try:\n"
+            "    solver.probe_horizon(instance, 2, StorageMode.WITH_STORAGE)\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+            "else:\n"
+            "    print('returned')\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
 
 
 class TestMovementSolution:
