@@ -332,7 +332,12 @@ def validate_instance(instance: Instance) -> ValidationReport:
 
 
 def reachable_nodes(network: Network, source: str) -> frozenset[str]:
-    """Nodes reachable from source by directed arcs, including source."""
+    """Nodes reachable from source by directed arcs, including source.
+
+    Transit times are ignored, so validate_instance can call this on
+    arcs whose transits are negative or not integers, where
+    transit_distances would not apply.
+    """
     if source not in network.node_set:
         raise ValueError(f"unknown node: {source!r}")
     seen = {source}

@@ -29,8 +29,8 @@ its commodity can use in time: commodity i keeps movement copy (a,
 theta) only if its tail is reachable from s_i by theta and its head can
 still reach t_i by T, and holdover (v, theta) likewise. Dropping the
 cycles of a feasible static flow keeps it feasible, and what is left
-uses only kept copies, so the verdict is unchanged. The simplex runs on
-the reduced LP and a feasible assignment is lifted back to the full
+uses only kept copies, so the verdict is unchanged. lp_feasible decides
+the reduced LP, and a feasible assignment is lifted back to the full
 columns and checked against the full LP.
 
 Minimum feasible horizons are found by probing: start at the largest
@@ -126,18 +126,20 @@ class LinearProgram:
                     raise ValueError(f"constraint {row}: variable index {index} out of range")
 
     def check_assignment(self, assignment: Sequence) -> bool:
-        """Exact row-by-row verification of an assignment."""
+        """Exact row-by-row verification of an assignment. Zero values
+        are skipped; they contribute nothing to a row."""
         if len(assignment) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(assignment)}")
         if any(value < 0 for value in assignment):
             return False
         for constraint in self.constraints:
-            total = sum(coeff * assignment[j] for j, coeff in constraint.coeffs.items())
-            residual = total - constraint.rhs
+            total = sum(
+                coeff * assignment[j] for j, coeff in constraint.coeffs.items() if assignment[j]
+            )
             if constraint.relation == EQUAL:
-                if residual != 0:
+                if total != constraint.rhs:
                     return False
-            elif residual > 0:
+            elif total > constraint.rhs:
                 return False
         return True
 
@@ -529,15 +531,15 @@ def probe_horizon(
 ) -> tuple[ExpandedNetwork, LPResult]:
     """Build the expansion for one horizon and decide its feasibility.
 
-    The simplex runs on the time-window presolve of the full LP (see
+    lp_feasible decides the time-window presolve of the full LP (see
     the module docstring). A feasible result is lifted back to the full
     LP's columns, with zeros for the dropped ones, and checked against
-    the full LP; a failed check raises RuntimeError.
+    the full LP as well; a failed check raises RuntimeError.
     """
     expansion = build_time_expanded(instance, ExpansionConfig(horizon, mode))
     lp = feasibility_lp_from_expansion(expansion)
     columns = _window_columns(expansion)
-    result = _phase_one_exact(_restrict(lp, columns))
+    result = lp_feasible(_restrict(lp, columns))
     if result.feasible:
         assignment = [_ZERO] * lp.num_vars
         for j, value in zip(columns, result.assignment):

@@ -477,11 +477,11 @@ class TestWindowPresolve:
             "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
             "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
             "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
-            "solve = solver._phase_one_exact\n"
+            "solve = solver.lp_feasible\n"
             "def corrupted(lp):\n"
             "    result = solve(lp)\n"
             "    return solver.LPResult(True, tuple(v + 1 for v in result.assignment))\n"
-            "solver._phase_one_exact = corrupted\n"
+            "solver.lp_feasible = corrupted\n"
             "print('optimize', sys.flags.optimize)\n"
             "try:\n"
             "    solver.probe_horizon(instance, 2, StorageMode.WITH_STORAGE)\n"
