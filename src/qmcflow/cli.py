@@ -131,9 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-T", type=int, default=None, metavar="N", help="search bound per k (default 4k)"
     )
     gap.add_argument("--csv", metavar="FILE", help="write the CSV here instead of stdout")
-    gap.add_argument(
-        "--parallel", action="store_true", help="sweep k values in worker processes"
-    )
 
     return parser
 
@@ -228,7 +225,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    reports = gap_sweep(args.k_min, args.k_max, t_max=args.max_T, parallel=args.parallel)
+    reports = gap_sweep(args.k_min, args.k_max, t_max=args.max_T)
     _emit(gap_csv(reports), args.csv)
     return 0
 

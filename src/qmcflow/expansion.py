@@ -111,20 +111,6 @@ class ExpandedNetwork:
             if node in self.holdover_nodes[commodity]
         )
 
-    def supplies(self) -> tuple[tuple[str, int, int, Fraction], ...]:
-        """(node, theta, commodity, amount) for each commodity's supply."""
-        return tuple(
-            (commodity.source, 0, index, commodity.demand)
-            for index, commodity in enumerate(self.instance.commodities)
-        )
-
-    def demands(self) -> tuple[tuple[str, int, int, Fraction], ...]:
-        """(node, theta, commodity, amount) for each commodity's demand."""
-        return tuple(
-            (commodity.sink, self.horizon, index, commodity.demand)
-            for index, commodity in enumerate(self.instance.commodities)
-        )
-
     def describe(self) -> str:
         """Debug dump of copies and masks. Not a stable format."""
         network = self.instance.network

@@ -43,10 +43,8 @@ schedule for T is also one for T+1).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
@@ -584,6 +582,9 @@ def min_feasible_horizon(
     horizon beyond its path transit), doubles until feasible and binary
     searches the remaining bracket, whose lower end is never below that
     bound; all of this is justified by monotonicity of feasibility in T.
+    Each horizon is probed at most once: the doubling probes increase
+    strictly, and every binary-search midpoint lies in [lo, hi - 1],
+    while every horizon probed before lies below lo or at or above hi.
     The optional observer receives every (horizon, expansion, result)
     probed. Each feasible probe is at a smaller horizon than the one
     before, so the last feasible result the observer receives is at the
@@ -601,15 +602,11 @@ def min_feasible_horizon(
             transit = shortest_transit(instance.network, commodity.source, commodity.sink)
             lower = max(lower, transit + 1)
 
-    cache: dict[int, bool] = {}
-
     def feasible(horizon: int) -> bool:
-        if horizon not in cache:
-            expansion, result = probe_horizon(instance, horizon, mode)
-            if observer is not None:
-                observer(horizon, expansion, result)
-            cache[horizon] = result.feasible
-        return cache[horizon]
+        expansion, result = probe_horizon(instance, horizon, mode)
+        if observer is not None:
+            observer(horizon, expansion, result)
+        return result.feasible
 
     probe = min(lower, t_max)
     last_infeasible = probe - 1
@@ -669,34 +666,27 @@ def speedup_ratio(
     return SpeedupReport(with_storage, without_storage)
 
 
-def _sweep_one(k: int, t_max: int | None, observer: Observer | None = None) -> SpeedupReport:
-    bound = 4 * k if t_max is None else t_max
-    return speedup_ratio(cycle_instance(k), bound, observer=observer)
-
-
 def gap_sweep(
     k_min: int,
     k_max: int,
     *,
     t_max: int | None = None,
-    parallel: bool = False,
     observer: Observer | None = None,
 ) -> dict[int, SpeedupReport]:
     """Speed-up reports for the cycle family, keyed by k from k_min to k_max.
 
-    Serial and deterministic by default; parallel=True fans the k values
-    out to worker processes (observer is unsupported there). Requires
+    Runs serially in order of k, searching each k up to t_max (4k by
+    default); the observer sees every probe of every search. Requires
     3 <= k_min <= k_max.
     """
     if not 3 <= k_min <= k_max:
         raise ValueError("need 3 <= k_min <= k_max")
-    ks = range(k_min, k_max + 1)
-    if parallel:
-        if observer is not None:
-            raise ValueError("observer is not supported with parallel sweeps")
-        with ProcessPoolExecutor() as pool:
-            return dict(zip(ks, pool.map(_sweep_one, ks, repeat(t_max))))
-    return {k: _sweep_one(k, t_max, observer) for k in ks}
+    return {
+        k: speedup_ratio(
+            cycle_instance(k), 4 * k if t_max is None else t_max, observer=observer
+        )
+        for k in range(k_min, k_max + 1)
+    }
 
 
 def gap_csv(reports: Mapping[int, SpeedupReport]) -> str:

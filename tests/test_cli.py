@@ -4,11 +4,14 @@ exit codes 0 (success) / 1 (infeasible or invalid data) / 2 (usage)."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qmcflow
 from qmcflow import solver
 from qmcflow.checker import check_flow
 from qmcflow.cli import main
@@ -119,6 +122,7 @@ class TestSolve:
             code, out, _ = run(capsys, "solve", "--mode", "no-storage", "--max-T", "10", *extra, cycle4)
             assert (code, out) == (0, "7\n")
             counts.append(len(calls))
+        assert counts[0] > 0
         assert counts[0] == counts[1]
 
     def test_invalid_instance_is_exit_one(self, capsys, tmp_path):
@@ -256,6 +260,11 @@ class TestGap:
         assert code == 1
         assert "no feasible horizon" in err
 
+    def test_parallel_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "gap", "--k-min", "3", "--k-max", "3", "--parallel")
+        assert code == 2
+        assert "--parallel" in err
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):
@@ -272,3 +281,23 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_import_starts_no_process_pool(self):
+        # Importing the CLI must not pull in process or thread pools:
+        # qmcflow is a single-process tool and every invocation pays
+        # for what its import loads.
+        script = (
+            "import sys\n"
+            "import qmcflow.cli\n"
+            "pools = ('multiprocessing', 'concurrent')\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] in pools))\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        assert completed.stdout == "[]\n"

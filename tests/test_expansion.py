@@ -90,20 +90,6 @@ class TestBuild:
         expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
         assert expansion.movement_capacity("a0") == 1
 
-    def test_supplies_and_demands(self):
-        instance = cycle_instance(3)
-        expansion = build_time_expanded(instance, ExpansionConfig(4, WITH))
-        assert expansion.supplies() == (
-            ("v0", 0, 0, Fraction(2)),
-            ("v1", 0, 1, Fraction(1)),
-            ("v2", 0, 2, Fraction(1)),
-        )
-        assert expansion.demands() == (
-            ("v2", 4, 0, Fraction(2)),
-            ("v0", 4, 1, Fraction(1)),
-            ("v1", 4, 2, Fraction(1)),
-        )
-
     def test_describe_mentions_the_shape(self):
         expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITHOUT))
         text = expansion.describe()

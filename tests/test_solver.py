@@ -301,6 +301,30 @@ class TestHorizonSearch:
         assert minimum == min(feasible_probes)
         assert all(t < minimum for t in infeasible_probes)
 
+    def test_no_horizon_is_probed_twice(self):
+        def search(instance, mode, t_max):
+            probes: list[tuple[int, bool]] = []
+            minimum = min_feasible_horizon(
+                instance,
+                mode,
+                t_max,
+                observer=lambda t, expansion, result: probes.append((t, result.feasible)),
+            )
+            return minimum, probes
+
+        instances = [random_instance(seed, 5, 8, 3, 3) for seed in range(1, 21)]
+        instances += [cycle_instance(k) for k in range(3, 6)]
+        for instance in instances:
+            for mode in (WITH, WITHOUT):
+                minimum, generous = search(instance, mode, 40)
+                tight_minimum, tight = search(instance, mode, minimum + 1)
+                assert tight_minimum == minimum
+                for probes in (generous, tight):
+                    horizons = [t for t, _ in probes]
+                    assert len(horizons) == len(set(horizons))
+                    assert all(t < minimum for t, ok in probes if not ok)
+                    assert all(t >= minimum for t, ok in probes if ok)
+
     def test_monotone_feasibility_on_cycle3(self):
         instance = cycle_instance(3)
         verdicts = [
@@ -536,10 +560,6 @@ class TestSweep:
             gap_sweep(2, 5)
         with pytest.raises(ValueError):
             gap_sweep(5, 4)
-
-    def test_observer_with_parallel_rejected(self):
-        with pytest.raises(ValueError, match="observer"):
-            gap_sweep(3, 4, parallel=True, observer=lambda *args: None)
 
     def test_csv_format(self):
         reports = {3: SpeedupReport(4, 5), 4: SpeedupReport(5, 7), 6: SpeedupReport(7, 11)}
