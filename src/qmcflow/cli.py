@@ -3,8 +3,8 @@
 Subcommands:
 
   gen      write a generated instance or schedule (JSON)
-  solve    minimum feasible horizon of an instance, optionally emitting
-           a witness flow
+  solve    least feasible integer horizon of an instance, optionally
+           emitting a witness flow
   check    validate a flow against an instance and print violations
   expand   dump a time expansion summary
   gap      run the cycle family sweep and print CSV
@@ -18,6 +18,7 @@ decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -33,7 +34,7 @@ from .core import (
     serialize_instance,
     validate_instance,
 )
-from .expansion import ExpansionConfig, build_time_expanded, extract_flow_over_time
+from .expansion import build_time_expanded, extract_flow_over_time
 from .instances import (
     CycleParams,
     cycle_instance,
@@ -67,7 +68,11 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. parse_args keeps no
+    state between calls, and building the parser takes about as long as
+    solving a small instance."""
     parser = argparse.ArgumentParser(
         prog="qmcflow",
         description="Multi-commodity flows over time: generators, checker, solver.",
@@ -106,11 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_random.add_argument("--tau", type=int, default=3, help="largest transit time (default 3)")
     _add_output(gen_random)
 
-    solve = commands.add_parser("solve", help="minimum feasible horizon")
+    solve = commands.add_parser("solve", help="least feasible integer horizon")
     _add_mode(solve)
     solve.add_argument("--max-T", type=int, required=True, metavar="N", help="search bound")
     solve.add_argument(
-        "--emit-flow", metavar="FILE", help="write a witness flow for the minimal horizon"
+        "--emit-flow", metavar="FILE", help="write a witness flow for the least horizon found"
     )
     solve.add_argument("instance", metavar="INSTANCE", help="instance file")
 
@@ -219,7 +224,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     instance = _validated_instance(args.instance)
-    expansion = build_time_expanded(instance, ExpansionConfig(args.T, _MODES[args.mode]))
+    expansion = build_time_expanded(instance, args.T, _MODES[args.mode])
     sys.stdout.write(expansion.describe())
     return 0
 

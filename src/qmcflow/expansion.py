@@ -1,12 +1,13 @@
 """Discrete time expansion of an instance over an integer horizon.
 
-The expansion has one copy (v, theta) of every node for each integer
-time theta in 0..T, and two kinds of arcs:
+This module is the only one that knows the time grid. The expansion has
+one copy (v, theta) of every node for each integer time theta in 0..T,
+and two kinds of arcs between copies:
 
 * movement copies (a, theta) from (tail(a), theta) to (head(a), theta +
-  transit(a)), one for each theta in 0..T-transit(a)-1, with capacity
-  equal to the arc capacity. A unit of flow on the copy stands for flow
-  entering arc a during [theta, theta+1).
+  transit(a)), one for each theta in 0..T-transit(a)-1, with the arc's
+  capacity. A unit of flow on the copy stands for flow entering arc a
+  during [theta, theta+1).
 * holdover arcs (v, theta) -> (v, theta+1) for theta in 0..T-1, with
   unbounded capacity, usable by a commodity only where its storage mask
   allows: everywhere when storage is permitted, and only at the
@@ -14,6 +15,11 @@ time theta in 0..T, and two kinds of arcs:
   encodes free departure timing for the supply placed at (source, 0);
   holdover at the sink collects arrivals until the demand is read off at
   (sink, T).
+
+ExpandedNetwork.column_endpoints lists the tail and head copy of every
+(copy, commodity) variable, so the LP and the time windows in the solver
+see the expansion as a plain static network and never compute a time
+themselves.
 
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
@@ -26,30 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import FlowOverTime, Instance, Piece, StepFunction, StorageMode, format_rational, rational
 
 __all__ = [
-    "ExpansionConfig",
     "ExpandedNetwork",
     "build_time_expanded",
     "extract_flow_over_time",
 ]
-
-
-@dataclass(frozen=True)
-class ExpansionConfig:
-    """Integer horizon and storage mode; time steps are unit intervals."""
-
-    horizon: int
-    mode: StorageMode
-
-    def __post_init__(self) -> None:
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
-        if not isinstance(self.mode, StorageMode):
-            raise ValueError("mode must be a StorageMode")
 
 
 @dataclass(frozen=True)
@@ -58,25 +49,19 @@ class ExpandedNetwork:
 
     movement_copies and holdover_arcs are sorted lexicographically, and
     holdover_nodes[i] is the set of nodes where commodity i may use
-    holdover arcs. Variable enumeration methods define the canonical
-    variable order used by the LP construction: all movement copies by
-    (arc id, theta, commodity), then all permitted holdover arcs by
-    (node, theta, commodity).
+    holdover arcs. movement_variables and holdover_variables define the
+    canonical variable order used by the LP construction: all movement
+    copies by (arc id, theta, commodity), then all permitted holdover
+    arcs by (node, theta, commodity). column_endpoints gives each
+    variable's tail and head node copy in that order.
     """
 
     instance: Instance
-    config: ExpansionConfig
+    horizon: int
+    mode: StorageMode
     movement_copies: tuple[tuple[str, int], ...]
     holdover_arcs: tuple[tuple[str, int], ...]
     holdover_nodes: tuple[frozenset[str], ...]
-
-    @property
-    def horizon(self) -> int:
-        return self.config.horizon
-
-    @property
-    def mode(self) -> StorageMode:
-        return self.config.mode
 
     @cached_property
     def node_copies(self) -> tuple[tuple[str, int], ...]:
@@ -85,12 +70,6 @@ class ExpandedNetwork:
             for node in self.instance.network.nodes
             for theta in range(self.horizon + 1)
         )
-
-    def movement_capacity(self, arc_id: str) -> Fraction:
-        return self.instance.network.arc_by_id[arc_id].capacity
-
-    def holdover_allowed(self, node: str, commodity: int) -> bool:
-        return node in self.holdover_nodes[commodity]
 
     @cached_property
     def movement_variables(self) -> tuple[tuple[str, int, int], ...]:
@@ -111,6 +90,21 @@ class ExpandedNetwork:
             if node in self.holdover_nodes[commodity]
         )
 
+    def column_endpoints(self) -> Iterator[tuple[int, tuple[str, int], tuple[str, int]]]:
+        """(commodity, tail copy, head copy) of every variable, in the
+        canonical order: movement_variables, then holdover_variables.
+
+        Generated on demand rather than stored: each caller walks it
+        once, and a stored tuple would keep two copies per variable
+        alive with the expansion.
+        """
+        arc_by_id = self.instance.network.arc_by_id
+        for arc_id, theta, commodity in self.movement_variables:
+            arc = arc_by_id[arc_id]
+            yield commodity, (arc.tail, theta), (arc.head, theta + arc.transit)
+        for node, theta, commodity in self.holdover_variables:
+            yield commodity, (node, theta), (node, theta + 1)
+
     def describe(self) -> str:
         """Debug dump of copies and masks. Not a stable format."""
         network = self.instance.network
@@ -124,40 +118,44 @@ class ExpandedNetwork:
             arc = network.arc_by_id[arc_id]
             lines.append(
                 f"  {arc_id}@{theta}: ({arc.tail},{theta}) -> ({arc.head},{theta + arc.transit})"
-                f" cap {format_rational(self.movement_capacity(arc_id))}"
+                f" cap {format_rational(arc.capacity)}"
             )
         lines.append(f"holdover arcs: {len(self.holdover_arcs)}")
         count = len(self.instance.commodities)
         for node, theta in self.holdover_arcs:
-            allowed = ",".join(str(i) for i in range(count) if self.holdover_allowed(node, i))
+            allowed = ",".join(str(i) for i in range(count) if node in self.holdover_nodes[i])
             lines.append(f"  {node}@{theta} -> {node}@{theta + 1} commodities [{allowed}]")
         return "\n".join(lines) + "\n"
 
 
-def build_time_expanded(instance: Instance, config: ExpansionConfig) -> ExpandedNetwork:
+def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> ExpandedNetwork:
     """Construct the time expansion. The instance must be valid.
 
-    Raises ValueError for non-integer transit times; everything else is
-    assumed validated. A horizon too short for any movement simply
-    yields an expansion with no movement copies.
+    Raises ValueError for a horizon that is not a positive integer, a
+    mode that is not a StorageMode, and non-integer transit times;
+    everything else is assumed validated. A horizon too short for any
+    movement simply yields an expansion with no movement copies.
     """
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise ValueError("horizon must be a positive integer")
+    if not isinstance(mode, StorageMode):
+        raise ValueError("mode must be a StorageMode")
     network = instance.network
     for arc in network.arcs:
         if isinstance(arc.transit, bool) or not isinstance(arc.transit, int) or arc.transit < 0:
             raise ValueError(f"arc {arc.id!r}: transit must be a nonnegative integer")
 
-    horizon = config.horizon
     movement = sorted(
         (arc.id, theta) for arc in network.arcs for theta in range(max(0, horizon - arc.transit))
     )
     holdover = sorted((node, theta) for node in network.nodes for theta in range(horizon))
-    if config.mode is StorageMode.WITH_STORAGE:
+    if mode is StorageMode.WITH_STORAGE:
         masks = tuple(frozenset(network.nodes) for _ in instance.commodities)
     else:
         masks = tuple(
             frozenset({commodity.source, commodity.sink}) for commodity in instance.commodities
         )
-    return ExpandedNetwork(instance, config, tuple(movement), tuple(holdover), masks)
+    return ExpandedNetwork(instance, horizon, mode, tuple(movement), tuple(holdover), masks)
 
 
 def extract_flow_over_time(

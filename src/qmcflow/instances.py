@@ -6,8 +6,11 @@ per node that travels the long way around to the node just before its
 source. Commodity 0 carries demand d0 (2 by default), every other
 commodity carries demand 1. Because each commodity must cross k-1 arcs of
 a ring with total capacity k, storage at intermediate nodes buys real
-time: the family's minimum feasible horizons differ sharply between the
-two storage modes, and their ratio grows toward 2 as k grows.
+time: the family's least feasible integer horizons, k+1 with storage and
+2k-1 without, differ sharply between the two storage modes, and their
+ratio grows toward 2 as k grows. These are integer-horizon results, not
+the quickest times: schedules may end at a fractional time, and without
+storage the k=3 cycle already has one that ends at 13/3 < 5.
 
 Two explicit schedules witness upper bounds for the default family:
 

@@ -2,10 +2,13 @@
 
 The time expansion turns schedule feasibility into a static linear
 feasibility problem: one capacity row per movement copy (the commodities'
-copy flows sum to at most the copy capacity) and one flow conservation
+copy flows sum to at most the arc capacity) and one flow conservation
 equality per (commodity, node copy), with supplies entering at
 (source, 0) and demands leaving at (sink, T). Variables follow the
 expansion's canonical order, movement copies first, then holdover arcs.
+This module reads every copy as a plain static arc between two node
+copies, as listed by ExpandedNetwork.column_endpoints; only the
+expansion knows where on the time grid a copy starts and ends.
 
 Feasibility is decided by a phase-one simplex in exact integer
 arithmetic (integer numerators over per-row denominators):
@@ -25,19 +28,19 @@ exact arithmetic every verdict is exact.
 
 probe_horizon does not hand the full LP to the simplex. A time-window
 presolve first fixes at zero every copy that no source-to-sink path of
-its commodity can use in time: commodity i keeps movement copy (a,
-theta) only if its tail is reachable from s_i by theta and its head can
-still reach t_i by T, and holdover (v, theta) likewise. Dropping the
+its commodity can use in time: commodity i keeps a copy from (u, theta)
+to (v, theta') only if u is reachable from s_i by theta and t_i is
+still reachable from v by T, starting at theta'. Dropping the
 cycles of a feasible static flow keeps it feasible, and what is left
 uses only kept copies, so the verdict is unchanged. lp_feasible decides
 the reduced LP, and a feasible assignment is lifted back to the full
 columns and checked against the full LP.
 
-Minimum feasible horizons are found by probing: start at the largest
-shortest transit time plus one among commodities with positive demand,
-double until feasible, then binary search. A movement copy entered at
-theta arrives by T - 1, so a commodity needs T >= its transit + 1. The
-search is sound because feasibility is monotone in the horizon (any
+Least feasible integer horizons are found by probing: start at the
+largest shortest transit time plus one among commodities with positive
+demand, double until feasible, then binary search. A movement copy
+entered at theta arrives by T - 1, so a commodity needs T >= its
+transit + 1. The search is sound because feasibility is monotone in the horizon (any
 schedule for T is also one for T+1).
 """
 
@@ -56,7 +59,7 @@ from .core import (
     transit_distances,
     validate_instance,
 )
-from .expansion import ExpandedNetwork, ExpansionConfig, build_time_expanded
+from .expansion import ExpandedNetwork, build_time_expanded
 from .instances import cycle_instance
 
 __all__ = [
@@ -82,6 +85,7 @@ EQUAL = "="
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 # Consecutive degenerate pivots tolerated before switching the entering
 # rule to Bland's. Any cycle consists solely of degenerate pivots, so
@@ -149,64 +153,48 @@ class LPResult:
 
 
 def feasibility_lp_from_expansion(expansion: ExpandedNetwork) -> LinearProgram:
-    """Static feasibility LP of a time expansion.
+    """Static feasibility LP of a time expansion, built from its incidence.
 
     Variables: expansion.movement_variables then expansion.holdover_variables.
     Rows: capacity per movement copy, then conservation equalities per
-    (commodity, node, theta) with the supply d entering as rhs -d at
+    (commodity, node copy) in the order of expansion.node_copies. A
+    column has -1 at its tail copy's row and +1 at its head copy's row
+    (expansion.column_endpoints); the supply d enters as rhs -d at
     (source, 0) and the demand as rhs +d at (sink, T).
     """
     instance = expansion.instance
-    network = instance.network
-    horizon = expansion.horizon
+    arc_by_id = instance.network.arc_by_id
 
-    movement_vars = expansion.movement_variables
-    holdover_vars = expansion.holdover_variables
-    move_index = {key: i for i, key in enumerate(movement_vars)}
-    offset = len(movement_vars)
-    hold_index = {key: offset + i for i, key in enumerate(holdover_vars)}
-    num_vars = offset + len(holdover_vars)
+    capacity_rows: dict[tuple[str, int], dict[int, Fraction]] = {
+        copy: {} for copy in expansion.movement_copies
+    }
+    for j, (arc_id, theta, _) in enumerate(expansion.movement_variables):
+        capacity_rows[arc_id, theta][j] = _ONE
+    constraints = [
+        Constraint(coeffs, LESS_EQUAL, arc_by_id[arc_id].capacity)
+        for (arc_id, _), coeffs in capacity_rows.items()
+    ]
 
-    constraints: list[Constraint] = []
-    commodity_count = len(instance.commodities)
+    copies = expansion.node_copies
+    copy_index = {copy: i for i, copy in enumerate(copies)}
+    balance_rows: list[dict[int, Fraction]] = [
+        {} for _ in range(len(instance.commodities) * len(copies))
+    ]
+    for j, (commodity, tail, head) in enumerate(expansion.column_endpoints()):
+        offset = commodity * len(copies)
+        balance_rows[offset + copy_index[tail]][j] = _MINUS_ONE
+        row = balance_rows[offset + copy_index[head]]
+        coeff = row.get(j)
+        row[j] = _ONE if coeff is None else coeff + _ONE
 
-    for arc_id, theta in expansion.movement_copies:
-        coeffs = {
-            move_index[arc_id, theta, commodity]: _ONE for commodity in range(commodity_count)
-        }
-        constraints.append(Constraint(coeffs, LESS_EQUAL, expansion.movement_capacity(arc_id)))
-
+    rhs = [_ZERO] * len(balance_rows)
     for index, commodity in enumerate(instance.commodities):
-        storage_nodes = expansion.holdover_nodes[index]
-        for node in network.nodes:
-            holdover_here = node in storage_nodes
-            incoming = network.in_arcs[node]
-            outgoing = network.out_arcs[node]
-            for theta in range(horizon + 1):
-                coeffs: dict[int, Fraction] = {}
-                for arc in incoming:
-                    entered = theta - arc.transit
-                    if 0 <= entered <= horizon - arc.transit - 1:
-                        j = move_index[arc.id, entered, index]
-                        coeffs[j] = coeffs.get(j, _ZERO) + _ONE
-                if holdover_here and theta >= 1:
-                    j = hold_index[node, theta - 1, index]
-                    coeffs[j] = coeffs.get(j, _ZERO) + _ONE
-                for arc in outgoing:
-                    if theta <= horizon - arc.transit - 1:
-                        j = move_index[arc.id, theta, index]
-                        coeffs[j] = coeffs.get(j, _ZERO) - _ONE
-                if holdover_here and theta <= horizon - 1:
-                    j = hold_index[node, theta, index]
-                    coeffs[j] = coeffs.get(j, _ZERO) - _ONE
-                if node == commodity.source and theta == 0:
-                    rhs = -commodity.demand
-                elif node == commodity.sink and theta == horizon:
-                    rhs = commodity.demand
-                else:
-                    rhs = _ZERO
-                constraints.append(Constraint(coeffs, EQUAL, rhs))
+        offset = index * len(copies)
+        rhs[offset + copy_index[commodity.source, 0]] = -commodity.demand
+        rhs[offset + copy_index[commodity.sink, expansion.horizon]] = commodity.demand
+    constraints += [Constraint(coeffs, EQUAL, b) for coeffs, b in zip(balance_rows, rhs)]
 
+    num_vars = len(expansion.movement_variables) + len(expansion.holdover_variables)
     return LinearProgram(num_vars, tuple(constraints))
 
 
@@ -229,10 +217,9 @@ def _window_columns(expansion: ExpandedNetwork) -> list[int]:
     """Columns of feasibility_lp_from_expansion, in order, that some
     source-to-sink path of their commodity can use in time.
 
-    Commodity i can use movement copy (a, theta) only if dist(s_i,
-    tail a) <= theta and theta + transit(a) + dist(head a, t_i) <= T,
-    and holdover (v, theta) only if dist(s_i, v) <= theta and theta + 1
-    + dist(v, t_i) <= T, where dist is the smallest transit time.
+    Commodity i can use a copy from (u, theta) to (v, theta') only if
+    dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T, where dist is
+    the smallest transit time.
     """
     network = expansion.instance.network
     horizon = expansion.horizon
@@ -245,20 +232,13 @@ def _window_columns(expansion: ExpandedNetwork) -> list[int]:
         for commodity in expansion.instance.commodities
     ]
     columns: list[int] = []
-    for j, (arc_id, theta, commodity) in enumerate(expansion.movement_variables):
-        arc = network.arc_by_id[arc_id]
+    for j, (commodity, (tail, theta), (head, arrival)) in enumerate(
+        expansion.column_endpoints()
+    ):
         from_source, to_sink = windows[commodity]
         if (
-            from_source.get(arc.tail, unreachable) <= theta
-            and theta + arc.transit + to_sink.get(arc.head, unreachable) <= horizon
-        ):
-            columns.append(j)
-    offset = len(expansion.movement_variables)
-    for j, (node, theta, commodity) in enumerate(expansion.holdover_variables, offset):
-        from_source, to_sink = windows[commodity]
-        if (
-            from_source.get(node, unreachable) <= theta
-            and theta + 1 + to_sink.get(node, unreachable) <= horizon
+            from_source.get(tail, unreachable) <= theta
+            and arrival + to_sink.get(head, unreachable) <= horizon
         ):
             columns.append(j)
     return columns
@@ -534,7 +514,7 @@ def probe_horizon(
     LP's columns, with zeros for the dropped ones, and checked against
     the full LP as well; a failed check raises RuntimeError.
     """
-    expansion = build_time_expanded(instance, ExpansionConfig(horizon, mode))
+    expansion = build_time_expanded(instance, horizon, mode)
     lp = feasibility_lp_from_expansion(expansion)
     columns = _window_columns(expansion)
     result = lp_feasible(_restrict(lp, columns))

@@ -16,7 +16,7 @@ from qmcflow import solver
 from qmcflow.checker import check_flow
 from qmcflow.cli import main
 from qmcflow.core import StorageMode, parse_flow, parse_instance, serialize_instance
-from qmcflow.instances import CycleParams, cycle_instance
+from qmcflow.instances import CycleParams, cycle_instance, random_instance
 
 
 @pytest.fixture
@@ -63,6 +63,15 @@ class TestGen:
         second = run(capsys, "gen", "random", "--seed", "11")
         assert first == second
         assert first[0] == 0
+
+    def test_options_do_not_leak_between_calls(self, capsys):
+        code, out, _ = run(capsys, "gen", "random", "--seed", "1", "--nodes", "3")
+        assert code == 0
+        assert parse_instance(out) == random_instance(1, 3, 8, 3, 3)
+        code, out, _ = run(capsys, "gen", "random", "--seed", "1")
+        assert code == 0
+        assert parse_instance(out) == random_instance(1, 5, 8, 3, 3)
+        assert random_instance(1, 5, 8, 3, 3) != random_instance(1, 3, 8, 3, 3)
 
     def test_bad_k_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "cycle", "--k", "2")
@@ -233,6 +242,14 @@ class TestExpand:
         assert "T=4" in out
         assert "movement copies: 9" in out
         assert "holdover arcs: 12" in out
+
+    def test_nonpositive_horizon_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cycle3.json"
+        path.write_text(serialize_instance(cycle_instance(3)), encoding="utf-8")
+        code, out, err = run(capsys, "expand", "--T", "0", "--mode", "with-storage", str(path))
+        assert code == 2
+        assert out == ""
+        assert "horizon must be a positive integer" in err
 
 
 class TestGap:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode
-from qmcflow.expansion import ExpansionConfig, build_time_expanded, extract_flow_over_time
+from qmcflow.expansion import build_time_expanded, extract_flow_over_time
 from qmcflow.instances import cycle_instance
 
 WITH = StorageMode.WITH_STORAGE
@@ -22,47 +22,43 @@ def single_arc_instance(transit: int) -> Instance:
 
 
 class TestConfig:
+    """The horizon and mode arguments of build_time_expanded."""
+
     def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ExpansionConfig(0, WITH)
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            build_time_expanded(cycle_instance(3), 0, WITH)
 
     def test_horizon_must_be_an_integer(self):
-        with pytest.raises(ValueError):
-            ExpansionConfig(True, WITH)
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            build_time_expanded(cycle_instance(3), True, WITH)
 
     def test_mode_must_be_storage_mode(self):
-        with pytest.raises(ValueError):
-            ExpansionConfig(4, "with-storage")  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="mode must be a StorageMode"):
+            build_time_expanded(cycle_instance(3), 4, "with-storage")  # type: ignore[arg-type]
 
 
 class TestBuild:
     def test_cycle3_with_storage_counts(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         assert len(expansion.node_copies) == 15
         assert len(expansion.movement_copies) == 9
         assert len(expansion.holdover_arcs) == 12
-        for node in expansion.instance.network.nodes:
-            for commodity in range(3):
-                assert expansion.holdover_allowed(node, commodity)
+        assert expansion.holdover_nodes == (frozenset(expansion.instance.network.nodes),) * 3
 
     def test_cycle3_no_storage_masks(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITHOUT))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITHOUT)
         assert len(expansion.movement_copies) == 9
         assert len(expansion.holdover_arcs) == 12
         for commodity in range(3):
-            allowed = {
-                node
-                for node in expansion.instance.network.nodes
-                if expansion.holdover_allowed(node, commodity)
-            }
+            allowed = expansion.holdover_nodes[commodity]
             assert allowed == {f"v{commodity}", f"v{(commodity - 1) % 3}"}
 
     def test_long_arc_has_single_copy(self):
-        expansion = build_time_expanded(single_arc_instance(2), ExpansionConfig(3, WITH))
+        expansion = build_time_expanded(single_arc_instance(2), 3, WITH)
         assert expansion.movement_copies == (("a0", 0),)
 
     def test_arc_longer_than_horizon_has_no_copies(self):
-        expansion = build_time_expanded(single_arc_instance(5), ExpansionConfig(3, WITH))
+        expansion = build_time_expanded(single_arc_instance(5), 3, WITH)
         assert expansion.movement_copies == ()
 
     def test_fractional_transit_rejected(self):
@@ -72,26 +68,38 @@ class TestBuild:
         )
         instance = Instance(network, (Commodity("v0", "v1", Fraction(1)),))
         with pytest.raises(ValueError, match="transit"):
-            build_time_expanded(instance, ExpansionConfig(3, WITH))
+            build_time_expanded(instance, 3, WITH)
 
     @given(st.integers(min_value=3, max_value=8), st.integers(min_value=1, max_value=12))
     def test_copy_counts_follow_the_construction(self, k: int, horizon: int):
-        expansion = build_time_expanded(cycle_instance(k), ExpansionConfig(horizon, WITH))
+        expansion = build_time_expanded(cycle_instance(k), horizon, WITH)
         assert len(expansion.node_copies) == k * (horizon + 1)
         assert len(expansion.movement_copies) == k * max(0, horizon - 1)
         assert len(expansion.holdover_arcs) == k * horizon
 
     def test_movement_variable_order_is_lexicographic(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         assert list(expansion.movement_variables) == sorted(expansion.movement_variables)
         assert list(expansion.holdover_variables) == sorted(expansion.holdover_variables)
 
-    def test_capacity_scales_with_the_unit_step(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
-        assert expansion.movement_capacity("a0") == 1
+    def test_column_endpoints_follow_the_variable_order(self):
+        expansion = build_time_expanded(single_arc_instance(2), 3, WITHOUT)
+        assert expansion.movement_variables == (("a0", 0, 0),)
+        assert expansion.holdover_variables == tuple(
+            (node, theta, 0) for node in ("v0", "v1") for theta in range(3)
+        )
+        assert list(expansion.column_endpoints()) == [
+            (0, ("v0", 0), ("v1", 2)),
+            (0, ("v0", 0), ("v0", 1)),
+            (0, ("v0", 1), ("v0", 2)),
+            (0, ("v0", 2), ("v0", 3)),
+            (0, ("v1", 0), ("v1", 1)),
+            (0, ("v1", 1), ("v1", 2)),
+            (0, ("v1", 2), ("v1", 3)),
+        ]
 
     def test_describe_mentions_the_shape(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITHOUT))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITHOUT)
         text = expansion.describe()
         assert "T=4" in text
         assert "movement copies: 9" in text
@@ -100,19 +108,19 @@ class TestBuild:
 
 class TestExtract:
     def test_single_copy_becomes_unit_interval(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         flow = extract_flow_over_time({("a0", 2, 0): Fraction(1)}, expansion)
         step = flow.rates[("a0", 0)]
         assert [(p.start, p.end, p.rate) for p in step.pieces] == [(2, 3, 1)]
         assert flow.horizon == 4
 
     def test_all_zero_solution_is_the_empty_flow(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         flow = extract_flow_over_time({("a0", 2, 0): Fraction(0)}, expansion)
         assert flow.rates == {}
 
     def test_each_copy_becomes_its_own_unit_piece(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         flow = extract_flow_over_time(
             {("a0", 0, 0): Fraction(1), ("a0", 1, 0): Fraction(1)}, expansion
         )
@@ -120,11 +128,11 @@ class TestExtract:
         assert [(p.start, p.end, p.rate) for p in step.pieces] == [(0, 1, 1), (1, 2, 1)]
 
     def test_unknown_copy_rejected(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         with pytest.raises(ValueError, match="unknown"):
             extract_flow_over_time({("a0", 99, 0): Fraction(1)}, expansion)
 
     def test_negative_amount_rejected(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         with pytest.raises(ValueError, match="negative"):
             extract_flow_over_time({("a0", 0, 0): Fraction(-1)}, expansion)

@@ -8,11 +8,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qmcflow
 from qmcflow.checker import check_flow
-from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode
-from qmcflow.expansion import ExpansionConfig, build_time_expanded, extract_flow_over_time
+from qmcflow.core import (
+    Arc,
+    Commodity,
+    FlowOverTime,
+    Instance,
+    Network,
+    Piece,
+    StepFunction,
+    StorageMode,
+)
+from qmcflow.expansion import build_time_expanded, extract_flow_over_time
 from qmcflow import solver
 from qmcflow.instances import (
     CycleParams,
@@ -179,7 +190,7 @@ class TestLPFeasible:
 
 class TestTranscription:
     def test_row_and_column_counts(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         lp = feasibility_lp_from_expansion(expansion)
         movement = len(expansion.movement_variables)
         holdover = len(expansion.holdover_variables)
@@ -189,14 +200,66 @@ class TestTranscription:
         assert len(lp.constraints) == capacity_rows + balance_rows
 
     def test_capacity_rows_come_first(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         lp = feasibility_lp_from_expansion(expansion)
         copies = len(expansion.movement_copies)
         assert all(c.relation == "<=" for c in lp.constraints[:copies])
         assert all(c.relation == "=" for c in lp.constraints[copies:])
 
+    @pytest.mark.parametrize("mode", [WITH, WITHOUT])
+    def test_single_arc_rows(self, mode: StorageMode):
+        # Columns: a0@0, then holdovers v0@0, v0@1, v1@0, v1@1 (both
+        # nodes are the commodity's endpoints, so both modes agree).
+        lp = feasibility_lp_from_expansion(build_time_expanded(single_arc_instance(), 2, mode))
+        assert lp.num_vars == 5
+        assert lp.constraints == (
+            row({0: 1}, "<=", 1),
+            row({0: -1, 1: -1}, "=", -1),  # (v0, 0): supply
+            row({1: 1, 2: -1}, "=", 0),  # (v0, 1)
+            row({2: 1}, "=", 0),  # (v0, 2)
+            row({3: -1}, "=", 0),  # (v1, 0)
+            row({0: 1, 3: 1, 4: -1}, "=", 0),  # (v1, 1)
+            row({4: 1}, "=", 1),  # (v1, 2): demand
+        )
+
+    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
+    def test_rows_are_the_incidence_of_the_copies(self, seed: int, horizon: int):
+        instance = random_instance(seed, 5, 8, 3, 3)
+        network = instance.network
+        for mode in (WITH, WITHOUT):
+            expansion = build_time_expanded(instance, horizon, mode)
+            lp = feasibility_lp_from_expansion(expansion)
+            capacity_rows = lp.constraints[: len(expansion.movement_copies)]
+            balance_rows = lp.constraints[len(expansion.movement_copies) :]
+            copies = expansion.node_copies
+            copy_row = {copy: i for i, copy in enumerate(copies)}
+            arcs = network.arc_by_id
+            endpoints = [
+                (commodity, (arcs[a].tail, theta), (arcs[a].head, theta + arcs[a].transit))
+                for a, theta, commodity in expansion.movement_variables
+            ] + [
+                (commodity, (node, theta), (node, theta + 1))
+                for node, theta, commodity in expansion.holdover_variables
+            ]
+            assert len(endpoints) == lp.num_vars
+            assert len(balance_rows) == len(instance.commodities) * len(copies)
+            for j, (commodity, tail, head) in enumerate(endpoints):
+                entries = {
+                    i: c.coeffs[j] for i, c in enumerate(balance_rows) if j in c.coeffs
+                }
+                offset = commodity * len(copies)
+                assert entries == {offset + copy_row[tail]: -1, offset + copy_row[head]: 1}
+            for j, (arc_id, theta, _) in enumerate(expansion.movement_variables):
+                containing = [c for c in capacity_rows if j in c.coeffs]
+                assert len(containing) == 1
+                assert containing[0].coeffs[j] == 1
+                assert containing[0].relation == "<="
+                assert containing[0].rhs == arcs[arc_id].capacity
+            movement_columns = len(expansion.movement_variables)
+            assert all(j < movement_columns for c in capacity_rows for j in c.coeffs)
+
     def test_single_commodity_single_arc_unique_support(self):
-        expansion = build_time_expanded(single_arc_instance(), ExpansionConfig(2, WITH))
+        expansion = build_time_expanded(single_arc_instance(), 2, WITH)
         lp = feasibility_lp_from_expansion(expansion)
         result = lp_feasible(lp)
         assert result.feasible
@@ -207,24 +270,24 @@ class TestTranscription:
         assert support == {("a0", 0, 0), ("v1", 1, 0)}
 
     def test_cycle3_infeasible_at_three_without_storage(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(3, WITHOUT))
+        expansion = build_time_expanded(cycle_instance(3), 3, WITHOUT)
         assert not lp_feasible(feasibility_lp_from_expansion(expansion)).feasible
 
     def test_cycle3_feasible_at_four_with_storage(self):
-        expansion = build_time_expanded(cycle_instance(3), ExpansionConfig(4, WITH))
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         result = lp_feasible(feasibility_lp_from_expansion(expansion))
         assert result.feasible
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wait_schedule_satisfies_the_lp(self, k: int):
-        expansion = build_time_expanded(cycle_instance(k), ExpansionConfig(k + 1, WITH))
+        expansion = build_time_expanded(cycle_instance(k), k + 1, WITH)
         lp = feasibility_lp_from_expansion(expansion)
         values = assignment_from_flow(expansion, wait_schedule_with_storage(k))
         assert lp.check_assignment(values)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wave_schedule_satisfies_the_strict_lp(self, k: int):
-        expansion = build_time_expanded(cycle_instance(k), ExpansionConfig(2 * k - 1, WITHOUT))
+        expansion = build_time_expanded(cycle_instance(k), 2 * k - 1, WITHOUT)
         lp = feasibility_lp_from_expansion(expansion)
         values = assignment_from_flow(expansion, wave_schedule_no_storage(k))
         assert lp.check_assignment(values)
@@ -232,7 +295,7 @@ class TestTranscription:
     def test_wait_schedule_violates_the_strict_lp_at_k_plus_one(self):
         # The waiting trick needs storage at v0: the same transcription
         # with no-storage masks must reject horizon k+1 entirely.
-        expansion = build_time_expanded(cycle_instance(4), ExpansionConfig(5, WITHOUT))
+        expansion = build_time_expanded(cycle_instance(4), 5, WITHOUT)
         assert not lp_feasible(feasibility_lp_from_expansion(expansion)).feasible
 
 
@@ -353,6 +416,43 @@ class TestHorizonSearch:
             (5, WITH): [5, 10, 8, 7, 6],
             (5, WITHOUT): [5, 10, 8, 9],
         }
+
+
+class TestIntegerHorizon:
+    def test_least_integer_horizon_is_not_the_quickest_time(self):
+        # The search reports the least integer horizon: 5 for the k=3
+        # cycle without storage. On the same cycle in thirds of a time
+        # unit (transits x3, capacities /3) the least integer horizon is
+        # 13, and the witness, rescaled back, is a schedule for the
+        # original cycle with horizon 13/3 < 5.
+        original = cycle_instance(3)
+        scaled = Instance(
+            Network(
+                original.network.nodes,
+                tuple(
+                    Arc(arc.id, arc.tail, arc.head, arc.capacity / 3, arc.transit * 3)
+                    for arc in original.network.arcs
+                ),
+            ),
+            original.commodities,
+        )
+        assert min_feasible_horizon(original, WITHOUT, 10) == 5
+        assert not probe_horizon(scaled, 12, WITHOUT)[1].feasible
+        expansion, result = probe_horizon(scaled, 13, WITHOUT)
+        assert result.feasible
+        flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
+        horizon = F(13, 3)
+        rescaled = FlowOverTime(
+            horizon,
+            {
+                key: StepFunction(
+                    horizon,
+                    tuple(Piece(p.start / 3, p.end / 3, p.rate * 3) for p in step.pieces),
+                )
+                for key, step in flow.rates.items()
+            },
+        )
+        assert check_flow(rescaled, original, WITHOUT).ok
 
 
 def window_names(expansion) -> set[tuple[str, int, int]]:
