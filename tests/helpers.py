@@ -1,4 +1,5 @@
-"""Shared test utilities: flow truncation and flow-to-LP transcription."""
+"""Shared test utilities: flow truncation, flow-to-LP transcription and
+the unreduced reference LP."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ from fractions import Fraction
 from qmcflow.checker import cumulative
 from qmcflow.core import FlowOverTime, Piece, StepFunction
 from qmcflow.expansion import ExpandedNetwork
+from qmcflow.solver import Constraint, LinearProgram
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def truncate_flow(flow: FlowOverTime, horizon: int | Fraction) -> FlowOverTime:
@@ -68,3 +71,48 @@ def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list
             held += com.demand
         values.append(held)
     return values
+
+
+def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
+    """The time-expanded LP with no time window and no row dropped.
+
+    Its variables are all (copy, commodity) pairs the storage mask
+    allows: every movement copy for every commodity, then every holdover
+    arc for the commodities whose holdover_nodes contain its node. Its
+    rows are one capacity row per movement copy and one balance equality
+    per (commodity, node copy). It is built from the copies and the arc
+    data alone, as a reference for feasibility_lp_from_expansion.
+    """
+    instance = expansion.instance
+    arcs = instance.network.arc_by_id
+    commodities = range(len(instance.commodities))
+    # (commodity, tail copy, head copy, movement copy or None)
+    columns = []
+    for arc_id, theta in expansion.movement_copies:
+        arc = arcs[arc_id]
+        for i in commodities:
+            head = (arc.head, theta + arc.transit)
+            columns.append((i, (arc.tail, theta), head, (arc_id, theta)))
+    for node, theta in expansion.holdover_arcs:
+        for i in commodities:
+            if node in expansion.holdover_nodes[i]:
+                columns.append((i, (node, theta), (node, theta + 1), None))
+
+    capacity = {copy: {} for copy in expansion.movement_copies}
+    balance = {(i, copy): {} for i in commodities for copy in expansion.node_copies}
+    for j, (i, tail, head, copy) in enumerate(columns):
+        if copy is not None:
+            capacity[copy][j] = ONE
+        balance[i, tail][j] = -ONE
+        balance[i, head][j] = ONE
+    rhs = dict.fromkeys(balance, ZERO)
+    for i, commodity in enumerate(instance.commodities):
+        rhs[i, (commodity.source, 0)] -= commodity.demand
+        rhs[i, (commodity.sink, expansion.horizon)] += commodity.demand
+
+    rows = [
+        Constraint(coeffs, "<=", arcs[arc_id].capacity)
+        for (arc_id, _), coeffs in capacity.items()
+    ]
+    rows += [Constraint(coeffs, "=", rhs[key]) for key, coeffs in balance.items()]
+    return LinearProgram(len(columns), tuple(rows))

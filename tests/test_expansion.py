@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode
+from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode, shortest_transit
 from qmcflow.expansion import build_time_expanded, extract_flow_over_time
-from qmcflow.instances import cycle_instance
+from qmcflow.instances import cycle_instance, random_instance
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -83,20 +84,57 @@ class TestBuild:
         assert list(expansion.holdover_variables) == sorted(expansion.holdover_variables)
 
     def test_column_endpoints_follow_the_variable_order(self):
+        # T=3, transit 2: the supply can wait at v0 only until the last
+        # departure at 0, and the demand can wait at v1 only from its
+        # arrival at 2, so the time window keeps one holdover at each.
         expansion = build_time_expanded(single_arc_instance(2), 3, WITHOUT)
         assert expansion.movement_variables == (("a0", 0, 0),)
-        assert expansion.holdover_variables == tuple(
-            (node, theta, 0) for node in ("v0", "v1") for theta in range(3)
-        )
+        assert expansion.holdover_variables == (("v0", 0, 0), ("v1", 2, 0))
         assert list(expansion.column_endpoints()) == [
             (0, ("v0", 0), ("v1", 2)),
             (0, ("v0", 0), ("v0", 1)),
-            (0, ("v0", 1), ("v0", 2)),
-            (0, ("v0", 2), ("v0", 3)),
-            (0, ("v1", 0), ("v1", 1)),
-            (0, ("v1", 1), ("v1", 2)),
             (0, ("v1", 2), ("v1", 3)),
         ]
+
+    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
+    def test_variables_are_the_mask_allowed_pairs_in_time(self, seed: int, horizon: int):
+        # A pair (copy from (u, theta) to (v, theta'), commodity i) is a
+        # variable exactly when the mask allows it, dist(s_i, u) <= theta
+        # and theta' + dist(v, t_i) <= T.
+        instance = random_instance(seed, 5, 8, 3, 3)
+        network = instance.network
+        commodities = range(len(instance.commodities))
+
+        @cache
+        def dist(origin: str, target: str) -> int:
+            transit = shortest_transit(network, origin, target)
+            return horizon + 1 if transit is None else transit
+
+        def in_time(i: int, tail: str, theta: int, head: str, arrival: int) -> bool:
+            commodity = instance.commodities[i]
+            return (
+                dist(commodity.source, tail) <= theta
+                and arrival + dist(head, commodity.sink) <= horizon
+            )
+
+        for mode in (WITH, WITHOUT):
+            expansion = build_time_expanded(instance, horizon, mode)
+            movement = []
+            for arc_id, theta in expansion.movement_copies:
+                arc = network.arc_by_id[arc_id]
+                movement += [
+                    (arc_id, theta, i)
+                    for i in commodities
+                    if in_time(i, arc.tail, theta, arc.head, theta + arc.transit)
+                ]
+            holdover = [
+                (node, theta, i)
+                for node, theta in expansion.holdover_arcs
+                for i in commodities
+                if node in expansion.holdover_nodes[i] and in_time(i, node, theta, node, theta + 1)
+            ]
+            assert expansion.movement_variables == tuple(movement)
+            assert expansion.holdover_variables == tuple(holdover)
 
     def test_describe_mentions_the_shape(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITHOUT)

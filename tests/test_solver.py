@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qmcflow
@@ -24,7 +24,6 @@ from qmcflow.core import (
     StorageMode,
 )
 from qmcflow.expansion import build_time_expanded, extract_flow_over_time
-from qmcflow import solver
 from qmcflow.instances import (
     CycleParams,
     cycle_instance,
@@ -47,7 +46,7 @@ from qmcflow.solver import (
     speedup_ratio,
 )
 
-from helpers import assignment_from_flow
+from helpers import assignment_from_flow, unreduced_lp
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -190,14 +189,21 @@ class TestLPFeasible:
 
 class TestTranscription:
     def test_row_and_column_counts(self):
+        # The k=3 cycle at T=4 with storage. The time window keeps 15 of
+        # the 27 (movement copy, commodity) pairs and 18 of the 36
+        # (holdover arc, commodity) pairs. All 9 movement copies keep a
+        # column, and 27 of the 45 (commodity, node copy) balance rows
+        # touch one; the other 18 have rhs 0 and are left out.
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         lp = feasibility_lp_from_expansion(expansion)
         movement = len(expansion.movement_variables)
         holdover = len(expansion.holdover_variables)
+        assert (movement, holdover) == (15, 18)
         assert lp.num_vars == movement + holdover
-        capacity_rows = len(expansion.movement_copies)
-        balance_rows = len(expansion.instance.commodities) * len(expansion.node_copies)
-        assert len(lp.constraints) == capacity_rows + balance_rows
+        relations = [c.relation for c in lp.constraints]
+        assert (relations.count("<="), relations.count("=")) == (9, 27)
+        full = unreduced_lp(expansion)
+        assert (full.num_vars, len(full.constraints)) == (27 + 36, 9 + 45)
 
     def test_capacity_rows_come_first(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
@@ -208,55 +214,70 @@ class TestTranscription:
 
     @pytest.mark.parametrize("mode", [WITH, WITHOUT])
     def test_single_arc_rows(self, mode: StorageMode):
-        # Columns: a0@0, then holdovers v0@0, v0@1, v1@0, v1@1 (both
-        # nodes are the commodity's endpoints, so both modes agree).
-        lp = feasibility_lp_from_expansion(build_time_expanded(single_arc_instance(), 2, mode))
-        assert lp.num_vars == 5
+        # Columns: a0@0, then holdovers v0@0 and v1@1, the only copies in
+        # the commodity's time window (both nodes are its endpoints, so
+        # both modes agree). The rows of (v0, 2) and (v1, 0) touch no
+        # column and have rhs 0, so they are left out.
+        expansion = build_time_expanded(single_arc_instance(), 2, mode)
+        assert expansion.movement_variables == (("a0", 0, 0),)
+        assert expansion.holdover_variables == (("v0", 0, 0), ("v1", 1, 0))
+        lp = feasibility_lp_from_expansion(expansion)
+        assert lp.num_vars == 3
         assert lp.constraints == (
             row({0: 1}, "<=", 1),
             row({0: -1, 1: -1}, "=", -1),  # (v0, 0): supply
-            row({1: 1, 2: -1}, "=", 0),  # (v0, 1)
-            row({2: 1}, "=", 0),  # (v0, 2)
-            row({3: -1}, "=", 0),  # (v1, 0)
-            row({0: 1, 3: 1, 4: -1}, "=", 0),  # (v1, 1)
-            row({4: 1}, "=", 1),  # (v1, 2): demand
+            row({1: 1}, "=", 0),  # (v0, 1)
+            row({0: 1, 2: -1}, "=", 0),  # (v1, 1)
+            row({2: 1}, "=", 1),  # (v1, 2): demand
         )
 
     @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
     def test_rows_are_the_incidence_of_the_copies(self, seed: int, horizon: int):
         instance = random_instance(seed, 5, 8, 3, 3)
-        network = instance.network
+        arcs = instance.network.arc_by_id
         for mode in (WITH, WITHOUT):
             expansion = build_time_expanded(instance, horizon, mode)
             lp = feasibility_lp_from_expansion(expansion)
-            capacity_rows = lp.constraints[: len(expansion.movement_copies)]
-            balance_rows = lp.constraints[len(expansion.movement_copies) :]
-            copies = expansion.node_copies
-            copy_row = {copy: i for i, copy in enumerate(copies)}
-            arcs = network.arc_by_id
+            movement = expansion.movement_variables
             endpoints = [
                 (commodity, (arcs[a].tail, theta), (arcs[a].head, theta + arcs[a].transit))
-                for a, theta, commodity in expansion.movement_variables
+                for a, theta, commodity in movement
             ] + [
                 (commodity, (node, theta), (node, theta + 1))
                 for node, theta, commodity in expansion.holdover_variables
             ]
             assert len(endpoints) == lp.num_vars
-            assert len(balance_rows) == len(instance.commodities) * len(copies)
+
+            # One capacity row per movement copy with a column, in the
+            # order of movement_copies, holding exactly that copy's columns.
+            used = {(a, theta) for a, theta, _ in movement}
+            capacity_copies = [copy for copy in expansion.movement_copies if copy in used]
+            capacity_rows = lp.constraints[: len(capacity_copies)]
+            balance_rows = lp.constraints[len(capacity_copies) :]
+            for copy, constraint in zip(capacity_copies, capacity_rows):
+                columns = {j for j, (a, theta, _) in enumerate(movement) if (a, theta) == copy}
+                assert constraint.coeffs == dict.fromkeys(columns, 1)
+                assert constraint.relation == "<="
+                assert constraint.rhs == arcs[copy[0]].capacity
+
+            # One balance row per (commodity, node copy) that a column
+            # touches or that carries a supply or demand, in the order of
+            # commodities and node_copies.
+            rhs = {}
+            for i, commodity in enumerate(instance.commodities):
+                if commodity.demand:
+                    rhs[i, (commodity.source, 0)] = -commodity.demand
+                    rhs[i, (commodity.sink, horizon)] = commodity.demand
+            touched = {(c, copy) for c, tail, head in endpoints for copy in (tail, head)}
+            copy_order = {copy: i for i, copy in enumerate(expansion.node_copies)}
+            keys = sorted(touched | rhs.keys(), key=lambda key: (key[0], copy_order[key[1]]))
+            assert [(c.relation, c.rhs) for c in balance_rows] == [
+                ("=", rhs.get(key, 0)) for key in keys
+            ]
+            row_of = {key: r for r, key in enumerate(keys)}
             for j, (commodity, tail, head) in enumerate(endpoints):
-                entries = {
-                    i: c.coeffs[j] for i, c in enumerate(balance_rows) if j in c.coeffs
-                }
-                offset = commodity * len(copies)
-                assert entries == {offset + copy_row[tail]: -1, offset + copy_row[head]: 1}
-            for j, (arc_id, theta, _) in enumerate(expansion.movement_variables):
-                containing = [c for c in capacity_rows if j in c.coeffs]
-                assert len(containing) == 1
-                assert containing[0].coeffs[j] == 1
-                assert containing[0].relation == "<="
-                assert containing[0].rhs == arcs[arc_id].capacity
-            movement_columns = len(expansion.movement_variables)
-            assert all(j < movement_columns for c in capacity_rows for j in c.coeffs)
+                entries = {r: c.coeffs[j] for r, c in enumerate(balance_rows) if j in c.coeffs}
+                assert entries == {row_of[commodity, tail]: -1, row_of[commodity, head]: 1}
 
     def test_single_commodity_single_arc_unique_support(self):
         expansion = build_time_expanded(single_arc_instance(), 2, WITH)
@@ -388,12 +409,50 @@ class TestHorizonSearch:
                     assert all(t < minimum for t, ok in probes if not ok)
                     assert all(t >= minimum for t, ok in probes if ok)
 
-    def test_monotone_feasibility_on_cycle3(self):
-        instance = cycle_instance(3)
-        verdicts = [
-            probe_horizon(instance, t, WITH)[1].feasible for t in range(1, 9)
-        ]
-        assert verdicts == sorted(verdicts)
+    def test_uncertified_minimum_raises_even_under_python_O(self):
+        # The flow checker certifies the minimum in explicit code, which
+        # python -O keeps. The patched lp_feasible corrupts every
+        # feasible assignment and skips the row check of the real one.
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from qmcflow import solver\n"
+            "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
+            "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
+            "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
+            "solve = solver._phase_one_exact\n"
+            "def corrupted(lp):\n"
+            "    result = solve(lp)\n"
+            "    if not result.feasible:\n"
+            "        return result\n"
+            "    return solver.LPResult(True, tuple(v + 1 for v in result.assignment))\n"
+            "solver.lp_feasible = corrupted\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "try:\n"
+            "    solver.min_feasible_horizon(instance, StorageMode.WITH_STORAGE, 10)\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+            "else:\n"
+            "    print('returned')\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+
+    @example(seed=None)
+    @given(st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)))
+    def test_monotone_feasibility_on_cycle3(self, seed: int | None):
+        # seed None stands for the k=3 cycle, any other for a random instance.
+        instance = cycle_instance(3) if seed is None else random_instance(seed, 5, 8, 3, 3)
+        for mode in (WITH, WITHOUT):
+            verdicts = [probe_horizon(instance, t, mode)[1].feasible for t in range(1, 11)]
+            assert verdicts == sorted(verdicts), mode
 
     def test_mode_dominance_at_the_no_storage_minimum(self):
         instance = cycle_instance(3)
@@ -456,13 +515,13 @@ class TestIntegerHorizon:
 
 
 def window_names(expansion) -> set[tuple[str, int, int]]:
-    """Variable keys of the columns the window presolve keeps."""
-    names = list(expansion.movement_variables) + list(expansion.holdover_variables)
-    return {names[j] for j in solver._window_columns(expansion)}
+    """Keys of the (copy, commodity) pairs the time window keeps."""
+    return set(expansion.movement_variables) | set(expansion.holdover_variables)
 
 
 def full_verdict(expansion) -> bool:
-    return lp_feasible(feasibility_lp_from_expansion(expansion)).feasible
+    """Verdict of the LP with no time window."""
+    return lp_feasible(unreduced_lp(expansion)).feasible
 
 
 class TestWindowPresolve:
@@ -478,15 +537,6 @@ class TestWindowPresolve:
 
     def test_sweep_minima_follow_the_closed_form(self):
         assert gap_sweep(3, 8) == {k: SpeedupReport(k + 1, 2 * k - 1) for k in range(3, 9)}
-
-    def test_lifted_witness_has_full_length(self):
-        expansion, result = probe_horizon(cycle_instance(4), 5, WITH)
-        lp = feasibility_lp_from_expansion(expansion)
-        assert result.feasible
-        assert len(result.assignment) == lp.num_vars
-        assert lp.check_assignment(result.assignment)
-        kept = set(solver._window_columns(expansion))
-        assert all(value == 0 for j, value in enumerate(result.assignment) if j not in kept)
 
     def test_zero_demand_commodity(self):
         network = Network(
@@ -535,7 +585,7 @@ class TestWindowPresolve:
             for horizon in range(1, 7):
                 expansion, result = probe_horizon(instance, horizon, mode)
                 # The closed arc's copies lie inside the window, so its
-                # capacity rows (rhs 0) must survive the presolve.
+                # capacity rows (rhs 0) must survive the window.
                 assert ("shut", 0, 0) in window_names(expansion) or horizon < 2
                 assert result.feasible == full_verdict(expansion) == (horizon >= 4)
                 if result.feasible:
@@ -563,66 +613,45 @@ class TestWindowPresolve:
         instance = Instance(network, (Commodity("s", "t", F(1)),))
         for mode in (WITH, WITHOUT):
             expansion, result = probe_horizon(instance, 3, mode)
-            reduced = solver._restrict(
-                feasibility_lp_from_expansion(expansion), solver._window_columns(expansion)
-            )
+            lp = feasibility_lp_from_expansion(expansion)
             # Nothing can move, so only the supply and demand rows stay,
             # empty and with their nonzero right-hand sides.
-            assert reduced.num_vars == 0
-            assert [(c.coeffs, c.rhs) for c in reduced.constraints] == [({}, -1), ({}, 1)]
+            assert lp.num_vars == 0
+            assert [(c.coeffs, c.rhs) for c in lp.constraints] == [({}, -1), ({}, 1)]
             assert not result.feasible
             assert not full_verdict(expansion)
 
     def test_empty_rows_satisfied_by_zero_are_dropped(self):
-        lp = LinearProgram(
-            2,
+        # Commodity 0 ships s -> t over a0 at T=2. Commodity 1 needs
+        # T >= 3 to cross a2, so it keeps no column; x is reachable from
+        # no source, so a1 keeps no column either.
+        network = Network(
+            ("s", "t", "x", "y"),
             (
-                row({1: 1}, "<=", 0),
-                row({1: 1}, "<=", 2),
-                row({1: 1}, "=", 0),
-                row({1: 1}, "<=", -1),
-                row({1: 1}, "=", 3),
-                row({0: 2, 1: 1}, "=", 1),
+                Arc("a0", "s", "t", F(1), 1),
+                Arc("a1", "x", "t", F(1), 1),
+                Arc("a2", "y", "t", F(1), 2),
             ),
         )
-        reduced = solver._restrict(lp, [0])
-        assert reduced.num_vars == 1
-        assert reduced.constraints == (
-            row({}, "<=", -1),
-            row({}, "=", 3),
-            row({0: 2}, "=", 1),
+        instance = Instance(network, (Commodity("s", "t", F(1)), Commodity("y", "t", F(1))))
+        expansion = build_time_expanded(instance, 2, WITH)
+        assert window_names(expansion) == {("a0", 0, 0), ("s", 0, 0), ("t", 1, 0)}
+        lp = feasibility_lp_from_expansion(expansion)
+        # The capacity row of a1@0 and every empty balance row with rhs 0
+        # are left out. The empty demand and supply rows of commodity 1
+        # stay, so the LP is infeasible.
+        assert lp.num_vars == 3
+        assert lp.constraints == (
+            row({0: 1}, "<=", 1),  # a0@0
+            row({0: -1, 1: -1}, "=", -1),  # commodity 0 at (s, 0)
+            row({1: 1}, "=", 0),  # (s, 1)
+            row({0: 1, 2: -1}, "=", 0),  # (t, 1)
+            row({2: 1}, "=", 1),  # (t, 2)
+            row({}, "=", 1),  # commodity 1 at (t, 2)
+            row({}, "=", -1),  # (y, 0)
         )
-
-    def test_corrupt_reduced_solution_raises_even_under_python_O(self):
-        script = (
-            "import sys\n"
-            "from fractions import Fraction\n"
-            "from qmcflow import solver\n"
-            "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
-            "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
-            "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
-            "solve = solver.lp_feasible\n"
-            "def corrupted(lp):\n"
-            "    result = solve(lp)\n"
-            "    return solver.LPResult(True, tuple(v + 1 for v in result.assignment))\n"
-            "solver.lp_feasible = corrupted\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "try:\n"
-            "    solver.probe_horizon(instance, 2, StorageMode.WITH_STORAGE)\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n"
-            "else:\n"
-            "    print('returned')\n"
-        )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+        assert not lp_feasible(lp).feasible
+        assert not full_verdict(expansion)
 
 
 class TestMovementSolution:
