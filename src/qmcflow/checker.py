@@ -19,6 +19,16 @@ linear function of time. A piecewise linear function is nonnegative
 (or identically zero) on an interval if and only if it is so at its
 breakpoints, which is why checking the finitely many breakpoints below
 is exact and complete, not a sampling heuristic.
+
+Each check is one sweep over sorted breakpoints in integer arithmetic.
+The flow is first converted to integer units: times to multiples of
+1/tu, where tu is the lcm of the horizon's and every piece boundary's
+denominator, and rates to multiples of 1/ru, where ru is the lcm of the
+rate denominators. Amounts are then integer multiples of 1/(tu*ru). The
+capacity sweep keeps a running total rate per arc, and the conservation
+sweep advances each balance by its current slope between breakpoints,
+so no piece is integrated more than once per check. Fractions are built
+only for the violations reported.
 """
 
 from __future__ import annotations
@@ -26,8 +36,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
+    Arc,
     FlowOverTime,
     Instance,
     StepFunction,
@@ -56,6 +68,9 @@ STRICT_CONSERVATION = "strict-conservation"
 DEMAND = "demand"
 
 _ZERO = Fraction(0)
+
+# Pieces (start, end, rate) in integer units, keyed like FlowOverTime.rates.
+_UnitPieces = dict[tuple[str, int], list[tuple[int, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -100,7 +115,7 @@ class ViolationReport:
         return not self.violations
 
     def of_kind(self, kind: str) -> tuple[Violation, ...]:
-        return tuple(v for v in self.violations if v.kind == kind)
+        return tuple([v for v in self.violations if v.kind == kind])
 
     def to_json_lines(self) -> str:
         return "".join(v.to_json() + "\n" for v in self.violations)
@@ -134,6 +149,53 @@ def _require_consistent(flow: FlowOverTime, instance: Instance) -> None:
             raise ValueError(f"flow references unknown commodity {commodity}")
 
 
+def _integer_units(flow: FlowOverTime) -> tuple[int, int, int, _UnitPieces]:
+    """The flow in integer units: (tu, ru, horizon, pieces).
+
+    tu is the lcm of the horizon's and every piece start and end
+    denominator, ru the lcm of the rate denominators. The horizon and
+    each piece (start, end, rate) are returned as integer multiples of
+    1/tu (times) and 1/ru (rates), keyed like flow.rates, so every
+    amount is an integer multiple of 1/(tu*ru).
+    """
+    time_denominators = {flow.horizon.denominator}
+    rate_denominators = {1}
+    for step in flow.rates.values():
+        for piece in step.pieces:
+            time_denominators.add(piece.start.denominator)
+            time_denominators.add(piece.end.denominator)
+            rate_denominators.add(piece.rate.denominator)
+    tu = lcm(*time_denominators)
+    ru = lcm(*rate_denominators)
+    pieces: _UnitPieces = {}
+    for key, step in flow.rates.items():
+        pieces[key] = [
+            (
+                p.start.numerator * (tu // p.start.denominator),
+                p.end.numerator * (tu // p.end.denominator),
+                p.rate.numerator * (ru // p.rate.denominator),
+            )
+            for p in step.pieces
+        ]
+    horizon = flow.horizon.numerator * (tu // flow.horizon.denominator)
+    return tu, ru, horizon, pieces
+
+
+def _arcs_with_pieces(
+    instance: Instance, pieces: _UnitPieces
+) -> list[tuple[Arc, int, list[tuple[int, int, int]]]]:
+    """(arc, commodity, pieces) for every arc of the network and every
+    commodity with a rate function on it, in arc order."""
+    by_id: dict[str, list[tuple[int, list[tuple[int, int, int]]]]] = {}
+    for (arc_id, commodity), parts in pieces.items():
+        by_id.setdefault(arc_id, []).append((commodity, parts))
+    return [
+        (arc, commodity, parts)
+        for arc in instance.network.arcs
+        for commodity, parts in by_id.get(arc.id, ())
+    ]
+
+
 def check_capacity(flow: FlowOverTime, instance: Instance) -> ViolationReport:
     """Compare total rates against capacity on each arc.
 
@@ -142,63 +204,44 @@ def check_capacity(flow: FlowOverTime, instance: Instance) -> ViolationReport:
     its magnitude is the excess over capacity.
     """
     _require_consistent(flow, instance)
+    tu, ru, _, pieces = _integer_units(flow)
+    # Per arc id, the change of the total rate at each piece start and end.
+    changes: dict[str, dict[int, int]] = {}
+    for (arc_id, _), parts in pieces.items():
+        change = changes.setdefault(arc_id, {})
+        for start, end, rate in parts:
+            change[start] = change.get(start, 0) + rate
+            change[end] = change.get(end, 0) - rate
     violations: list[Violation] = []
-    commodity_count = len(instance.commodities)
     for arc in instance.network.arcs:
-        steps = [
-            step
-            for i in range(commodity_count)
-            if (step := flow.rates.get((arc.id, i))) is not None
-        ]
-        points = sorted(
-            {point for step in steps for piece in step.pieces for point in (piece.start, piece.end)}
-        )
-        if not points:
+        change = changes.get(arc.id)
+        if not change:
             continue
-        # Total rate on each elementary interval, merging adjacent
-        # intervals with equal totals so reported intervals are maximal.
-        merged: list[tuple[Fraction, Fraction, Fraction]] = []
-        for lo, hi in zip(points, points[1:]):
-            total = _ZERO
-            for step in steps:
-                for piece in step.pieces:
-                    if piece.start <= lo and hi <= piece.end:
-                        total += piece.rate
-            if merged and merged[-1][1] == lo and merged[-1][2] == total:
-                merged[-1] = (merged[-1][0], hi, total)
-            else:
-                merged.append((lo, hi, total))
-        for lo, hi, total in merged:
-            if total > arc.capacity:
-                violations.append(
-                    Violation(CAPACITY, arc.id, None, lo, hi, total - arc.capacity)
-                )
+        # An integer total exceeds capacity*ru iff it exceeds its floor.
+        limit = arc.capacity.numerator * ru // arc.capacity.denominator
+        points = sorted(change)
+        last = points[-1]
+        lo = points[0]
+        total = change[lo]
+        # Close a stretch of constant total wherever the total changes
+        # and at the last point, so that reported intervals are maximal.
+        for point in points[1:]:
+            delta = change[point]
+            if delta or point == last:
+                if total > limit:
+                    violations.append(
+                        Violation(
+                            CAPACITY,
+                            arc.id,
+                            None,
+                            Fraction(lo, tu),
+                            Fraction(point, tu),
+                            Fraction(total, ru) - arc.capacity,
+                        )
+                    )
+                lo = point
+                total += delta
     return ViolationReport(tuple(violations))
-
-
-def _balance(
-    flow: FlowOverTime,
-    instance: Instance,
-    commodity: int,
-    node: str,
-    theta: Fraction,
-) -> Fraction:
-    """Cumulative balance of one commodity at one node at time theta.
-
-    Inflow on an arc counts what entered the arc up to theta minus its
-    transit time, i.e. what has fully arrived by theta; outflow counts
-    everything sent up to theta.
-    """
-    total = _ZERO
-    for arc in instance.network.in_arcs[node]:
-        step = flow.rates.get((arc.id, commodity))
-        if step is not None and theta > arc.transit:
-            total += cumulative(step, theta - arc.transit)
-    for arc in instance.network.out_arcs[node]:
-        step = flow.rates.get((arc.id, commodity))
-        if step is not None:
-            total -= cumulative(step, theta)
-    return total
 
 
 def check_conservation(
@@ -213,41 +256,50 @@ def check_conservation(
     is reported as a strict-conservation violation.
     """
     _require_consistent(flow, instance)
+    tu, ru, horizon, pieces = _integer_units(flow)
+    # Per (commodity, node), the change of the balance's slope at each
+    # breakpoint: an in-arc's piece raises it while its flow arrives,
+    # an out-arc's piece lowers it while its flow departs.
+    slopes: dict[tuple[int, str], dict[int, int]] = {}
+    for arc, commodity, parts in _arcs_with_pieces(instance, pieces):
+        arriving = slopes.setdefault((commodity, arc.head), {})
+        departing = slopes.setdefault((commodity, arc.tail), {})
+        shift = arc.transit * tu
+        for start, end, rate in parts:
+            arriving[start + shift] = arriving.get(start + shift, 0) + rate
+            arriving[end + shift] = arriving.get(end + shift, 0) - rate
+            departing[start] = departing.get(start, 0) - rate
+            departing[end] = departing.get(end, 0) + rate
     violations: list[Violation] = []
-    horizon = flow.horizon
+    scale = tu * ru
     strict = mode is StorageMode.NO_INTERMEDIATE_STORAGE
     for index, commodity in enumerate(instance.commodities):
         for node in instance.network.nodes:
             if node == commodity.source:
                 continue
-            points: set[Fraction] = {horizon}
-            relevant = False
-            for arc in instance.network.in_arcs[node]:
-                step = flow.rates.get((arc.id, index))
-                if step is not None:
-                    relevant = True
-                    for piece in step.pieces:
-                        points.add(piece.start + arc.transit)
-                        points.add(piece.end + arc.transit)
-            for arc in instance.network.out_arcs[node]:
-                step = flow.rates.get((arc.id, index))
-                if step is not None:
-                    relevant = True
-                    for piece in step.pieces:
-                        points.add(piece.start)
-                        points.add(piece.end)
-            if not relevant:
+            change = slopes.get((index, node))
+            if change is None:
                 continue
-            for theta in sorted(p for p in points if 0 < p <= horizon):
-                balance = _balance(flow, instance, index, node, theta)
-                if balance < 0:
-                    violations.append(
-                        Violation(CONSERVATION, node, index, theta, theta, -balance)
-                    )
-                elif strict and balance > 0 and node != commodity.sink:
-                    violations.append(
-                        Violation(STRICT_CONSERVATION, node, index, theta, theta, balance)
-                    )
+            change.setdefault(horizon, 0)
+            storage_forbidden = strict and node != commodity.sink
+            # The balance is 0 at time 0, so no point at 0 is reported.
+            value = slope = previous = 0
+            for point in sorted(change):
+                if point > horizon:
+                    break
+                value += slope * (point - previous)
+                previous = point
+                slope += change[point]
+                if value < 0:
+                    kind, magnitude = CONSERVATION, -value
+                elif storage_forbidden and value > 0:
+                    kind, magnitude = STRICT_CONSERVATION, value
+                else:
+                    continue
+                theta = Fraction(point, tu)
+                violations.append(
+                    Violation(kind, node, index, theta, theta, Fraction(magnitude, scale))
+                )
     return ViolationReport(tuple(violations))
 
 
@@ -259,8 +311,20 @@ def check_demands(flow: FlowOverTime, instance: Instance) -> ViolationReport:
     every other node. The violation magnitude is the absolute deviation.
     """
     _require_consistent(flow, instance)
+    tu, ru, horizon, pieces = _integer_units(flow)
+    # Per touched (commodity, node), the balance at the horizon.
+    balances: dict[tuple[int, str], int] = {}
+    for arc, commodity, parts in _arcs_with_pieces(instance, pieces):
+        cutoff = horizon - arc.transit * tu
+        arrived = sent = 0
+        for start, end, rate in parts:
+            sent += rate * (end - start)
+            if start < cutoff:
+                arrived += rate * (min(end, cutoff) - start)
+        balances[commodity, arc.head] = balances.get((commodity, arc.head), 0) + arrived
+        balances[commodity, arc.tail] = balances.get((commodity, arc.tail), 0) - sent
     violations: list[Violation] = []
-    horizon = flow.horizon
+    scale = tu * ru
     for index, commodity in enumerate(instance.commodities):
         for node in instance.network.nodes:
             if node == commodity.sink:
@@ -269,17 +333,20 @@ def check_demands(flow: FlowOverTime, instance: Instance) -> ViolationReport:
                 expected = -commodity.demand
             else:
                 expected = _ZERO
-            touched = any(
-                (arc.id, index) in flow.rates
-                for arc in instance.network.in_arcs[node] + instance.network.out_arcs[node]
-            )
-            if not touched and expected == 0:
-                continue
-            balance = _balance(flow, instance, index, node, horizon)
-            if balance != expected:
+            balance = balances.get((index, node))
+            if balance is None:
+                if expected == 0:
+                    continue
+                balance = 0
+            if balance * expected.denominator != expected.numerator * scale:
                 violations.append(
                     Violation(
-                        DEMAND, node, index, horizon, horizon, abs(balance - expected)
+                        DEMAND,
+                        node,
+                        index,
+                        flow.horizon,
+                        flow.horizon,
+                        abs(Fraction(balance, scale) - expected),
                     )
                 )
     return ViolationReport(tuple(violations))

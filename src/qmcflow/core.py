@@ -218,7 +218,7 @@ def step_function(
     """Convenience constructor coercing piece triples to exact rationals."""
     return StepFunction(
         rational(domain_end),
-        tuple(Piece(rational(s), rational(e), rational(r)) for s, e, r in pieces),
+        tuple([Piece(rational(s), rational(e), rational(r)) for s, e, r in pieces]),
     )
 
 

@@ -1,12 +1,19 @@
-"""Shared test utilities: flow truncation, flow-to-LP transcription and
-the unreduced reference LP."""
+"""Shared test utilities: flow truncation, flow-to-LP transcription, the
+unreduced reference LP and the per-breakpoint reference flow checker."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qmcflow.checker import cumulative
-from qmcflow.core import FlowOverTime, Piece, StepFunction
+from qmcflow.checker import (
+    CAPACITY,
+    CONSERVATION,
+    DEMAND,
+    STRICT_CONSERVATION,
+    Violation,
+    cumulative,
+)
+from qmcflow.core import FlowOverTime, Instance, Piece, StepFunction, StorageMode
 from qmcflow.expansion import ExpandedNetwork
 from qmcflow.solver import Constraint, LinearProgram
 
@@ -116,3 +123,138 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
     ]
     rows += [Constraint(coeffs, "=", rhs[key]) for key, coeffs in balance.items()]
     return LinearProgram(len(columns), tuple(rows))
+
+
+def _reference_capacity(flow: FlowOverTime, instance: Instance) -> list[Violation]:
+    """Capacity: re-sum every piece on each elementary interval."""
+    violations: list[Violation] = []
+    commodity_count = len(instance.commodities)
+    for arc in instance.network.arcs:
+        steps = [
+            step
+            for i in range(commodity_count)
+            if (step := flow.rates.get((arc.id, i))) is not None
+        ]
+        points = sorted(
+            {point for step in steps for piece in step.pieces for point in (piece.start, piece.end)}
+        )
+        if not points:
+            continue
+        merged: list[tuple[Fraction, Fraction, Fraction]] = []
+        for lo, hi in zip(points, points[1:]):
+            total = ZERO
+            for step in steps:
+                for piece in step.pieces:
+                    if piece.start <= lo and hi <= piece.end:
+                        total += piece.rate
+            if merged and merged[-1][1] == lo and merged[-1][2] == total:
+                merged[-1] = (merged[-1][0], hi, total)
+            else:
+                merged.append((lo, hi, total))
+        for lo, hi, total in merged:
+            if total > arc.capacity:
+                violations.append(
+                    Violation(CAPACITY, arc.id, None, lo, hi, total - arc.capacity)
+                )
+    return violations
+
+
+def _reference_balance(
+    flow: FlowOverTime, instance: Instance, commodity: int, node: str, theta: Fraction
+) -> Fraction:
+    """Cumulative balance at theta, integrating every piece from 0."""
+    total = ZERO
+    for arc in instance.network.in_arcs[node]:
+        step = flow.rates.get((arc.id, commodity))
+        if step is not None and theta > arc.transit:
+            total += cumulative(step, theta - arc.transit)
+    for arc in instance.network.out_arcs[node]:
+        step = flow.rates.get((arc.id, commodity))
+        if step is not None:
+            total -= cumulative(step, theta)
+    return total
+
+
+def _reference_conservation(
+    flow: FlowOverTime, instance: Instance, mode: StorageMode
+) -> list[Violation]:
+    """Conservation: evaluate the balance afresh at every breakpoint."""
+    violations: list[Violation] = []
+    horizon = flow.horizon
+    strict = mode is StorageMode.NO_INTERMEDIATE_STORAGE
+    for index, commodity in enumerate(instance.commodities):
+        for node in instance.network.nodes:
+            if node == commodity.source:
+                continue
+            points: set[Fraction] = {horizon}
+            relevant = False
+            for arc in instance.network.in_arcs[node]:
+                step = flow.rates.get((arc.id, index))
+                if step is not None:
+                    relevant = True
+                    for piece in step.pieces:
+                        points.add(piece.start + arc.transit)
+                        points.add(piece.end + arc.transit)
+            for arc in instance.network.out_arcs[node]:
+                step = flow.rates.get((arc.id, index))
+                if step is not None:
+                    relevant = True
+                    for piece in step.pieces:
+                        points.add(piece.start)
+                        points.add(piece.end)
+            if not relevant:
+                continue
+            for theta in sorted(p for p in points if 0 < p <= horizon):
+                balance = _reference_balance(flow, instance, index, node, theta)
+                if balance < 0:
+                    violations.append(
+                        Violation(CONSERVATION, node, index, theta, theta, -balance)
+                    )
+                elif strict and balance > 0 and node != commodity.sink:
+                    violations.append(
+                        Violation(STRICT_CONSERVATION, node, index, theta, theta, balance)
+                    )
+    return violations
+
+
+def _reference_demands(flow: FlowOverTime, instance: Instance) -> list[Violation]:
+    """Demands: the balance at the horizon, integrating every piece from 0."""
+    violations: list[Violation] = []
+    horizon = flow.horizon
+    for index, commodity in enumerate(instance.commodities):
+        for node in instance.network.nodes:
+            if node == commodity.sink:
+                expected = commodity.demand
+            elif node == commodity.source:
+                expected = -commodity.demand
+            else:
+                expected = ZERO
+            touched = any(
+                (arc.id, index) in flow.rates
+                for arc in instance.network.in_arcs[node] + instance.network.out_arcs[node]
+            )
+            if not touched and expected == 0:
+                continue
+            balance = _reference_balance(flow, instance, index, node, horizon)
+            if balance != expected:
+                violations.append(
+                    Violation(DEMAND, node, index, horizon, horizon, abs(balance - expected))
+                )
+    return violations
+
+
+def reference_check_flow(
+    flow: FlowOverTime, instance: Instance, mode: StorageMode
+) -> tuple[Violation, ...]:
+    """The flow checker's violations, computed the slow way.
+
+    Capacity re-sums every piece on each elementary interval, and
+    conservation and demands integrate every piece from 0 with cumulative
+    at each breakpoint. It shares only Violation and cumulative with
+    qmcflow.checker, as a reference for its breakpoint sweep.
+    """
+    return tuple(
+        _reference_capacity(flow, instance)
+        + _reference_conservation(flow, instance, mode)
+        + _reference_demands(flow, instance)
+    )

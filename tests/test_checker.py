@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmcflow.checker import (
@@ -30,9 +30,14 @@ from qmcflow.core import (
     StorageMode,
     step_function,
 )
-from qmcflow.instances import cycle_instance, wait_schedule_with_storage, wave_schedule_no_storage
+from qmcflow.instances import (
+    cycle_instance,
+    random_instance,
+    wait_schedule_with_storage,
+    wave_schedule_no_storage,
+)
 
-from helpers import truncate_flow
+from helpers import reference_check_flow, truncate_flow
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -252,3 +257,64 @@ class TestCheckFlow:
             record = json.loads(line)
             assert record["kind"] == STRICT_CONSERVATION
             assert record["location"] == "v0"
+
+
+# Times of random pieces lie on a grid of twelfths; rates mix denominators.
+_TWELFTHS = 12
+_RATE_DENOMINATORS = (1, 2, 3, 5)
+
+
+@st.composite
+def random_flows(draw) -> tuple[Instance, FlowOverTime]:
+    """A random instance with arbitrary (mostly infeasible) flows on it.
+
+    The instances have zero-transit arcs; the flows have pieces with
+    mixed time and rate denominators, zero-rate pieces, gaps, pieces that
+    end at the horizon, empty rate functions and in-arc arrivals after
+    the horizon.
+    """
+    instance = random_instance(draw(st.integers(min_value=1, max_value=10_000)), 5, 8, 3, 3)
+    steps = draw(st.integers(min_value=1, max_value=6 * _TWELFTHS))
+    horizon = Fraction(steps, _TWELFTHS)
+    rates: dict[tuple[str, int], StepFunction] = {}
+    for arc in instance.network.arcs:
+        for commodity in range(len(instance.commodities)):
+            if not draw(st.booleans()):
+                continue
+            cuts = draw(st.sets(st.integers(min_value=0, max_value=steps), max_size=8))
+            if draw(st.booleans()):
+                cuts.add(steps)
+            cuts = sorted(cuts)
+            pieces = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                if draw(st.integers(min_value=0, max_value=3)) == 0:
+                    continue  # a gap
+                rate = Fraction(
+                    draw(st.integers(min_value=0, max_value=4)),
+                    draw(st.sampled_from(_RATE_DENOMINATORS)),
+                )
+                pieces.append(Piece(Fraction(lo, _TWELFTHS), Fraction(hi, _TWELFTHS), rate))
+            rates[arc.id, commodity] = StepFunction(horizon, tuple(pieces))
+    return instance, FlowOverTime(horizon, rates)
+
+
+def _with_cycle_schedules(test):
+    """Add the k=3..12 wait and wave schedules, as given and truncated by
+    3/2 time units, as explicit examples."""
+    for k in range(3, 13):
+        for schedule in (wait_schedule_with_storage, wave_schedule_no_storage):
+            flow = schedule(k)
+            for case in (flow, truncate_flow(flow, flow.horizon - Fraction(3, 2))):
+                test = example((cycle_instance(k), case))(test)
+    return test
+
+
+class TestAgainstReference:
+    @_with_cycle_schedules
+    @given(random_flows())
+    def test_sweep_matches_the_per_breakpoint_checker(self, case):
+        instance, flow = case
+        for mode in (WITH, WITHOUT):
+            assert check_flow(flow, instance, mode).violations == reference_check_flow(
+                flow, instance, mode
+            ), mode
