@@ -16,6 +16,9 @@ Feasibility is decided by a phase-one simplex in exact integer
 arithmetic (integer numerators over per-row denominators):
 artificial variables are attached to the equality rows and their sum is
 minimized; the problem is feasible exactly when that minimum is zero.
+The objective is one more tableau row: it is built from its cost row
+and updated at every pivot by the same elimination routine as every
+other row.
 Artificials on zero right-hand sides start at value zero and are pinned
 there (fixed variables: excluded from the objective and from pricing,
 blocking the ratio test in either direction), so the objective carries
@@ -32,9 +35,11 @@ Each probe builds one expansion and one LP and decides it with
 lp_feasible, which checks a feasible assignment row by row against that
 LP.
 
-Least feasible integer horizons are found by probing: start at the
+Least feasible integer horizons are found by probing, unless a
+commodity with positive demand has no source-sink path over arcs of
+positive capacity, which no horizon can fix. Probing starts at the
 largest shortest transit time plus one among commodities with positive
-demand, double until feasible, then binary search. A movement copy
+demand, doubles until feasible, then binary searches. A movement copy
 entered at theta arrives by T - 1, so a commodity needs T >= its
 transit + 1. The search is sound because feasibility is monotone in the
 horizon (any schedule for T is also one for T+1). Before a search
@@ -51,8 +56,10 @@ from typing import Callable, Mapping, Sequence
 
 from .core import (
     Instance,
+    Network,
     StorageMode,
     format_rational,
+    reachable_nodes,
     shortest_transit,
     validate_instance,
 )
@@ -224,10 +231,13 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
 
     Each row is a dict of integer numerators over one positive integer
     denominator (dens[i]), reduced by their gcd after every update.
-    Fractions appear nowhere in the hot path: pivoting, pricing and
-    ratio comparisons are all integer arithmetic, which for this kind of
-    near-unimodular matrix is an order of magnitude faster than Fraction
-    operations with their per-op normalization.
+    Rows 0..m-1 are the constraints and rows[m] is the objective; one
+    elimination routine (_eliminate) builds the objective and makes
+    every pivot's row update. Fractions appear nowhere in the hot path:
+    pivoting, pricing and ratio comparisons are all integer arithmetic,
+    which for this kind of near-unimodular matrix is an order of
+    magnitude faster than Fraction operations with their per-op
+    normalization.
     """
     def scaled(constraint_value: Fraction, scale: int) -> int:
         product = constraint_value * scale
@@ -277,33 +287,24 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
     m = len(rows)
 
     # Phase-one objective: minimize the sum of the unpinned artificials.
-    # obj holds their combined row over the shared denominator obj_den
-    # (structural and slack columns plus the _RHS cell, which carries
-    # the objective value: zero exactly when the LP is feasible).
-    obj: dict[int, int] = {}
-    obj_den = 1
+    # rows[m] starts as their cost row, -1 in each of their columns, and
+    # each is priced out by eliminating it with its own row (factor -den,
+    # so that row is added). What remains are structural and slack
+    # columns and the _RHS cell, which carries the objective value: zero
+    # exactly when the LP is feasible.
+    objective = {a: -1 for a in basis if a >= art_start and a not in pinned}
+    rows.append(objective)
+    dens.append(1)
     for i in range(m):
-        if basis[i] >= art_start and basis[i] not in pinned:
-            merged = lcm(obj_den, dens[i])
-            if merged != obj_den:
-                scale = merged // obj_den
-                obj = {j: v * scale for j, v in obj.items()}
-                obj_den = merged
-            scale = obj_den // dens[i]
-            for j, v in rows[i].items():
-                if j >= art_start:
-                    continue
-                updated = obj.get(j, 0) + v * scale
-                if updated:
-                    obj[j] = updated
-                else:
-                    obj.pop(j, None)
+        factor = objective.get(basis[i])
+        if factor is not None:
+            dens[m] = _eliminate(objective, dens[m], factor, rows[i].items(), dens[i])
 
     bland = False
     degenerate_streak = 0
 
-    while obj.get(_RHS, 0) > 0:
-        entering = _entering_exact(obj, bland)
+    while objective.get(_RHS, 0) > 0:
+        entering = _entering_exact(objective, bland)
         if entering is None:
             return LPResult(False, None)
 
@@ -338,7 +339,7 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
             raise RuntimeError("phase-one ratio test found no pivot row")
 
         evicted_pinned = best_basic in pinned
-        obj_den = _pivot_exact(rows, dens, basis, obj, obj_den, pivot_row, entering, art_start)
+        _pivot_exact(rows, dens, basis, pivot_row, entering, art_start)
         pinned.discard(best_basic)
 
         # Evicting a pinned artificial is permanent progress, not a
@@ -359,21 +360,17 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
     return LPResult(True, tuple(assignment))
 
 
-def _entering_exact(obj: dict[int, int], bland: bool) -> int | None:
-    """Largest positive objective numerator, smallest index on ties;
-    smallest index outright under Bland's rule. The _RHS cell is not a
-    column."""
-    if bland:
-        best = None
-        for j, v in obj.items():
-            if v > 0 and j != _RHS and (best is None or j < best):
-                best = j
-        return best
+def _entering_exact(objective: dict[int, int], bland: bool) -> int | None:
+    """Largest positive objective numerator, smallest index on ties.
+    Under Bland's rule every positive entry counts as a tie, so the
+    smallest index wins. The _RHS cell is not a column."""
     best = None
     best_value = 0
-    for j, v in obj.items():
+    for j, v in objective.items():
         if v <= 0 or j == _RHS:
             continue
+        if bland:
+            v = 1
         if v > best_value or (v == best_value and j < best):
             best, best_value = j, v
     return best
@@ -392,61 +389,47 @@ def _reduce_row(row: dict[int, int], den: int) -> int:
     return den
 
 
-def _pivot_exact(rows, dens, basis, obj, obj_den, r, entering, art_start) -> int:
-    """Gaussian pivot over integer rows; returns the new obj_den."""
-    pivot_row = rows[r]
-    pivot_num = pivot_row.pop(entering)
-    pivot_den = dens[r]
-    if pivot_num < 0:
-        pivot_row = {j: -v for j, v in pivot_row.items()}
-        pivot_num = -pivot_num
-    # Canonical pivot row value of column j becomes old/(pivot value) =
-    # (num_j / den) / (pivot_num / den) = num_j / pivot_num.
-    dens[r] = _reduce_row(pivot_row, pivot_num)
-    rows[r] = pivot_row
-    leaving = basis[r]
-    basis[r] = entering
+def _eliminate(row: dict[int, int], den: int, factor: int, source, source_den: int) -> int:
+    """Set row/den to row/den - (factor/den) * source/source_den in place
+    and return the new denominator, reduced with the row by their gcd.
+    source holds the (column, numerator) pairs of a row over source_den."""
+    if source_den != 1:
+        for j in row:
+            row[j] *= source_den
+    for j, v in source:
+        updated = row.get(j, 0) - factor * v
+        if updated:
+            row[j] = updated
+        else:
+            row.pop(j, None)
+    return _reduce_row(row, den * source_den)
 
-    den_r = dens[r]
+
+def _pivot_exact(rows, dens, basis, r, entering, art_start) -> None:
+    """Gaussian pivot on (r, entering) over every row, the objective
+    included: row r is divided by its entering value and entering is
+    eliminated from all other rows."""
+    pivot_row = rows[r]
+    pivot_num = pivot_row[entering]
+    if pivot_num < 0:
+        pivot_row = rows[r] = {j: -v for j, v in pivot_row.items()}
+        pivot_num = -pivot_num
+    # Row r over den becomes (num_j / den) / (pivot_num / den) =
+    # num_j / pivot_num, so the entering cell equals the new denominator:
+    # the new basic unit column.
+    den_r = dens[r] = _reduce_row(pivot_row, pivot_num)
     pivot_items = tuple(pivot_row.items())
     for i, row in enumerate(rows):
-        if i == r or (factor := row.pop(entering, None)) is None:
-            continue
-        if factor:
-            if den_r != 1:
-                for j in row:
-                    row[j] *= den_r
-            for j, v in pivot_items:
-                updated = row.get(j, 0) - factor * v
-                if updated:
-                    row[j] = updated
-                else:
-                    row.pop(j, None)
-            dens[i] = _reduce_row(row, dens[i] * den_r)
+        if i != r and (factor := row.get(entering)):
+            dens[i] = _eliminate(row, dens[i], factor, pivot_items, den_r)
 
-    factor = obj.pop(entering, None)
-    if factor:
-        if den_r != 1:
-            for j in obj:
-                obj[j] *= den_r
-        for j, v in pivot_items:
-            if j >= art_start:
-                continue
-            updated = obj.get(j, 0) - factor * v
-            if updated:
-                obj[j] = updated
-            else:
-                obj.pop(j, None)
-        obj_den = _reduce_row(obj, obj_den * den_r)
-
+    leaving = basis[r]
+    basis[r] = entering
     if leaving >= art_start:
         # A departed artificial never re-enters; drop its column so rows
         # stay sparse.
         for row in rows:
             row.pop(leaving, None)
-    # Restore the entering column as the new basic unit column.
-    rows[r][entering] = dens[r]
-    return obj_den
 
 
 def probe_horizon(
@@ -506,6 +489,12 @@ def min_feasible_horizon(
     before, so the last feasible result the observer receives is at the
     returned minimum.
 
+    A commodity with positive demand and no source-sink path over arcs
+    of positive capacity makes every horizon infeasible, so the search
+    raises NoHorizonFound, naming it, before any probe. The test is
+    exact: any such path carries the demand without waiting, in both
+    modes, once the horizon is long enough.
+
     The minimum is certified before it is returned: the last feasible
     probe's witness becomes a flow over time, and check_flow must accept
     it, or RuntimeError is raised. By monotonicity this certificate also
@@ -517,10 +506,20 @@ def min_feasible_horizon(
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
 
+    network = instance.network
+    # A tuple from a list, not a generator: see the note on tuples in
+    # qmcflow.expansion.
+    open_arcs = Network(network.nodes, tuple([arc for arc in network.arcs if arc.capacity > 0]))
     lower = 1
-    for commodity in instance.commodities:
+    for index, commodity in enumerate(instance.commodities):
         if commodity.demand > 0:
-            transit = shortest_transit(instance.network, commodity.source, commodity.sink)
+            if commodity.sink not in reachable_nodes(open_arcs, commodity.source):
+                raise NoHorizonFound(
+                    f"commodity {index} has no path from {commodity.source!r} to "
+                    f"{commodity.sink!r} over arcs of positive capacity, so no horizon "
+                    f"is feasible in mode {mode.value}"
+                )
+            transit = shortest_transit(network, commodity.source, commodity.sink)
             lower = max(lower, transit + 1)
 
     witness: list = []

@@ -1,5 +1,6 @@
 """Shared test utilities: flow truncation, flow-to-LP transcription, the
-unreduced reference LP and the per-breakpoint reference flow checker."""
+unreduced reference LP, Fourier-Motzkin elimination as a reference for
+LP feasibility and the per-breakpoint reference flow checker."""
 
 from __future__ import annotations
 
@@ -123,6 +124,64 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
     ]
     rows += [Constraint(coeffs, "=", rhs[key]) for key, coeffs in balance.items()]
     return LinearProgram(len(columns), tuple(rows))
+
+
+def _holds(equality: bool, rhs: Fraction) -> bool:
+    """Whether a row with no variable left, 0 = rhs or 0 <= rhs, holds."""
+    return rhs == 0 if equality else rhs >= 0
+
+
+def fourier_motzkin_feasible(lp: LinearProgram) -> bool:
+    """Whether some x >= 0 satisfies every row of lp, decided by exact
+    Fourier-Motzkin elimination over Fractions.
+
+    Rows a.x = b and a.x <= b, including -x_j <= 0 for every variable,
+    are eliminated one variable at a time: with an equality that holds
+    the variable, by substituting it into every other row; otherwise by
+    adding each row where its coefficient is positive to each row where
+    it is negative, both scaled to cancel it. A row left with no
+    variable must hold on its own. Rows are scaled so that their first
+    nonzero coefficient is +1 or -1, and kept in a set, which drops
+    duplicates. It shares no code with the simplex, as a reference for
+    lp_feasible's verdicts.
+    """
+    n = lp.num_vars
+    rows = [
+        (tuple(Fraction(c.coeffs.get(j, 0)) for j in range(n)), c.relation == "=", Fraction(c.rhs))
+        for c in lp.constraints
+    ]
+    rows += [(tuple(-ONE if i == j else ZERO for i in range(n)), False, ZERO) for j in range(n)]
+
+    for k in range(n):
+        scaled = set()
+        for coeffs, equality, rhs in rows:
+            lead = next((abs(c) for c in coeffs if c), None)
+            if lead is not None:
+                scaled.add((tuple(c / lead for c in coeffs), equality, rhs / lead))
+            elif not _holds(equality, rhs):
+                return False
+        pivot = next((row for row in scaled if row[1] and row[0][k]), None)
+        if pivot is not None:
+            a, _, b = pivot
+            rows = []
+            for coeffs, equality, rhs in scaled - {pivot}:
+                factor = coeffs[k] / a[k]
+                rows.append(
+                    (tuple(c - factor * a_i for c, a_i in zip(coeffs, a)), equality, rhs - factor * b)
+                )
+        else:
+            upper = [row for row in scaled if row[0][k] > 0]
+            lower = [row for row in scaled if row[0][k] < 0]
+            rows = [row for row in scaled if not row[0][k]]
+            for p, _, p_rhs in upper:
+                for q, _, q_rhs in lower:
+                    # Both multipliers are positive, so the sum is still
+                    # a valid <= row, and x_k cancels.
+                    u, v = 1 / p[k], -1 / q[k]
+                    rows.append(
+                        (tuple(u * x + v * y for x, y in zip(p, q)), False, u * p_rhs + v * q_rhs)
+                    )
+    return all(_holds(equality, rhs) for _, equality, rhs in rows)
 
 
 def _reference_capacity(flow: FlowOverTime, instance: Instance) -> list[Violation]:

@@ -15,7 +15,16 @@ import qmcflow
 from qmcflow import solver
 from qmcflow.checker import check_flow
 from qmcflow.cli import main
-from qmcflow.core import StorageMode, parse_flow, parse_instance, serialize_instance
+from qmcflow.core import (
+    Arc,
+    Commodity,
+    Instance,
+    Network,
+    StorageMode,
+    parse_flow,
+    parse_instance,
+    serialize_instance,
+)
 from qmcflow.instances import CycleParams, cycle_instance, random_instance
 
 
@@ -133,6 +142,23 @@ class TestSolve:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    def test_never_feasible_instance_is_exit_one(self, capsys, tmp_path):
+        # The only path from s to t crosses an arc of capacity 0, so no
+        # horizon can be feasible; solve says so before probing any.
+        instance = Instance(
+            Network(
+                ("s", "m", "t"),
+                (Arc("a0", "s", "m", Fraction(0), 1), Arc("a1", "m", "t", Fraction(1), 1)),
+            ),
+            (Commodity("s", "t", Fraction(1)),),
+        )
+        path = tmp_path / "zero.json"
+        path.write_text(serialize_instance(instance), encoding="utf-8")
+        for mode in ("with-storage", "no-storage"):
+            code, out, err = run(capsys, "solve", "--mode", mode, "--max-T", "4000", str(path))
+            assert (code, out) == (1, "")
+            assert "commodity 0 has no path from 's' to 't'" in err
 
     def test_invalid_instance_is_exit_one(self, capsys, tmp_path):
         doc = json.loads(serialize_instance(cycle_instance(3)))

@@ -8,10 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmcflow
+from qmcflow import solver
 from qmcflow.checker import check_flow
 from qmcflow.core import (
     Arc,
@@ -46,7 +47,7 @@ from qmcflow.solver import (
     speedup_ratio,
 )
 
-from helpers import assignment_from_flow, unreduced_lp
+from helpers import assignment_from_flow, fourier_motzkin_feasible, unreduced_lp
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -60,6 +61,40 @@ def row(coeffs: dict[int, int | str], relation: str, rhs: int | str) -> Constrai
 def single_arc_instance() -> Instance:
     network = Network(("v0", "v1"), (Arc("a0", "v0", "v1", F(1), 1),))
     return Instance(network, (Commodity("v0", "v1", F(1)),))
+
+
+def closed_path_instance(blocked_demand: int | str) -> Instance:
+    """Commodity 0 ships u -> t over an open arc; commodity 1 ships
+    s -> t, and its only path crosses the zero-capacity arc a0."""
+    network = Network(
+        ("s", "m", "t", "u"),
+        (
+            Arc("a0", "s", "m", F(0), 1),
+            Arc("a1", "m", "t", F(1), 1),
+            Arc("a2", "u", "t", F(1), 1),
+        ),
+    )
+    commodities = (Commodity("u", "t", F(1)), Commodity("s", "t", F(blocked_demand)))
+    return Instance(network, commodities)
+
+
+# Coefficients and right-hand sides of the small general LPs: mixed
+# signs and denominators, unlike the +-1 rows of a time expansion.
+LP_VALUES = [F(v) for v in ("-3", "-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "3/2", "2", "3")]
+
+
+@st.composite
+def small_lps(draw) -> LinearProgram:
+    num_vars = draw(st.integers(min_value=1, max_value=4))
+    constraint = st.builds(
+        Constraint,
+        st.dictionaries(
+            st.integers(min_value=0, max_value=num_vars - 1), st.sampled_from(LP_VALUES)
+        ),
+        st.sampled_from(("<=", "=")),
+        st.sampled_from(LP_VALUES),
+    )
+    return LinearProgram(num_vars, tuple(draw(st.lists(constraint, min_size=1, max_size=5))))
 
 
 class TestLinearProgramTypes:
@@ -159,6 +194,30 @@ class TestLPFeasible:
             ),
         )
         assert lp_feasible(lp) == lp_feasible(lp)
+
+    # Rows with different denominators build the phase-one objective
+    # from differently scaled rows; the examples are one infeasible and
+    # one feasible LP of that kind. Tiny LPs are cheap, and a wrong
+    # verdict may hit one in a few hundred, so this property draws more
+    # examples than the default.
+    @example(LinearProgram(2, (row({0: "1/2", 1: "1/3"}, "=", 1), row({0: 3, 1: 2}, "<=", 5))))
+    @example(LinearProgram(2, (row({0: "1/2", 1: "1/3"}, "=", 1), row({0: 3, 1: 2}, "<=", 6))))
+    @settings(max_examples=500)
+    @given(small_lps())
+    def test_verdicts_match_fourier_motzkin(self, lp: LinearProgram):
+        assert lp_feasible(lp).feasible == fourier_motzkin_feasible(lp)
+
+    def test_fourier_motzkin_reference(self):
+        # x/2 + y/3 = 1 is 3x + 2y = 6, so 3x + 2y <= 5 cannot hold and
+        # 3x + 2y <= 6 can.
+        def lp(bound: int) -> LinearProgram:
+            return LinearProgram(
+                2, (row({0: "1/2", 1: "1/3"}, "=", 1), row({0: 3, 1: 2}, "<=", bound))
+            )
+
+        assert not fourier_motzkin_feasible(lp(5))
+        assert fourier_motzkin_feasible(lp(6))
+        assert not fourier_motzkin_feasible(LinearProgram(1, (row({0: 1}, "<=", -1),)))
 
     def test_invalid_assignment_raises_even_under_python_O(self):
         # The witness check must be explicit code: python -O strips asserts.
@@ -458,6 +517,56 @@ class TestHorizonSearch:
         instance = cycle_instance(3)
         assert probe_horizon(instance, 5, WITHOUT)[1].feasible
         assert probe_horizon(instance, 5, WITH)[1].feasible
+
+    def test_never_feasible_instance_fails_before_any_probe(self):
+        instance = closed_path_instance(1)
+        for mode in (WITH, WITHOUT):
+            probes: list[int] = []
+            with pytest.raises(NoHorizonFound, match="commodity 1 has no path"):
+                min_feasible_horizon(
+                    instance, mode, 4000, observer=lambda t, *rest: probes.append(t)
+                )
+            assert probes == []
+
+    def test_zero_demand_commodity_behind_a_closed_arc_still_searches(self):
+        instance = closed_path_instance(0)
+        for mode in (WITH, WITHOUT):
+            probes: list[int] = []
+            minimum = min_feasible_horizon(
+                instance, mode, 10, observer=lambda t, *rest: probes.append(t)
+            )
+            assert minimum == 2
+            assert probes[-1] == 2
+
+    def test_sweep_pivot_counts(self, monkeypatch):
+        # The pivot rules are deterministic, so the pivots each search
+        # makes are fixed; a change of entering rule, ratio-test
+        # tie-break or Bland trigger shows here.
+        pivots: dict[tuple[int, StorageMode], int] = {}
+        pending = [0]
+        pivot = solver._pivot_exact
+
+        def counted(*args):
+            pending[0] += 1
+            return pivot(*args)
+
+        def record(horizon, expansion, result):
+            key = (len(expansion.instance.network.nodes), expansion.mode)
+            pivots[key] = pivots.get(key, 0) + pending[0]
+            pending[0] = 0
+
+        monkeypatch.setattr(solver, "_pivot_exact", counted)
+        gap_sweep(3, 6, observer=record)
+        assert pivots == {
+            (3, WITH): 105,
+            (3, WITHOUT): 101,
+            (4, WITH): 206,
+            (4, WITHOUT): 203,
+            (5, WITH): 473,
+            (5, WITHOUT): 376,
+            (6, WITH): 543,
+            (6, WITHOUT): 802,
+        }
 
     def test_sweep_probe_order(self):
         probes: dict[tuple[int, StorageMode], list[int]] = {}
