@@ -16,11 +16,7 @@ from .checker import (
     STRICT_CONSERVATION,
     Violation,
     ViolationReport,
-    check_capacity,
-    check_conservation,
-    check_demands,
     check_flow,
-    cumulative,
 )
 from .core import (
     Arc,
@@ -101,11 +97,7 @@ __all__ = [
     "Violation",
     "ViolationReport",
     "build_time_expanded",
-    "check_capacity",
-    "check_conservation",
-    "check_demands",
     "check_flow",
-    "cumulative",
     "cycle_instance",
     "extract_flow_over_time",
     "feasibility_lp_from_expansion",

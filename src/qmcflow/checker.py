@@ -20,15 +20,19 @@ linear function of time. A piecewise linear function is nonnegative
 breakpoints, which is why checking the finitely many breakpoints below
 is exact and complete, not a sampling heuristic.
 
-Each check is one sweep over sorted breakpoints in integer arithmetic.
-The flow is first converted to integer units: times to multiples of
-1/tu, where tu is the lcm of the horizon's and every piece boundary's
-denominator, and rates to multiples of 1/ru, where ru is the lcm of the
-rate denominators. Amounts are then integer multiples of 1/(tu*ru). The
-capacity sweep keeps a running total rate per arc, and the conservation
-sweep advances each balance by its current slope between breakpoints,
-so no piece is integrated more than once per check. Fractions are built
-only for the violations reported.
+check_flow converts the flow to integer units once: times to multiples
+of 1/tu, where tu is the lcm of the horizon's and every piece
+boundary's denominator, and rates to multiples of 1/ru, where ru is the
+lcm of the rate denominators. Amounts are then integer multiples of
+1/(tu*ru). Two sweeps over sorted breakpoints follow, in integer
+arithmetic. The capacity sweep keeps a running total rate per arc. The
+balance sweep advances each (commodity, node) balance by its current
+slope between breakpoints, reports conservation violations at the
+breakpoints, and compares its value at the horizon with the demand: at
+T, the balance counts arrivals through T minus each in-arc's transit
+and all departures, which is exactly the demand condition. No piece is
+integrated more than once, and Fractions are built only for the
+violations reported.
 """
 
 from __future__ import annotations
@@ -38,15 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import (
-    Arc,
-    FlowOverTime,
-    Instance,
-    StepFunction,
-    StorageMode,
-    format_rational,
-    rational,
-)
+from .core import FlowOverTime, Instance, StorageMode, format_rational
 
 __all__ = [
     "CAPACITY",
@@ -55,11 +51,7 @@ __all__ = [
     "DEMAND",
     "Violation",
     "ViolationReport",
-    "check_capacity",
-    "check_conservation",
-    "check_demands",
     "check_flow",
-    "cumulative",
 ]
 
 CAPACITY = "capacity"
@@ -121,23 +113,6 @@ class ViolationReport:
         return "".join(v.to_json() + "\n" for v in self.violations)
 
 
-def cumulative(rate: StepFunction, theta: int | Fraction) -> Fraction:
-    """Integral of the rate over [0, min(theta, domain end)], exactly.
-
-    theta beyond the domain end evaluates the full integral; a negative
-    theta raises ValueError.
-    """
-    theta = rational(theta)
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    total = _ZERO
-    for piece in rate.pieces:
-        upper = theta if theta < piece.end else piece.end
-        if upper > piece.start:
-            total += piece.rate * (upper - piece.start)
-    return total
-
-
 def _require_consistent(flow: FlowOverTime, instance: Instance) -> None:
     """Raise ValueError when the flow references unknown arcs or commodities."""
     arc_ids = instance.network.arc_by_id
@@ -181,30 +156,33 @@ def _integer_units(flow: FlowOverTime) -> tuple[int, int, int, _UnitPieces]:
     return tu, ru, horizon, pieces
 
 
-def _arcs_with_pieces(
-    instance: Instance, pieces: _UnitPieces
-) -> list[tuple[Arc, int, list[tuple[int, int, int]]]]:
-    """(arc, commodity, pieces) for every arc of the network and every
-    commodity with a rate function on it, in arc order."""
-    by_id: dict[str, list[tuple[int, list[tuple[int, int, int]]]]] = {}
-    for (arc_id, commodity), parts in pieces.items():
-        by_id.setdefault(arc_id, []).append((commodity, parts))
-    return [
-        (arc, commodity, parts)
-        for arc in instance.network.arcs
-        for commodity, parts in by_id.get(arc.id, ())
-    ]
+def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> ViolationReport:
+    """All capacity, conservation and demand violations of the flow.
+
+    Capacity violations come first, then conservation and
+    strict-conservation violations, then demand violations, each group
+    in arc or (commodity, node) order. A flow that references an arc or
+    commodity the instance lacks raises ValueError.
+    """
+    _require_consistent(flow, instance)
+    tu, ru, horizon, pieces = _integer_units(flow)
+    return ViolationReport(
+        tuple(
+            _capacity_violations(instance, tu, ru, pieces)
+            + _balance_violations(instance, mode, tu, ru, horizon, pieces)
+        )
+    )
 
 
-def check_capacity(flow: FlowOverTime, instance: Instance) -> ViolationReport:
+def _capacity_violations(
+    instance: Instance, tu: int, ru: int, pieces: _UnitPieces
+) -> list[Violation]:
     """Compare total rates against capacity on each arc.
 
     One violation is emitted per arc and per maximal time interval on
     which the commodities' total rate is constant and exceeds capacity;
     its magnitude is the excess over capacity.
     """
-    _require_consistent(flow, instance)
-    tu, ru, _, pieces = _integer_units(flow)
     # Per arc id, the change of the total rate at each piece start and end.
     changes: dict[str, dict[int, int]] = {}
     for (arc_id, _), parts in pieces.items():
@@ -241,46 +219,64 @@ def check_capacity(flow: FlowOverTime, instance: Instance) -> ViolationReport:
                     )
                 lo = point
                 total += delta
-    return ViolationReport(tuple(violations))
+    return violations
 
 
-def check_conservation(
-    flow: FlowOverTime, instance: Instance, mode: StorageMode
-) -> ViolationReport:
-    """Check cumulative balances at every node except each commodity's source.
+def _balance_violations(
+    instance: Instance,
+    mode: StorageMode,
+    tu: int,
+    ru: int,
+    horizon: int,
+    pieces: _UnitPieces,
+) -> list[Violation]:
+    """Sweep each commodity's cumulative balance at each node up to T.
 
-    The balance must be nonnegative at all times (flow cannot leave a
-    node before it arrived there). With NO_INTERMEDIATE_STORAGE it must
-    additionally be exactly zero at nodes other than the commodity's
-    source and sink; a positive balance there means flow was stored and
-    is reported as a strict-conservation violation.
+    At every node except the commodity's source, the balance must be
+    nonnegative at all times (flow cannot leave a node before it arrived
+    there). With NO_INTERMEDIATE_STORAGE it must additionally be exactly
+    zero at nodes other than the commodity's source and sink; a positive
+    balance there means flow was stored and is reported as a
+    strict-conservation violation. The balance at T must be +demand at
+    the sink, -demand at the source and zero elsewhere; the demand
+    violation's magnitude is the absolute deviation. Conservation
+    violations are returned before demand violations.
     """
-    _require_consistent(flow, instance)
-    tu, ru, horizon, pieces = _integer_units(flow)
+    by_id: dict[str, list[tuple[int, list[tuple[int, int, int]]]]] = {}
+    for (arc_id, commodity), parts in pieces.items():
+        by_id.setdefault(arc_id, []).append((commodity, parts))
     # Per (commodity, node), the change of the balance's slope at each
     # breakpoint: an in-arc's piece raises it while its flow arrives,
     # an out-arc's piece lowers it while its flow departs.
     slopes: dict[tuple[int, str], dict[int, int]] = {}
-    for arc, commodity, parts in _arcs_with_pieces(instance, pieces):
-        arriving = slopes.setdefault((commodity, arc.head), {})
-        departing = slopes.setdefault((commodity, arc.tail), {})
+    for arc in instance.network.arcs:
         shift = arc.transit * tu
-        for start, end, rate in parts:
-            arriving[start + shift] = arriving.get(start + shift, 0) + rate
-            arriving[end + shift] = arriving.get(end + shift, 0) - rate
-            departing[start] = departing.get(start, 0) - rate
-            departing[end] = departing.get(end, 0) + rate
-    violations: list[Violation] = []
+        for commodity, parts in by_id.get(arc.id, ()):
+            arriving = slopes.setdefault((commodity, arc.head), {})
+            departing = slopes.setdefault((commodity, arc.tail), {})
+            for start, end, rate in parts:
+                arriving[start + shift] = arriving.get(start + shift, 0) + rate
+                arriving[end + shift] = arriving.get(end + shift, 0) - rate
+                departing[start] = departing.get(start, 0) - rate
+                departing[end] = departing.get(end, 0) + rate
+    conservation: list[Violation] = []
+    demand: list[Violation] = []
     scale = tu * ru
     strict = mode is StorageMode.NO_INTERMEDIATE_STORAGE
+    end = Fraction(horizon, tu)
     for index, commodity in enumerate(instance.commodities):
         for node in instance.network.nodes:
-            if node == commodity.source:
-                continue
-            change = slopes.get((index, node))
-            if change is None:
+            if node == commodity.sink:
+                expected = commodity.demand
+            elif node == commodity.source:
+                expected = -commodity.demand
+            else:
+                expected = _ZERO
+            change = slopes.get((index, node), {})
+            if not change and expected == 0:
                 continue
             change.setdefault(horizon, 0)
+            at_source = node == commodity.source
             storage_forbidden = strict and node != commodity.sink
             # The balance is 0 at time 0, so no point at 0 is reported.
             value = slope = previous = 0
@@ -296,66 +292,15 @@ def check_conservation(
                     kind, magnitude = STRICT_CONSERVATION, value
                 else:
                     continue
-                theta = Fraction(point, tu)
-                violations.append(
-                    Violation(kind, node, index, theta, theta, Fraction(magnitude, scale))
-                )
-    return ViolationReport(tuple(violations))
-
-
-def check_demands(flow: FlowOverTime, instance: Instance) -> ViolationReport:
-    """Check final balances at the horizon against the demands.
-
-    Counting arrivals through T minus each arc's transit time, commodity
-    i must show +demand at its sink, -demand at its source and zero at
-    every other node. The violation magnitude is the absolute deviation.
-    """
-    _require_consistent(flow, instance)
-    tu, ru, horizon, pieces = _integer_units(flow)
-    # Per touched (commodity, node), the balance at the horizon.
-    balances: dict[tuple[int, str], int] = {}
-    for arc, commodity, parts in _arcs_with_pieces(instance, pieces):
-        cutoff = horizon - arc.transit * tu
-        arrived = sent = 0
-        for start, end, rate in parts:
-            sent += rate * (end - start)
-            if start < cutoff:
-                arrived += rate * (min(end, cutoff) - start)
-        balances[commodity, arc.head] = balances.get((commodity, arc.head), 0) + arrived
-        balances[commodity, arc.tail] = balances.get((commodity, arc.tail), 0) - sent
-    violations: list[Violation] = []
-    scale = tu * ru
-    for index, commodity in enumerate(instance.commodities):
-        for node in instance.network.nodes:
-            if node == commodity.sink:
-                expected = commodity.demand
-            elif node == commodity.source:
-                expected = -commodity.demand
-            else:
-                expected = _ZERO
-            balance = balances.get((index, node))
-            if balance is None:
-                if expected == 0:
-                    continue
-                balance = 0
-            if balance * expected.denominator != expected.numerator * scale:
-                violations.append(
-                    Violation(
-                        DEMAND,
-                        node,
-                        index,
-                        flow.horizon,
-                        flow.horizon,
-                        abs(Fraction(balance, scale) - expected),
+                if not at_source:
+                    theta = Fraction(point, tu)
+                    conservation.append(
+                        Violation(kind, node, index, theta, theta, Fraction(magnitude, scale))
                     )
+            # value is now the balance at T: arrivals through T minus
+            # each in-arc's transit, minus all departures.
+            if value * expected.denominator != expected.numerator * scale:
+                demand.append(
+                    Violation(DEMAND, node, index, end, end, abs(Fraction(value, scale) - expected))
                 )
-    return ViolationReport(tuple(violations))
-
-
-def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> ViolationReport:
-    """Union of capacity, conservation and demand checks."""
-    return ViolationReport(
-        check_capacity(flow, instance).violations
-        + check_conservation(flow, instance, mode).violations
-        + check_demands(flow, instance).violations
-    )
+    return conservation + demand

@@ -38,11 +38,13 @@ LP.
 Least feasible integer horizons are found by probing, unless a
 commodity with positive demand has no source-sink path over arcs of
 positive capacity, which no horizon can fix. Probing starts at the
-largest shortest transit time plus one among commodities with positive
-demand, doubles until feasible, then binary searches. A movement copy
-entered at theta arrives by T - 1, so a commodity needs T >= its
-transit + 1. The search is sound because feasibility is monotone in the
-horizon (any schedule for T is also one for T+1). Before a search
+largest shortest transit time over arcs of positive capacity plus one
+among commodities with positive demand, doubles until feasible, then
+binary searches. No flow crosses an arc of capacity zero, and a
+movement copy entered at theta arrives by T - 1, so a commodity needs
+T >= its shortest open-arc transit + 1. The search is sound because
+feasibility is monotone in the horizon (any schedule for T is also one
+for T+1). Before a search
 returns its minimum, the witness of that probe is turned into a flow
 over time and certified by the independent checker (check_flow).
 """
@@ -59,8 +61,7 @@ from .core import (
     Network,
     StorageMode,
     format_rational,
-    reachable_nodes,
-    shortest_transit,
+    transit_distances,
     validate_instance,
 )
 from .checker import check_flow
@@ -476,8 +477,9 @@ def min_feasible_horizon(
     Raises NoHorizonFound when even t_max is infeasible, and ValueError
     for invalid instances. The search never misses a smaller feasible
     horizon: probing starts at a proven lower bound, the largest
-    shortest transit plus one among commodities with positive demand
-    (movement copies arrive by T - 1, so delivering anything needs a
+    shortest transit over arcs of positive capacity plus one among
+    commodities with positive demand (only those arcs carry flow, and
+    movement copies arrive by T - 1, so delivering anything needs a
     horizon beyond its path transit), doubles until feasible and binary
     searches the remaining bracket, whose lower end is never below that
     bound; all of this is justified by monotonicity of feasibility in T.
@@ -513,13 +515,13 @@ def min_feasible_horizon(
     lower = 1
     for index, commodity in enumerate(instance.commodities):
         if commodity.demand > 0:
-            if commodity.sink not in reachable_nodes(open_arcs, commodity.source):
+            transit = transit_distances(open_arcs, commodity.source).get(commodity.sink)
+            if transit is None:
                 raise NoHorizonFound(
                     f"commodity {index} has no path from {commodity.source!r} to "
                     f"{commodity.sink!r} over arcs of positive capacity, so no horizon "
                     f"is feasible in mode {mode.value}"
                 )
-            transit = shortest_transit(network, commodity.source, commodity.sink)
             lower = max(lower, transit + 1)
 
     witness: list = []

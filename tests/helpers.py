@@ -1,6 +1,7 @@
-"""Shared test utilities: flow truncation, flow-to-LP transcription, the
-unreduced reference LP, Fourier-Motzkin elimination as a reference for
-LP feasibility and the per-breakpoint reference flow checker."""
+"""Shared test utilities: flow truncation, exact integration of rate
+functions, flow-to-LP transcription, the unreduced reference LP,
+Fourier-Motzkin elimination as a reference for LP feasibility and the
+per-breakpoint reference flow checker."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from qmcflow.checker import (
     DEMAND,
     STRICT_CONSERVATION,
     Violation,
-    cumulative,
 )
 from qmcflow.core import FlowOverTime, Instance, Piece, StepFunction, StorageMode
 from qmcflow.expansion import ExpandedNetwork
@@ -33,6 +33,24 @@ def truncate_flow(flow: FlowOverTime, horizon: int | Fraction) -> FlowOverTime:
         if pieces:
             rates[key] = StepFunction(end, pieces)
     return FlowOverTime(end, rates)
+
+
+def cumulative(rate: StepFunction, theta: int | Fraction) -> Fraction:
+    """Integral of the rate over [0, min(theta, domain end)], exactly.
+
+    theta beyond the domain end evaluates the full integral; a negative
+    theta raises ValueError. It integrates every piece from 0, as the
+    reference checker's integrator.
+    """
+    theta = Fraction(theta)
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
+    total = ZERO
+    for piece in rate.pieces:
+        upper = theta if theta < piece.end else piece.end
+        if upper > piece.start:
+            total += piece.rate * (upper - piece.start)
+    return total
 
 
 def _delivered(flow: FlowOverTime, arc_id: str, commodity: int, transit: int, t: int) -> Fraction:
@@ -309,8 +327,8 @@ def reference_check_flow(
 
     Capacity re-sums every piece on each elementary interval, and
     conservation and demands integrate every piece from 0 with cumulative
-    at each breakpoint. It shares only Violation and cumulative with
-    qmcflow.checker, as a reference for its breakpoint sweep.
+    at each breakpoint. It shares only Violation and the kind constants
+    with qmcflow.checker, as a reference for its breakpoint sweep.
     """
     return tuple(
         _reference_capacity(flow, instance)

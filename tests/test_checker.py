@@ -1,4 +1,4 @@
-"""Feasibility checks: capacity, conservation, demands, and their union."""
+"""The flow checker: capacity, conservation and demand violations."""
 
 from __future__ import annotations
 
@@ -13,11 +13,8 @@ from qmcflow.checker import (
     CONSERVATION,
     DEMAND,
     STRICT_CONSERVATION,
-    check_capacity,
-    check_conservation,
-    check_demands,
+    Violation,
     check_flow,
-    cumulative,
 )
 from qmcflow.core import (
     Arc,
@@ -31,16 +28,18 @@ from qmcflow.core import (
     step_function,
 )
 from qmcflow.instances import (
+    CycleParams,
     cycle_instance,
     random_instance,
     wait_schedule_with_storage,
     wave_schedule_no_storage,
 )
 
-from helpers import reference_check_flow, truncate_flow
+from helpers import cumulative, reference_check_flow, truncate_flow
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
+BALANCE = (CONSERVATION, STRICT_CONSERVATION)
 
 
 def path_instance() -> Instance:
@@ -53,6 +52,13 @@ def path_instance() -> Instance:
         ),
     )
     return Instance(network, (Commodity("v0", "v2", Fraction(1)),))
+
+
+def violations_of(
+    flow: FlowOverTime, instance: Instance, mode: StorageMode, *kinds: str
+) -> tuple[Violation, ...]:
+    """check_flow's violations of the given kinds, in report order."""
+    return tuple([v for v in check_flow(flow, instance, mode).violations if v.kind in kinds])
 
 
 class TestCumulative:
@@ -86,10 +92,10 @@ class TestCumulative:
 
 class TestCapacity:
     def test_wait_schedule_fits(self):
-        assert check_capacity(wait_schedule_with_storage(4), cycle_instance(4)).ok
+        assert not violations_of(wait_schedule_with_storage(4), cycle_instance(4), WITH, CAPACITY)
 
     def test_wave_schedule_fits(self):
-        assert check_capacity(wave_schedule_no_storage(5), cycle_instance(5)).ok
+        assert not violations_of(wave_schedule_no_storage(5), cycle_instance(5), WITH, CAPACITY)
 
     def test_two_commodities_overload_one_arc(self):
         instance = cycle_instance(3)
@@ -101,10 +107,9 @@ class TestCapacity:
                 ("a0", 1): step_function(horizon, [(0, 1, 1)]),
             },
         )
-        report = check_capacity(flow, instance)
+        violations = violations_of(flow, instance, WITH, CAPACITY)
         assert [
-            (v.kind, v.location, v.commodity, v.start, v.end, v.magnitude)
-            for v in report.violations
+            (v.kind, v.location, v.commodity, v.start, v.end, v.magnitude) for v in violations
         ] == [(CAPACITY, "a0", None, 0, 1, 1)]
 
     def test_violation_intervals_are_maximal(self):
@@ -118,8 +123,8 @@ class TestCapacity:
                 ("a0", 1): step_function(horizon, [(1, 3, 1)]),
             },
         )
-        report = check_capacity(flow, instance)
-        assert [(v.start, v.end, v.magnitude) for v in report.violations] == [(1, 2, 1)]
+        violations = violations_of(flow, instance, WITH, CAPACITY)
+        assert [(v.start, v.end, v.magnitude) for v in violations] == [(1, 2, 1)]
 
     @given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(3, 2)))
     def test_saturated_arc_perturbation(self, epsilon: Fraction):
@@ -133,19 +138,21 @@ class TestCapacity:
         first = step.pieces[0]
         bumped = (Piece(first.start, first.end, first.rate + epsilon),) + step.pieces[1:]
         rates[("a0", 0)] = StepFunction(step.domain_end, bumped)
-        report = check_capacity(FlowOverTime(flow.horizon, rates), instance)
-        assert [(v.location, v.start, v.end, v.magnitude) for v in report.violations] == [
+        violations = violations_of(FlowOverTime(flow.horizon, rates), instance, WITH, CAPACITY)
+        assert [(v.location, v.start, v.end, v.magnitude) for v in violations] == [
             ("a0", first.start, first.end, epsilon)
         ]
 
 
 class TestConservation:
     def test_wait_schedule_with_storage(self):
-        assert check_conservation(wait_schedule_with_storage(4), cycle_instance(4), WITH).ok
+        assert not violations_of(wait_schedule_with_storage(4), cycle_instance(4), WITH, *BALANCE)
 
     def test_wait_schedule_strict_mode_flags_v0(self):
-        report = check_conservation(wait_schedule_with_storage(4), cycle_instance(4), WITHOUT)
-        flagged = {(v.kind, v.location, v.commodity) for v in report.violations}
+        violations = violations_of(
+            wait_schedule_with_storage(4), cycle_instance(4), WITHOUT, *BALANCE
+        )
+        flagged = {(v.kind, v.location, v.commodity) for v in violations}
         assert flagged == {
             (STRICT_CONSERVATION, "v0", 2),
             (STRICT_CONSERVATION, "v0", 3),
@@ -153,22 +160,24 @@ class TestConservation:
 
     @given(st.integers(min_value=3, max_value=8))
     def test_strict_violations_always_at_v0(self, k: int):
-        report = check_conservation(wait_schedule_with_storage(k), cycle_instance(k), WITHOUT)
-        assert {v.location for v in report.violations} == {"v0"}
-        assert {v.commodity for v in report.violations} == set(range(2, k))
-        assert all(v.kind == STRICT_CONSERVATION for v in report.violations)
+        violations = violations_of(
+            wait_schedule_with_storage(k), cycle_instance(k), WITHOUT, *BALANCE
+        )
+        assert {v.location for v in violations} == {"v0"}
+        assert {v.commodity for v in violations} == set(range(2, k))
+        assert all(v.kind == STRICT_CONSERVATION for v in violations)
 
     def test_sending_without_inflow_goes_negative(self):
         instance = path_instance()
         horizon = Fraction(3)
         flow = FlowOverTime(horizon, {("a1", 0): step_function(horizon, [(0, 1, 1)])})
-        report = check_conservation(flow, instance, WITH)
-        kinds = {(v.kind, v.location) for v in report.violations}
+        violations = violations_of(flow, instance, WITH, *BALANCE)
+        kinds = {(v.kind, v.location) for v in violations}
         assert (CONSERVATION, "v1") in kinds
-        assert all(v.magnitude > 0 for v in report.violations)
+        assert all(v.magnitude > 0 for v in violations)
 
     def test_wave_schedule_strict(self):
-        assert check_conservation(wave_schedule_no_storage(4), cycle_instance(4), WITHOUT).ok
+        assert not violations_of(wave_schedule_no_storage(4), cycle_instance(4), WITHOUT, *BALANCE)
 
     def test_sink_storage_is_allowed_in_strict_mode(self):
         # Arriving early and sitting at the sink is not intermediate storage.
@@ -181,24 +190,24 @@ class TestConservation:
                 ("a1", 0): step_function(horizon, [(1, 2, 1)]),
             },
         )
-        assert check_conservation(flow, instance, WITHOUT).ok
+        assert not violations_of(flow, instance, WITHOUT, *BALANCE)
 
 
 class TestDemands:
     @given(st.integers(min_value=3, max_value=8))
     def test_wait_schedule_delivers(self, k: int):
-        assert check_demands(wait_schedule_with_storage(k), cycle_instance(k)).ok
+        assert not violations_of(wait_schedule_with_storage(k), cycle_instance(k), WITH, DEMAND)
 
     def test_truncated_schedule_misses_demands(self):
         flow = truncate_flow(wait_schedule_with_storage(4), 4)
-        report = check_demands(flow, cycle_instance(4))
-        assert not report.ok
-        assert all(v.kind == DEMAND for v in report.violations)
+        violations = violations_of(flow, cycle_instance(4), WITH, DEMAND)
+        assert violations
+        assert all(v.kind == DEMAND for v in violations)
 
     def test_empty_flow_misses_every_demand(self):
         instance = cycle_instance(3)
-        report = check_demands(FlowOverTime(Fraction(4), {}), instance)
-        by_sink = {(v.location, v.commodity): v.magnitude for v in report.violations}
+        violations = violations_of(FlowOverTime(Fraction(4), {}), instance, WITH, DEMAND)
+        by_sink = {(v.location, v.commodity): v.magnitude for v in violations}
         for index, commodity in enumerate(instance.commodities):
             assert by_sink[(commodity.sink, index)] == commodity.demand
 
@@ -212,8 +221,8 @@ class TestDemands:
                 ("a1", 0): step_function(horizon, [(1, 3, 1)]),
             },
         )
-        report = check_demands(flow, instance)
-        assert any(v.location == "v2" and v.magnitude == 1 for v in report.violations)
+        violations = violations_of(flow, instance, WITH, DEMAND)
+        assert any(v.location == "v2" and v.magnitude == 1 for v in violations)
 
 
 class TestCheckFlow:
@@ -300,12 +309,15 @@ def random_flows(draw) -> tuple[Instance, FlowOverTime]:
 
 def _with_cycle_schedules(test):
     """Add the k=3..12 wait and wave schedules, as given and truncated by
-    3/2 time units, as explicit examples."""
+    3/2 time units, as explicit examples, on the cycle with d0 = 2 and on
+    the one with d0 = 3, where commodity 0 falls one unit short at its
+    source and sink."""
     for k in range(3, 13):
         for schedule in (wait_schedule_with_storage, wave_schedule_no_storage):
             flow = schedule(k)
             for case in (flow, truncate_flow(flow, flow.horizon - Fraction(3, 2))):
-                test = example((cycle_instance(k), case))(test)
+                for d0 in (2, 3):
+                    test = example((cycle_instance(CycleParams(k, Fraction(d0))), case))(test)
     return test
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmcflow.checker import check_demands, check_flow
+from qmcflow.checker import DEMAND, check_flow
 from qmcflow.core import StorageMode, shortest_transit, validate_instance
 from qmcflow.instances import (
     CycleParams,
@@ -112,14 +112,16 @@ class TestWaveSchedule:
         assert report.ok
 
     def test_delivers_every_demand(self):
-        report = check_demands(wave_schedule_no_storage(4), cycle_instance(4))
-        assert report.ok
+        report = check_flow(
+            wave_schedule_no_storage(4), cycle_instance(4), StorageMode.NO_INTERMEDIATE_STORAGE
+        )
+        assert not report.of_kind(DEMAND)
 
     def test_truncation_breaks_demands(self):
         flow = truncate_flow(wave_schedule_no_storage(4), 6)
-        report = check_demands(flow, cycle_instance(4))
+        report = check_flow(flow, cycle_instance(4), StorageMode.NO_INTERMEDIATE_STORAGE)
         assert not report.ok
-        assert report.of_kind("demand")
+        assert report.of_kind(DEMAND)
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):

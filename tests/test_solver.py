@@ -538,6 +538,22 @@ class TestHorizonSearch:
             assert minimum == 2
             assert probes[-1] == 2
 
+    def test_lower_bound_counts_only_open_arcs(self):
+        # The closed arc's transit of 1 would start the search at T=2;
+        # only the open arc's transit of 3 bounds it, so T=4 is probed
+        # first and is the minimum.
+        network = Network(
+            ("s", "t"),
+            (Arc("shut", "s", "t", F(0), 1), Arc("open", "s", "t", F(1), 3)),
+        )
+        instance = Instance(network, (Commodity("s", "t", F(1)),))
+        for mode in (WITH, WITHOUT):
+            probes: list[int] = []
+            minimum = min_feasible_horizon(
+                instance, mode, 10, observer=lambda t, *rest: probes.append(t)
+            )
+            assert (minimum, probes) == (4, [4]), mode
+
     def test_sweep_pivot_counts(self, monkeypatch):
         # The pivot rules are deterministic, so the pivots each search
         # makes are fixed; a change of entering rule, ratio-test
