@@ -37,7 +37,6 @@ from .core import (
     reachable_nodes,
     serialize_flow,
     serialize_instance,
-    shortest_transit,
     step_function,
     validate_instance,
 )
@@ -64,7 +63,6 @@ from .solver import (
     gap_sweep,
     lp_feasible,
     min_feasible_horizon,
-    movement_solution,
     probe_horizon,
     speedup_ratio,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "gap_sweep",
     "lp_feasible",
     "min_feasible_horizon",
-    "movement_solution",
     "parse_flow",
     "parse_instance",
     "probe_horizon",
@@ -115,7 +112,6 @@ __all__ = [
     "reachable_nodes",
     "serialize_flow",
     "serialize_instance",
-    "shortest_transit",
     "speedup_ratio",
     "step_function",
     "validate_instance",

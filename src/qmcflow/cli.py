@@ -34,7 +34,7 @@ from .core import (
     serialize_instance,
     validate_instance,
 )
-from .expansion import build_time_expanded, extract_flow_over_time
+from .expansion import build_time_expanded
 from .instances import (
     CycleParams,
     cycle_instance,
@@ -42,13 +42,7 @@ from .instances import (
     wait_schedule_with_storage,
     wave_schedule_no_storage,
 )
-from .solver import (
-    NoHorizonFound,
-    gap_csv,
-    gap_sweep,
-    min_feasible_horizon,
-    movement_solution,
-)
+from .solver import NoHorizonFound, gap_csv, gap_sweep, min_feasible_horizon
 
 __all__ = ["main"]
 
@@ -185,18 +179,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _validated_instance(args.instance)
-    witness = []
-
-    def keep_feasible(horizon, expansion, result) -> None:
-        if result.feasible:
-            witness[:] = [expansion, result]
-
-    horizon = min_feasible_horizon(instance, _MODES[args.mode], args.max_T, observer=keep_feasible)
+    horizon, flow = min_feasible_horizon(instance, _MODES[args.mode], args.max_T)
     if args.emit_flow:
-        # The last feasible probe is at the minimum: min_feasible_horizon
-        # has checked that and certified its witness with check_flow.
-        expansion, result = witness
-        flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
         _emit(serialize_flow(flow), args.emit_flow)
         print(f"witness flow written to {args.emit_flow}", file=sys.stderr)
     print(horizon)

@@ -42,7 +42,6 @@ __all__ = [
     "reachable_nodes",
     "serialize_flow",
     "serialize_instance",
-    "shortest_transit",
     "step_function",
     "transit_distances",
     "validate_instance",
@@ -375,17 +374,6 @@ def transit_distances(network: Network, origin: str, *, reverse: bool = False) -
                 best[other] = candidate
                 heappush(heap, (candidate, other))
     return best
-
-
-def shortest_transit(network: Network, source: str, sink: str) -> int | None:
-    """Smallest total transit time of a directed path, or None if unreachable.
-
-    source == sink gives 0. Unknown nodes raise ValueError.
-    """
-    for node in (source, sink):
-        if node not in network.node_set:
-            raise ValueError(f"unknown node: {node!r}")
-    return transit_distances(network, source).get(sink)
 
 
 # --- file formats ---------------------------------------------------------

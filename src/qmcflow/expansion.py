@@ -26,7 +26,9 @@ keeps it feasible, and what is left uses only such copies, so this time
 window leaves every verdict unchanged. ExpandedNetwork.column_endpoints
 lists the tail and head copy of every variable, so the LP in the solver
 sees the expansion as a plain static network and never computes a time
-itself.
+itself. In the other direction, extract_flow_over_time maps an LP
+assignment, one value per variable in that same order, back to a
+schedule: a flow over time whose rates are the movement values.
 
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
@@ -39,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Sequence
 
-from .core import FlowOverTime, Instance, Piece, StepFunction, StorageMode, format_rational, rational
+from .core import FlowOverTime, Instance, Piece, StepFunction, StorageMode, format_rational
 from .core import transit_distances
 
 __all__ = [
@@ -191,43 +193,30 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
 
 
 def extract_flow_over_time(
-    static_solution: Mapping[tuple[str, int, int], Fraction | int],
-    expansion: ExpandedNetwork,
+    expansion: ExpandedNetwork, assignment: Sequence[Fraction]
 ) -> FlowOverTime:
-    """Turn a static solution of the expansion into a flow over time.
+    """Turn an LP assignment of the expansion into a flow over time.
 
-    The mapping is keyed by (arc id, theta, commodity) over movement
-    copies; a value x becomes rate x on [theta, theta+1). Holdover flows
-    are node storage and produce no arc rates, so they are simply not
-    part of the mapping. Unknown copies and negative values raise
-    ValueError.
+    The assignment lists one value per variable in the canonical column
+    order: movement_variables, then holdover_variables. A nonzero value
+    x of movement variable (a, theta, i) becomes rate x of commodity i
+    on arc a during [theta, theta+1). Holdover values are node storage
+    and produce no arc rates. A length other than the column count
+    raises ValueError, and so does a negative value (StepFunction
+    rejects it).
     """
-    movement = set(expansion.movement_copies)
-    commodity_count = len(expansion.instance.commodities)
-    grouped: dict[tuple[str, int], list[tuple[int, Fraction]]] = {}
-    for key, raw in static_solution.items():
-        try:
-            arc_id, theta, commodity = key
-        except (TypeError, ValueError):
-            raise ValueError(f"malformed key {key!r}; expected (arc id, theta, commodity)") from None
-        if (arc_id, theta) not in movement or not 0 <= commodity < commodity_count:
-            raise ValueError(f"unknown movement copy {key!r}")
-        value = rational(raw)
-        if value < 0:
-            raise ValueError(f"negative flow {value} on copy {key!r}")
-        if value == 0:
-            continue
-        grouped.setdefault((arc_id, commodity), []).append((theta, value))
-
+    movement = expansion.movement_variables
+    columns = len(movement) + len(expansion.holdover_variables)
+    if len(assignment) != columns:
+        raise ValueError(f"expected {columns} values, got {len(assignment)}")
+    grouped: dict[tuple[str, int], list[Piece]] = {}
+    for (arc_id, theta, commodity), value in zip(movement, assignment):
+        if value:
+            grouped.setdefault((arc_id, commodity), []).append(
+                Piece(Fraction(theta), Fraction(theta + 1), value)
+            )
     horizon = Fraction(expansion.horizon)
     rates = {
-        key: StepFunction(
-            horizon,
-            tuple([
-                Piece(Fraction(theta), Fraction(theta + 1), value)
-                for theta, value in sorted(entries)
-            ]),
-        )
-        for key, entries in sorted(grouped.items())
+        key: StepFunction(horizon, tuple(pieces)) for key, pieces in sorted(grouped.items())
     }
     return FlowOverTime(horizon, rates)

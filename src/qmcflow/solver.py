@@ -46,7 +46,8 @@ T >= its shortest open-arc transit + 1. The search is sound because
 feasibility is monotone in the horizon (any schedule for T is also one
 for T+1). Before a search
 returns its minimum, the witness of that probe is turned into a flow
-over time and certified by the independent checker (check_flow).
+over time and certified by the independent checker (check_flow); the
+search returns that flow together with the minimum.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .core import (
+    FlowOverTime,
     Instance,
     Network,
     StorageMode,
@@ -81,7 +83,6 @@ __all__ = [
     "gap_sweep",
     "lp_feasible",
     "min_feasible_horizon",
-    "movement_solution",
     "probe_horizon",
     "speedup_ratio",
 ]
@@ -446,22 +447,6 @@ def probe_horizon(
     return expansion, lp_feasible(feasibility_lp_from_expansion(expansion))
 
 
-def movement_solution(
-    expansion: ExpandedNetwork, result: LPResult
-) -> dict[tuple[str, int, int], Fraction]:
-    """Nonzero movement copy flows of a feasible result, keyed like the
-    expansion's movement variables. Holdover values are dropped; they
-    carry no arc flow."""
-    if not result.feasible or result.assignment is None:
-        raise ValueError("result carries no assignment")
-    movement = expansion.movement_variables
-    return {
-        key: value
-        for key, value in zip(movement, result.assignment[: len(movement)])
-        if value != 0
-    }
-
-
 Observer = Callable[[int, ExpandedNetwork, LPResult], None]
 
 
@@ -471,8 +456,9 @@ def min_feasible_horizon(
     t_max: int,
     *,
     observer: Observer | None = None,
-) -> int:
-    """Smallest integer horizon T <= t_max whose expansion is feasible.
+) -> tuple[int, FlowOverTime]:
+    """Smallest integer horizon T <= t_max whose expansion is feasible,
+    and the certified flow over time that meets it.
 
     Raises NoHorizonFound when even t_max is infeasible, and ValueError
     for invalid instances. The search never misses a smaller feasible
@@ -498,9 +484,12 @@ def min_feasible_horizon(
     modes, once the horizon is long enough.
 
     The minimum is certified before it is returned: the last feasible
-    probe's witness becomes a flow over time, and check_flow must accept
-    it, or RuntimeError is raised. By monotonicity this certificate also
-    vouches for every feasible verdict that shaped the search.
+    probe's assignment becomes a flow over time (extract_flow_over_time),
+    and check_flow must accept it, or RuntimeError is raised. By
+    monotonicity this certificate also vouches for every feasible
+    verdict that shaped the search. The search returns the pair
+    (minimum, flow), where flow is that certified schedule with horizon
+    equal to the minimum.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -554,14 +543,14 @@ def min_feasible_horizon(
             lo = mid + 1
 
     expansion, result = witness
-    flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
+    flow = extract_flow_over_time(expansion, result.assignment)
     violations = check_flow(flow, instance, mode).violations
     if expansion.horizon != lo or violations:
         raise RuntimeError(
             f"the witness at T={expansion.horizon} does not certify the minimum {lo}"
             f" ({len(violations)} checker violation(s))"
         )
-    return lo
+    return lo, flow
 
 
 @dataclass(frozen=True)
@@ -589,10 +578,10 @@ def speedup_ratio(
     that bound would surface loudly as NoHorizonFound, never as a
     silently wrong minimum.
     """
-    with_storage = min_feasible_horizon(
+    with_storage, _ = min_feasible_horizon(
         instance, StorageMode.WITH_STORAGE, t_max, observer=observer
     )
-    without_storage = min_feasible_horizon(
+    without_storage, _ = min_feasible_horizon(
         instance,
         StorageMode.NO_INTERMEDIATE_STORAGE,
         min(t_max, 2 * with_storage),

@@ -22,7 +22,6 @@ from qmcflow import (
     gap_csv,
     gap_sweep,
     min_feasible_horizon,
-    movement_solution,
     probe_horizon,
     random_instance,
     speedup_ratio,
@@ -130,9 +129,9 @@ def test_criterion_07_single_commodity_never_gains_from_storage():
 def test_criterion_08_demand_steps_move_the_no_storage_minimum():
     with criterion(8, "cycle k=5: d0=1 solves at 5, d0=3/2 jumps to 9"):
         light = cycle_instance(CycleParams(5, Fraction(1)))
-        assert min_feasible_horizon(light, WITHOUT, 40, observer=_log) == 5
+        assert min_feasible_horizon(light, WITHOUT, 40, observer=_log)[0] == 5
         heavy = cycle_instance(CycleParams(5, Fraction(3, 2)))
-        assert min_feasible_horizon(heavy, WITHOUT, 40, observer=_log) == 9
+        assert min_feasible_horizon(heavy, WITHOUT, 40, observer=_log)[0] == 9
 
 
 def test_criterion_09_every_feasible_probe_survives_the_checker():
@@ -140,7 +139,7 @@ def test_criterion_09_every_feasible_probe_survives_the_checker():
         feasible = [(e, r) for e, r in _PROBE_LOG if r.feasible]
         assert feasible, "earlier criteria must have logged probes"
         for expansion, result in feasible:
-            flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
+            flow = extract_flow_over_time(expansion, result.assignment)
             report = check_flow(flow, expansion.instance, expansion.mode)
             assert report.ok, (
                 f"extracted flow fails at T={expansion.horizon}"

@@ -7,12 +7,13 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import qmcflow
-from qmcflow import solver
+from qmcflow import expansion, solver
 from qmcflow.checker import check_flow
 from qmcflow.cli import main
 from qmcflow.core import (
@@ -142,6 +143,25 @@ class TestSolve:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    def test_each_solve_converts_one_witness(self, capsys, cycle4, tmp_path, monkeypatch):
+        # The search converts the witness of its minimum once, for its
+        # certificate, and --emit-flow writes that same flow.
+        calls = []
+        extract = expansion.extract_flow_over_time
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        for layer in ("cli", "core", "instances", "solver", "checker"):
+            module = import_module(f"qmcflow.{layer}")
+            monkeypatch.setattr(module, "extract_flow_over_time", counted, raising=False)
+        for extra in ([], ["--emit-flow", str(tmp_path / "flow.json")]):
+            calls.clear()
+            code, out, _ = run(capsys, "solve", "--mode", "no-storage", "--max-T", "10", *extra, cycle4)
+            assert (code, out) == (0, "7\n")
+            assert len(calls) == 1, extra
 
     def test_never_feasible_instance_is_exit_one(self, capsys, tmp_path):
         # The only path from s to t crosses an arc of capacity 0, so no

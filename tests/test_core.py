@@ -25,7 +25,6 @@ from qmcflow.core import (
     reachable_nodes,
     serialize_flow,
     serialize_instance,
-    shortest_transit,
     step_function,
     transit_distances,
     validate_instance,
@@ -175,23 +174,23 @@ class TestPaths:
 
     def test_cycle_transit(self):
         network = cycle_instance(4).network
-        assert shortest_transit(network, "v0", "v3") == 3
+        assert transit_distances(network, "v0").get("v3") == 3
 
     def test_transit_to_self_is_zero(self):
         network = cycle_instance(4).network
-        assert shortest_transit(network, "v2", "v2") == 0
+        assert transit_distances(network, "v2").get("v2") == 0
 
     def test_wraparound_transit(self):
         network = cycle_instance(5).network
-        assert shortest_transit(network, "v2", "v1") == 4
+        assert transit_distances(network, "v2").get("v1") == 4
 
     def test_unreachable_is_none(self):
         network = two_node_instance().network
-        assert shortest_transit(network, "v1", "v0") is None
+        assert transit_distances(network, "v1").get("v0") is None
 
     def test_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown node"):
-            shortest_transit(two_node_instance().network, "v0", "vX")
+            transit_distances(two_node_instance().network, "vX")
 
     def test_distances_cover_every_reachable_node(self):
         network = cycle_instance(4).network
@@ -236,9 +235,9 @@ class TestPaths:
         network = random_instance(data.draw(st.integers(0, 10**6)), k, 2 * k, 1, 3).network
         origin = data.draw(st.sampled_from(network.nodes))
         expected = {
-            node: shortest_transit(network, node, origin)
+            node: transit_distances(network, node)[origin]
             for node in network.nodes
-            if shortest_transit(network, node, origin) is not None
+            if origin in transit_distances(network, node)
         }
         assert transit_distances(network, origin, reverse=True) == expected
 
@@ -248,9 +247,9 @@ class TestPaths:
         a = data.draw(st.integers(min_value=0, max_value=k - 1))
         b = data.draw(st.integers(min_value=0, max_value=k - 1))
         c = data.draw(st.integers(min_value=0, max_value=k - 1))
-        ab = shortest_transit(network, f"v{a}", f"v{b}")
-        bc = shortest_transit(network, f"v{b}", f"v{c}")
-        ac = shortest_transit(network, f"v{a}", f"v{c}")
+        ab = transit_distances(network, f"v{a}")[f"v{b}"]
+        bc = transit_distances(network, f"v{b}")[f"v{c}"]
+        ac = transit_distances(network, f"v{a}")[f"v{c}"]
         assert ac <= ab + bc
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode, shortest_transit
+from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode, transit_distances
 from qmcflow.expansion import build_time_expanded, extract_flow_over_time
 from qmcflow.instances import cycle_instance, random_instance
 
@@ -107,7 +107,7 @@ class TestBuild:
 
         @cache
         def dist(origin: str, target: str) -> int:
-            transit = shortest_transit(network, origin, target)
+            transit = transit_distances(network, origin).get(target)
             return horizon + 1 if transit is None else transit
 
         def in_time(i: int, tail: str, theta: int, head: str, arrival: int) -> bool:
@@ -144,33 +144,51 @@ class TestBuild:
         assert "holdover arcs: 12" in text
 
 
+def positional(expansion, values: dict) -> list[Fraction]:
+    """An LP assignment in canonical column order: the given values on
+    the named movement variables, zero everywhere else."""
+    columns = len(expansion.movement_variables) + len(expansion.holdover_variables)
+    assignment = [Fraction(0)] * columns
+    for key, value in values.items():
+        assignment[expansion.movement_variables.index(key)] = value
+    return assignment
+
+
 class TestExtract:
     def test_single_copy_becomes_unit_interval(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        flow = extract_flow_over_time({("a0", 2, 0): Fraction(1)}, expansion)
+        flow = extract_flow_over_time(expansion, positional(expansion, {("a0", 2, 0): Fraction(1)}))
         step = flow.rates[("a0", 0)]
         assert [(p.start, p.end, p.rate) for p in step.pieces] == [(2, 3, 1)]
         assert flow.horizon == 4
 
     def test_all_zero_solution_is_the_empty_flow(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        flow = extract_flow_over_time({("a0", 2, 0): Fraction(0)}, expansion)
-        assert flow.rates == {}
+        assignment = positional(expansion, {("a0", 2, 0): Fraction(0)})
+        assert extract_flow_over_time(expansion, assignment).rates == {}
+        # Holdover values are storage, not arc rates.
+        assert expansion.holdover_variables
+        assignment[len(expansion.movement_variables):] = [Fraction(1)] * len(
+            expansion.holdover_variables
+        )
+        assert extract_flow_over_time(expansion, assignment).rates == {}
 
     def test_each_copy_becomes_its_own_unit_piece(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         flow = extract_flow_over_time(
-            {("a0", 0, 0): Fraction(1), ("a0", 1, 0): Fraction(1)}, expansion
+            expansion, positional(expansion, {("a0", 0, 0): Fraction(1), ("a0", 1, 0): Fraction(1)})
         )
         step = flow.rates[("a0", 0)]
         assert [(p.start, p.end, p.rate) for p in step.pieces] == [(0, 1, 1), (1, 2, 1)]
 
-    def test_unknown_copy_rejected(self):
+    def test_wrong_length_rejected(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        with pytest.raises(ValueError, match="unknown"):
-            extract_flow_over_time({("a0", 99, 0): Fraction(1)}, expansion)
+        assignment = positional(expansion, {("a0", 2, 0): Fraction(1)})
+        for wrong in (assignment[:-1], assignment + [Fraction(0)], []):
+            with pytest.raises(ValueError, match="expected"):
+                extract_flow_over_time(expansion, wrong)
 
     def test_negative_amount_rejected(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         with pytest.raises(ValueError, match="negative"):
-            extract_flow_over_time({("a0", 0, 0): Fraction(-1)}, expansion)
+            extract_flow_over_time(expansion, positional(expansion, {("a0", 0, 0): Fraction(-1)}))

@@ -42,7 +42,6 @@ from qmcflow.solver import (
     gap_sweep,
     lp_feasible,
     min_feasible_horizon,
-    movement_solution,
     probe_horizon,
     speedup_ratio,
 )
@@ -381,14 +380,14 @@ class TestTranscription:
 
 class TestHorizonSearch:
     def test_cycle4_with_storage(self):
-        assert min_feasible_horizon(cycle_instance(4), WITH, 20) == 5
+        assert min_feasible_horizon(cycle_instance(4), WITH, 20)[0] == 5
 
     def test_cycle4_without_storage(self):
-        assert min_feasible_horizon(cycle_instance(4), WITHOUT, 20) == 7
+        assert min_feasible_horizon(cycle_instance(4), WITHOUT, 20)[0] == 7
 
     def test_cycle5_with_unit_demand(self):
         instance = cycle_instance(CycleParams(5, F(1)))
-        assert min_feasible_horizon(instance, WITHOUT, 20) == 5
+        assert min_feasible_horizon(instance, WITHOUT, 20)[0] == 5
 
     def test_bound_too_small_raises(self):
         with pytest.raises(NoHorizonFound):
@@ -421,7 +420,7 @@ class TestHorizonSearch:
             (Commodity("v0", "v1", F(1)), Commodity("v1", "v2", F(0))),
         )
         probes: list[int] = []
-        minimum = min_feasible_horizon(
+        minimum, _ = min_feasible_horizon(
             instance, WITH, 4, observer=lambda t, *rest: probes.append(t)
         )
         assert minimum == 2
@@ -432,7 +431,7 @@ class TestHorizonSearch:
 
     def test_observer_sees_every_probe(self):
         probes: list[tuple[int, bool]] = []
-        minimum = min_feasible_horizon(
+        minimum, _ = min_feasible_horizon(
             cycle_instance(3),
             WITH,
             20,
@@ -447,12 +446,15 @@ class TestHorizonSearch:
     def test_no_horizon_is_probed_twice(self):
         def search(instance, mode, t_max):
             probes: list[tuple[int, bool]] = []
-            minimum = min_feasible_horizon(
+            minimum, flow = min_feasible_horizon(
                 instance,
                 mode,
                 t_max,
                 observer=lambda t, expansion, result: probes.append((t, result.feasible)),
             )
+            # The returned flow is the certified witness of the minimum.
+            assert flow.horizon == minimum
+            assert check_flow(flow, instance, mode).ok
             return minimum, probes
 
         instances = [random_instance(seed, 5, 8, 3, 3) for seed in range(1, 21)]
@@ -532,7 +534,7 @@ class TestHorizonSearch:
         instance = closed_path_instance(0)
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
-            minimum = min_feasible_horizon(
+            minimum, _ = min_feasible_horizon(
                 instance, mode, 10, observer=lambda t, *rest: probes.append(t)
             )
             assert minimum == 2
@@ -549,7 +551,7 @@ class TestHorizonSearch:
         instance = Instance(network, (Commodity("s", "t", F(1)),))
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
-            minimum = min_feasible_horizon(
+            minimum, _ = min_feasible_horizon(
                 instance, mode, 10, observer=lambda t, *rest: probes.append(t)
             )
             assert (minimum, probes) == (4, [4]), mode
@@ -620,11 +622,11 @@ class TestIntegerHorizon:
             ),
             original.commodities,
         )
-        assert min_feasible_horizon(original, WITHOUT, 10) == 5
+        assert min_feasible_horizon(original, WITHOUT, 10)[0] == 5
         assert not probe_horizon(scaled, 12, WITHOUT)[1].feasible
         expansion, result = probe_horizon(scaled, 13, WITHOUT)
         assert result.feasible
-        flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
+        flow = extract_flow_over_time(expansion, result.assignment)
         horizon = F(13, 3)
         rescaled = FlowOverTime(
             horizon,
@@ -714,8 +716,8 @@ class TestWindowPresolve:
                 assert ("shut", 0, 0) in window_names(expansion) or horizon < 2
                 assert result.feasible == full_verdict(expansion) == (horizon >= 4)
                 if result.feasible:
-                    movement = movement_solution(expansion, result)
-                    assert not any(key[0] == "shut" for key in movement)
+                    flow = extract_flow_over_time(expansion, result.assignment)
+                    assert not any(arc_id == "shut" for arc_id, _ in flow.rates)
 
     def test_zero_transit_arc_at_the_window_edge(self):
         network = Network(
@@ -731,7 +733,7 @@ class TestWindowPresolve:
         assert ("a1", 2, 0) not in expansion.movement_variables
         assert result.feasible == full_verdict(expansion)
         assert result.feasible
-        assert min_feasible_horizon(instance, WITHOUT, 10) == 3
+        assert min_feasible_horizon(instance, WITHOUT, 10)[0] == 3
 
     def test_horizon_below_every_transit_is_infeasible(self):
         network = Network(("s", "t"), (Arc("a0", "s", "t", F(1), 3),))
@@ -780,18 +782,14 @@ class TestWindowPresolve:
 
 
 class TestMovementSolution:
+    """The movement values of a feasible probe, read back as a flow."""
+
     def test_round_trip_through_the_checker(self):
         instance = cycle_instance(4)
         expansion, result = probe_horizon(instance, 7, WITHOUT)
         assert result.feasible
-        flow = extract_flow_over_time(movement_solution(expansion, result), expansion)
+        flow = extract_flow_over_time(expansion, result.assignment)
         assert check_flow(flow, instance, WITHOUT).ok
-
-    def test_infeasible_result_rejected(self):
-        expansion, result = probe_horizon(cycle_instance(3), 3, WITHOUT)
-        assert not result.feasible
-        with pytest.raises(ValueError, match="no assignment"):
-            movement_solution(expansion, result)
 
 
 class TestSweep:
