@@ -30,6 +30,22 @@ itself. In the other direction, extract_flow_over_time maps an LP
 assignment, one value per variable in that same order, back to a
 schedule: a flow over time whose rates are the movement values.
 
+Without storage, a unit of a commodity's flow is fully described by its
+departure time and its route, so the solver decides those probes over
+departure paths instead of the variables above. A departure path of
+commodity i departs (s_i, theta), takes movement copies with no holdover
+in between, never re-enters s_i and ends on its first arrival at t_i; it
+is a tuple of movement copies (arc id, theta). Three helpers hold the
+grid rule for those paths: route_departures lists the commodity's
+fewest-transit route over open arcs shifted to every departure that
+fits, cheapest_path prices a commodity by a shortest departure path
+under integer lengths on movement copies (a Dijkstra search layer by
+layer in time, with zero-transit arcs inside a layer), and
+assignment_from_paths maps path values back to the variables above:
+movement values are the sums of the path values, and what has not yet
+departed or has already arrived waits on the commodity's source and
+sink holdovers.
+
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
 schedules are piecewise linear with integer breakpoints, so constraints
@@ -41,16 +57,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterator, Mapping, Sequence
 
-from .core import FlowOverTime, Instance, Piece, StepFunction, StorageMode, format_rational
-from .core import transit_distances
+from .core import Arc, FlowOverTime, Instance, Network, Piece, StepFunction, StorageMode
+from .core import format_rational, transit_distances
 
 __all__ = [
     "ExpandedNetwork",
+    "Path",
+    "assignment_from_paths",
     "build_time_expanded",
+    "cheapest_path",
     "extract_flow_over_time",
+    "route_departures",
 ]
+
+# A departure path: its movement copies (arc id, theta) in travel order.
+Path = tuple[tuple[str, int], ...]
 
 # Tuples in this module are built from lists, not from generators.
 # tuple() of a generator allocates 10 slots and resizes, so a short result
@@ -220,3 +244,152 @@ def extract_flow_over_time(
         key: StepFunction(horizon, tuple(pieces)) for key, pieces in sorted(grouped.items())
     }
     return FlowOverTime(horizon, rates)
+
+
+def _fewest_transit_route(network: Network, source: str, sink: str) -> list[Arc] | None:
+    """A source-sink route of least total transit over arcs of positive
+    capacity, or None if there is none. Ties go to the smaller node name
+    and then to the arc first in network.arcs, so the route is
+    deterministic; it is simple, since it is read off the tree of a
+    Dijkstra search."""
+    best = {source: 0}
+    via: dict[str, Arc] = {}
+    heap = [(0, source)]
+    while heap:
+        dist, node = heappop(heap)
+        if dist > best[node]:
+            continue
+        if node == sink:
+            break
+        for arc in network.out_arcs[node]:
+            candidate = dist + arc.transit
+            if arc.capacity > 0 and candidate < best.get(arc.head, candidate + 1):
+                best[arc.head] = candidate
+                via[arc.head] = arc
+                heappush(heap, (candidate, arc.head))
+    if sink not in best:
+        return None
+    route = []
+    node = sink
+    while node != source:
+        route.append(via[node])
+        node = via[node].tail
+    route.reverse()
+    return route
+
+
+def route_departures(expansion: ExpandedNetwork, commodity: int) -> list[Path]:
+    """The commodity's fewest-transit route over arcs of positive
+    capacity, shifted to every departure theta whose copies all exist
+    (theta + the route's transit <= T - 1), earliest first. Empty if no
+    such route exists or the horizon is too short for it."""
+    instance = expansion.instance
+    goods = instance.commodities[commodity]
+    route = _fewest_transit_route(instance.network, goods.source, goods.sink)
+    if route is None:
+        return []
+    offsets = []
+    transit = 0
+    for arc in route:
+        offsets.append((arc.id, transit))
+        transit += arc.transit
+    return [
+        tuple([(arc_id, theta + offset) for arc_id, offset in offsets])
+        for theta in range(expansion.horizon - transit)
+    ]
+
+
+def cheapest_path(
+    expansion: ExpandedNetwork, commodity: int, lengths: Mapping[tuple[str, int], int]
+) -> tuple[int, Path] | None:
+    """The least total length of a departure path of the commodity, and
+    one such path, or None if it has no departure path at all.
+
+    lengths maps movement copies to nonnegative integers; absent copies
+    have length 0. The search runs layer by layer in time: every source
+    copy (s_i, theta) starts at 0, a copy with positive transit relaxes
+    a later layer, and a zero-transit copy stays inside its layer, which
+    is scanned as one Dijkstra search. Arcs into s_i are not taken and
+    t_i is not left. Ties go to the earliest arrival, then to the first
+    label set.
+    """
+    instance = expansion.instance
+    goods = instance.commodities[commodity]
+    source, sink = goods.source, goods.sink
+    out_arcs = instance.network.out_arcs
+    last = expansion.horizon - 1
+    # labels[theta][node] = (length, copy taken into it, tail of that copy)
+    labels: list[dict[str, tuple]] = [{} for _ in range(expansion.horizon)]
+    best: tuple[int, int] | None = None
+    for theta, layer in enumerate(labels):
+        layer[source] = (0, None, None)
+        heap = [(label[0], node) for node, label in layer.items()]
+        heapify(heap)
+        settled = set()
+        while heap:
+            dist, node = heappop(heap)
+            if node in settled:
+                continue
+            settled.add(node)
+            if node == sink:
+                if best is None or dist < best[0]:
+                    best = (dist, theta)
+                continue
+            for arc in out_arcs[node]:
+                arrival = theta + arc.transit
+                if arrival > last or arc.head == source:
+                    continue
+                if not arc.transit and arc.head in settled:
+                    continue
+                copy = (arc.id, theta)
+                candidate = dist + lengths.get(copy, 0)
+                target = labels[arrival]
+                old = target.get(arc.head)
+                if old is None or candidate < old[0]:
+                    target[arc.head] = (candidate, copy, node)
+                    if not arc.transit:
+                        heappush(heap, (candidate, arc.head))
+    if best is None:
+        return None
+    path = []
+    _, copy, tail = labels[best[1]][sink]
+    while copy is not None:
+        path.append(copy)
+        _, copy, tail = labels[copy[1]][tail]
+    path.reverse()
+    return best[0], tuple(path)
+
+
+def assignment_from_paths(
+    expansion: ExpandedNetwork,
+    paths: Sequence[tuple[int, Path]],
+    values: Sequence[Fraction],
+) -> tuple[Fraction, ...]:
+    """The variables' values, in canonical column order, of the flow that
+    sends values[j] along paths[j] = (commodity, departure path).
+
+    Each movement variable (a, theta, i) takes the sum of the values of
+    commodity i's paths through copy (a, theta). Flow of a path that
+    departs at theta_0 and arrives at theta_1 waits on the source
+    holdovers before theta_0 and on the sink holdovers from theta_1 to
+    T - 1. A path copy outside the commodity's time window raises
+    KeyError; none is, since every copy of a departure path can be used
+    in time.
+    """
+    movement = {key: j for j, key in enumerate(expansion.movement_variables)}
+    offset = len(movement)
+    holdover = {key: offset + j for j, key in enumerate(expansion.holdover_variables)}
+    assignment = [Fraction(0)] * (offset + len(holdover))
+    commodities = expansion.instance.commodities
+    arc_by_id = expansion.instance.network.arc_by_id
+    for (i, path), value in zip(paths, values):
+        if not value:
+            continue
+        for arc_id, theta in path:
+            assignment[movement[arc_id, theta, i]] += value
+        arc_id, theta = path[-1]
+        for wait in range(path[0][1]):
+            assignment[holdover[commodities[i].source, wait, i]] += value
+        for wait in range(theta + arc_by_id[arc_id].transit, expansion.horizon):
+            assignment[holdover[commodities[i].sink, wait, i]] += value
+    return tuple(assignment)

@@ -1,39 +1,72 @@
 """LP feasibility over exact rationals and minimum horizon search.
 
-The time expansion turns schedule feasibility into a static linear
-feasibility problem over its variables, in the expansion's canonical
-order (movement copies first, then holdover arcs): one capacity row per
+A probe decides whether an instance can be routed within an integer
+horizon T. The time expansion turns that into a static linear
+feasibility problem, and the storage mode picks one of two LPs for it.
+
+With storage, the node-arc LP (feasibility_lp_from_expansion) decides
+it. Its variables are the expansion's, in canonical order (movement
+copies first, then holdover arcs). Its rows are one capacity row per
 movement copy (the commodities' copy flows sum to at most the arc
 capacity) and one flow conservation equality per (commodity, node
 copy), with supplies entering at (source, 0) and demands leaving at
-(sink, T). This module reads every variable as a plain static arc
-between two node copies, as listed by ExpandedNetwork.column_endpoints;
-only the expansion knows where on the time grid a copy starts and ends,
-and which copies a commodity can use in time. Rows that no variable
-touches are left out when zero satisfies them.
+(sink, T). It reads every variable as a plain static arc between two
+node copies, as listed by ExpandedNetwork.column_endpoints; only the
+expansion knows where on the time grid a copy starts and ends, and
+which copies a commodity can use in time. Rows that no variable touches
+are left out when zero satisfies them.
 
-Feasibility is decided by a phase-one simplex in exact integer
-arithmetic (integer numerators over per-row denominators):
-artificial variables are attached to the equality rows and their sum is
-minimized; the problem is feasible exactly when that minimum is zero.
-The objective is one more tableau row: it is built from its cost row
-and updated at every pivot by the same elimination routine as every
-other row.
-Artificials on zero right-hand sides start at value zero and are pinned
-there (fixed variables: excluded from the objective and from pricing,
-blocking the ratio test in either direction), so the objective carries
-only the genuine supply and demand residuals; without this, the many
-zero balance rows of a time expansion drown phase one in degenerate
-bookkeeping pivots. Pivoting is deterministic. The entering rule is
-largest reduced cost with smallest-index tie break, switching to Bland's
-smallest-index rule after a run of degenerate pivots; ties in the ratio
-test always go to the smallest basic variable index. Bland's rule
-guarantees the procedure cannot cycle, so it always terminates, and with
-exact arithmetic every verdict is exact.
+Without storage, a unit of flow is fully described by its departure
+time and its route, so the departure-path LP decides it. A column is one
+commodity and one departure path in the expansion (see
+qmcflow.expansion): it departs (s_i, theta), takes movement copies with
+no holdover in between, never re-enters s_i and ends on its first
+arrival at t_i. The rows are one capacity row per movement copy that
+some column uses and one demand equality per commodity with positive
+demand. Its columns are generated, not listed (Ford and Fulkerson,
+Management Sci. 1958):
 
-Each probe builds one expansion and one LP and decides it with
-lp_feasible, which checks a feasible assignment row by row against that
-LP.
+1. The first master holds each commodity's fewest-transit route over
+   open arcs, shifted to every departure that fits.
+2. lp_feasible decides the restricted master. A feasible master is a
+   feasible probe: its path values become an assignment of the
+   node-arc LP's variables (assignment_from_paths), so every caller
+   reads one kind of witness.
+3. An infeasible master's final phase-one row gives exact duals: a
+   capacity row's dual y_e is its slack's entry, and commodity i's
+   demand dual y_i is the entry of any of its columns minus the sum of
+   y_e along it, or the artificial's cost 1 if it has none.
+4. Each commodity is priced by one shortest departure path under the
+   lengths l_e = -y_e >= 0. A path with y_i - length > 0 enters, and
+   the master is solved again from scratch.
+
+When no path enters, the lengths prove the probe infeasible by the
+Japanese theorem (Iri 1971; Onaga and Kakusho 1971): sum_i d_i *
+dist_l(s_i, t_i) > sum_e c_e * l_e. That inequality is checked before
+the verdict is returned, with distances from a label-correcting search
+over the node-arc LP's variables that shares no code with pricing, and
+a failure raises RuntimeError. The certificate so proves the node-arc
+LP of the probe infeasible, whatever the masters did.
+
+Every LP is decided by a phase-one simplex in exact integer arithmetic
+(integer numerators over per-row denominators): artificial variables
+are attached to the equality rows and their sum is minimized; the
+problem is feasible exactly when that minimum is zero. The objective is
+one more tableau row: it is built from its cost row and updated at
+every pivot by the same elimination routine as every other row, and an
+infeasible verdict returns it. Artificials on zero right-hand sides
+start at value zero and are pinned there (fixed variables: excluded
+from the objective and from pricing, blocking the ratio test in either
+direction), so the objective carries only the genuine supply and demand
+residuals; without this, the many zero balance rows of a time expansion
+drown phase one in degenerate bookkeeping pivots. Pivoting is
+deterministic. The entering rule is largest reduced cost with
+smallest-index tie break, switching to Bland's smallest-index rule
+after a run of degenerate pivots; ties in the ratio test always go to
+the smallest basic variable index. Bland's rule guarantees the
+procedure cannot cycle, so it always terminates, and with exact
+arithmetic every verdict is exact. lp_feasible checks a feasible
+assignment row by row against its LP.
 
 Least feasible integer horizons are found by probing, unless a
 commodity with positive demand has no source-sink path over arcs of
@@ -44,14 +77,15 @@ binary searches. No flow crosses an arc of capacity zero, and a
 movement copy entered at theta arrives by T - 1, so a commodity needs
 T >= its shortest open-arc transit + 1. The search is sound because
 feasibility is monotone in the horizon (any schedule for T is also one
-for T+1). Before a search
-returns its minimum, the witness of that probe is turned into a flow
-over time and certified by the independent checker (check_flow); the
-search returns that flow together with the minimum.
+for T+1). Before a search returns its minimum, the witness of that
+probe is turned into a flow over time and certified by the independent
+checker (check_flow); the search returns that flow together with the
+minimum.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -67,7 +101,15 @@ from .core import (
     validate_instance,
 )
 from .checker import check_flow
-from .expansion import ExpandedNetwork, build_time_expanded, extract_flow_over_time
+from .expansion import (
+    ExpandedNetwork,
+    Path,
+    assignment_from_paths,
+    build_time_expanded,
+    cheapest_path,
+    extract_flow_over_time,
+    route_departures,
+)
 from .instances import cycle_instance
 
 __all__ = [
@@ -155,12 +197,23 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPResult:
+    """A verdict, with the assignment that witnesses a feasible one.
+
+    An infeasible verdict of lp_feasible carries phase_one_row, the
+    final phase-one objective row as (numerators, denominator): entry j
+    is pi.A_j - c_j for the phase-one duals pi, over columns 0..n-1 and
+    then one slack per <= row in row order; zero entries are left out.
+    Every entry is at most zero, since no column could enter.
+    """
+
     feasible: bool
     assignment: tuple[Fraction, ...] | None = None
+    phase_one_row: tuple[dict[int, int], int] | None = None
 
 
 def feasibility_lp_from_expansion(expansion: ExpandedNetwork) -> LinearProgram:
     """Static feasibility LP of a time expansion, built from its incidence.
+    probe_horizon decides with-storage probes on it.
 
     Variables: expansion.movement_variables then
     expansion.holdover_variables, which hold only the copies each
@@ -308,7 +361,8 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
     while objective.get(_RHS, 0) > 0:
         entering = _entering_exact(objective, bland)
         if entering is None:
-            return LPResult(False, None)
+            row = {j: v for j, v in objective.items() if j != _RHS}
+            return LPResult(False, None, (row, dens[m]))
 
         # Ratio test over pairs (rhs numerator, pivot numerator), both
         # over the same row denominator, compared by cross
@@ -439,12 +493,169 @@ def probe_horizon(
     horizon: int,
     mode: StorageMode,
 ) -> tuple[ExpandedNetwork, LPResult]:
-    """Build the expansion for one horizon and decide its feasibility:
-    one expansion, one LP (feasibility_lp_from_expansion) and one
-    lp_feasible call, whose feasible assignment is checked against that
-    LP."""
+    """Build the expansion for one horizon and decide its feasibility.
+
+    With storage the expansion's LP (feasibility_lp_from_expansion)
+    decides it in one lp_feasible call; without storage the
+    departure-path LP does, by column generation (see the module
+    docstring). Either way a feasible assignment is in the expansion's
+    canonical column order and satisfies feasibility_lp_from_expansion.
+    """
     expansion = build_time_expanded(instance, horizon, mode)
-    return expansion, lp_feasible(feasibility_lp_from_expansion(expansion))
+    if mode is StorageMode.WITH_STORAGE:
+        return expansion, lp_feasible(feasibility_lp_from_expansion(expansion))
+    return expansion, _decide_by_departures(expansion)
+
+
+def _decide_by_departures(expansion: ExpandedNetwork) -> LPResult:
+    """Column generation over departure paths for a no-storage probe.
+
+    The first master holds each commodity's fewest-transit route at
+    every departure that fits. An infeasible master's phase-one row
+    prices each commodity by one shortest departure path; a path with
+    positive reduced cost enters and the master is solved again from
+    scratch. When none enters, the lengths must pass the certificate
+    check, or RuntimeError is raised.
+    """
+    commodities = expansion.instance.commodities
+    demanded = [i for i, goods in enumerate(commodities) if goods.demand > 0]
+    paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
+    known = set(paths)
+    while True:
+        lp, copies = _path_master(expansion, paths, demanded)
+        result = lp_feasible(lp)
+        if result.feasible:
+            return LPResult(True, assignment_from_paths(expansion, paths, result.assignment))
+        lengths, duals = _master_duals(result, paths, copies, demanded)
+        priced = []
+        for i in demanded:
+            cheapest = cheapest_path(expansion, i, lengths)
+            if cheapest is not None and duals[i] > cheapest[0]:
+                priced.append((i, cheapest[1]))
+        if not priced:
+            _check_length_certificate(expansion, lengths)
+            return LPResult(False)
+        if not known.isdisjoint(priced):
+            # Every master column has reduced cost <= 0 at the end of
+            # phase one, so pricing cannot pick one again.
+            raise RuntimeError("pricing returned a column the master already has")
+        known.update(priced)
+        paths += priced
+
+
+def _path_master(
+    expansion: ExpandedNetwork, paths: list[tuple[int, Path]], demanded: list[int]
+) -> tuple[LinearProgram, list[tuple[str, int]]]:
+    """The restricted master over paths, and its capacity rows' copies.
+
+    Column j is paths[j]. Rows: one capacity row per movement copy that
+    some path uses, in sorted order, then one demand equality per
+    commodity in demanded.
+    """
+    instance = expansion.instance
+    capacity: dict[tuple[str, int], dict[int, Fraction]] = {}
+    demand: dict[int, dict[int, Fraction]] = {i: {} for i in demanded}
+    for j, (i, path) in enumerate(paths):
+        demand[i][j] = _ONE
+        for copy in path:
+            capacity.setdefault(copy, {})[j] = _ONE
+    copies = sorted(capacity)
+    arc_by_id = instance.network.arc_by_id
+    constraints = [
+        Constraint(capacity[copy], LESS_EQUAL, arc_by_id[copy[0]].capacity) for copy in copies
+    ]
+    constraints += [
+        Constraint(demand[i], EQUAL, instance.commodities[i].demand) for i in demanded
+    ]
+    return LinearProgram(len(paths), tuple(constraints)), copies
+
+
+def _master_duals(
+    result: LPResult,
+    paths: list[tuple[int, Path]],
+    copies: list[tuple[str, int]],
+    demanded: list[int],
+) -> tuple[dict[tuple[str, int], int], dict[int, int]]:
+    """Lengths and demand duals of an infeasible master, read from its
+    final phase-one row as integer numerators over the row's denominator.
+
+    The length of copy e is -y_e, where y_e is the entry of its capacity
+    row's slack; copies with length 0 are left out. The demand dual y_i
+    is the entry of any of commodity i's columns plus the lengths along
+    it, or the cost 1 of the row's artificial if i has no column.
+    """
+    row, den = result.phase_one_row
+    n = len(paths)
+    lengths = {}
+    for r, copy in enumerate(copies):
+        if value := -row.get(n + r, 0):
+            lengths[copy] = value
+    duals: dict[int, int] = {}
+    for j, (i, path) in enumerate(paths):
+        if i not in duals:
+            duals[i] = row.get(j, 0) + sum([lengths.get(copy, 0) for copy in path])
+    for i in demanded:
+        duals.setdefault(i, den)
+    return lengths, duals
+
+
+def _check_length_certificate(
+    expansion: ExpandedNetwork, lengths: Mapping[tuple[str, int], int]
+) -> None:
+    """Raise RuntimeError unless the lengths prove the probe infeasible.
+
+    By the Japanese theorem (Iri 1971; Onaga and Kakusho 1971) the
+    demands cannot be met if lengths l >= 0 on the movement copies give
+    sum_i d_i * dist_l(i) > sum_e c_e * l_e, where dist_l(i) is the
+    least length of a path from (s_i, 0) to (t_i, T) over commodity i's
+    variables in the expansion (column_endpoints), holdovers at length
+    0. A commodity with positive demand and no such path settles the
+    inequality on its own. The distances come from a label-correcting
+    search over those variables, which shares no code with pricing.
+    """
+    if any(value < 0 for value in lengths.values()):
+        raise RuntimeError("the length certificate has a negative length")
+    instance = expansion.instance
+    arc_by_id = instance.network.arc_by_id
+    budget = sum([arc_by_id[arc_id].capacity * value for (arc_id, _), value in lengths.items()])
+    movement = expansion.movement_variables
+    graph: dict[tuple[int, tuple[str, int]], list[tuple[tuple[str, int], int]]] = {}
+    for j, (i, tail, head) in enumerate(expansion.column_endpoints()):
+        length = lengths.get(movement[j][:2], 0) if j < len(movement) else 0
+        graph.setdefault((i, tail), []).append((head, length))
+    needed = _ZERO
+    for i, goods in enumerate(instance.commodities):
+        if goods.demand > 0:
+            dist = _relaxed_distance(graph, i, (goods.source, 0), (goods.sink, expansion.horizon))
+            if dist is None:
+                return
+            needed += goods.demand * dist
+    if not needed > budget:
+        raise RuntimeError(
+            f"the length certificate at T={expansion.horizon} does not prove infeasibility"
+            f" (demand-weighted distance {format_rational(needed)},"
+            f" capacity-weighted length {format_rational(Fraction(budget))})"
+        )
+
+
+def _relaxed_distance(graph, commodity: int, start, target) -> int | None:
+    """Least length from start to target in commodity's part of graph,
+    by FIFO label correcting; None if target is unreachable."""
+    dist = {start: 0}
+    queue = deque([start])
+    waiting = {start}
+    while queue:
+        copy = queue.popleft()
+        waiting.discard(copy)
+        here = dist[copy]
+        for head, length in graph.get((commodity, copy), ()):
+            candidate = here + length
+            if candidate < dist.get(head, candidate + 1):
+                dist[head] = candidate
+                if head not in waiting:
+                    waiting.add(head)
+                    queue.append(head)
+    return dist.get(target)
 
 
 Observer = Callable[[int, ExpandedNetwork, LPResult], None]

@@ -107,7 +107,8 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
     arc for the commodities whose holdover_nodes contain its node. Its
     rows are one capacity row per movement copy and one balance equality
     per (commodity, node copy). It is built from the copies and the arc
-    data alone, as a reference for feasibility_lp_from_expansion.
+    data alone, as a reference for feasibility_lp_from_expansion and for
+    the no-storage verdicts of probe_horizon's departure-path LP.
     """
     instance = expansion.instance
     arcs = instance.network.arc_by_id

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode, transit_distances
-from qmcflow.expansion import build_time_expanded, extract_flow_over_time
+from qmcflow.expansion import (
+    assignment_from_paths,
+    build_time_expanded,
+    cheapest_path,
+    extract_flow_over_time,
+    route_departures,
+)
+from qmcflow.solver import feasibility_lp_from_expansion
 from qmcflow.instances import cycle_instance, random_instance
 
 WITH = StorageMode.WITH_STORAGE
@@ -192,3 +199,76 @@ class TestExtract:
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         with pytest.raises(ValueError, match="negative"):
             extract_flow_over_time(expansion, positional(expansion, {("a0", 0, 0): Fraction(-1)}))
+
+
+def relay_instance() -> Instance:
+    """s -> t directly (transit 2), or s -> v at transit 0 and v -> t at
+    transit 1."""
+    network = Network(
+        ("s", "v", "t"),
+        (
+            Arc("direct", "s", "t", Fraction(1), 2),
+            Arc("hop", "s", "v", Fraction(1), 0),
+            Arc("last", "v", "t", Fraction(1), 1),
+        ),
+    )
+    return Instance(network, (Commodity("s", "t", Fraction(2)),))
+
+
+class TestDeparturePaths:
+    """The grid rule of the no-storage probes: departure paths."""
+
+    def test_route_is_shifted_to_every_departure_that_fits(self):
+        # v0 -> v1 -> v2 takes 2 time units; its last copy must arrive
+        # by T - 1 = 4, so it can depart at 0, 1 or 2.
+        expansion = build_time_expanded(cycle_instance(3), 5, WITHOUT)
+        assert route_departures(expansion, 0) == [
+            (("a0", 0), ("a1", 1)),
+            (("a0", 1), ("a1", 2)),
+            (("a0", 2), ("a1", 3)),
+        ]
+        assert route_departures(build_time_expanded(cycle_instance(3), 2, WITHOUT), 0) == []
+
+    def test_route_takes_the_fewest_transit_over_open_arcs(self):
+        network = Network(
+            ("s", "t"),
+            (Arc("shut", "s", "t", Fraction(0), 1), Arc("open", "s", "t", Fraction(1), 3)),
+        )
+        instance = Instance(network, (Commodity("s", "t", Fraction(1)),))
+        expansion = build_time_expanded(instance, 5, WITHOUT)
+        assert route_departures(expansion, 0) == [(("open", 0),), (("open", 1),)]
+        expansion = build_time_expanded(relay_instance(), 3, WITHOUT)
+        assert route_departures(expansion, 0) == [
+            (("hop", 0), ("last", 0)),
+            (("hop", 1), ("last", 1)),
+        ]
+
+    def test_zero_transit_arcs_stay_inside_their_layer(self):
+        expansion = build_time_expanded(relay_instance(), 3, WITHOUT)
+        assert cheapest_path(expansion, 0, {}) == (0, (("hop", 0), ("last", 0)))
+        # The relay at 0 is dear, so it departs again at 1.
+        lengths = {("last", 0): 3, ("direct", 0): 2}
+        assert cheapest_path(expansion, 0, lengths) == (0, (("hop", 1), ("last", 1)))
+        lengths[("hop", 1)] = 4
+        assert cheapest_path(expansion, 0, lengths) == (2, (("direct", 0),))
+
+    def test_no_departure_path_below_the_shortest_transit(self):
+        expansion = build_time_expanded(single_arc_instance(2), 2, WITHOUT)
+        assert cheapest_path(expansion, 0, {}) is None
+
+    def test_path_values_fill_source_and_sink_holdovers(self):
+        # Half a unit departs at 0 and half at 1 over a0 (transit 1), T = 3.
+        expansion = build_time_expanded(single_arc_instance(1), 3, WITHOUT)
+        half = Fraction(1, 2)
+        paths = [(0, (("a0", 0),)), (0, (("a0", 1),))]
+        assignment = assignment_from_paths(expansion, paths, [half, half])
+        variables = expansion.movement_variables + expansion.holdover_variables
+        values = {key: value for key, value in zip(variables, assignment) if value}
+        assert values == {
+            ("a0", 0, 0): half,
+            ("a0", 1, 0): half,
+            ("v0", 0, 0): half,
+            ("v1", 1, 0): half,
+            ("v1", 2, 0): 1,
+        }
+        assert feasibility_lp_from_expansion(expansion).check_assignment(assignment)

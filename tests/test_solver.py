@@ -1,4 +1,5 @@
-"""LP transcription, the exact phase-1 simplex, and the horizon searches."""
+"""LP transcription, the exact phase-1 simplex, column generation over
+departure paths, and the horizon searches."""
 
 from __future__ import annotations
 
@@ -559,7 +560,9 @@ class TestHorizonSearch:
     def test_sweep_pivot_counts(self, monkeypatch):
         # The pivot rules are deterministic, so the pivots each search
         # makes are fixed; a change of entering rule, ratio-test
-        # tie-break or Bland trigger shows here.
+        # tie-break or Bland trigger shows here. With storage they are
+        # the node-arc LP's pivots, without storage the departure-path
+        # masters' pivots summed over each probe's column generation.
         pivots: dict[tuple[int, StorageMode], int] = {}
         pending = [0]
         pivot = solver._pivot_exact
@@ -577,13 +580,13 @@ class TestHorizonSearch:
         gap_sweep(3, 6, observer=record)
         assert pivots == {
             (3, WITH): 105,
-            (3, WITHOUT): 101,
+            (3, WITHOUT): 26,
             (4, WITH): 206,
-            (4, WITHOUT): 203,
+            (4, WITHOUT): 42,
             (5, WITH): 473,
-            (5, WITHOUT): 376,
+            (5, WITHOUT): 53,
             (6, WITH): 543,
-            (6, WITHOUT): 802,
+            (6, WITHOUT): 90,
         }
 
     def test_sweep_probe_order(self):
@@ -779,6 +782,148 @@ class TestWindowPresolve:
         )
         assert not lp_feasible(lp).feasible
         assert not full_verdict(expansion)
+
+
+def complete_digraph_instance() -> Instance:
+    """Every ordered pair of 6 nodes is an arc of capacity 1 and transit
+    1 + (u + 2v) mod 3; three commodities with large demands. Its
+    minimum without storage is 7, and each commodity has dozens of
+    routes, too many to list for every departure."""
+    arcs = tuple(
+        Arc(f"a{u}{v}", f"n{u}", f"n{v}", F(1), 1 + (u + 2 * v) % 3)
+        for u in range(6)
+        for v in range(6)
+        if u != v
+    )
+    commodities = (
+        Commodity("n0", "n5", F(14)),
+        Commodity("n1", "n4", F(12)),
+        Commodity("n2", "n3", F(12)),
+    )
+    return Instance(Network(tuple(f"n{i}" for i in range(6)), arcs), commodities)
+
+
+def assert_matches_the_node_arc_lp(instance: Instance, horizon: int):
+    """Probe without storage and check the verdict against the unreduced
+    node-arc LP's, and a feasible assignment against the expansion's LP;
+    returns the probe's (expansion, result)."""
+    expansion, result = probe_horizon(instance, horizon, WITHOUT)
+    assert result.feasible == full_verdict(expansion), (instance, horizon)
+    if result.feasible:
+        assert feasibility_lp_from_expansion(expansion).check_assignment(result.assignment)
+    return expansion, result
+
+
+class TestDepartureLP:
+    """No-storage probes are decided over departure paths by column
+    generation; the node-arc LP is the reference."""
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_cycle_verdicts_match_the_node_arc_lp(self, k: int):
+        verdicts = [
+            assert_matches_the_node_arc_lp(cycle_instance(k), t)[1].feasible
+            for t in range(k, 2 * k + 3)
+        ]
+        assert verdicts == [False] * (k - 1) + [True] * 4  # feasible from 2k - 1 on
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=10))
+    def test_random_verdicts_match_the_node_arc_lp(self, seed: int, horizon: int):
+        assert_matches_the_node_arc_lp(random_instance(seed, 5, 8, 3, 3), horizon)
+
+    def test_dense_instance_verdicts_match_with_few_columns(self, monkeypatch):
+        # full_verdict calls this module's lp_feasible, so only the
+        # masters are counted.
+        masters: list[int] = []
+        feasible = solver.lp_feasible
+
+        def counted(lp):
+            masters.append(lp.num_vars)
+            return feasible(lp)
+
+        monkeypatch.setattr(solver, "lp_feasible", counted)
+        verdicts = []
+        for horizon in range(3, 11):
+            masters.clear()
+            expansion, result = assert_matches_the_node_arc_lp(complete_digraph_instance(), horizon)
+            verdicts.append(result.feasible)
+            # Pricing keeps the master small: at most 40 columns here,
+            # against up to 447 (copy, commodity) window variables.
+            assert len(masters) <= 12 and max(masters) <= 64, (horizon, masters)
+        assert len(expansion.movement_variables) == 447
+        assert verdicts == [False] * 4 + [True] * 4
+
+    def test_every_infeasible_probe_checks_its_certificate(self, monkeypatch):
+        certified: list[int] = []
+        check = solver._check_length_certificate
+
+        def counted(expansion, lengths):
+            check(expansion, lengths)
+            certified.append(expansion.horizon)
+
+        monkeypatch.setattr(solver, "_check_length_certificate", counted)
+        infeasible: list[int] = []
+
+        def record(horizon, expansion, result):
+            if not result.feasible:
+                infeasible.append(horizon)
+
+        for k in (3, 4, 5):
+            min_feasible_horizon(cycle_instance(k), WITHOUT, 4 * k, observer=record)
+        min_feasible_horizon(complete_digraph_instance(), WITHOUT, 12, observer=record)
+        assert certified == infeasible
+        assert len(infeasible) == 8
+
+    def test_corrupted_length_certificate_raises_even_under_python_O(self):
+        # The certificate check is explicit code, which python -O keeps.
+        # The zero length function proves nothing; a negative length is
+        # no length function at all.
+        script = (
+            "import sys\n"
+            "from qmcflow import solver\n"
+            "from qmcflow.core import StorageMode\n"
+            "from qmcflow.instances import cycle_instance\n"
+            "mode = StorageMode.NO_INTERMEDIATE_STORAGE\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "certificates = []\n"
+            "check = solver._check_length_certificate\n"
+            "def recorded(expansion, lengths):\n"
+            "    certificates.append((expansion, dict(lengths)))\n"
+            "    check(expansion, lengths)\n"
+            "solver._check_length_certificate = recorded\n"
+            "print('feasible', solver.probe_horizon(cycle_instance(3), 4, mode)[1].feasible)\n"
+            "expansion, lengths = certificates[0]\n"
+            "negative = {copy: -value for copy, value in lengths.items()}\n"
+            "duals = solver._master_duals\n"
+            "def zero(*args):\n"
+            "    return {}, dict.fromkeys(duals(*args)[1], 0)\n"
+            "solver._master_duals = zero\n"
+            "for attempt in (lambda: solver.probe_horizon(cycle_instance(3), 4, mode),\n"
+            "                lambda: check(expansion, negative)):\n"
+            "    try:\n"
+            "        attempt()\n"
+            "    except RuntimeError as error:\n"
+            "        print('raised', error)\n"
+            "    else:\n"
+            "        print('returned')\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        lines = completed.stdout.split("\n")
+        assert lines[:2] == ["optimize 1", "feasible False"]
+        assert lines[2].startswith("raised the length certificate at T=4 does not prove")
+        assert lines[3] == "raised the length certificate has a negative length"
+
+    def test_cycle20_search_is_decided(self):
+        minimum, flow = min_feasible_horizon(cycle_instance(20), WITHOUT, 42)
+        assert minimum == 39
+        assert check_flow(flow, cycle_instance(20), WITHOUT).ok
 
 
 class TestMovementSolution:
