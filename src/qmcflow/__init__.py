@@ -58,7 +58,6 @@ from .solver import (
     LPResult,
     NoHorizonFound,
     SpeedupReport,
-    feasibility_lp_from_expansion,
     gap_csv,
     gap_sweep,
     lp_feasible,
@@ -98,7 +97,6 @@ __all__ = [
     "check_flow",
     "cycle_instance",
     "extract_flow_over_time",
-    "feasibility_lp_from_expansion",
     "format_rational",
     "gap_csv",
     "gap_sweep",

@@ -24,27 +24,30 @@ theta and its sink is still reachable from v by T, starting at theta'
 smallest transit time). Dropping the cycles of a feasible static flow
 keeps it feasible, and what is left uses only such copies, so this time
 window leaves every verdict unchanged. ExpandedNetwork.column_endpoints
-lists the tail and head copy of every variable, so the LP in the solver
-sees the expansion as a plain static network and never computes a time
-itself. In the other direction, extract_flow_over_time maps an LP
-assignment, one value per variable in that same order, back to a
-schedule: a flow over time whose rates are the movement values.
+lists the tail and head copy of every variable, so the solver's
+certificate check sees the expansion as a plain static network and
+never computes a time itself. In the other direction,
+extract_flow_over_time maps an LP assignment, one value per variable in
+that same order, back to a schedule: a flow over time whose rates are
+the movement values.
 
-Without storage, a unit of a commodity's flow is fully described by its
-departure time and its route, so the solver decides those probes over
-departure paths instead of the variables above. A departure path of
-commodity i departs (s_i, theta), takes movement copies with no holdover
-in between, never re-enters s_i and ends on its first arrival at t_i; it
-is a tuple of movement copies (arc id, theta). Three helpers hold the
-grid rule for those paths: route_departures lists the commodity's
-fewest-transit route over open arcs shifted to every departure that
-fits, cheapest_path prices a commodity by a shortest departure path
-under integer lengths on movement copies (a Dijkstra search layer by
-layer in time, with zero-transit arcs inside a layer), and
-assignment_from_paths maps path values back to the variables above:
-movement values are the sums of the path values, and what has not yet
-departed or has already arrived waits on the commodity's source and
-sink holdovers.
+The solver decides every probe over paths rather than over the
+variables above, and the storage mode reaches it only through the masks
+here. A path of commodity i departs (s_i, theta), takes movement copies
+and ends on its first arrival at t_i, never re-entering s_i; it is a
+tuple of movement copies (arc id, theta). Between two copies it waits at
+the node it is at, which the mask allows everywhere with storage and
+nowhere without, where a path is fully described by its departure time
+and its route. Three helpers hold the grid rule for paths:
+route_departures lists the commodity's fewest-transit route over open
+arcs shifted to every departure that fits, cheapest_path prices a
+commodity by a shortest path under integer lengths on movement copies
+(a Dijkstra search layer by layer in time, with zero-transit arcs inside
+a layer and free holdovers from one layer to the next where the mask
+allows), and assignment_from_paths maps path values back to the
+variables above: movement values are the sums of the path values, and
+each path's flow waits on the holdovers between its copies, at its
+source before it departs and at its sink after it arrives.
 
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
@@ -56,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Mapping, Sequence
 
@@ -73,7 +75,7 @@ __all__ = [
     "route_departures",
 ]
 
-# A departure path: its movement copies (arc id, theta) in travel order.
+# A path: its movement copies (arc id, theta) in travel order.
 Path = tuple[tuple[str, int], ...]
 
 # Tuples in this module are built from lists, not from generators.
@@ -106,14 +108,6 @@ class ExpandedNetwork:
     movement_variables: tuple[tuple[str, int, int], ...]
     holdover_variables: tuple[tuple[str, int, int], ...]
 
-    @cached_property
-    def node_copies(self) -> tuple[tuple[str, int], ...]:
-        return tuple([
-            (node, theta)
-            for node in self.instance.network.nodes
-            for theta in range(self.horizon + 1)
-        ])
-
     def column_endpoints(self) -> Iterator[tuple[int, tuple[str, int], tuple[str, int]]]:
         """(commodity, tail copy, head copy) of every variable, in the
         canonical order: movement_variables, then holdover_variables.
@@ -135,7 +129,7 @@ class ExpandedNetwork:
         lines = [
             f"time expansion: T={self.horizon} mode={self.mode.value}",
             f"node copies: {len(network.nodes)} nodes x {self.horizon + 1} layers"
-            f" = {len(self.node_copies)}",
+            f" = {len(network.nodes) * (self.horizon + 1)}",
             f"movement copies: {len(self.movement_copies)}",
         ]
         for arc_id, theta in self.movement_copies:
@@ -302,21 +296,25 @@ def route_departures(expansion: ExpandedNetwork, commodity: int) -> list[Path]:
 def cheapest_path(
     expansion: ExpandedNetwork, commodity: int, lengths: Mapping[tuple[str, int], int]
 ) -> tuple[int, Path] | None:
-    """The least total length of a departure path of the commodity, and
-    one such path, or None if it has no departure path at all.
+    """The least total length of a path of the commodity, and one such
+    path, or None if it has no path at all.
 
     lengths maps movement copies to nonnegative integers; absent copies
     have length 0. The search runs layer by layer in time: every source
     copy (s_i, theta) starts at 0, a copy with positive transit relaxes
     a later layer, and a zero-transit copy stays inside its layer, which
-    is scanned as one Dijkstra search. Arcs into s_i are not taken and
-    t_i is not left. Ties go to the earliest arrival, then to the first
-    label set.
+    is scanned as one Dijkstra search. Once a layer is scanned, the
+    labels of the nodes where the mask lets the commodity wait, other
+    than s_i and t_i, are carried to the next layer at no cost (a free
+    holdover); a carried label keeps the copy that entered its node.
+    Arcs into s_i are not taken and t_i is not left. Ties go to the
+    earliest arrival, then to the first label set.
     """
     instance = expansion.instance
     goods = instance.commodities[commodity]
     source, sink = goods.source, goods.sink
     out_arcs = instance.network.out_arcs
+    waits = expansion.holdover_nodes[commodity] - {source, sink}
     last = expansion.horizon - 1
     # labels[theta][node] = (length, copy taken into it, tail of that copy)
     labels: list[dict[str, tuple]] = [{} for _ in range(expansion.horizon)]
@@ -349,6 +347,13 @@ def cheapest_path(
                     target[arc.head] = (candidate, copy, node)
                     if not arc.transit:
                         heappush(heap, (candidate, arc.head))
+        if waits and theta < last:
+            carried = labels[theta + 1]
+            for node, label in layer.items():
+                if node in waits:
+                    old = carried.get(node)
+                    if old is None or label[0] < old[0]:
+                        carried[node] = label
     if best is None:
         return None
     path = []
@@ -366,15 +371,17 @@ def assignment_from_paths(
     values: Sequence[Fraction],
 ) -> tuple[Fraction, ...]:
     """The variables' values, in canonical column order, of the flow that
-    sends values[j] along paths[j] = (commodity, departure path).
+    sends values[j] along paths[j] = (commodity, path).
 
     Each movement variable (a, theta, i) takes the sum of the values of
-    commodity i's paths through copy (a, theta). Flow of a path that
-    departs at theta_0 and arrives at theta_1 waits on the source
-    holdovers before theta_0 and on the sink holdovers from theta_1 to
-    T - 1. A path copy outside the commodity's time window raises
-    KeyError; none is, since every copy of a departure path can be used
-    in time.
+    commodity i's paths through copy (a, theta). Between one copy's
+    arrival and the next copy's departure the flow of a path waits on
+    the holdovers of the node it is at: on the source holdovers before
+    it departs, on the sink holdovers from its arrival to T - 1, and,
+    where the mask allows storage, at an intermediate node. A copy or
+    holdover outside the commodity's time window raises KeyError; none
+    is, since a path that reaches a node by theta and the sink by T can
+    use every copy in between in time.
     """
     movement = {key: j for j, key in enumerate(expansion.movement_variables)}
     offset = len(movement)
@@ -385,11 +392,13 @@ def assignment_from_paths(
     for (i, path), value in zip(paths, values):
         if not value:
             continue
+        node, arrival = commodities[i].source, 0
         for arc_id, theta in path:
+            for wait in range(arrival, theta):
+                assignment[holdover[node, wait, i]] += value
             assignment[movement[arc_id, theta, i]] += value
-        arc_id, theta = path[-1]
-        for wait in range(path[0][1]):
-            assignment[holdover[commodities[i].source, wait, i]] += value
-        for wait in range(theta + arc_by_id[arc_id].transit, expansion.horizon):
-            assignment[holdover[commodities[i].sink, wait, i]] += value
+            arc = arc_by_id[arc_id]
+            node, arrival = arc.head, theta + arc.transit
+        for wait in range(arrival, expansion.horizon):
+            assignment[holdover[node, wait, i]] += value
     return tuple(assignment)

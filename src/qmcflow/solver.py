@@ -2,51 +2,42 @@
 
 A probe decides whether an instance can be routed within an integer
 horizon T. The time expansion turns that into a static linear
-feasibility problem, and the storage mode picks one of two LPs for it.
-
-With storage, the node-arc LP (feasibility_lp_from_expansion) decides
-it. Its variables are the expansion's, in canonical order (movement
-copies first, then holdover arcs). Its rows are one capacity row per
-movement copy (the commodities' copy flows sum to at most the arc
-capacity) and one flow conservation equality per (commodity, node
-copy), with supplies entering at (source, 0) and demands leaving at
-(sink, T). It reads every variable as a plain static arc between two
-node copies, as listed by ExpandedNetwork.column_endpoints; only the
-expansion knows where on the time grid a copy starts and ends, and
-which copies a commodity can use in time. Rows that no variable touches
-are left out when zero satisfies them.
-
-Without storage, a unit of flow is fully described by its departure
-time and its route, so the departure-path LP decides it. A column is one
-commodity and one departure path in the expansion (see
-qmcflow.expansion): it departs (s_i, theta), takes movement copies with
-no holdover in between, never re-enters s_i and ends on its first
+feasibility problem, and one path LP decides it in both storage modes.
+A column is one commodity and one path in the expansion (see
+qmcflow.expansion): it departs (s_i, theta), takes movement copies,
+waits in between only where the commodity's storage mask allows it
+(never without storage), never re-enters s_i and ends on its first
 arrival at t_i. The rows are one capacity row per movement copy that
 some column uses and one demand equality per commodity with positive
-demand. Its columns are generated, not listed (Ford and Fulkerson,
-Management Sci. 1958):
+demand. By flow decomposition the LP is feasible exactly when the
+node-arc LP of the expansion is: the expansion's variables, one
+capacity row per movement copy and one flow conservation equality per
+(commodity, node copy). Its columns are generated, not listed (Ford and
+Fulkerson, Management Sci. 1958):
 
 1. The first master holds each commodity's fewest-transit route over
    open arcs, shifted to every departure that fits.
 2. lp_feasible decides the restricted master. A feasible master is a
    feasible probe: its path values become an assignment of the
-   node-arc LP's variables (assignment_from_paths), so every caller
-   reads one kind of witness.
+   expansion's variables (assignment_from_paths), so every caller reads
+   one kind of witness.
 3. An infeasible master's final phase-one row gives exact duals: a
    capacity row's dual y_e is its slack's entry, and commodity i's
    demand dual y_i is the entry of any of its columns minus the sum of
    y_e along it, or the artificial's cost 1 if it has none.
-4. Each commodity is priced by one shortest departure path under the
-   lengths l_e = -y_e >= 0. A path with y_i - length > 0 enters, and
-   the master is solved again from scratch.
+4. Each commodity is priced by one shortest path under the lengths
+   l_e = -y_e >= 0, waiting at no cost where the mask allows. A path
+   with y_i - length > 0 enters, and the master is solved again from
+   scratch.
 
 When no path enters, the lengths prove the probe infeasible by the
 Japanese theorem (Iri 1971; Onaga and Kakusho 1971): sum_i d_i *
 dist_l(s_i, t_i) > sum_e c_e * l_e. That inequality is checked before
 the verdict is returned, with distances from a label-correcting search
-over the node-arc LP's variables that shares no code with pricing, and
-a failure raises RuntimeError. The certificate so proves the node-arc
-LP of the probe infeasible, whatever the masters did.
+over the expansion's variables (ExpandedNetwork.column_endpoints,
+holdovers at length 0) that shares no code with pricing, and a failure
+raises RuntimeError. The certificate so proves the node-arc LP of the
+probe infeasible, whatever the masters did.
 
 Every LP is decided by a phase-one simplex in exact integer arithmetic
 (integer numerators over per-row denominators): artificial variables
@@ -57,13 +48,13 @@ every pivot by the same elimination routine as every other row, and an
 infeasible verdict returns it. Artificials on zero right-hand sides
 start at value zero and are pinned there (fixed variables: excluded
 from the objective and from pricing, blocking the ratio test in either
-direction), so the objective carries only the genuine supply and demand
-residuals; without this, the many zero balance rows of a time expansion
-drown phase one in degenerate bookkeeping pivots. Pivoting is
-deterministic. The entering rule is largest reduced cost with
-smallest-index tie break, switching to Bland's smallest-index rule
-after a run of degenerate pivots; ties in the ratio test always go to
-the smallest basic variable index. Bland's rule guarantees the
+direction), so the objective carries only the genuine residuals. A path
+master has none, but general LPs do: the many zero balance rows of a
+node-arc LP would otherwise drown phase one in degenerate bookkeeping
+pivots. Pivoting is deterministic. The entering rule is largest reduced
+cost with smallest-index tie break, switching to Bland's smallest-index
+rule after a run of degenerate pivots; ties in the ratio test always go
+to the smallest basic variable index. Bland's rule guarantees the
 procedure cannot cycle, so it always terminates, and with exact
 arithmetic every verdict is exact. lp_feasible checks a feasible
 assignment row by row against its LP.
@@ -120,7 +111,6 @@ __all__ = [
     "LinearProgram",
     "NoHorizonFound",
     "SpeedupReport",
-    "feasibility_lp_from_expansion",
     "gap_csv",
     "gap_sweep",
     "lp_feasible",
@@ -134,7 +124,6 @@ EQUAL = "="
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 # Consecutive degenerate pivots tolerated before switching the entering
 # rule to Bland's. Any cycle consists solely of degenerate pivots, so
@@ -211,58 +200,6 @@ class LPResult:
     phase_one_row: tuple[dict[int, int], int] | None = None
 
 
-def feasibility_lp_from_expansion(expansion: ExpandedNetwork) -> LinearProgram:
-    """Static feasibility LP of a time expansion, built from its incidence.
-    probe_horizon decides with-storage probes on it.
-
-    Variables: expansion.movement_variables then
-    expansion.holdover_variables, which hold only the copies each
-    commodity can use in time. Rows: one capacity row per movement copy
-    that has a variable, in the order of expansion.movement_copies, then
-    conservation equalities per (commodity, node copy) in the order of
-    expansion.node_copies. A column has -1 at its tail copy's row and +1
-    at its head copy's row (expansion.column_endpoints); the supply d
-    enters as rhs -d at (source, 0) and the demand as rhs +d at (sink,
-    T). A balance row that no variable touches is kept only when its
-    rhs is nonzero, so that phase one reports such an LP infeasible.
-    """
-    instance = expansion.instance
-    arc_by_id = instance.network.arc_by_id
-
-    capacity_rows: dict[tuple[str, int], dict[int, Fraction]] = {
-        copy: {} for copy in expansion.movement_copies
-    }
-    for j, (arc_id, theta, _) in enumerate(expansion.movement_variables):
-        capacity_rows[arc_id, theta][j] = _ONE
-    constraints = [
-        Constraint(coeffs, LESS_EQUAL, arc_by_id[arc_id].capacity)
-        for (arc_id, _), coeffs in capacity_rows.items()
-        if coeffs
-    ]
-
-    copies = expansion.node_copies
-    copy_index = {copy: i for i, copy in enumerate(copies)}
-    balance_rows: list[dict[int, Fraction]] = [
-        {} for _ in range(len(instance.commodities) * len(copies))
-    ]
-    for j, (commodity, tail, head) in enumerate(expansion.column_endpoints()):
-        offset = commodity * len(copies)
-        balance_rows[offset + copy_index[tail]][j] = _MINUS_ONE
-        balance_rows[offset + copy_index[head]][j] = _ONE
-
-    rhs = [_ZERO] * len(balance_rows)
-    for index, commodity in enumerate(instance.commodities):
-        offset = index * len(copies)
-        rhs[offset + copy_index[commodity.source, 0]] = -commodity.demand
-        rhs[offset + copy_index[commodity.sink, expansion.horizon]] = commodity.demand
-    constraints += [
-        Constraint(coeffs, EQUAL, b) for coeffs, b in zip(balance_rows, rhs) if coeffs or b
-    ]
-
-    num_vars = len(expansion.movement_variables) + len(expansion.holdover_variables)
-    return LinearProgram(num_vars, tuple(constraints))
-
-
 def lp_feasible(lp: LinearProgram) -> LPResult:
     """Decide feasibility exactly.
 
@@ -294,10 +231,6 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
     magnitude faster than Fraction operations with their per-op
     normalization.
     """
-    def scaled(constraint_value: Fraction, scale: int) -> int:
-        product = constraint_value * scale
-        return product.numerator
-
     dens: list[int] = []
     n = lp.num_vars
     slack_count = sum(1 for c in lp.constraints if c.relation == LESS_EQUAL)
@@ -313,8 +246,8 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
             constraint.rhs.denominator,
             *(v.denominator for v in constraint.coeffs.values()),
         )
-        row = {j: scaled(v, den) for j, v in constraint.coeffs.items() if v != 0}
-        b = scaled(constraint.rhs, den)
+        row = {j: v.numerator * (den // v.denominator) for j, v in constraint.coeffs.items() if v != 0}
+        b = constraint.rhs.numerator * (den // constraint.rhs.denominator)
         basic = None
         if constraint.relation == LESS_EQUAL:
             slack = next_slack
@@ -493,29 +426,25 @@ def probe_horizon(
     horizon: int,
     mode: StorageMode,
 ) -> tuple[ExpandedNetwork, LPResult]:
-    """Build the expansion for one horizon and decide its feasibility.
-
-    With storage the expansion's LP (feasibility_lp_from_expansion)
-    decides it in one lp_feasible call; without storage the
-    departure-path LP does, by column generation (see the module
-    docstring). Either way a feasible assignment is in the expansion's
-    canonical column order and satisfies feasibility_lp_from_expansion.
+    """Build the expansion for one horizon and decide its feasibility on
+    the path LP by column generation (see the module docstring). The
+    mode reaches the decision only through the expansion's storage
+    masks. A feasible assignment is in the expansion's canonical column
+    order.
     """
     expansion = build_time_expanded(instance, horizon, mode)
-    if mode is StorageMode.WITH_STORAGE:
-        return expansion, lp_feasible(feasibility_lp_from_expansion(expansion))
-    return expansion, _decide_by_departures(expansion)
+    return expansion, _decide_by_paths(expansion)
 
 
-def _decide_by_departures(expansion: ExpandedNetwork) -> LPResult:
-    """Column generation over departure paths for a no-storage probe.
+def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
+    """Column generation over paths for one probe.
 
     The first master holds each commodity's fewest-transit route at
     every departure that fits. An infeasible master's phase-one row
-    prices each commodity by one shortest departure path; a path with
-    positive reduced cost enters and the master is solved again from
-    scratch. When none enters, the lengths must pass the certificate
-    check, or RuntimeError is raised.
+    prices each commodity by one shortest path; a path with positive
+    reduced cost enters and the master is solved again from scratch.
+    When none enters, the lengths must pass the certificate check, or
+    RuntimeError is raised.
     """
     commodities = expansion.instance.commodities
     demanded = [i for i, goods in enumerate(commodities) if goods.demand > 0]

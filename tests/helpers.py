@@ -1,7 +1,8 @@
 """Shared test utilities: flow truncation, exact integration of rate
-functions, flow-to-LP transcription, the unreduced reference LP,
-Fourier-Motzkin elimination as a reference for LP feasibility and the
-per-breakpoint reference flow checker."""
+functions, flow-to-LP transcription, the unreduced reference LP and the
+lift of windowed assignments onto it, Fourier-Motzkin elimination as a
+reference for LP feasibility and the per-breakpoint reference flow
+checker."""
 
 from __future__ import annotations
 
@@ -74,9 +75,9 @@ def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list
     Movement variables take the amount entering the arc during
     [theta, theta+1). Holdover variables take the amount of the
     commodity parked at the node during that interval, where supply not
-    yet injected counts as parked at the source. The list is indexed
-    exactly like the columns of feasibility_lp_from_expansion, so a
-    feasible schedule should produce an assignment every LP row accepts.
+    yet injected counts as parked at the source. The list is in the
+    expansion's canonical column order, so lift_assignment carries it
+    onto unreduced_lp, every row of which a feasible schedule satisfies.
     """
     network = expansion.instance.network
     values: list[Fraction] = []
@@ -99,43 +100,55 @@ def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list
     return values
 
 
+def unreduced_columns(expansion: ExpandedNetwork) -> list[tuple]:
+    """Keys of unreduced_lp's columns, in its order: ("move", arc id,
+    theta, commodity) for every movement copy and every commodity, then
+    ("hold", node, theta, commodity) for every holdover arc and every
+    commodity whose holdover_nodes contain its node."""
+    commodities = range(len(expansion.instance.commodities))
+    return [
+        ("move", arc_id, theta, i) for arc_id, theta in expansion.movement_copies for i in commodities
+    ] + [
+        ("hold", node, theta, i)
+        for node, theta in expansion.holdover_arcs
+        for i in commodities
+        if node in expansion.holdover_nodes[i]
+    ]
+
+
 def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
-    """The time-expanded LP with no time window and no row dropped.
+    """The time-expanded node-arc LP with no time window and no row
+    dropped.
 
     Its variables are all (copy, commodity) pairs the storage mask
-    allows: every movement copy for every commodity, then every holdover
-    arc for the commodities whose holdover_nodes contain its node. Its
-    rows are one capacity row per movement copy and one balance equality
-    per (commodity, node copy). It is built from the copies and the arc
-    data alone, as a reference for feasibility_lp_from_expansion and for
-    the no-storage verdicts of probe_horizon's departure-path LP.
+    allows, in the order of unreduced_columns. Its rows are one capacity
+    row per movement copy and one balance equality per (commodity, node
+    copy), with the supply entering at (source, 0) and the demand leaving
+    at (sink, T). It is built from the copies and the arc data alone, as
+    the reference for probe_horizon's verdicts in both modes.
     """
     instance = expansion.instance
     arcs = instance.network.arc_by_id
-    commodities = range(len(instance.commodities))
-    # (commodity, tail copy, head copy, movement copy or None)
-    columns = []
-    for arc_id, theta in expansion.movement_copies:
-        arc = arcs[arc_id]
-        for i in commodities:
-            head = (arc.head, theta + arc.transit)
-            columns.append((i, (arc.tail, theta), head, (arc_id, theta)))
-    for node, theta in expansion.holdover_arcs:
-        for i in commodities:
-            if node in expansion.holdover_nodes[i]:
-                columns.append((i, (node, theta), (node, theta + 1), None))
-
+    horizon = expansion.horizon
+    node_copies = [(node, theta) for node in instance.network.nodes for theta in range(horizon + 1)]
+    columns = unreduced_columns(expansion)
     capacity = {copy: {} for copy in expansion.movement_copies}
-    balance = {(i, copy): {} for i in commodities for copy in expansion.node_copies}
-    for j, (i, tail, head, copy) in enumerate(columns):
-        if copy is not None:
-            capacity[copy][j] = ONE
+    balance = {
+        (i, copy): {} for i in range(len(instance.commodities)) for copy in node_copies
+    }
+    for j, (kind, name, theta, i) in enumerate(columns):
+        if kind == "move":
+            arc = arcs[name]
+            capacity[name, theta][j] = ONE
+            tail, head = (arc.tail, theta), (arc.head, theta + arc.transit)
+        else:
+            tail, head = (name, theta), (name, theta + 1)
         balance[i, tail][j] = -ONE
         balance[i, head][j] = ONE
     rhs = dict.fromkeys(balance, ZERO)
     for i, commodity in enumerate(instance.commodities):
         rhs[i, (commodity.source, 0)] -= commodity.demand
-        rhs[i, (commodity.sink, expansion.horizon)] += commodity.demand
+        rhs[i, (commodity.sink, horizon)] += commodity.demand
 
     rows = [
         Constraint(coeffs, "<=", arcs[arc_id].capacity)
@@ -143,6 +156,29 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
     ]
     rows += [Constraint(coeffs, "=", rhs[key]) for key, coeffs in balance.items()]
     return LinearProgram(len(columns), tuple(rows))
+
+
+def lift_assignment(expansion: ExpandedNetwork, assignment) -> list[Fraction]:
+    """unreduced_lp's column values of an assignment in the expansion's
+    canonical column order (movement_variables, then holdover_variables),
+    matched by key; the columns outside the time window take 0. A
+    variable with no column raises KeyError."""
+    keys = [("move", *key) for key in expansion.movement_variables]
+    keys += [("hold", *key) for key in expansion.holdover_variables]
+    if len(keys) != len(assignment):
+        raise ValueError(f"expected {len(keys)} values, got {len(assignment)}")
+    values = dict(zip(keys, assignment))
+    columns = unreduced_columns(expansion)
+    stray = values.keys() - set(columns)
+    if stray:
+        raise KeyError(f"variables with no column: {sorted(stray)}")
+    return [values.get(key, ZERO) for key in columns]
+
+
+def satisfies_unreduced_lp(expansion: ExpandedNetwork, assignment) -> bool:
+    """Whether an assignment of the expansion's variables, lifted onto
+    unreduced_lp, satisfies every row of it."""
+    return unreduced_lp(expansion).check_assignment(lift_assignment(expansion, assignment))
 
 
 def _holds(equality: bool, rhs: Fraction) -> bool:

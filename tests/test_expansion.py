@@ -17,8 +17,9 @@ from qmcflow.expansion import (
     extract_flow_over_time,
     route_departures,
 )
-from qmcflow.solver import feasibility_lp_from_expansion
 from qmcflow.instances import cycle_instance, random_instance
+
+from helpers import satisfies_unreduced_lp
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -48,7 +49,7 @@ class TestConfig:
 class TestBuild:
     def test_cycle3_with_storage_counts(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        assert len(expansion.node_copies) == 15
+        assert "node copies: 3 nodes x 5 layers = 15" in expansion.describe()
         assert len(expansion.movement_copies) == 9
         assert len(expansion.holdover_arcs) == 12
         assert expansion.holdover_nodes == (frozenset(expansion.instance.network.nodes),) * 3
@@ -81,7 +82,8 @@ class TestBuild:
     @given(st.integers(min_value=3, max_value=8), st.integers(min_value=1, max_value=12))
     def test_copy_counts_follow_the_construction(self, k: int, horizon: int):
         expansion = build_time_expanded(cycle_instance(k), horizon, WITH)
-        assert len(expansion.node_copies) == k * (horizon + 1)
+        shape = f"node copies: {k} nodes x {horizon + 1} layers = {k * (horizon + 1)}\n"
+        assert shape in expansion.describe()
         assert len(expansion.movement_copies) == k * max(0, horizon - 1)
         assert len(expansion.holdover_arcs) == k * horizon
 
@@ -215,8 +217,18 @@ def relay_instance() -> Instance:
     return Instance(network, (Commodity("s", "t", Fraction(2)),))
 
 
+def two_hop_instance() -> Instance:
+    """s -> v -> t, one time unit per hop."""
+    network = Network(
+        ("s", "v", "t"),
+        (Arc("sv", "s", "v", Fraction(1), 1), Arc("vt", "v", "t", Fraction(1), 1)),
+    )
+    return Instance(network, (Commodity("s", "t", Fraction(1)),))
+
+
 class TestDeparturePaths:
-    """The grid rule of the no-storage probes: departure paths."""
+    """The grid rule of the path LP: paths, which wait in between only
+    where the mask allows."""
 
     def test_route_is_shifted_to_every_departure_that_fits(self):
         # v0 -> v1 -> v2 takes 2 time units; its last copy must arrive
@@ -271,4 +283,28 @@ class TestDeparturePaths:
             ("v1", 1, 0): half,
             ("v1", 2, 0): 1,
         }
-        assert feasibility_lp_from_expansion(expansion).check_assignment(assignment)
+        assert satisfies_unreduced_lp(expansion, assignment)
+
+    def test_a_path_waits_only_with_storage(self):
+        # T = 4: both paths that do not wait at v use a dear copy, and
+        # the path that departs at 0 and waits at v during [1, 2) uses
+        # none.
+        lengths = {("sv", 1): 5, ("vt", 1): 5}
+        waiting = build_time_expanded(two_hop_instance(), 4, WITH)
+        assert cheapest_path(waiting, 0, lengths) == (0, (("sv", 0), ("vt", 2)))
+        assert cheapest_path(waiting, 0, {}) == (0, (("sv", 0), ("vt", 1)))
+        strict = build_time_expanded(two_hop_instance(), 4, WITHOUT)
+        assert cheapest_path(strict, 0, lengths) == (5, (("sv", 0), ("vt", 1)))
+
+    def test_path_values_fill_the_holdovers_where_a_path_waits(self):
+        expansion = build_time_expanded(two_hop_instance(), 4, WITH)
+        paths = [(0, (("sv", 0), ("vt", 2)))]
+        assignment = assignment_from_paths(expansion, paths, [Fraction(1)])
+        variables = expansion.movement_variables + expansion.holdover_variables
+        values = {key: value for key, value in zip(variables, assignment) if value}
+        assert values == {("sv", 0, 0): 1, ("v", 1, 0): 1, ("vt", 2, 0): 1, ("t", 3, 0): 1}
+        assert satisfies_unreduced_lp(expansion, assignment)
+        # Without storage there is no holdover at v to fill.
+        strict = build_time_expanded(two_hop_instance(), 4, WITHOUT)
+        with pytest.raises(KeyError):
+            assignment_from_paths(strict, paths, [Fraction(1)])

@@ -1,5 +1,5 @@
 """LP transcription, the exact phase-1 simplex, column generation over
-departure paths, and the horizon searches."""
+paths, and the horizon searches."""
 
 from __future__ import annotations
 
@@ -25,7 +25,12 @@ from qmcflow.core import (
     StepFunction,
     StorageMode,
 )
-from qmcflow.expansion import build_time_expanded, extract_flow_over_time
+from qmcflow.expansion import (
+    build_time_expanded,
+    cheapest_path,
+    extract_flow_over_time,
+    route_departures,
+)
 from qmcflow.instances import (
     CycleParams,
     cycle_instance,
@@ -38,7 +43,6 @@ from qmcflow.solver import (
     LinearProgram,
     NoHorizonFound,
     SpeedupReport,
-    feasibility_lp_from_expansion,
     gap_csv,
     gap_sweep,
     lp_feasible,
@@ -47,7 +51,12 @@ from qmcflow.solver import (
     speedup_ratio,
 )
 
-from helpers import assignment_from_flow, fourier_motzkin_feasible, unreduced_lp
+from helpers import (
+    assignment_from_flow,
+    fourier_motzkin_feasible,
+    satisfies_unreduced_lp,
+    unreduced_lp,
+)
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -247,136 +256,124 @@ class TestLPFeasible:
 
 
 class TestTranscription:
+    """The path master's rows, and the expansion's variables and
+    witnesses read against the unreduced node-arc LP."""
+
     def test_row_and_column_counts(self):
         # The k=3 cycle at T=4 with storage. The time window keeps 15 of
         # the 27 (movement copy, commodity) pairs and 18 of the 36
-        # (holdover arc, commodity) pairs. All 9 movement copies keep a
-        # column, and 27 of the 45 (commodity, node copy) balance rows
-        # touch one; the other 18 have rhs 0 and are left out.
+        # (holdover arc, commodity) pairs. The unreduced LP has every
+        # pair as a column, 9 capacity rows and 45 (commodity, node copy)
+        # balance rows.
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        lp = feasibility_lp_from_expansion(expansion)
         movement = len(expansion.movement_variables)
         holdover = len(expansion.holdover_variables)
         assert (movement, holdover) == (15, 18)
-        assert lp.num_vars == movement + holdover
-        relations = [c.relation for c in lp.constraints]
-        assert (relations.count("<="), relations.count("=")) == (9, 27)
         full = unreduced_lp(expansion)
         assert (full.num_vars, len(full.constraints)) == (27 + 36, 9 + 45)
+        relations = [c.relation for c in full.constraints]
+        assert (relations.count("<="), relations.count("=")) == (9, 45)
 
     def test_capacity_rows_come_first(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        lp = feasibility_lp_from_expansion(expansion)
-        copies = len(expansion.movement_copies)
-        assert all(c.relation == "<=" for c in lp.constraints[:copies])
-        assert all(c.relation == "=" for c in lp.constraints[copies:])
+        paths = [(i, path) for i in range(3) for path in route_departures(expansion, i)]
+        lp, copies = solver._path_master(expansion, paths, [0, 1, 2])
+        assert len(lp.constraints) == len(copies) + 3
+        assert all(c.relation == "<=" for c in lp.constraints[: len(copies)])
+        assert all(c.relation == "=" for c in lp.constraints[len(copies) :])
 
     @pytest.mark.parametrize("mode", [WITH, WITHOUT])
     def test_single_arc_rows(self, mode: StorageMode):
-        # Columns: a0@0, then holdovers v0@0 and v1@1, the only copies in
-        # the commodity's time window (both nodes are its endpoints, so
-        # both modes agree). The rows of (v0, 2) and (v1, 0) touch no
-        # column and have rhs 0, so they are left out.
+        # Variables: a0@0, then holdovers v0@0 and v1@1, the only copies
+        # in the commodity's time window (both nodes are its endpoints,
+        # so both modes agree). The path master has the one path a0@0,
+        # its capacity row and the demand row.
         expansion = build_time_expanded(single_arc_instance(), 2, mode)
         assert expansion.movement_variables == (("a0", 0, 0),)
         assert expansion.holdover_variables == (("v0", 0, 0), ("v1", 1, 0))
-        lp = feasibility_lp_from_expansion(expansion)
-        assert lp.num_vars == 3
-        assert lp.constraints == (
-            row({0: 1}, "<=", 1),
-            row({0: -1, 1: -1}, "=", -1),  # (v0, 0): supply
-            row({1: 1}, "=", 0),  # (v0, 1)
-            row({0: 1, 2: -1}, "=", 0),  # (v1, 1)
-            row({2: 1}, "=", 1),  # (v1, 2): demand
-        )
+        paths = [(0, path) for path in route_departures(expansion, 0)]
+        assert paths == [(0, (("a0", 0),))]
+        lp, copies = solver._path_master(expansion, paths, [0])
+        assert copies == [("a0", 0)]
+        assert lp.num_vars == 1
+        assert lp.constraints == (row({0: 1}, "<=", 1), row({0: 1}, "=", 1))
 
     @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
     def test_rows_are_the_incidence_of_the_copies(self, seed: int, horizon: int):
+        # The master over each commodity's route departures and one
+        # cheapest path under lengths that price every route copy.
         instance = random_instance(seed, 5, 8, 3, 3)
         arcs = instance.network.arc_by_id
+        demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
         for mode in (WITH, WITHOUT):
             expansion = build_time_expanded(instance, horizon, mode)
-            lp = feasibility_lp_from_expansion(expansion)
-            movement = expansion.movement_variables
-            endpoints = [
-                (commodity, (arcs[a].tail, theta), (arcs[a].head, theta + arcs[a].transit))
-                for a, theta, commodity in movement
-            ] + [
-                (commodity, (node, theta), (node, theta + 1))
-                for node, theta, commodity in expansion.holdover_variables
-            ]
-            assert len(endpoints) == lp.num_vars
+            paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
+            lengths = {copy: 1 for _, path in paths for copy in path}
+            for i in demanded:
+                cheapest = cheapest_path(expansion, i, lengths)
+                if cheapest is not None and (i, cheapest[1]) not in paths:
+                    paths.append((i, cheapest[1]))
+            lp, copies = solver._path_master(expansion, paths, demanded)
+            assert lp.num_vars == len(paths)
 
-            # One capacity row per movement copy with a column, in the
-            # order of movement_copies, holding exactly that copy's columns.
-            used = {(a, theta) for a, theta, _ in movement}
-            capacity_copies = [copy for copy in expansion.movement_copies if copy in used]
-            capacity_rows = lp.constraints[: len(capacity_copies)]
-            balance_rows = lp.constraints[len(capacity_copies) :]
-            for copy, constraint in zip(capacity_copies, capacity_rows):
-                columns = {j for j, (a, theta, _) in enumerate(movement) if (a, theta) == copy}
-                assert constraint.coeffs == dict.fromkeys(columns, 1)
-                assert constraint.relation == "<="
-                assert constraint.rhs == arcs[copy[0]].capacity
+            # One capacity row per movement copy some path uses, in
+            # sorted order, holding exactly the paths through that copy.
+            assert copies == sorted({copy for _, path in paths for copy in path})
+            for copy, constraint in zip(copies, lp.constraints):
+                through = {j for j, (_, path) in enumerate(paths) if copy in path}
+                assert constraint.coeffs == dict.fromkeys(through, 1)
+                assert (constraint.relation, constraint.rhs) == ("<=", arcs[copy[0]].capacity)
 
-            # One balance row per (commodity, node copy) that a column
-            # touches or that carries a supply or demand, in the order of
-            # commodities and node_copies.
-            rhs = {}
-            for i, commodity in enumerate(instance.commodities):
-                if commodity.demand:
-                    rhs[i, (commodity.source, 0)] = -commodity.demand
-                    rhs[i, (commodity.sink, horizon)] = commodity.demand
-            touched = {(c, copy) for c, tail, head in endpoints for copy in (tail, head)}
-            copy_order = {copy: i for i, copy in enumerate(expansion.node_copies)}
-            keys = sorted(touched | rhs.keys(), key=lambda key: (key[0], copy_order[key[1]]))
-            assert [(c.relation, c.rhs) for c in balance_rows] == [
-                ("=", rhs.get(key, 0)) for key in keys
-            ]
-            row_of = {key: r for r, key in enumerate(keys)}
-            for j, (commodity, tail, head) in enumerate(endpoints):
-                entries = {r: c.coeffs[j] for r, c in enumerate(balance_rows) if j in c.coeffs}
-                assert entries == {row_of[commodity, tail]: -1, row_of[commodity, head]: 1}
+            # Then one demand row per commodity with positive demand,
+            # holding exactly its paths.
+            demand_rows = lp.constraints[len(copies) :]
+            assert len(demand_rows) == len(demanded)
+            for i, constraint in zip(demanded, demand_rows):
+                own = {j for j, (commodity, _) in enumerate(paths) if commodity == i}
+                assert constraint.coeffs == dict.fromkeys(own, 1)
+                assert (constraint.relation, constraint.rhs) == ("=", instance.commodities[i].demand)
 
     def test_single_commodity_single_arc_unique_support(self):
-        expansion = build_time_expanded(single_arc_instance(), 2, WITH)
-        lp = feasibility_lp_from_expansion(expansion)
-        result = lp_feasible(lp)
+        expansion, result = probe_horizon(single_arc_instance(), 2, WITH)
         assert result.feasible
         # One movement copy (a0 at theta 0) and the sink holdover at
         # theta 1 must each carry the full unit; everything else is 0.
         names = list(expansion.movement_variables) + list(expansion.holdover_variables)
         support = {names[j] for j, value in enumerate(result.assignment) if value != 0}
         assert support == {("a0", 0, 0), ("v1", 1, 0)}
+        assert satisfies_unreduced_lp(expansion, result.assignment)
 
     def test_cycle3_infeasible_at_three_without_storage(self):
-        expansion = build_time_expanded(cycle_instance(3), 3, WITHOUT)
-        assert not lp_feasible(feasibility_lp_from_expansion(expansion)).feasible
+        expansion, result = probe_horizon(cycle_instance(3), 3, WITHOUT)
+        assert not result.feasible
+        assert not full_verdict(expansion)
 
     def test_cycle3_feasible_at_four_with_storage(self):
-        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        result = lp_feasible(feasibility_lp_from_expansion(expansion))
+        expansion, result = probe_horizon(cycle_instance(3), 4, WITH)
         assert result.feasible
+        assert satisfies_unreduced_lp(expansion, result.assignment)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wait_schedule_satisfies_the_lp(self, k: int):
         expansion = build_time_expanded(cycle_instance(k), k + 1, WITH)
-        lp = feasibility_lp_from_expansion(expansion)
         values = assignment_from_flow(expansion, wait_schedule_with_storage(k))
-        assert lp.check_assignment(values)
+        assert satisfies_unreduced_lp(expansion, values)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wave_schedule_satisfies_the_strict_lp(self, k: int):
         expansion = build_time_expanded(cycle_instance(k), 2 * k - 1, WITHOUT)
-        lp = feasibility_lp_from_expansion(expansion)
         values = assignment_from_flow(expansion, wave_schedule_no_storage(k))
-        assert lp.check_assignment(values)
+        assert satisfies_unreduced_lp(expansion, values)
 
     def test_wait_schedule_violates_the_strict_lp_at_k_plus_one(self):
-        # The waiting trick needs storage at v0: the same transcription
-        # with no-storage masks must reject horizon k+1 entirely.
-        expansion = build_time_expanded(cycle_instance(4), 5, WITHOUT)
-        assert not lp_feasible(feasibility_lp_from_expansion(expansion)).feasible
+        # The waiting trick needs storage at v0: with no-storage masks
+        # horizon k+1 is infeasible, and the wait schedule, which has no
+        # holdover variable for its storage at v0, breaks a balance row.
+        expansion, result = probe_horizon(cycle_instance(4), 5, WITHOUT)
+        assert not result.feasible
+        assert not full_verdict(expansion)
+        values = assignment_from_flow(expansion, wait_schedule_with_storage(4))
+        assert not satisfies_unreduced_lp(expansion, values)
 
 
 class TestHorizonSearch:
@@ -560,9 +557,8 @@ class TestHorizonSearch:
     def test_sweep_pivot_counts(self, monkeypatch):
         # The pivot rules are deterministic, so the pivots each search
         # makes are fixed; a change of entering rule, ratio-test
-        # tie-break or Bland trigger shows here. With storage they are
-        # the node-arc LP's pivots, without storage the departure-path
-        # masters' pivots summed over each probe's column generation.
+        # tie-break or Bland trigger shows here. They are the path
+        # masters' pivots, summed over each probe's column generation.
         pivots: dict[tuple[int, StorageMode], int] = {}
         pending = [0]
         pivot = solver._pivot_exact
@@ -579,13 +575,13 @@ class TestHorizonSearch:
         monkeypatch.setattr(solver, "_pivot_exact", counted)
         gap_sweep(3, 6, observer=record)
         assert pivots == {
-            (3, WITH): 105,
+            (3, WITH): 34,
             (3, WITHOUT): 26,
-            (4, WITH): 206,
+            (4, WITH): 70,
             (4, WITHOUT): 42,
-            (5, WITH): 473,
+            (5, WITH): 177,
             (5, WITHOUT): 53,
-            (6, WITH): 543,
+            (6, WITH): 356,
             (6, WITHOUT): 90,
         }
 
@@ -743,11 +739,10 @@ class TestWindowPresolve:
         instance = Instance(network, (Commodity("s", "t", F(1)),))
         for mode in (WITH, WITHOUT):
             expansion, result = probe_horizon(instance, 3, mode)
-            lp = feasibility_lp_from_expansion(expansion)
-            # Nothing can move, so only the supply and demand rows stay,
-            # empty and with their nonzero right-hand sides.
-            assert lp.num_vars == 0
-            assert [(c.coeffs, c.rhs) for c in lp.constraints] == [({}, -1), ({}, 1)]
+            # Nothing can move, so the window keeps no variable and the
+            # commodity has no path.
+            assert not window_names(expansion)
+            assert route_departures(expansion, 0) == []
             assert not result.feasible
             assert not full_verdict(expansion)
 
@@ -766,21 +761,22 @@ class TestWindowPresolve:
         instance = Instance(network, (Commodity("s", "t", F(1)), Commodity("y", "t", F(1))))
         expansion = build_time_expanded(instance, 2, WITH)
         assert window_names(expansion) == {("a0", 0, 0), ("s", 0, 0), ("t", 1, 0)}
-        lp = feasibility_lp_from_expansion(expansion)
-        # The capacity row of a1@0 and every empty balance row with rhs 0
-        # are left out. The empty demand and supply rows of commodity 1
-        # stay, so the LP is infeasible.
-        assert lp.num_vars == 3
+        paths = [(0, path) for path in route_departures(expansion, 0)]
+        assert paths == [(0, (("a0", 0),))]
+        assert route_departures(expansion, 1) == []
+        lp, copies = solver._path_master(expansion, paths, [0, 1])
+        # The first master has no capacity row for the unused copy a1@0.
+        # The empty demand row of commodity 1 stays, so the LP is
+        # infeasible.
+        assert copies == [("a0", 0)]
+        assert lp.num_vars == 1
         assert lp.constraints == (
             row({0: 1}, "<=", 1),  # a0@0
-            row({0: -1, 1: -1}, "=", -1),  # commodity 0 at (s, 0)
-            row({1: 1}, "=", 0),  # (s, 1)
-            row({0: 1, 2: -1}, "=", 0),  # (t, 1)
-            row({2: 1}, "=", 1),  # (t, 2)
-            row({}, "=", 1),  # commodity 1 at (t, 2)
-            row({}, "=", -1),  # (y, 0)
+            row({0: 1}, "=", 1),  # demand of commodity 0
+            row({}, "=", 1),  # demand of commodity 1
         )
         assert not lp_feasible(lp).feasible
+        assert not probe_horizon(instance, 2, WITH)[1].feasible
         assert not full_verdict(expansion)
 
 
@@ -803,33 +799,54 @@ def complete_digraph_instance() -> Instance:
     return Instance(Network(tuple(f"n{i}" for i in range(6)), arcs), commodities)
 
 
-def assert_matches_the_node_arc_lp(instance: Instance, horizon: int):
-    """Probe without storage and check the verdict against the unreduced
-    node-arc LP's, and a feasible assignment against the expansion's LP;
-    returns the probe's (expansion, result)."""
-    expansion, result = probe_horizon(instance, horizon, WITHOUT)
-    assert result.feasible == full_verdict(expansion), (instance, horizon)
+def assert_matches_the_node_arc_lp(instance: Instance, horizon: int, mode: StorageMode):
+    """Probe in the mode and check the verdict against the unreduced
+    node-arc LP's; returns the probe's (expansion, result). A feasible
+    verdict's assignment must satisfy every row of that LP, which proves
+    it feasible; an infeasible verdict must agree with lp_feasible on
+    it. (Solving the feasible node-arc LPs with storage would take
+    minutes at k = 8.)"""
+    expansion, result = probe_horizon(instance, horizon, mode)
     if result.feasible:
-        assert feasibility_lp_from_expansion(expansion).check_assignment(result.assignment)
+        assert satisfies_unreduced_lp(expansion, result.assignment), (instance, horizon, mode)
+    else:
+        assert not full_verdict(expansion), (instance, horizon, mode)
     return expansion, result
 
 
-class TestDepartureLP:
-    """No-storage probes are decided over departure paths by column
-    generation; the node-arc LP is the reference."""
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=1, max_value=10_000),
+    horizon=st.integers(min_value=1, max_value=10),
+)
+def random_probes_match_the_node_arc_lp(mode: StorageMode, seed: int, horizon: int):
+    assert_matches_the_node_arc_lp(random_instance(seed, 5, 8, 3, 3), horizon, mode)
+
+
+class PathLPCases:
+    """Probes are decided over paths by column generation; the unreduced
+    node-arc LP is the reference. Each subclass runs these cases in its
+    mode."""
+
+    mode: StorageMode
+    # Infeasible probes of the cycle searches k = 3, 4, 5 and of the
+    # complete digraph's search.
+    infeasible_probes: int
+
+    def cycle_minimum(self, k: int) -> int:
+        raise NotImplementedError
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_cycle_verdicts_match_the_node_arc_lp(self, k: int):
+        horizons = range(k, 2 * k + 3)
         verdicts = [
-            assert_matches_the_node_arc_lp(cycle_instance(k), t)[1].feasible
-            for t in range(k, 2 * k + 3)
+            assert_matches_the_node_arc_lp(cycle_instance(k), t, self.mode)[1].feasible
+            for t in horizons
         ]
-        assert verdicts == [False] * (k - 1) + [True] * 4  # feasible from 2k - 1 on
+        assert verdicts == [t >= self.cycle_minimum(k) for t in horizons]
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=10))
-    def test_random_verdicts_match_the_node_arc_lp(self, seed: int, horizon: int):
-        assert_matches_the_node_arc_lp(random_instance(seed, 5, 8, 3, 3), horizon)
+    def test_random_verdicts_match_the_node_arc_lp(self):
+        random_probes_match_the_node_arc_lp(self.mode)
 
     def test_dense_instance_verdicts_match_with_few_columns(self, monkeypatch):
         # full_verdict calls this module's lp_feasible, so only the
@@ -845,10 +862,13 @@ class TestDepartureLP:
         verdicts = []
         for horizon in range(3, 11):
             masters.clear()
-            expansion, result = assert_matches_the_node_arc_lp(complete_digraph_instance(), horizon)
+            expansion, result = assert_matches_the_node_arc_lp(
+                complete_digraph_instance(), horizon, self.mode
+            )
             verdicts.append(result.feasible)
-            # Pricing keeps the master small: at most 40 columns here,
-            # against up to 447 (copy, commodity) window variables.
+            # Pricing keeps the master small: at most 40 columns in
+            # either mode, against up to 447 (copy, commodity) window
+            # variables.
             assert len(masters) <= 12 and max(masters) <= 64, (horizon, masters)
         assert len(expansion.movement_variables) == 447
         assert verdicts == [False] * 4 + [True] * 4
@@ -869,21 +889,22 @@ class TestDepartureLP:
                 infeasible.append(horizon)
 
         for k in (3, 4, 5):
-            min_feasible_horizon(cycle_instance(k), WITHOUT, 4 * k, observer=record)
-        min_feasible_horizon(complete_digraph_instance(), WITHOUT, 12, observer=record)
+            min_feasible_horizon(cycle_instance(k), self.mode, 4 * k, observer=record)
+        min_feasible_horizon(complete_digraph_instance(), self.mode, 12, observer=record)
         assert certified == infeasible
-        assert len(infeasible) == 8
+        assert len(infeasible) == self.infeasible_probes
 
     def test_corrupted_length_certificate_raises_even_under_python_O(self):
         # The certificate check is explicit code, which python -O keeps.
         # The zero length function proves nothing; a negative length is
         # no length function at all.
+        horizon = self.cycle_minimum(3) - 1
         script = (
             "import sys\n"
             "from qmcflow import solver\n"
             "from qmcflow.core import StorageMode\n"
             "from qmcflow.instances import cycle_instance\n"
-            "mode = StorageMode.NO_INTERMEDIATE_STORAGE\n"
+            f"mode = StorageMode.{self.mode.name}\n"
             "print('optimize', sys.flags.optimize)\n"
             "certificates = []\n"
             "check = solver._check_length_certificate\n"
@@ -891,14 +912,14 @@ class TestDepartureLP:
             "    certificates.append((expansion, dict(lengths)))\n"
             "    check(expansion, lengths)\n"
             "solver._check_length_certificate = recorded\n"
-            "print('feasible', solver.probe_horizon(cycle_instance(3), 4, mode)[1].feasible)\n"
+            f"print('feasible', solver.probe_horizon(cycle_instance(3), {horizon}, mode)[1].feasible)\n"
             "expansion, lengths = certificates[0]\n"
             "negative = {copy: -value for copy, value in lengths.items()}\n"
             "duals = solver._master_duals\n"
             "def zero(*args):\n"
             "    return {}, dict.fromkeys(duals(*args)[1], 0)\n"
             "solver._master_duals = zero\n"
-            "for attempt in (lambda: solver.probe_horizon(cycle_instance(3), 4, mode),\n"
+            f"for attempt in (lambda: solver.probe_horizon(cycle_instance(3), {horizon}, mode),\n"
             "                lambda: check(expansion, negative)):\n"
             "    try:\n"
             "        attempt()\n"
@@ -917,13 +938,33 @@ class TestDepartureLP:
         )
         lines = completed.stdout.split("\n")
         assert lines[:2] == ["optimize 1", "feasible False"]
-        assert lines[2].startswith("raised the length certificate at T=4 does not prove")
+        assert lines[2].startswith(f"raised the length certificate at T={horizon} does not prove")
         assert lines[3] == "raised the length certificate has a negative length"
+
+
+class TestDepartureLP(PathLPCases):
+    """Without storage a path never waits between its source and sink."""
+
+    mode = WITHOUT
+    infeasible_probes = 8
+
+    def cycle_minimum(self, k: int) -> int:
+        return 2 * k - 1
 
     def test_cycle20_search_is_decided(self):
         minimum, flow = min_feasible_horizon(cycle_instance(20), WITHOUT, 42)
         assert minimum == 39
         assert check_flow(flow, cycle_instance(20), WITHOUT).ok
+
+
+class TestWaitingPathLP(PathLPCases):
+    """With storage a path may wait at any node on its way."""
+
+    mode = WITH
+    infeasible_probes = 5
+
+    def cycle_minimum(self, k: int) -> int:
+        return k + 1
 
 
 class TestMovementSolution:
