@@ -10,6 +10,10 @@ time.
 All quantities are exact rationals (fractions.Fraction). Floats are
 rejected at the boundaries so that feasibility verdicts computed
 downstream are exact, never approximate.
+
+The parsers validate each distinct literal text once per document:
+rational() is the only literal grammar, and its result is reused for
+every repeat of the same text in that document.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-
-_ZERO = Fraction(0)
 
 
 class ParseError(ValueError):
@@ -195,19 +197,24 @@ class StepFunction:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self) -> None:
-        if self.domain_end <= 0:
+        # Compared in integers: p/q < r/s iff p*s < r*q, as q, s > 0.
+        end_num, end_den = self.domain_end.numerator, self.domain_end.denominator
+        if end_num <= 0:
             raise ValueError("domain end must be positive")
-        previous_end = _ZERO
+        previous_num, previous_den = 0, 1
         for index, piece in enumerate(self.pieces):
-            if piece.rate < 0:
+            start, end = piece.start, piece.end
+            start_num, start_den = start.numerator, start.denominator
+            num, den = end.numerator, end.denominator
+            if piece.rate.numerator < 0:
                 raise ValueError(f"piece {index}: rate must be nonnegative")
-            if piece.start < 0 or piece.end > self.domain_end:
+            if start_num < 0 or num * end_den > end_num * den:
                 raise ValueError(f"piece {index}: not contained in [0, {self.domain_end})")
-            if piece.start >= piece.end:
+            if start_num * den >= num * start_den:
                 raise ValueError(f"piece {index}: empty or reversed interval")
-            if piece.start < previous_end:
+            if start_num * previous_den < previous_num * start_den:
                 raise ValueError(f"piece {index}: overlaps or is out of order")
-            previous_end = piece.end
+            previous_num, previous_den = num, den
 
 
 def step_function(
@@ -234,10 +241,13 @@ class FlowOverTime:
     rates: dict[tuple[str, int], StepFunction]
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
+        # Fractions are in lowest terms: equal iff numerators and denominators are.
+        num, den = self.horizon.numerator, self.horizon.denominator
+        if num <= 0:
             raise ValueError("horizon must be positive")
         for key, step in self.rates.items():
-            if step.domain_end != self.horizon:
+            end = step.domain_end
+            if end.numerator != num or end.denominator != den:
                 raise ValueError(
                     f"rate for {key!r}: domain end {step.domain_end} differs from horizon {self.horizon}"
                 )
@@ -417,23 +427,30 @@ def _string_field(obj: dict, key: str, path: str) -> str:
     return value
 
 
-def _rational_field(obj: dict, key: str, path: str) -> Fraction:
+def _rational_field(obj: dict, key: str, path: str, literals: dict[str, Fraction]) -> Fraction:
+    """Read obj[key] as an exact rational.
+
+    String literals go through rational(), the only literal grammar, once
+    per document: literals maps each accepted text to its value.
+    """
     value = _get(obj, key, path)
-    field = f"{path}.{key}"
+    if type(value) is str:
+        cached = literals.get(value)
+        if cached is None:
+            try:
+                cached = literals[value] = rational(value)
+            except ValueError as exc:
+                raise ParseError(f"{path}.{key}: {exc}") from None
+        return cached
     if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{field}: must be an integer or a 'p/q' string (floats are not exact)")
+        raise ParseError(f"{path}.{key}: must be an integer or a 'p/q' string (floats are not exact)")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return rational(value)
-        except ValueError as exc:
-            raise ParseError(f"{field}: {exc}") from None
-    raise ParseError(f"{field}: must be an integer or a 'p/q' string")
+    raise ParseError(f"{path}.{key}: must be an integer or a 'p/q' string")
 
 
-def _integer_field(obj: dict, key: str, path: str) -> int:
-    value = _rational_field(obj, key, path)
+def _integer_field(obj: dict, key: str, path: str, literals: dict[str, Fraction]) -> int:
+    value = _rational_field(obj, key, path, literals)
     if value.denominator != 1:
         raise ParseError(f"{path}.{key}: must be an integer, got {format_rational(value)}")
     return int(value)
@@ -448,6 +465,7 @@ def parse_instance(text: str) -> Instance:
     """
     doc = _load_json(text, "instance")
     _require(isinstance(doc, dict), "instance", "must be a JSON object")
+    literals: dict[str, Fraction] = {}
 
     raw_nodes = _get(doc, "nodes", "instance")
     _require(isinstance(raw_nodes, list), "instance.nodes", "must be an array")
@@ -462,9 +480,9 @@ def parse_instance(text: str) -> Instance:
     for i, raw in enumerate(raw_arcs):
         path = f"arcs[{i}]"
         _require(isinstance(raw, dict), path, "must be a JSON object")
-        capacity = _rational_field(raw, "capacity", path)
+        capacity = _rational_field(raw, "capacity", path, literals)
         _require(capacity >= 0, f"{path}.capacity", "capacity must be nonnegative")
-        transit = _integer_field(raw, "transit", path)
+        transit = _integer_field(raw, "transit", path, literals)
         _require(transit >= 0, f"{path}.transit", "transit must be nonnegative")
         arcs.append(
             Arc(
@@ -482,7 +500,7 @@ def parse_instance(text: str) -> Instance:
     for i, raw in enumerate(raw_commodities):
         path = f"commodities[{i}]"
         _require(isinstance(raw, dict), path, "must be a JSON object")
-        demand = _rational_field(raw, "demand", path)
+        demand = _rational_field(raw, "demand", path, literals)
         _require(demand >= 0, f"{path}.demand", "demand must be nonnegative")
         commodities.append(
             Commodity(
@@ -522,11 +540,20 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def parse_flow(text: str) -> FlowOverTime:
-    """Parse a flow document. Structural defects raise ParseError."""
+    """Parse a flow document. Structural defects raise ParseError.
+
+    The decoded document is read once. Each field is first read
+    directly; only a value that is missing or not of its usual exact type
+    goes through the field readers, which accept it or raise the error
+    naming its path, so no path is formatted for a valid field. Every
+    piece's literals and signs are read before StepFunction checks the
+    order of the entry's pieces.
+    """
     doc = _load_json(text, "flow")
     _require(isinstance(doc, dict), "flow", "must be a JSON object")
+    literals: dict[str, Fraction] = {}
 
-    horizon = _rational_field(doc, "horizon", "flow")
+    horizon = _rational_field(doc, "horizon", "flow", literals)
     _require(horizon > 0, "flow.horizon", "horizon must be positive")
 
     raw_rates = _get(doc, "rates", "flow")
@@ -534,30 +561,46 @@ def parse_flow(text: str) -> FlowOverTime:
 
     rates: dict[tuple[str, int], StepFunction] = {}
     for i, raw in enumerate(raw_rates):
-        path = f"rates[{i}]"
-        _require(isinstance(raw, dict), path, "must be a JSON object")
-        arc_id = _string_field(raw, "arc", path)
-        commodity = _integer_field(raw, "commodity", path)
-        _require(commodity >= 0, f"{path}.commodity", "commodity index must be nonnegative")
+        if type(raw) is not dict:
+            raise ParseError(f"rates[{i}]: must be a JSON object")
+        arc_id = raw.get("arc")
+        if type(arc_id) is not str:
+            arc_id = _string_field(raw, "arc", f"rates[{i}]")
+        commodity = raw.get("commodity")
+        if type(commodity) is not int:
+            commodity = _integer_field(raw, "commodity", f"rates[{i}]", literals)
+        if commodity < 0:
+            raise ParseError(f"rates[{i}].commodity: commodity index must be nonnegative")
         key = (arc_id, commodity)
-        _require(key not in rates, path, f"duplicate rate entry for arc {arc_id!r}, commodity {commodity}")
+        if key in rates:
+            raise ParseError(f"rates[{i}]: duplicate rate entry for arc {arc_id!r}, commodity {commodity}")
+        raw_pieces = raw.get("pieces")
+        if type(raw_pieces) is not list:
+            _get(raw, "pieces", f"rates[{i}]")
+            raise ParseError(f"rates[{i}].pieces: must be an array")
 
-        raw_pieces = _get(raw, "pieces", path)
-        _require(isinstance(raw_pieces, list), f"{path}.pieces", "must be an array")
         pieces: list[Piece] = []
         for j, raw_piece in enumerate(raw_pieces):
-            piece_path = f"{path}.pieces[{j}]"
-            _require(isinstance(raw_piece, dict), piece_path, "must be a JSON object")
-            start = _rational_field(raw_piece, "from", piece_path)
-            end = _rational_field(raw_piece, "to", piece_path)
-            rate = _rational_field(raw_piece, "rate", piece_path)
-            _require(start >= 0, f"{piece_path}.from", "must be nonnegative")
-            _require(rate >= 0, f"{piece_path}.rate", "rate must be nonnegative")
+            # literals has only string keys, so a number, bool or null
+            # never matches and takes the field readers instead.
+            try:
+                start = literals[raw_piece["from"]]
+                end = literals[raw_piece["to"]]
+                rate = literals[raw_piece["rate"]]
+            except (KeyError, TypeError):
+                piece_path = f"rates[{i}].pieces[{j}]"
+                start = _rational_field(raw_piece, "from", piece_path, literals)
+                end = _rational_field(raw_piece, "to", piece_path, literals)
+                rate = _rational_field(raw_piece, "rate", piece_path, literals)
+            if start.numerator < 0:
+                raise ParseError(f"rates[{i}].pieces[{j}].from: must be nonnegative")
+            if rate.numerator < 0:
+                raise ParseError(f"rates[{i}].pieces[{j}].rate: rate must be nonnegative")
             pieces.append(Piece(start, end, rate))
         try:
             rates[key] = StepFunction(horizon, tuple(pieces))
         except ValueError as exc:
-            raise ParseError(f"{path}.pieces: {exc}") from None
+            raise ParseError(f"rates[{i}].pieces: {exc}") from None
 
     try:
         return FlowOverTime(horizon, rates)

@@ -246,7 +246,7 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
             constraint.rhs.denominator,
             *(v.denominator for v in constraint.coeffs.values()),
         )
-        row = {j: v.numerator * (den // v.denominator) for j, v in constraint.coeffs.items() if v != 0}
+        row = {j: v.numerator * (den // v.denominator) for j, v in constraint.coeffs.items() if v.numerator}
         b = constraint.rhs.numerator * (den // constraint.rhs.denominator)
         basic = None
         if constraint.relation == LESS_EQUAL:

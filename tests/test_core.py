@@ -263,6 +263,19 @@ class TestInstanceFormat:
         instance = random_instance(seed, 5, 8, 3, 3)
         assert parse_instance(serialize_instance(instance)) == instance
 
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_round_trip_random_instances_of_any_size(
+        self, seed: int, node_max: int, arc_max: int, commodity_max: int, tau_max: int
+    ):
+        instance = random_instance(seed, node_max, arc_max, commodity_max, tau_max)
+        assert parse_instance(serialize_instance(instance)) == instance
+
     def test_rational_demand_literal(self):
         text = serialize_instance(cycle_instance(3))
         doc = json.loads(text)
@@ -303,7 +316,173 @@ class TestInstanceFormat:
         assert serialize_instance(instance) == serialize_instance(instance)
 
 
+def _piece(start="0", end="2", rate="1") -> dict:
+    return {"from": start, "to": end, "rate": rate}
+
+
+def _entry(pieces=None, arc="a0", commodity=0) -> dict:
+    return {"arc": arc, "commodity": commodity, "pieces": [_piece()] if pieces is None else pieces}
+
+
+def _flow_doc(rates=None, horizon="5") -> dict:
+    return {"horizon": horizon, "rates": [_entry()] if rates is None else rates}
+
+
+# One malformed flow document per rejection branch of parse_flow, with the
+# exact message it raises. The last four have two defects each and pin
+# which one is reported: every piece's literals and signs are read before
+# the order of the pieces is checked.
+REJECTED_FLOWS = {
+    "not an object": ([], "flow: must be a JSON object"),
+    "missing horizon": ({"rates": []}, "flow: missing required key 'horizon'"),
+    "missing rates": ({"horizon": "5"}, "flow: missing required key 'rates'"),
+    "rates not an array": ({"horizon": "5", "rates": {}}, "flow.rates: must be an array"),
+    "float horizon": (
+        _flow_doc(horizon=5.0),
+        "flow.horizon: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "bool horizon": (
+        _flow_doc(horizon=True),
+        "flow.horizon: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "null horizon": (_flow_doc(horizon=None), "flow.horizon: must be an integer or a 'p/q' string"),
+    "zero horizon": (_flow_doc(horizon=0), "flow.horizon: horizon must be positive"),
+    "entry not an object": (_flow_doc(rates=[3]), "rates[0]: must be a JSON object"),
+    "missing arc": (
+        _flow_doc(rates=[{"commodity": 0, "pieces": []}]),
+        "rates[0]: missing required key 'arc'",
+    ),
+    "arc not a string": (_flow_doc(rates=[_entry(arc=7)]), "rates[0].arc: must be a string"),
+    "fractional commodity": (
+        _flow_doc(rates=[_entry(commodity="1/2")]),
+        "rates[0].commodity: must be an integer, got 1/2",
+    ),
+    "bool commodity": (
+        _flow_doc(rates=[_entry(commodity=True)]),
+        "rates[0].commodity: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "float commodity": (
+        _flow_doc(rates=[_entry(commodity=1.0)]),
+        "rates[0].commodity: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "negative commodity": (
+        _flow_doc(rates=[_entry(commodity=-1)]),
+        "rates[0].commodity: commodity index must be nonnegative",
+    ),
+    "duplicate pair": (
+        _flow_doc(rates=[_entry(), _entry(commodity="0")]),
+        "rates[1]: duplicate rate entry for arc 'a0', commodity 0",
+    ),
+    "missing pieces": (
+        _flow_doc(rates=[{"arc": "a0", "commodity": 0}]),
+        "rates[0]: missing required key 'pieces'",
+    ),
+    "pieces not an array": (_flow_doc(rates=[_entry(pieces={})]), "rates[0].pieces: must be an array"),
+    "piece not an object": (
+        _flow_doc(rates=[_entry(pieces=["0"])]),
+        "rates[0].pieces[0]: must be a JSON object",
+    ),
+    "missing to": (
+        _flow_doc(rates=[_entry(pieces=[{"from": "0", "rate": "1"}])]),
+        "rates[0].pieces[0]: missing required key 'to'",
+    ),
+    "zero denominator": (
+        _flow_doc(rates=[_entry(pieces=[_piece(start="1/0")])]),
+        "rates[0].pieces[0].from: denominator must be positive: '1/0'",
+    ),
+    "decimal literal": (
+        _flow_doc(rates=[_entry(pieces=[_piece(end="1.5")])]),
+        "rates[0].pieces[0].to: not a rational literal: '1.5'",
+    ),
+    "plus sign": (
+        _flow_doc(rates=[_entry(pieces=[_piece(rate="+1")])]),
+        "rates[0].pieces[0].rate: not a rational literal: '+1'",
+    ),
+    "float literal": (
+        _flow_doc(rates=[_entry(pieces=[_piece(rate=1.5)])]),
+        "rates[0].pieces[0].rate: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "bool literal": (
+        _flow_doc(rates=[_entry(pieces=[_piece(start=False)])]),
+        "rates[0].pieces[0].from: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "null literal": (
+        _flow_doc(rates=[_entry(pieces=[_piece(end=None)])]),
+        "rates[0].pieces[0].to: must be an integer or a 'p/q' string",
+    ),
+    "negative from": (
+        _flow_doc(rates=[_entry(pieces=[_piece(start="-1")])]),
+        "rates[0].pieces[0].from: must be nonnegative",
+    ),
+    "negative rate": (
+        _flow_doc(rates=[_entry(pieces=[_piece(rate="-1")])]),
+        "rates[0].pieces[0].rate: rate must be nonnegative",
+    ),
+    "reversed piece": (
+        _flow_doc(rates=[_entry(pieces=[_piece("3", "2")])]),
+        "rates[0].pieces: piece 0: empty or reversed interval",
+    ),
+    "empty piece": (
+        _flow_doc(rates=[_entry(pieces=[_piece("2", 2)])]),
+        "rates[0].pieces: piece 0: empty or reversed interval",
+    ),
+    "overlapping piece": (
+        _flow_doc(rates=[_entry(pieces=[_piece("0", "2"), _piece("3/2", "3")])]),
+        "rates[0].pieces: piece 1: overlaps or is out of order",
+    ),
+    "out-of-order piece": (
+        _flow_doc(rates=[_entry(pieces=[_piece("2", "3"), _piece("0", "1")])]),
+        "rates[0].pieces: piece 1: overlaps or is out of order",
+    ),
+    "piece beyond horizon": (
+        _flow_doc(rates=[_entry(pieces=[_piece("4", "11/2")])]),
+        "rates[0].pieces: piece 0: not contained in [0, 5)",
+    ),
+    "piece beyond a fractional horizon": (
+        _flow_doc(horizon="7/2", rates=[_entry(pieces=[_piece("0", "4")])]),
+        "rates[0].pieces: piece 0: not contained in [0, 7/2)",
+    ),
+    "two defects across entries": (
+        _flow_doc(rates=[_entry(pieces=[_piece(), _piece("3", "4", "-2")]), _entry(arc=9)]),
+        "rates[0].pieces[1].rate: rate must be nonnegative",
+    ),
+    "two defects across pieces": (
+        _flow_doc(rates=[_entry(pieces=[_piece("3", "2"), _piece("4", "5", "x")])]),
+        "rates[0].pieces[1].rate: not a rational literal: 'x'",
+    ),
+    "two defects in one piece": (
+        _flow_doc(rates=[_entry(pieces=[_piece("-1", "2", "x")])]),
+        "rates[0].pieces[0].rate: not a rational literal: 'x'",
+    ),
+    "reversed piece, then a negative start": (
+        _flow_doc(rates=[_entry(pieces=[_piece("2", "1"), _piece("-1", "3")])]),
+        "rates[0].pieces[1].from: must be nonnegative",
+    ),
+}
+
+
+@st.composite
+def flows(draw) -> FlowOverTime:
+    """A flow with fractional horizon, piece boundaries and rates; pieces may
+    touch, leave gaps, or be absent altogether."""
+    horizon = draw(st.fractions(min_value=Fraction(1, 12), max_value=40, max_denominator=12))
+    keys = draw(st.sets(st.tuples(st.text(max_size=3), st.integers(0, 6)), max_size=6))
+    rates: dict[tuple[str, int], StepFunction] = {}
+    for key in sorted(keys):
+        cuts = sorted(draw(st.sets(st.fractions(0, horizon, max_denominator=12), max_size=8)))
+        pieces = [
+            Piece(lo, hi, draw(st.fractions(min_value=0, max_value=10, max_denominator=30)))
+            for lo, hi in zip(cuts, cuts[1:])
+            if draw(st.booleans())
+        ]
+        rates[key] = StepFunction(horizon, tuple(pieces))
+    return FlowOverTime(horizon, rates)
+
+
 class TestFlowFormat:
+    @given(flows())
+    def test_round_trip_random_flows(self, flow: FlowOverTime):
+        assert parse_flow(serialize_flow(flow)) == flow
     def test_round_trip_schedule(self):
         flow = wait_schedule_with_storage(3)
         assert parse_flow(serialize_flow(flow)) == flow
@@ -324,3 +503,34 @@ class TestFlowFormat:
         doc["rates"].append(doc["rates"][0])
         with pytest.raises(ParseError, match="duplicate"):
             parse_flow(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_FLOWS))
+    def test_rejection_messages_are_pinned(self, name: str):
+        doc, message = REJECTED_FLOWS[name]
+        with pytest.raises(ParseError) as caught:
+            parse_flow(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_whitespace_and_json_integers_are_accepted(self):
+        doc = _flow_doc(
+            horizon=" 7/2 ",
+            rates=[
+                _entry(
+                    pieces=[_piece(" 3/2 ", 3, " 1/3"), _piece(3, "7/2", 2)],
+                    commodity="2",
+                )
+            ],
+        )
+        flow = parse_flow(json.dumps(doc))
+        assert flow == FlowOverTime(
+            Fraction(7, 2),
+            {
+                ("a0", 2): StepFunction(
+                    Fraction(7, 2),
+                    (
+                        Piece(Fraction(3, 2), Fraction(3), Fraction(1, 3)),
+                        Piece(Fraction(3), Fraction(7, 2), Fraction(2)),
+                    ),
+                )
+            },
+        )
