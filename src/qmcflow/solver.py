@@ -16,19 +16,26 @@ capacity row per movement copy and one flow conservation equality per
 Fulkerson, Management Sci. 1958):
 
 1. The first master holds each commodity's fewest-transit route over
-   open arcs, shifted to every departure that fits.
-2. lp_feasible decides the restricted master. A feasible master is a
-   feasible probe: its path values become an assignment of the
-   expansion's variables (assignment_from_paths), so every caller reads
-   one kind of witness.
+   open arcs, shifted to every departure that fits. The whole column
+   generation of a probe works on this one tableau.
+2. Phase one decides the restricted master. A feasible master is a
+   feasible probe: its path values are checked against the master's
+   rows in explicit code, then become an assignment of the expansion's
+   variables (assignment_from_paths), so every caller reads one kind of
+   witness.
 3. An infeasible master's final phase-one row gives exact duals: a
    capacity row's dual y_e is its slack's entry, and commodity i's
    demand dual y_i is the entry of any of its columns minus the sum of
    y_e along it, or the artificial's cost 1 if it has none.
 4. Each commodity is priced by one shortest path under the lengths
    l_e = -y_e >= 0, waiting at no cost where the mask allows. A path
-   with y_i - length > 0 enters, and the master is solved again from
-   scratch.
+   with y_i - length > 0 is appended to the tableau as a column, the
+   copies it uses that have no row yet as capacity rows with their
+   slacks basic, and phase one resumes from the basis it stopped at.
+   The new column is B^-1 A_p, read off the tableau by the same rule as
+   the duals: the slack columns of its copies, plus the column of
+   commodity i's artificial, or once that has left the basis, any of
+   i's columns minus the slack columns along it.
 
 When no path enters, the lengths prove the probe infeasible by the
 Japanese theorem (Iri 1971; Onaga and Kakusho 1971): sum_i d_i *
@@ -39,25 +46,31 @@ holdovers at length 0) that shares no code with pricing, and a failure
 raises RuntimeError. The certificate so proves the node-arc LP of the
 probe infeasible, whatever the masters did.
 
-Every LP is decided by a phase-one simplex in exact integer arithmetic
-(integer numerators over per-row denominators): artificial variables
-are attached to the equality rows and their sum is minimized; the
-problem is feasible exactly when that minimum is zero. The objective is
-one more tableau row: it is built from its cost row and updated at
-every pivot by the same elimination routine as every other row, and an
-infeasible verdict returns it. Artificials on zero right-hand sides
-start at value zero and are pinned there (fixed variables: excluded
-from the objective and from pricing, blocking the ratio test in either
-direction), so the objective carries only the genuine residuals. A path
-master has none, but general LPs do: the many zero balance rows of a
-node-arc LP would otherwise drown phase one in degenerate bookkeeping
-pivots. Pivoting is deterministic. The entering rule is largest reduced
-cost with smallest-index tie break, switching to Bland's smallest-index
-rule after a run of degenerate pivots; ties in the ratio test always go
-to the smallest basic variable index. Bland's rule guarantees the
-procedure cannot cycle, so it always terminates, and with exact
-arithmetic every verdict is exact. lp_feasible checks a feasible
-assignment row by row against its LP.
+Every LP, a general one (lp_feasible) or a path master, is decided by
+one phase-one simplex on one kind of tableau in exact integer
+arithmetic (integer numerators over per-row denominators): artificial
+variables are attached to the equality rows and their sum is minimized;
+the problem is feasible exactly when that minimum is zero. The
+objective is one more tableau row: it is built from its cost row and
+updated at every pivot by the same elimination routine as every other
+row, and an infeasible run leaves it for the duals. An index from each
+column to the rows where it is nonzero lets a pivot, the ratio test and
+the build of a new column touch only those rows. Artificials on zero
+right-hand sides start at value zero and are pinned there (fixed
+variables: excluded from the objective and from pricing, blocking the
+ratio test in either direction), so the objective carries only the
+genuine residuals. A path master has none, but general LPs do: the many
+zero balance rows of a node-arc LP would otherwise drown phase one in
+degenerate bookkeeping pivots. Pivoting is deterministic. The entering
+rule is largest reduced cost with smallest-index tie break, switching
+to Bland's smallest-index rule after a run of degenerate pivots; ties
+in the ratio test always go to the smallest basic variable index.
+Structural columns rank below every slack and artificials last, in the
+order they were added, so the first master of a probe pivots exactly as
+a master solved on its own. Bland's rule guarantees the procedure
+cannot cycle, so it always terminates, and with exact arithmetic every
+verdict is exact. lp_feasible checks a feasible assignment row by row
+against its LP.
 
 Least feasible integer horizons are found by probing, unless a
 commodity with positive demand has no source-sink path over arcs of
@@ -123,7 +136,6 @@ LESS_EQUAL = "<="
 EQUAL = "="
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Consecutive degenerate pivots tolerated before switching the entering
 # rule to Bland's. Any cycle consists solely of degenerate pivots, so
@@ -186,18 +198,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPResult:
-    """A verdict, with the assignment that witnesses a feasible one.
-
-    An infeasible verdict of lp_feasible carries phase_one_row, the
-    final phase-one objective row as (numerators, denominator): entry j
-    is pi.A_j - c_j for the phase-one duals pi, over columns 0..n-1 and
-    then one slack per <= row in row order; zero entries are left out.
-    Every entry is at most zero, since no column could enter.
-    """
+    """A verdict, with the assignment that witnesses a feasible one."""
 
     feasible: bool
     assignment: tuple[Fraction, ...] | None = None
-    phase_one_row: tuple[dict[int, int], int] | None = None
 
 
 def lp_feasible(lp: LinearProgram) -> LPResult:
@@ -217,30 +221,96 @@ def lp_feasible(lp: LinearProgram) -> LPResult:
 # are nonnegative, so -1 never collides.
 _RHS = -1
 
+# Column numbers: structural columns count up from 0 in the order they
+# are added, the slack of row r is _SLACK + r and its artificial _ART + r.
+# So slacks rank above every structural column and artificials last,
+# however many rows and columns are appended later; the entering rule,
+# Bland's rule and the ratio-test tie-break all compare these numbers.
+_SLACK = 1 << 40
+_ART = 1 << 41
 
-def _phase_one_exact(lp: LinearProgram) -> LPResult:
-    """Exact phase-one simplex on an integer tableau.
+
+class _Tableau:
+    """A phase-one tableau in exact integer arithmetic, which rows and
+    columns can be appended to between runs of phase one.
 
     Each row is a dict of integer numerators over one positive integer
-    denominator (dens[i]), reduced by their gcd after every update.
-    Rows 0..m-1 are the constraints and rows[m] is the objective; one
-    elimination routine (_eliminate) builds the objective and makes
-    every pivot's row update. Fractions appear nowhere in the hot path:
-    pivoting, pricing and ratio comparisons are all integer arithmetic,
-    which for this kind of near-unimodular matrix is an order of
-    magnitude faster than Fraction operations with their per-op
-    normalization.
+    denominator (dens[r]), reduced by their gcd after every update, and
+    basis[r] is its basic column. The phase-one objective is one more
+    such row (objective over objective_den), kept apart from rows; one
+    elimination routine (_eliminate) builds it and makes every pivot's
+    row update. rows_of maps each column to the rows where it may be
+    nonzero, so a pivot, the ratio test, the drop of a departed
+    artificial and the build of a new column touch only those rows. It
+    is exact for basic columns and may keep rows where a column has
+    cancelled to zero; its users skip those.
     """
-    dens: list[int] = []
-    n = lp.num_vars
-    slack_count = sum(1 for c in lp.constraints if c.relation == LESS_EQUAL)
-    art_start = n + slack_count
 
-    rows: list[dict[int, int]] = []
-    basis: list[int] = []
-    pinned: set[int] = set()
-    next_slack = n
-    next_art = art_start
+    def __init__(self) -> None:
+        self.rows: list[dict[int, int]] = []
+        self.dens: list[int] = []
+        self.basis: list[int] = []
+        self.pinned: set[int] = set()
+        self.objective: dict[int, int] = {}
+        self.objective_den = 1
+        self.rows_of: dict[int, set[int]] = {}
+
+    def add_row(self, row: dict[int, int], den: int, b: int, slack: bool) -> None:
+        """Append the row (row/den).x (+ its slack if slack) = b/den,
+        where row holds integer numerators on nonbasic structural columns.
+
+        The slack is basic when b >= 0; otherwise the row is negated and
+        an artificial is basic. An artificial on a zero right-hand side
+        is pinned (see the module docstring); any other joins the
+        objective: its cost -1 is priced out by adding its row.
+        """
+        r = len(self.rows)
+        basic = None
+        if slack:
+            basic = _SLACK + r
+            row[basic] = den
+        if b < 0:
+            row = {j: -v for j, v in row.items()}
+            b = -b
+            basic = None
+        if b:
+            row[_RHS] = b
+        if basic is None:
+            basic = _ART + r
+            row[basic] = den
+            if not b:
+                self.pinned.add(basic)
+        self.rows.append(row)
+        self.dens.append(den)
+        self.basis.append(basic)
+        for j in row:
+            if j != _RHS:
+                self.rows_of.setdefault(j, set()).add(r)
+        if basic >= _ART and b:
+            self.objective[basic] = -self.objective_den
+            self.objective_den = _eliminate(
+                self.objective, self.objective_den, -self.objective_den, row.items(), den
+            )
+
+    def values(self, n: int) -> list[Fraction]:
+        """The values of structural columns 0..n-1 at the current basis."""
+        values = [_ZERO] * n
+        for r, basic in enumerate(self.basis):
+            if basic < _SLACK:
+                values[basic] = Fraction(self.rows[r].get(_RHS, 0), self.dens[r])
+        return values
+
+
+def _phase_one_exact(lp: LinearProgram) -> LPResult:
+    """Decide a general LP: its rows in order on a new tableau, then
+    phase one. A feasible verdict carries the basic values.
+
+    Fractions appear nowhere in the hot path: pivoting, pricing and
+    ratio comparisons are all integer arithmetic, which for this kind of
+    near-unimodular matrix is an order of magnitude faster than Fraction
+    operations with their per-op normalization.
+    """
+    tableau = _Tableau()
     for constraint in lp.constraints:
         den = lcm(
             constraint.rhs.denominator,
@@ -248,54 +318,26 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
         )
         row = {j: v.numerator * (den // v.denominator) for j, v in constraint.coeffs.items() if v.numerator}
         b = constraint.rhs.numerator * (den // constraint.rhs.denominator)
-        basic = None
-        if constraint.relation == LESS_EQUAL:
-            slack = next_slack
-            next_slack += 1
-            row[slack] = den
-            if b >= 0:
-                basic = slack
-        if b < 0:
-            row = {j: -v for j, v in row.items()}
-            b = -b
-            basic = None
-        if b != 0:
-            row[_RHS] = b
-        if basic is None:
-            art = next_art
-            next_art += 1
-            row[art] = den
-            basic = art
-            if b == 0:
-                pinned.add(art)
-        rows.append(row)
-        dens.append(den)
-        basis.append(basic)
+        tableau.add_row(row, den, b, constraint.relation == LESS_EQUAL)
+    if not _run_phase_one(tableau):
+        return LPResult(False)
+    return LPResult(True, tuple(tableau.values(lp.num_vars)))
 
-    m = len(rows)
 
-    # Phase-one objective: minimize the sum of the unpinned artificials.
-    # rows[m] starts as their cost row, -1 in each of their columns, and
-    # each is priced out by eliminating it with its own row (factor -den,
-    # so that row is added). What remains are structural and slack
-    # columns and the _RHS cell, which carries the objective value: zero
-    # exactly when the LP is feasible.
-    objective = {a: -1 for a in basis if a >= art_start and a not in pinned}
-    rows.append(objective)
-    dens.append(1)
-    for i in range(m):
-        factor = objective.get(basis[i])
-        if factor is not None:
-            dens[m] = _eliminate(objective, dens[m], factor, rows[i].items(), dens[i])
-
+def _run_phase_one(tableau: _Tableau) -> bool:
+    """Run phase one from the tableau's current basis. True when the
+    objective, the sum of the unpinned artificials, reaches zero (the
+    rows are feasible); False when it is positive and no column can
+    enter, which leaves the final phase-one row in the objective."""
+    rows, basis, pinned = tableau.rows, tableau.basis, tableau.pinned
+    objective, rows_of = tableau.objective, tableau.rows_of
     bland = False
     degenerate_streak = 0
 
     while objective.get(_RHS, 0) > 0:
         entering = _entering_exact(objective, bland)
         if entering is None:
-            row = {j: v for j, v in objective.items() if j != _RHS}
-            return LPResult(False, None, (row, dens[m]))
+            return False
 
         # Ratio test over pairs (rhs numerator, pivot numerator), both
         # over the same row denominator, compared by cross
@@ -304,7 +346,7 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
         pivot_row = None
         best_num = best_den = 0
         best_basic = -1
-        for i in range(m):
+        for i in rows_of[entering]:
             coeff = rows[i].get(entering)
             if coeff is None:
                 continue
@@ -328,7 +370,7 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
             raise RuntimeError("phase-one ratio test found no pivot row")
 
         evicted_pinned = best_basic in pinned
-        _pivot_exact(rows, dens, basis, pivot_row, entering, art_start)
+        _pivot_exact(tableau, pivot_row, entering)
         pinned.discard(best_basic)
 
         # Evicting a pinned artificial is permanent progress, not a
@@ -341,12 +383,7 @@ def _phase_one_exact(lp: LinearProgram) -> LPResult:
         else:
             degenerate_streak = 0
             bland = False
-
-    assignment = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            assignment[basis[i]] = Fraction(rows[i].get(_RHS, 0), dens[i])
-    return LPResult(True, tuple(assignment))
+    return True
 
 
 def _entering_exact(objective: dict[int, int], bland: bool) -> int | None:
@@ -394,10 +431,11 @@ def _eliminate(row: dict[int, int], den: int, factor: int, source, source_den: i
     return _reduce_row(row, den * source_den)
 
 
-def _pivot_exact(rows, dens, basis, r, entering, art_start) -> None:
-    """Gaussian pivot on (r, entering) over every row, the objective
-    included: row r is divided by its entering value and entering is
-    eliminated from all other rows."""
+def _pivot_exact(tableau: _Tableau, r: int, entering: int) -> None:
+    """Gaussian pivot on (r, entering): row r is divided by its entering
+    value and entering is eliminated from every other row where it is
+    nonzero, the objective included."""
+    rows, dens, rows_of, objective = tableau.rows, tableau.dens, tableau.rows_of, tableau.objective
     pivot_row = rows[r]
     pivot_num = pivot_row[entering]
     if pivot_num < 0:
@@ -408,17 +446,31 @@ def _pivot_exact(rows, dens, basis, r, entering, art_start) -> None:
     # the new basic unit column.
     den_r = dens[r] = _reduce_row(pivot_row, pivot_num)
     pivot_items = tuple(pivot_row.items())
-    for i, row in enumerate(rows):
-        if i != r and (factor := row.get(entering)):
+    touched = rows_of[entering]
+    touched.discard(r)
+    for i in touched:
+        row = rows[i]
+        if factor := row.get(entering):
             dens[i] = _eliminate(row, dens[i], factor, pivot_items, den_r)
+    if factor := objective.get(entering):
+        tableau.objective_den = _eliminate(
+            objective, tableau.objective_den, factor, pivot_items, den_r
+        )
+    if touched:
+        # An updated row gains entries only in the pivot row's columns.
+        for j, _ in pivot_items:
+            if j != _RHS:
+                rows_of[j] |= touched
+    rows_of[entering] = {r}
 
-    leaving = basis[r]
-    basis[r] = entering
-    if leaving >= art_start:
+    leaving = tableau.basis[r]
+    tableau.basis[r] = entering
+    if leaving >= _ART:
         # A departed artificial never re-enters; drop its column so rows
         # stay sparse.
-        for row in rows:
-            row.pop(leaving, None)
+        for i in rows_of.pop(leaving):
+            rows[i].pop(leaving, None)
+        objective.pop(leaving, None)
 
 
 def probe_horizon(
@@ -437,25 +489,24 @@ def probe_horizon(
 
 
 def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
-    """Column generation over paths for one probe.
+    """Column generation over paths for one probe, on one warm tableau.
 
     The first master holds each commodity's fewest-transit route at
-    every departure that fits. An infeasible master's phase-one row
-    prices each commodity by one shortest path; a path with positive
-    reduced cost enters and the master is solved again from scratch.
-    When none enters, the lengths must pass the certificate check, or
-    RuntimeError is raised.
+    every departure that fits. While phase one ends infeasible, its
+    final row prices each commodity by one shortest path; the paths with
+    positive reduced cost are appended to the master and phase one
+    resumes from the basis it stopped at. When none enters, the lengths
+    must pass the certificate check, or RuntimeError is raised. A
+    feasible master's path values are checked (_master_values) and
+    become the expansion's assignment.
     """
     commodities = expansion.instance.commodities
     demanded = [i for i, goods in enumerate(commodities) if goods.demand > 0]
     paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
+    master = _PathMaster(expansion, demanded, paths)
     known = set(paths)
-    while True:
-        lp, copies = _path_master(expansion, paths, demanded)
-        result = lp_feasible(lp)
-        if result.feasible:
-            return LPResult(True, assignment_from_paths(expansion, paths, result.assignment))
-        lengths, duals = _master_duals(result, paths, copies, demanded)
+    while not _run_phase_one(master.tableau):
+        lengths, duals = _master_duals(master)
         priced = []
         for i in demanded:
             cheapest = cheapest_path(expansion, i, lengths)
@@ -469,62 +520,140 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
             # phase one, so pricing cannot pick one again.
             raise RuntimeError("pricing returned a column the master already has")
         known.update(priced)
-        paths += priced
+        master.add(priced)
+    values = _master_values(master)
+    return LPResult(True, assignment_from_paths(expansion, master.paths, values))
 
 
-def _path_master(
-    expansion: ExpandedNetwork, paths: list[tuple[int, Path]], demanded: list[int]
-) -> tuple[LinearProgram, list[tuple[str, int]]]:
-    """The restricted master over paths, and its capacity rows' copies.
+class _PathMaster:
+    """The restricted master of one probe, kept as one tableau.
 
     Column j is paths[j]. Rows: one capacity row per movement copy that
-    some path uses, in sorted order, then one demand equality per
-    commodity in demanded.
+    some path uses (row_of[copy], its slack basic) and one demand
+    equality per commodity in demanded (demand_row[i], its artificial
+    basic). The first master has the capacity rows of its copies in
+    sorted order, then the demand rows; the copies of paths added later
+    get their rows after those.
     """
-    instance = expansion.instance
-    capacity: dict[tuple[str, int], dict[int, Fraction]] = {}
-    demand: dict[int, dict[int, Fraction]] = {i: {} for i in demanded}
-    for j, (i, path) in enumerate(paths):
-        demand[i][j] = _ONE
-        for copy in path:
-            capacity.setdefault(copy, {})[j] = _ONE
-    copies = sorted(capacity)
+
+    def __init__(
+        self, expansion: ExpandedNetwork, demanded: list[int], paths: list[tuple[int, Path]]
+    ) -> None:
+        self.expansion = expansion
+        self.tableau = _Tableau()
+        self.paths: list[tuple[int, Path]] = []
+        self.row_of: dict[tuple[str, int], int] = {}
+        self.demand_row: dict[int, int] = {}
+        self.first_column: dict[int, int] = {}
+        self._add_capacity_rows(paths)
+        commodities = expansion.instance.commodities
+        for i in demanded:
+            self.demand_row[i] = len(self.tableau.rows)
+            demand = commodities[i].demand
+            self.tableau.add_row({}, demand.denominator, demand.numerator, False)
+        self.add(paths)
+
+    def _add_capacity_rows(self, paths: Sequence[tuple[int, Path]]) -> None:
+        """One capacity row, its slack basic, for each copy the paths use
+        that has none, in sorted order."""
+        arc_by_id = self.expansion.instance.network.arc_by_id
+        for copy in sorted({copy for _, path in paths for copy in path} - self.row_of.keys()):
+            self.row_of[copy] = len(self.tableau.rows)
+            capacity = arc_by_id[copy[0]].capacity
+            self.tableau.add_row({}, capacity.denominator, capacity.numerator, True)
+
+    def add(self, paths: Sequence[tuple[int, Path]]) -> None:
+        """Append the paths as columns, after the capacity rows of the
+        copies they use that have none.
+
+        A new column enters as B^-1 A_p, the same linear combination of
+        the tableau's columns as A_p is of the identity. The capacity
+        rows give sum_{e in p} (slack column of e). Commodity i's demand
+        row gives the column of its artificial; once the artificial has
+        departed, its column is i's first column q minus the slack
+        columns along q, since A_q is the sum of those unit columns. Its
+        objective entry follows by the same rule, plus the artificial's
+        cost 1 while i has no column.
+        """
+        self._add_capacity_rows(paths)
+        tableau = self.tableau
+        rows, rows_of, objective = tableau.rows, tableau.rows_of, tableau.objective
+        for i, path in paths:
+            j = len(self.paths)
+            plus = [_SLACK + self.row_of[copy] for copy in path]
+            q = self.first_column.get(i)
+            if q is None:
+                self.first_column[i] = j
+                plus.append(_ART + self.demand_row[i])
+                minus = []
+                cost = tableau.objective_den
+            else:
+                plus.append(q)
+                minus = [_SLACK + self.row_of[copy] for copy in self.paths[q][1]]
+                cost = 0
+            column: dict[int, int] = {}
+            for columns, sign in ((plus, 1), (minus, -1)):
+                for c in columns:
+                    for r in rows_of[c]:
+                        if v := rows[r].get(c):
+                            column[r] = column.get(r, 0) + sign * v
+            nonzero = set()
+            for r, v in column.items():
+                if v:
+                    rows[r][j] = v
+                    nonzero.add(r)
+            rows_of[j] = nonzero
+            value = cost + sum([objective.get(c, 0) for c in plus])
+            value -= sum([objective.get(c, 0) for c in minus])
+            if value:
+                objective[j] = value
+            self.paths.append((i, path))
+
+
+def _master_values(master: _PathMaster) -> list[Fraction]:
+    """The path values of a feasible master, read from its basis and
+    checked against its rows in explicit code: every value is
+    nonnegative, no copy carries more than its arc's capacity and every
+    commodity's demand is met exactly. A failed check raises
+    RuntimeError."""
+    values = master.tableau.values(len(master.paths))
+    instance = master.expansion.instance
+    load: dict[tuple[str, int], Fraction] = {}
+    met = dict.fromkeys(master.demand_row, _ZERO)
+    for (i, path), value in zip(master.paths, values):
+        if value < 0:
+            raise RuntimeError(f"the master gives a path of commodity {i} a negative value")
+        if value:
+            met[i] += value
+            for copy in path:
+                load[copy] = load.get(copy, _ZERO) + value
     arc_by_id = instance.network.arc_by_id
-    constraints = [
-        Constraint(capacity[copy], LESS_EQUAL, arc_by_id[copy[0]].capacity) for copy in copies
-    ]
-    constraints += [
-        Constraint(demand[i], EQUAL, instance.commodities[i].demand) for i in demanded
-    ]
-    return LinearProgram(len(paths), tuple(constraints)), copies
+    for copy, total in load.items():
+        if total > arc_by_id[copy[0]].capacity:
+            raise RuntimeError(f"the master overloads copy {copy} of the expansion")
+    for i, total in met.items():
+        if total != instance.commodities[i].demand:
+            raise RuntimeError(f"the master misses the demand of commodity {i}")
+    return values
 
 
-def _master_duals(
-    result: LPResult,
-    paths: list[tuple[int, Path]],
-    copies: list[tuple[str, int]],
-    demanded: list[int],
-) -> tuple[dict[tuple[str, int], int], dict[int, int]]:
+def _master_duals(master: _PathMaster) -> tuple[dict[tuple[str, int], int], dict[int, int]]:
     """Lengths and demand duals of an infeasible master, read from its
     final phase-one row as integer numerators over the row's denominator.
 
     The length of copy e is -y_e, where y_e is the entry of its capacity
     row's slack; copies with length 0 are left out. The demand dual y_i
-    is the entry of any of commodity i's columns plus the lengths along
+    is the entry of commodity i's first column plus the lengths along
     it, or the cost 1 of the row's artificial if i has no column.
     """
-    row, den = result.phase_one_row
-    n = len(paths)
+    objective = master.tableau.objective
     lengths = {}
-    for r, copy in enumerate(copies):
-        if value := -row.get(n + r, 0):
+    for copy, r in master.row_of.items():
+        if value := -objective.get(_SLACK + r, 0):
             lengths[copy] = value
-    duals: dict[int, int] = {}
-    for j, (i, path) in enumerate(paths):
-        if i not in duals:
-            duals[i] = row.get(j, 0) + sum([lengths.get(copy, 0) for copy in path])
-    for i in demanded:
-        duals.setdefault(i, den)
+    duals = dict.fromkeys(master.demand_row, master.tableau.objective_den)
+    for i, j in master.first_column.items():
+        duals[i] = objective.get(j, 0) + sum([lengths.get(copy, 0) for copy in master.paths[j][1]])
     return lengths, duals
 
 

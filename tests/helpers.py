@@ -1,8 +1,8 @@
 """Shared test utilities: flow truncation, exact integration of rate
 functions, flow-to-LP transcription, the unreduced reference LP and the
-lift of windowed assignments onto it, Fourier-Motzkin elimination as a
-reference for LP feasibility and the per-breakpoint reference flow
-checker."""
+lift of windowed assignments onto it, the cold path master, Fourier-Motzkin
+elimination as a reference for LP feasibility and the per-breakpoint
+reference flow checker."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from qmcflow.checker import (
     Violation,
 )
 from qmcflow.core import FlowOverTime, Instance, Piece, StepFunction, StorageMode
-from qmcflow.expansion import ExpandedNetwork
+from qmcflow.expansion import ExpandedNetwork, Path
 from qmcflow.solver import Constraint, LinearProgram
 
 ZERO = Fraction(0)
@@ -179,6 +179,32 @@ def satisfies_unreduced_lp(expansion: ExpandedNetwork, assignment) -> bool:
     """Whether an assignment of the expansion's variables, lifted onto
     unreduced_lp, satisfies every row of it."""
     return unreduced_lp(expansion).check_assignment(lift_assignment(expansion, assignment))
+
+
+def path_master_lp(
+    expansion: ExpandedNetwork, paths: list[tuple[int, Path]]
+) -> tuple[LinearProgram, list[tuple[str, int]]]:
+    """The restricted master over paths as a LinearProgram of its own,
+    built from scratch, and its capacity rows' copies.
+
+    Column j is paths[j]. Rows: one capacity row per movement copy that
+    some path uses, in sorted order, then one demand equality per
+    commodity with positive demand. It shares no code with the solver's
+    warm tableau, as the cold reference for its verdicts.
+    """
+    instance = expansion.instance
+    demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
+    capacity: dict[tuple[str, int], dict[int, Fraction]] = {}
+    demand: dict[int, dict[int, Fraction]] = {i: {} for i in demanded}
+    for j, (i, path) in enumerate(paths):
+        demand[i][j] = ONE
+        for copy in path:
+            capacity.setdefault(copy, {})[j] = ONE
+    copies = sorted(capacity)
+    arc_by_id = instance.network.arc_by_id
+    constraints = [Constraint(capacity[copy], "<=", arc_by_id[copy[0]].capacity) for copy in copies]
+    constraints += [Constraint(demand[i], "=", instance.commodities[i].demand) for i in demanded]
+    return LinearProgram(len(paths), tuple(constraints)), copies
 
 
 def _holds(equality: bool, rhs: Fraction) -> bool:

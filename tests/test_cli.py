@@ -127,14 +127,16 @@ class TestSolve:
         assert check_flow(flow, cycle_instance(4), StorageMode.NO_INTERMEDIATE_STORAGE).ok
 
     def test_emit_flow_solves_no_extra_lp(self, capsys, cycle4, tmp_path, monkeypatch):
+        # Every master of every probe, cold or resumed after a pricing
+        # round, is one run of phase one.
         calls = []
-        lp_feasible = solver.lp_feasible
+        run_phase_one = solver._run_phase_one
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return lp_feasible(*args, **kwargs)
+            return run_phase_one(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "lp_feasible", counted)
+        monkeypatch.setattr(solver, "_run_phase_one", counted)
         counts = []
         for extra in ([], ["--emit-flow", str(tmp_path / "flow.json")]):
             calls.clear()

@@ -54,6 +54,7 @@ from qmcflow.solver import (
 from helpers import (
     assignment_from_flow,
     fourier_motzkin_feasible,
+    path_master_lp,
     satisfies_unreduced_lp,
     unreduced_lp,
 )
@@ -255,6 +256,22 @@ class TestLPFeasible:
         assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
 
 
+def fresh_master_lp(
+    master: solver._PathMaster,
+) -> tuple[LinearProgram, list[tuple[str, int]]]:
+    """A path master that no pivot has touched, read back from its
+    tableau: its rows as an LP over its paths, and the copies of its
+    capacity rows in row order. A row holding its slack is a <= row."""
+    tableau = master.tableau
+    constraints = []
+    for r, (entries, den) in enumerate(zip(tableau.rows, tableau.dens)):
+        coeffs = {j: F(v, den) for j, v in entries.items() if 0 <= j < solver._SLACK}
+        relation = "<=" if solver._SLACK + r in entries else "="
+        constraints.append(Constraint(coeffs, relation, F(entries.get(solver._RHS, 0), den)))
+    copies = sorted(master.row_of, key=master.row_of.get)
+    return LinearProgram(len(master.paths), tuple(constraints)), copies
+
+
 class TestTranscription:
     """The path master's rows, and the expansion's variables and
     witnesses read against the unreduced node-arc LP."""
@@ -277,7 +294,7 @@ class TestTranscription:
     def test_capacity_rows_come_first(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         paths = [(i, path) for i in range(3) for path in route_departures(expansion, i)]
-        lp, copies = solver._path_master(expansion, paths, [0, 1, 2])
+        lp, copies = fresh_master_lp(solver._PathMaster(expansion, [0, 1, 2], paths))
         assert len(lp.constraints) == len(copies) + 3
         assert all(c.relation == "<=" for c in lp.constraints[: len(copies)])
         assert all(c.relation == "=" for c in lp.constraints[len(copies) :])
@@ -293,7 +310,7 @@ class TestTranscription:
         assert expansion.holdover_variables == (("v0", 0, 0), ("v1", 1, 0))
         paths = [(0, path) for path in route_departures(expansion, 0)]
         assert paths == [(0, (("a0", 0),))]
-        lp, copies = solver._path_master(expansion, paths, [0])
+        lp, copies = fresh_master_lp(solver._PathMaster(expansion, [0], paths))
         assert copies == [("a0", 0)]
         assert lp.num_vars == 1
         assert lp.constraints == (row({0: 1}, "<=", 1), row({0: 1}, "=", 1))
@@ -313,8 +330,9 @@ class TestTranscription:
                 cheapest = cheapest_path(expansion, i, lengths)
                 if cheapest is not None and (i, cheapest[1]) not in paths:
                     paths.append((i, cheapest[1]))
-            lp, copies = solver._path_master(expansion, paths, demanded)
+            lp, copies = fresh_master_lp(solver._PathMaster(expansion, demanded, paths))
             assert lp.num_vars == len(paths)
+            assert (lp, copies) == path_master_lp(expansion, paths)
 
             # One capacity row per movement copy some path uses, in
             # sorted order, holding exactly the paths through that copy.
@@ -470,8 +488,9 @@ class TestHorizonSearch:
 
     def test_uncertified_minimum_raises_even_under_python_O(self):
         # The flow checker certifies the minimum in explicit code, which
-        # python -O keeps. The patched lp_feasible corrupts every
-        # feasible assignment and skips the row check of the real one.
+        # python -O keeps. The patched _master_values corrupts the path
+        # values of every feasible master after the real ones passed
+        # their check.
         script = (
             "import sys\n"
             "from fractions import Fraction\n"
@@ -479,13 +498,10 @@ class TestHorizonSearch:
             "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
             "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
             "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
-            "solve = solver._phase_one_exact\n"
-            "def corrupted(lp):\n"
-            "    result = solve(lp)\n"
-            "    if not result.feasible:\n"
-            "        return result\n"
-            "    return solver.LPResult(True, tuple(v + 1 for v in result.assignment))\n"
-            "solver.lp_feasible = corrupted\n"
+            "values = solver._master_values\n"
+            "def corrupted(master):\n"
+            "    return [v + 1 for v in values(master)]\n"
+            "solver._master_values = corrupted\n"
             "print('optimize', sys.flags.optimize)\n"
             "try:\n"
             "    solver.min_feasible_horizon(instance, StorageMode.WITH_STORAGE, 10)\n"
@@ -503,6 +519,52 @@ class TestHorizonSearch:
             check=True,
         )
         assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+
+    def test_unchecked_master_values_raise_even_under_python_O(self):
+        # A feasible master's path values are checked in explicit code,
+        # which python -O keeps. The one path of the single-arc instance
+        # is given the value 1 (the real one), -1, 2 (over the arc's
+        # capacity 1) and 0 (short of the demand 1).
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from qmcflow import solver\n"
+            "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
+            "from qmcflow.expansion import build_time_expanded, route_departures\n"
+            "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
+            "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
+            "expansion = build_time_expanded(instance, 2, StorageMode.WITH_STORAGE)\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "for value in (1, -1, 2, 0):\n"
+            "    paths = [(0, path) for path in route_departures(expansion, 0)]\n"
+            "    master = solver._PathMaster(expansion, [0], paths)\n"
+            "    print('feasible', solver._run_phase_one(master.tableau))\n"
+            "    r = master.tableau.basis.index(0)\n"
+            "    master.tableau.rows[r][solver._RHS] = value * master.tableau.dens[r]\n"
+            "    try:\n"
+            "        print('returned', solver._master_values(master))\n"
+            "    except RuntimeError as error:\n"
+            "        print('raised', error)\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        assert completed.stdout.split("\n")[:9] == [
+            "optimize 1",
+            "feasible True",
+            "returned [Fraction(1, 1)]",
+            "feasible True",
+            "raised the master gives a path of commodity 0 a negative value",
+            "feasible True",
+            "raised the master overloads copy ('a0', 0) of the expansion",
+            "feasible True",
+            "raised the master misses the demand of commodity 0",
+        ]
 
     @example(seed=None)
     @given(st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)))
@@ -558,7 +620,12 @@ class TestHorizonSearch:
         # The pivot rules are deterministic, so the pivots each search
         # makes are fixed; a change of entering rule, ratio-test
         # tie-break or Bland trigger shows here. They are the path
-        # masters' pivots, summed over each probe's column generation.
+        # masters' pivots, summed over each probe's column generation,
+        # which resumes phase one from the last basis after each
+        # pricing round. Without storage each probe of the cycle has
+        # one master, whose rows and columns are in the same order as
+        # when every master was solved from scratch, so those counts
+        # are the cold ones.
         pivots: dict[tuple[int, StorageMode], int] = {}
         pending = [0]
         pivot = solver._pivot_exact
@@ -575,13 +642,13 @@ class TestHorizonSearch:
         monkeypatch.setattr(solver, "_pivot_exact", counted)
         gap_sweep(3, 6, observer=record)
         assert pivots == {
-            (3, WITH): 34,
+            (3, WITH): 29,
             (3, WITHOUT): 26,
-            (4, WITH): 70,
+            (4, WITH): 43,
             (4, WITHOUT): 42,
-            (5, WITH): 177,
+            (5, WITH): 79,
             (5, WITHOUT): 53,
-            (6, WITH): 356,
+            (6, WITH): 112,
             (6, WITHOUT): 90,
         }
 
@@ -764,7 +831,7 @@ class TestWindowPresolve:
         paths = [(0, path) for path in route_departures(expansion, 0)]
         assert paths == [(0, (("a0", 0),))]
         assert route_departures(expansion, 1) == []
-        lp, copies = solver._path_master(expansion, paths, [0, 1])
+        lp, copies = fresh_master_lp(solver._PathMaster(expansion, [0, 1], paths))
         # The first master has no capacity row for the unused copy a1@0.
         # The empty demand row of commodity 1 stays, so the LP is
         # infeasible.
@@ -799,19 +866,67 @@ def complete_digraph_instance() -> Instance:
     return Instance(Network(tuple(f"n{i}" for i in range(6)), arcs), commodities)
 
 
+def assert_demand_part_rule(master: solver._PathMaster) -> None:
+    """The rule a new column's demand part is built by: for every row of
+    the tableau, the objective included, entry j minus the entries of
+    the slacks along path j is the same for all of one commodity's
+    columns j, and equals the entry of its artificial while that is
+    still a column (plus the artificial's cost 1 in the objective)."""
+    tableau = master.tableau
+    rows = [(entries, 0) for entries in tableau.rows]
+    rows.append((tableau.objective, tableau.objective_den))
+    for i, demand_row in master.demand_row.items():
+        own = [j for j, (commodity, _) in enumerate(master.paths) if commodity == i]
+        slacks = {j: [solver._SLACK + master.row_of[e] for e in master.paths[j][1]] for j in own}
+        artificial = solver._ART + demand_row
+        live = any(artificial in entries for entries, _ in rows)
+        for entries, cost in rows:
+            parts = {entries.get(j, 0) - sum(entries.get(c, 0) for c in slacks[j]) for j in own}
+            if live:
+                parts.add(entries.get(artificial, 0) + cost)
+            assert len(parts) <= 1, (i, parts)
+
+
+class RecordedMaster(solver._PathMaster):
+    """A path master that counts its appends (one per run of phase one)
+    and checks the demand-part rule after each."""
+
+    def __init__(self, *args) -> None:
+        self.appends = 0
+        super().__init__(*args)
+
+    def add(self, paths) -> None:
+        super().add(paths)
+        self.appends += 1
+        assert_demand_part_rule(self)
+
+
 def assert_matches_the_node_arc_lp(instance: Instance, horizon: int, mode: StorageMode):
     """Probe in the mode and check the verdict against the unreduced
-    node-arc LP's; returns the probe's (expansion, result). A feasible
-    verdict's assignment must satisfy every row of that LP, which proves
-    it feasible; an infeasible verdict must agree with lp_feasible on
-    it. (Solving the feasible node-arc LPs with storage would take
-    minutes at k = 8.)"""
-    expansion, result = probe_horizon(instance, horizon, mode)
+    node-arc LP's; returns the probe's (expansion, result, final master).
+    A feasible verdict's assignment must satisfy every row of that LP,
+    which proves it feasible; an infeasible verdict must agree with
+    lp_feasible on it. (Solving the feasible node-arc LPs with storage
+    would take minutes at k = 8.) The verdict of the warm master must
+    also equal lp_feasible's on the same final master built from
+    scratch, and the demand-part rule must hold after every append."""
+    masters: list[RecordedMaster] = []
+
+    def recorded(*args) -> RecordedMaster:
+        masters.append(RecordedMaster(*args))
+        return masters[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_PathMaster", recorded)
+        expansion, result = probe_horizon(instance, horizon, mode)
+    [master] = masters
+    cold, _ = path_master_lp(expansion, master.paths)
+    assert lp_feasible(cold).feasible == result.feasible, (instance, horizon, mode)
     if result.feasible:
         assert satisfies_unreduced_lp(expansion, result.assignment), (instance, horizon, mode)
     else:
         assert not full_verdict(expansion), (instance, horizon, mode)
-    return expansion, result
+    return expansion, result, master
 
 
 @settings(max_examples=200, deadline=None)
@@ -845,31 +960,33 @@ class PathLPCases:
         ]
         assert verdicts == [t >= self.cycle_minimum(k) for t in horizons]
 
+    def test_pricing_rounds_resume_one_tableau(self):
+        # The tight probe of the k=6 cycle, and the probe below it. With
+        # storage, pricing appends waiting paths over several rounds,
+        # each checked against the demand-part rule; without storage
+        # the first master is final.
+        minimum = self.cycle_minimum(6)
+        rounds = [
+            assert_matches_the_node_arc_lp(cycle_instance(6), t, self.mode)[2].appends
+            for t in (minimum - 1, minimum)
+        ]
+        assert rounds == self.cycle6_rounds
+
     def test_random_verdicts_match_the_node_arc_lp(self):
         random_probes_match_the_node_arc_lp(self.mode)
 
-    def test_dense_instance_verdicts_match_with_few_columns(self, monkeypatch):
-        # full_verdict calls this module's lp_feasible, so only the
-        # masters are counted.
-        masters: list[int] = []
-        feasible = solver.lp_feasible
-
-        def counted(lp):
-            masters.append(lp.num_vars)
-            return feasible(lp)
-
-        monkeypatch.setattr(solver, "lp_feasible", counted)
+    def test_dense_instance_verdicts_match_with_few_columns(self):
         verdicts = []
         for horizon in range(3, 11):
-            masters.clear()
-            expansion, result = assert_matches_the_node_arc_lp(
+            expansion, result, master = assert_matches_the_node_arc_lp(
                 complete_digraph_instance(), horizon, self.mode
             )
             verdicts.append(result.feasible)
-            # Pricing keeps the master small: at most 40 columns in
-            # either mode, against up to 447 (copy, commodity) window
-            # variables.
-            assert len(masters) <= 12 and max(masters) <= 64, (horizon, masters)
+            # Pricing keeps the master small: at most 12 rounds and 64
+            # final columns in either mode, against up to 447 (copy,
+            # commodity) window variables.
+            rounds = (master.appends, len(master.paths))
+            assert master.appends <= 12 and len(master.paths) <= 64, (horizon, rounds)
         assert len(expansion.movement_variables) == 447
         assert verdicts == [False] * 4 + [True] * 4
 
@@ -947,6 +1064,7 @@ class TestDepartureLP(PathLPCases):
 
     mode = WITHOUT
     infeasible_probes = 8
+    cycle6_rounds = [1, 1]
 
     def cycle_minimum(self, k: int) -> int:
         return 2 * k - 1
@@ -962,9 +1080,30 @@ class TestWaitingPathLP(PathLPCases):
 
     mode = WITH
     infeasible_probes = 5
+    cycle6_rounds = [1, 8]
 
     def cycle_minimum(self, k: int) -> int:
         return k + 1
+
+    def test_cycle20_tight_probe_takes_few_pivots(self, monkeypatch):
+        # The tight probe at T = k + 1 needs about one waiting path per
+        # commodity per round. Phase one resumes from the last basis
+        # after each round; solving each master from scratch took
+        # 18,079 pivots here.
+        pivots = [0]
+        pivot = solver._pivot_exact
+
+        def counted(*args):
+            pivots[0] += 1
+            return pivot(*args)
+
+        monkeypatch.setattr(solver, "_pivot_exact", counted)
+        expansion, result = probe_horizon(cycle_instance(20), 21, WITH)
+        assert result.feasible
+        assert check_flow(
+            extract_flow_over_time(expansion, result.assignment), cycle_instance(20), WITH
+        ).ok
+        assert pivots[0] <= 1000
 
 
 class TestMovementSolution:
