@@ -76,15 +76,17 @@ Least feasible integer horizons are found by probing, unless a
 commodity with positive demand has no source-sink path over arcs of
 positive capacity, which no horizon can fix. Probing starts at the
 largest shortest transit time over arcs of positive capacity plus one
-among commodities with positive demand, doubles until feasible, then
-binary searches. No flow crosses an arc of capacity zero, and a
-movement copy entered at theta arrives by T - 1, so a commodity needs
-T >= its shortest open-arc transit + 1. The search is sound because
-feasibility is monotone in the horizon (any schedule for T is also one
-for T+1). Before a search returns its minimum, the witness of that
-probe is turned into a flow over time and certified by the independent
-checker (check_flow); the search returns that flow together with the
-minimum.
+among commodities with positive demand, gallops up from there with gaps
+1, 2, 4, ... until a probe is feasible, then bisects between the last
+infeasible probe and that feasible one. No flow crosses an arc of
+capacity zero, and a movement copy entered at theta arrives by T - 1,
+so a commodity needs T >= its shortest open-arc transit + 1. A speed-up
+report bisects the no-storage search inside [W, 2W], W the with-storage
+minimum. The search is sound because feasibility is monotone in the
+horizon (any schedule for T is also one for T+1).
+Before a search returns its minimum, the witness of that probe is
+turned into a flow over time and certified by the independent checker
+(check_flow); the search returns that flow together with the minimum.
 """
 
 from __future__ import annotations
@@ -719,6 +721,56 @@ def _relaxed_distance(graph, commodity: int, start, target) -> int | None:
 Observer = Callable[[int, ExpandedNetwork, LPResult], None]
 
 
+class _Search:
+    """The probes of one horizon search: verdicts are kept, so no
+    horizon is probed twice, and the last feasible probe is the witness."""
+
+    def __init__(self, instance: Instance, mode: StorageMode, observer: Observer | None) -> None:
+        self.instance = instance
+        self.mode = mode
+        self.observer = observer
+        self.verdicts: dict[int, bool] = {}
+        self.witness: tuple[ExpandedNetwork, LPResult] | None = None
+
+    def feasible(self, horizon: int) -> bool:
+        if horizon not in self.verdicts:
+            expansion, result = probe_horizon(self.instance, horizon, self.mode)
+            if self.observer is not None:
+                self.observer(horizon, expansion, result)
+            if result.feasible:
+                self.witness = expansion, result
+            self.verdicts[horizon] = result.feasible
+        return self.verdicts[horizon]
+
+    def least(self, lo: int, top: int) -> tuple[int, FlowOverTime]:
+        """The least feasible horizon in [lo, top], given that every
+        horizon below lo is infeasible, and its flow certified by
+        check_flow (RuntimeError if rejected). Bisection probes top last,
+        only if every horizon below it is infeasible; NoHorizonFound if
+        top is infeasible too."""
+        hi = top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.feasible(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo > top or not self.feasible(lo):
+            raise NoHorizonFound(
+                f"no feasible horizon <= {top} in mode {self.mode.value} "
+                f"(infeasible at T={top})"
+            )
+        expansion, result = self.witness
+        flow = extract_flow_over_time(expansion, result.assignment)
+        violations = check_flow(flow, self.instance, self.mode).violations
+        if expansion.horizon != lo or violations:
+            raise RuntimeError(
+                f"the witness at T={expansion.horizon} does not certify the minimum {lo}"
+                f" ({len(violations)} checker violation(s))"
+            )
+        return lo, flow
+
+
 def min_feasible_horizon(
     instance: Instance,
     mode: StorageMode,
@@ -731,20 +783,18 @@ def min_feasible_horizon(
 
     Raises NoHorizonFound when even t_max is infeasible, and ValueError
     for invalid instances. The search never misses a smaller feasible
-    horizon: probing starts at a proven lower bound, the largest
-    shortest transit over arcs of positive capacity plus one among
-    commodities with positive demand (only those arcs carry flow, and
-    movement copies arrive by T - 1, so delivering anything needs a
-    horizon beyond its path transit), doubles until feasible and binary
-    searches the remaining bracket, whose lower end is never below that
-    bound; all of this is justified by monotonicity of feasibility in T.
-    Each horizon is probed at most once: the doubling probes increase
-    strictly, and every binary-search midpoint lies in [lo, hi - 1],
-    while every horizon probed before lies below lo or at or above hi.
-    The optional observer receives every (horizon, expansion, result)
-    probed. Each feasible probe is at a smaller horizon than the one
-    before, so the last feasible result the observer receives is at the
-    returned minimum.
+    horizon: it starts at a proven lower bound L, the largest shortest
+    transit over arcs of positive capacity plus one among commodities
+    with positive demand (only those arcs carry flow, and movement copies
+    arrive by T - 1, so delivering anything needs a horizon beyond its
+    path transit). It probes L, L + 1, L + 3, L + 7, ... (capped at
+    t_max) until one is feasible, then bisects strictly between the last
+    infeasible probe and that feasible one, which monotonicity of
+    feasibility in T justifies. No horizon is probed twice. The optional
+    observer receives every (horizon, expansion, result) probed. Each
+    feasible probe is at a smaller horizon than the one before, so the
+    last feasible result the observer receives is at the returned
+    minimum.
 
     A commodity with positive demand and no source-sink path over arcs
     of positive capacity makes every horizon infeasible, so the search
@@ -782,44 +832,15 @@ def min_feasible_horizon(
                 )
             lower = max(lower, transit + 1)
 
-    witness: list = []
-
-    def feasible(horizon: int) -> bool:
-        expansion, result = probe_horizon(instance, horizon, mode)
-        if observer is not None:
-            observer(horizon, expansion, result)
-        if result.feasible:
-            witness[:] = [expansion, result]
-        return result.feasible
-
-    probe = min(lower, t_max)
-    last_infeasible = probe - 1
-    while not feasible(probe):
-        last_infeasible = probe
-        if probe >= t_max:
-            raise NoHorizonFound(
-                f"no feasible horizon <= {t_max} in mode {mode.value} "
-                f"(infeasible at T={t_max})"
-            )
-        probe = min(probe * 2, t_max)
-
-    lo, hi = last_infeasible + 1, probe
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-
-    expansion, result = witness
-    flow = extract_flow_over_time(expansion, result.assignment)
-    violations = check_flow(flow, instance, mode).violations
-    if expansion.horizon != lo or violations:
-        raise RuntimeError(
-            f"the witness at T={expansion.horizon} does not certify the minimum {lo}"
-            f" ({len(violations)} checker violation(s))"
-        )
-    return lo, flow
+    search = _Search(instance, mode, observer)
+    lo = top = min(lower, t_max)
+    gap = 1
+    while not search.feasible(top):
+        lo = top + 1
+        if top == t_max:
+            break
+        top, gap = min(top + gap, t_max), 2 * gap
+    return search.least(lo, top)
 
 
 @dataclass(frozen=True)
@@ -842,19 +863,19 @@ def speedup_ratio(
 ) -> SpeedupReport:
     """Minimum horizons with and without storage, and their ratio.
 
-    Storage speeds things up by at most a factor of two, so the
-    no-storage search never looks past 2 * minT_with; a violation of
-    that bound would surface loudly as NoHorizonFound, never as a
-    silently wrong minimum.
+    The no-storage search bisects [W, min(t_max, 2W)], where W is the
+    with-storage minimum, probing the top last. W is a proven lower end:
+    each no-storage expansion's variables are a subset of the
+    with-storage ones, and W - 1 was ruled out by a checked length
+    certificate or by the transit bound. Storage speeds things up by at
+    most a factor of two; a violation of that bound would surface loudly
+    as NoHorizonFound, never as a silently wrong minimum.
     """
     with_storage, _ = min_feasible_horizon(
         instance, StorageMode.WITH_STORAGE, t_max, observer=observer
     )
-    without_storage, _ = min_feasible_horizon(
-        instance,
-        StorageMode.NO_INTERMEDIATE_STORAGE,
-        min(t_max, 2 * with_storage),
-        observer=observer,
+    without_storage, _ = _Search(instance, StorageMode.NO_INTERMEDIATE_STORAGE, observer).least(
+        with_storage, min(t_max, 2 * with_storage)
     )
     return SpeedupReport(with_storage, without_storage)
 

@@ -642,15 +642,54 @@ class TestHorizonSearch:
         monkeypatch.setattr(solver, "_pivot_exact", counted)
         gap_sweep(3, 6, observer=record)
         assert pivots == {
-            (3, WITH): 29,
-            (3, WITHOUT): 26,
-            (4, WITH): 43,
-            (4, WITHOUT): 42,
-            (5, WITH): 79,
-            (5, WITHOUT): 53,
-            (6, WITH): 112,
-            (6, WITHOUT): 90,
+            (3, WITH): 11,
+            (3, WITHOUT): 23,
+            (4, WITH): 17,
+            (4, WITHOUT): 24,
+            (5, WITH): 26,
+            (5, WITHOUT): 43,
+            (6, WITH): 39,
+            (6, WITHOUT): 67,
         }
+
+    def test_cycles_with_storage_probe_the_bound_and_the_minimum(self):
+        # The transit bound k is infeasible and k + 1 is the minimum, so
+        # the gallop stops at its second probe and nothing is bisected.
+        for k in range(3, 9):
+            probes: list[int] = []
+            minimum, _ = min_feasible_horizon(
+                cycle_instance(k), WITH, 4 * k, observer=lambda t, *rest: probes.append(t)
+            )
+            assert (minimum, probes) == (k + 1, [k, k + 1]), k
+
+    @settings(max_examples=40, deadline=None)
+    @example(seed=None)
+    @given(st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)))
+    def test_search_matches_a_linear_scan(self, seed: int | None):
+        # In both modes the galloping search finds the least feasible
+        # horizon of a scan from T=1, and the bracketed no-storage search
+        # of speedup_ratio agrees with an independent search under the
+        # same generous bound. seed None stands for the k=3 cycle, whose
+        # minima differ (4 and 5); on these small random instances
+        # storage shortened the horizon for none of seeds 1..200.
+        instance = cycle_instance(3) if seed is None else random_instance(seed, 4, 6, 2, 3)
+        t_max = 40
+        minima = {}
+        for mode in (WITH, WITHOUT):
+            scan = next(
+                (t for t in range(1, t_max + 1) if probe_horizon(instance, t, mode)[1].feasible),
+                None,
+            )
+            try:
+                minima[mode] = min_feasible_horizon(instance, mode, t_max)[0]
+            except NoHorizonFound:
+                minima[mode] = None
+            assert minima[mode] == scan, mode
+        if minima[WITH] is None:
+            with pytest.raises(NoHorizonFound):
+                speedup_ratio(instance, t_max)
+        else:
+            assert speedup_ratio(instance, t_max) == SpeedupReport(minima[WITH], minima[WITHOUT])
 
     def test_sweep_probe_order(self):
         probes: dict[tuple[int, StorageMode], list[int]] = {}
@@ -660,13 +699,17 @@ class TestHorizonSearch:
             probes.setdefault(key, []).append(horizon)
 
         gap_sweep(3, 5, observer=record)
+        # With storage the search gallops up from the transit bound k
+        # and stops at the minimum k + 1. Without storage it bisects
+        # [k + 1, 2k + 2], the bracket of the with-storage minimum, and
+        # probes its top last.
         assert probes == {
-            (3, WITH): [3, 6, 5, 4],
-            (3, WITHOUT): [3, 6, 5, 4],
-            (4, WITH): [4, 8, 6, 5],
-            (4, WITHOUT): [4, 8, 6, 7],
-            (5, WITH): [5, 10, 8, 7, 6],
-            (5, WITHOUT): [5, 10, 8, 9],
+            (3, WITH): [3, 4],
+            (3, WITHOUT): [6, 5, 4],
+            (4, WITH): [4, 5],
+            (4, WITHOUT): [7, 6],
+            (5, WITH): [5, 6],
+            (5, WITHOUT): [9, 7, 8],
         }
 
 
@@ -1063,7 +1106,7 @@ class TestDepartureLP(PathLPCases):
     """Without storage a path never waits between its source and sink."""
 
     mode = WITHOUT
-    infeasible_probes = 8
+    infeasible_probes = 11
     cycle6_rounds = [1, 1]
 
     def cycle_minimum(self, k: int) -> int:
@@ -1079,7 +1122,7 @@ class TestWaitingPathLP(PathLPCases):
     """With storage a path may wait at any node on its way."""
 
     mode = WITH
-    infeasible_probes = 5
+    infeasible_probes = 6
     cycle6_rounds = [1, 8]
 
     def cycle_minimum(self, k: int) -> int:
@@ -1146,6 +1189,18 @@ class TestSweep:
             "4,5,7,7/5\n"
             "6,7,11,11/7\n"
         )
+
+    def test_no_storage_probes_stay_in_the_bracket(self):
+        probes: dict[tuple[int, StorageMode], list[int]] = {}
+
+        def record(horizon, expansion, result):
+            key = (len(expansion.instance.network.nodes), expansion.mode)
+            probes.setdefault(key, []).append(horizon)
+
+        reports = gap_sweep(3, 8, observer=record)
+        for k, report in reports.items():
+            with_storage = report.with_storage
+            assert all(with_storage <= t <= 2 * with_storage for t in probes[k, WITHOUT]), k
 
     def test_explicit_bound_too_small_propagates(self):
         with pytest.raises(NoHorizonFound):
