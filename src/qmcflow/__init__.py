@@ -53,14 +53,11 @@ from .instances import (
     wave_schedule_no_storage,
 )
 from .solver import (
-    Constraint,
-    LinearProgram,
     LPResult,
     NoHorizonFound,
     SpeedupReport,
     gap_csv,
     gap_sweep,
-    lp_feasible,
     min_feasible_horizon,
     probe_horizon,
     speedup_ratio,
@@ -73,7 +70,6 @@ __all__ = [
     "CAPACITY",
     "CONSERVATION",
     "Commodity",
-    "Constraint",
     "CycleParams",
     "DEMAND",
     "Defect",
@@ -81,7 +77,6 @@ __all__ = [
     "FlowOverTime",
     "Instance",
     "LPResult",
-    "LinearProgram",
     "Network",
     "NoHorizonFound",
     "ParseError",
@@ -100,7 +95,6 @@ __all__ = [
     "format_rational",
     "gap_csv",
     "gap_sweep",
-    "lp_feasible",
     "min_feasible_horizon",
     "parse_flow",
     "parse_instance",

@@ -46,31 +46,25 @@ holdovers at length 0) that shares no code with pricing, and a failure
 raises RuntimeError. The certificate so proves the node-arc LP of the
 probe infeasible, whatever the masters did.
 
-Every LP, a general one (lp_feasible) or a path master, is decided by
-one phase-one simplex on one kind of tableau in exact integer
-arithmetic (integer numerators over per-row denominators): artificial
-variables are attached to the equality rows and their sum is minimized;
-the problem is feasible exactly when that minimum is zero. The
-objective is one more tableau row: it is built from its cost row and
-updated at every pivot by the same elimination routine as every other
-row, and an infeasible run leaves it for the duals. An index from each
-column to the rows where it is nonzero lets a pivot, the ratio test and
-the build of a new column touch only those rows. Artificials on zero
-right-hand sides start at value zero and are pinned there (fixed
-variables: excluded from the objective and from pricing, blocking the
-ratio test in either direction), so the objective carries only the
-genuine residuals. A path master has none, but general LPs do: the many
-zero balance rows of a node-arc LP would otherwise drown phase one in
-degenerate bookkeeping pivots. Pivoting is deterministic. The entering
-rule is largest reduced cost with smallest-index tie break, switching
-to Bland's smallest-index rule after a run of degenerate pivots; ties
-in the ratio test always go to the smallest basic variable index.
+Path masters are decided by one phase-one simplex on one kind of
+tableau in exact integer arithmetic (integer numerators over per-row
+denominators). A master's rows start empty with right-hand sides >= 0:
+a capacity row has its slack basic and a demand row its artificial, and
+phase one minimizes the sum of the artificials; the master is feasible
+exactly when that minimum is zero. The objective is one more tableau
+row: it is built from its cost row and updated at every pivot by the
+same elimination routine as every other row, and an infeasible run
+leaves it for the duals. An index from each column to the rows where it
+is nonzero lets a pivot, the ratio test and the build of a new column
+touch only those rows. Pivoting is deterministic. The entering rule is
+largest reduced cost with smallest-index tie break, switching to
+Bland's smallest-index rule after a run of degenerate pivots; ties in
+the ratio test always go to the smallest basic variable index.
 Structural columns rank below every slack and artificials last, in the
 order they were added, so the first master of a probe pivots exactly as
 a master solved on its own. Bland's rule guarantees the procedure
 cannot cycle, so it always terminates, and with exact arithmetic every
-verdict is exact. lp_feasible checks a feasible assignment row by row
-against its LP.
+verdict is exact.
 
 Least feasible integer horizons are found by probing, unless a
 commodity with positive demand has no source-sink path over arcs of
@@ -94,7 +88,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -119,23 +113,15 @@ from .expansion import (
 from .instances import cycle_instance
 
 __all__ = [
-    "Constraint",
-    "LESS_EQUAL",
-    "EQUAL",
     "LPResult",
-    "LinearProgram",
     "NoHorizonFound",
     "SpeedupReport",
     "gap_csv",
     "gap_sweep",
-    "lp_feasible",
     "min_feasible_horizon",
     "probe_horizon",
     "speedup_ratio",
 ]
-
-LESS_EQUAL = "<="
-EQUAL = "="
 
 _ZERO = Fraction(0)
 
@@ -150,72 +136,11 @@ class NoHorizonFound(Exception):
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Sparse row: sum of coeffs[j] * x_j compared against rhs."""
-
-    coeffs: Mapping[int, Fraction]
-    relation: str
-    rhs: Fraction
-
-    def __post_init__(self) -> None:
-        if self.relation not in (LESS_EQUAL, EQUAL):
-            raise ValueError(f"relation must be {LESS_EQUAL!r} or {EQUAL!r}")
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Feasibility problem: find x >= 0 satisfying all constraints.
-
-    Rows are stored sparsely; every coefficient index must be smaller
-    than num_vars.
-    """
-
-    num_vars: int
-    constraints: tuple[Constraint, ...]
-
-    def __post_init__(self) -> None:
-        for row, constraint in enumerate(self.constraints):
-            for index in constraint.coeffs:
-                if not 0 <= index < self.num_vars:
-                    raise ValueError(f"constraint {row}: variable index {index} out of range")
-
-    def check_assignment(self, assignment: Sequence) -> bool:
-        """Exact row-by-row verification of an assignment. Zero values
-        are skipped; they contribute nothing to a row."""
-        if len(assignment) != self.num_vars:
-            raise ValueError(f"expected {self.num_vars} values, got {len(assignment)}")
-        if any(value < 0 for value in assignment):
-            return False
-        for constraint in self.constraints:
-            total = sum(
-                coeff * assignment[j] for j, coeff in constraint.coeffs.items() if assignment[j]
-            )
-            if constraint.relation == EQUAL:
-                if total != constraint.rhs:
-                    return False
-            elif total > constraint.rhs:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
 class LPResult:
     """A verdict, with the assignment that witnesses a feasible one."""
 
     feasible: bool
     assignment: tuple[Fraction, ...] | None = None
-
-
-def lp_feasible(lp: LinearProgram) -> LPResult:
-    """Decide feasibility exactly.
-
-    A feasible verdict's assignment is checked row by row against the
-    LP; a failed check raises RuntimeError.
-    """
-    result = _phase_one_exact(lp)
-    if result.feasible and not lp.check_assignment(result.assignment):
-        raise RuntimeError("simplex produced an assignment that violates the LP")
-    return result
 
 
 # Right-hand-side pseudo-column: stored inside each row dict so pivots
@@ -252,43 +177,27 @@ class _Tableau:
         self.rows: list[dict[int, int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
-        self.pinned: set[int] = set()
         self.objective: dict[int, int] = {}
         self.objective_den = 1
         self.rows_of: dict[int, set[int]] = {}
 
-    def add_row(self, row: dict[int, int], den: int, b: int, slack: bool) -> None:
-        """Append the row (row/den).x (+ its slack if slack) = b/den,
-        where row holds integer numerators on nonbasic structural columns.
-
-        The slack is basic when b >= 0; otherwise the row is negated and
-        an artificial is basic. An artificial on a zero right-hand side
-        is pinned (see the module docstring); any other joins the
-        objective: its cost -1 is priced out by adding its row.
+    def add_row(self, den: int, b: int, slack: bool) -> None:
+        """Append a row with no column in it yet and right-hand side
+        b/den >= 0: a capacity row with its slack basic (slack), or a
+        demand row with its artificial basic. The artificial joins the
+        objective: its cost -1 is priced out by adding its row. Columns
+        enter the row later, as B^-1 A_p (see _PathMaster.add).
         """
         r = len(self.rows)
-        basic = None
-        if slack:
-            basic = _SLACK + r
-            row[basic] = den
-        if b < 0:
-            row = {j: -v for j, v in row.items()}
-            b = -b
-            basic = None
+        basic = (_SLACK if slack else _ART) + r
+        row = {basic: den}
         if b:
             row[_RHS] = b
-        if basic is None:
-            basic = _ART + r
-            row[basic] = den
-            if not b:
-                self.pinned.add(basic)
         self.rows.append(row)
         self.dens.append(den)
         self.basis.append(basic)
-        for j in row:
-            if j != _RHS:
-                self.rows_of.setdefault(j, set()).add(r)
-        if basic >= _ART and b:
+        self.rows_of[basic] = {r}
+        if not slack:
             self.objective[basic] = -self.objective_den
             self.objective_den = _eliminate(
                 self.objective, self.objective_den, -self.objective_den, row.items(), den
@@ -303,35 +212,12 @@ class _Tableau:
         return values
 
 
-def _phase_one_exact(lp: LinearProgram) -> LPResult:
-    """Decide a general LP: its rows in order on a new tableau, then
-    phase one. A feasible verdict carries the basic values.
-
-    Fractions appear nowhere in the hot path: pivoting, pricing and
-    ratio comparisons are all integer arithmetic, which for this kind of
-    near-unimodular matrix is an order of magnitude faster than Fraction
-    operations with their per-op normalization.
-    """
-    tableau = _Tableau()
-    for constraint in lp.constraints:
-        den = lcm(
-            constraint.rhs.denominator,
-            *(v.denominator for v in constraint.coeffs.values()),
-        )
-        row = {j: v.numerator * (den // v.denominator) for j, v in constraint.coeffs.items() if v.numerator}
-        b = constraint.rhs.numerator * (den // constraint.rhs.denominator)
-        tableau.add_row(row, den, b, constraint.relation == LESS_EQUAL)
-    if not _run_phase_one(tableau):
-        return LPResult(False)
-    return LPResult(True, tuple(tableau.values(lp.num_vars)))
-
-
 def _run_phase_one(tableau: _Tableau) -> bool:
     """Run phase one from the tableau's current basis. True when the
-    objective, the sum of the unpinned artificials, reaches zero (the
-    rows are feasible); False when it is positive and no column can
-    enter, which leaves the final phase-one row in the objective."""
-    rows, basis, pinned = tableau.rows, tableau.basis, tableau.pinned
+    objective, the sum of the artificials, reaches zero (the rows are
+    feasible); False when it is positive and no column can enter, which
+    leaves the final phase-one row in the objective."""
+    rows, basis = tableau.rows, tableau.basis
     objective, rows_of = tableau.objective, tableau.rows_of
     bland = False
     degenerate_streak = 0
@@ -343,45 +229,33 @@ def _run_phase_one(tableau: _Tableau) -> bool:
 
         # Ratio test over pairs (rhs numerator, pivot numerator), both
         # over the same row denominator, compared by cross
-        # multiplication. Rows whose basic variable is pinned block any
-        # step at zero, whatever the sign of their pivot entry.
+        # multiplication.
         pivot_row = None
         best_num = best_den = 0
         best_basic = -1
         for i in rows_of[entering]:
-            coeff = rows[i].get(entering)
-            if coeff is None:
+            coeff = rows[i].get(entering, 0)
+            if coeff <= 0:
                 continue
-            if basis[i] in pinned:
-                num, den = 0, 1
-            elif coeff > 0:
-                num, den = rows[i].get(_RHS, 0), coeff
-            else:
-                continue
+            num = rows[i].get(_RHS, 0)
             if pivot_row is None:
-                pivot_row, best_num, best_den, best_basic = i, num, den, basis[i]
+                pivot_row, best_num, best_den, best_basic = i, num, coeff, basis[i]
                 continue
             left = num * best_den
-            right = best_num * den
+            right = best_num * coeff
             if left < right or (left == right and basis[i] < best_basic):
-                pivot_row, best_num, best_den, best_basic = i, num, den, basis[i]
+                pivot_row, best_num, best_den, best_basic = i, num, coeff, basis[i]
         if pivot_row is None:
             # The objective is bounded below by zero, so an improving
             # column always has a blocking row; reaching this means the
             # tableau is corrupt.
             raise RuntimeError("phase-one ratio test found no pivot row")
 
-        evicted_pinned = best_basic in pinned
         _pivot_exact(tableau, pivot_row, entering)
-        pinned.discard(best_basic)
-
-        # Evicting a pinned artificial is permanent progress, not a
-        # stall, so it does not count toward the Bland trigger.
         if best_num == 0:
-            if not evicted_pinned:
-                degenerate_streak += 1
-                if degenerate_streak >= _BLAND_TRIGGER:
-                    bland = True
+            degenerate_streak += 1
+            if degenerate_streak >= _BLAND_TRIGGER:
+                bland = True
         else:
             degenerate_streak = 0
             bland = False
@@ -434,15 +308,13 @@ def _eliminate(row: dict[int, int], den: int, factor: int, source, source_den: i
 
 
 def _pivot_exact(tableau: _Tableau, r: int, entering: int) -> None:
-    """Gaussian pivot on (r, entering): row r is divided by its entering
-    value and entering is eliminated from every other row where it is
-    nonzero, the objective included."""
+    """Gaussian pivot on (r, entering), whose entry the ratio test found
+    positive: row r is divided by its entering value and entering is
+    eliminated from every other row where it is nonzero, the objective
+    included."""
     rows, dens, rows_of, objective = tableau.rows, tableau.dens, tableau.rows_of, tableau.objective
     pivot_row = rows[r]
     pivot_num = pivot_row[entering]
-    if pivot_num < 0:
-        pivot_row = rows[r] = {j: -v for j, v in pivot_row.items()}
-        pivot_num = -pivot_num
     # Row r over den becomes (num_j / den) / (pivot_num / den) =
     # num_j / pivot_num, so the entering cell equals the new denominator:
     # the new basic unit column.
@@ -552,7 +424,7 @@ class _PathMaster:
         for i in demanded:
             self.demand_row[i] = len(self.tableau.rows)
             demand = commodities[i].demand
-            self.tableau.add_row({}, demand.denominator, demand.numerator, False)
+            self.tableau.add_row(demand.denominator, demand.numerator, False)
         self.add(paths)
 
     def _add_capacity_rows(self, paths: Sequence[tuple[int, Path]]) -> None:
@@ -562,7 +434,7 @@ class _PathMaster:
         for copy in sorted({copy for _, path in paths for copy in path} - self.row_of.keys()):
             self.row_of[copy] = len(self.tableau.rows)
             capacity = arc_by_id[copy[0]].capacity
-            self.tableau.add_row({}, capacity.denominator, capacity.numerator, True)
+            self.tableau.add_row(capacity.denominator, capacity.numerator, True)
 
     def add(self, paths: Sequence[tuple[int, Path]]) -> None:
         """Append the paths as columns, after the capacity rows of the

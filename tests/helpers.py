@@ -1,12 +1,20 @@
 """Shared test utilities: flow truncation, exact integration of rate
 functions, flow-to-LP transcription, the unreduced reference LP and the
-lift of windowed assignments onto it, the cold path master, Fourier-Motzkin
-elimination as a reference for LP feasibility and the per-breakpoint
-reference flow checker."""
+lift of windowed assignments onto it, the cold path master, the
+reference simplex for general LPs, Fourier-Motzkin elimination as a
+reference for it, and the per-breakpoint reference flow checker.
+
+The reference simplex (lp_feasible) decides the node-arc and cold master
+LPs that the package's warm path masters are checked against, so it
+imports nothing from qmcflow.solver: a fault in the package's simplex
+cannot then hide on both sides of a differential test."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 from qmcflow.checker import (
     CAPACITY,
@@ -17,10 +25,255 @@ from qmcflow.checker import (
 )
 from qmcflow.core import FlowOverTime, Instance, Piece, StepFunction, StorageMode
 from qmcflow.expansion import ExpandedNetwork, Path
-from qmcflow.solver import Constraint, LinearProgram
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+LESS_EQUAL = "<="
+EQUAL = "="
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """Sparse row: sum of coeffs[j] * x_j compared against rhs."""
+
+    coeffs: Mapping[int, Fraction]
+    relation: str
+    rhs: Fraction
+
+    def __post_init__(self) -> None:
+        if self.relation not in (LESS_EQUAL, EQUAL):
+            raise ValueError(f"relation must be {LESS_EQUAL!r} or {EQUAL!r}")
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """Feasibility problem: find x >= 0 satisfying all constraints.
+
+    Rows are stored sparsely; every coefficient index must be smaller
+    than num_vars.
+    """
+
+    num_vars: int
+    constraints: tuple[Constraint, ...]
+
+    def __post_init__(self) -> None:
+        for row, constraint in enumerate(self.constraints):
+            for index in constraint.coeffs:
+                if not 0 <= index < self.num_vars:
+                    raise ValueError(f"constraint {row}: variable index {index} out of range")
+
+    def check_assignment(self, assignment: Sequence) -> bool:
+        """Exact row-by-row verification of an assignment. Zero values
+        are skipped; they contribute nothing to a row."""
+        if len(assignment) != self.num_vars:
+            raise ValueError(f"expected {self.num_vars} values, got {len(assignment)}")
+        if any(value < 0 for value in assignment):
+            return False
+        for constraint in self.constraints:
+            total = sum(
+                coeff * assignment[j] for j, coeff in constraint.coeffs.items() if assignment[j]
+            )
+            if constraint.relation == EQUAL:
+                if total != constraint.rhs:
+                    return False
+            elif total > constraint.rhs:
+                return False
+        return True
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The reference's verdict, with the assignment that witnesses a
+    feasible one."""
+
+    feasible: bool
+    assignment: tuple[Fraction, ...] | None = None
+
+
+def lp_feasible(lp: LinearProgram) -> Verdict:
+    """Decide feasibility exactly by the reference simplex.
+
+    A feasible verdict's assignment is checked row by row against the
+    LP; a failed check raises RuntimeError.
+    """
+    result = _phase_one_exact(lp)
+    if result.feasible and not lp.check_assignment(result.assignment):
+        raise RuntimeError("simplex produced an assignment that violates the LP")
+    return result
+
+
+# The reference simplex: phase one on a sparse tableau of integer
+# numerators over per-row denominators. Column numbers: structural
+# columns 0..n-1, the slack of row r _SLACK + r and its artificial
+# _ART + r, so slacks rank above structural columns and artificials
+# last. _RHS is the right-hand side, kept in each row dict.
+_RHS = -1
+_SLACK = 1 << 40
+_ART = 1 << 41
+
+# Consecutive degenerate pivots tolerated before the entering rule
+# switches to Bland's, which cannot cycle.
+_BLAND_TRIGGER = 32
+
+
+def _phase_one_exact(lp: LinearProgram) -> Verdict:
+    """Phase one over all rows of lp at once; a feasible verdict carries
+    the basic values.
+
+    A row with rhs >= 0 and a slack starts with its slack basic; any
+    other row is negated if its rhs is negative and gets an artificial.
+    An artificial on a zero rhs starts at zero and is pinned there: it is
+    left out of the objective and blocks the ratio test at a step of zero
+    whatever the sign of its pivot entry, so the many zero balance rows
+    of a node-arc LP cost no degenerate bookkeeping pivots. The other
+    artificials' sum is minimized; the LP is feasible exactly when it
+    reaches zero.
+    """
+    rows: list[dict[int, int]] = []
+    dens: list[int] = []
+    basis: list[int] = []
+    pinned: set[int] = set()
+    for r, constraint in enumerate(lp.constraints):
+        den = lcm(constraint.rhs.denominator, *(v.denominator for v in constraint.coeffs.values()))
+        row = {j: v.numerator * (den // v.denominator) for j, v in constraint.coeffs.items() if v}
+        b = constraint.rhs.numerator * (den // constraint.rhs.denominator)
+        if constraint.relation == LESS_EQUAL:
+            row[_SLACK + r] = den
+        if b < 0 or constraint.relation == EQUAL:
+            if b < 0:
+                row = {j: -v for j, v in row.items()}
+                b = -b
+            basic = _ART + r
+            row[basic] = den
+            if not b:
+                pinned.add(basic)
+        else:
+            basic = _SLACK + r
+        if b:
+            row[_RHS] = b
+        rows.append(row)
+        dens.append(den)
+        basis.append(basic)
+
+    rows_of: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for j in row:
+            if j != _RHS:
+                rows_of.setdefault(j, set()).add(r)
+    # The objective: minus the sum of the unpinned artificials, each
+    # priced out by adding its row.
+    objective: dict[int, int] = {}
+    objective_den = 1
+    for r, basic in enumerate(basis):
+        if basic >= _ART and basic not in pinned:
+            objective[basic] = -objective_den
+            objective_den = _eliminate(objective, objective_den, -objective_den, rows[r], dens[r])
+
+    bland = False
+    degenerate_streak = 0
+    while objective.get(_RHS, 0) > 0:
+        candidates = [j for j, v in objective.items() if v > 0 and j != _RHS]
+        if not candidates:
+            return Verdict(False)
+        if bland:
+            entering = min(candidates)
+        else:
+            entering = min(candidates, key=lambda j: (-objective[j], j))
+
+        # Ratio test by cross multiplication; ties go to the smallest
+        # basic column. A pinned row blocks at zero.
+        pivot_row = None
+        best_num = best_den = 0
+        for i in rows_of[entering]:
+            coeff = rows[i].get(entering, 0)
+            if basis[i] in pinned and coeff:
+                num, den = 0, 1
+            elif coeff > 0:
+                num, den = rows[i].get(_RHS, 0), coeff
+            else:
+                continue
+            if pivot_row is not None:
+                left, right = num * best_den, best_num * den
+                if left > right or (left == right and basis[i] > basis[pivot_row]):
+                    continue
+            pivot_row, best_num, best_den = i, num, den
+        if pivot_row is None:
+            raise RuntimeError("reference ratio test found no pivot row")
+
+        leaving = basis[pivot_row]
+        # Evicting a pinned artificial is progress, not a stall.
+        if best_num == 0 and leaving not in pinned:
+            degenerate_streak += 1
+            bland = bland or degenerate_streak >= _BLAND_TRIGGER
+        elif best_num:
+            degenerate_streak, bland = 0, False
+        pinned.discard(leaving)
+
+        # The pivot: row r over its entering entry, then entering
+        # eliminated from every other row where it is nonzero and from
+        # the objective.
+        pivot = rows[pivot_row]
+        pivot_num = pivot[entering]
+        if pivot_num < 0:
+            pivot = rows[pivot_row] = {j: -v for j, v in pivot.items()}
+            pivot_num = -pivot_num
+        dens[pivot_row] = _reduce_row(pivot, pivot_num)
+        touched = rows_of[entering] - {pivot_row}
+        for i in touched:
+            if factor := rows[i].get(entering):
+                dens[i] = _eliminate(rows[i], dens[i], factor, pivot, dens[pivot_row])
+        if factor := objective.get(entering):
+            objective_den = _eliminate(objective, objective_den, factor, pivot, dens[pivot_row])
+        for j in pivot:
+            if j != _RHS:
+                rows_of[j] |= touched
+        rows_of[entering] = {pivot_row}
+        basis[pivot_row] = entering
+        if leaving >= _ART:
+            # A departed artificial never re-enters.
+            for i in rows_of.pop(leaving):
+                rows[i].pop(leaving, None)
+            objective.pop(leaving, None)
+
+    values = [ZERO] * lp.num_vars
+    for r, basic in enumerate(basis):
+        if basic < _SLACK:
+            values[basic] = Fraction(rows[r].get(_RHS, 0), dens[r])
+    return Verdict(True, tuple(values))
+
+
+def _reduce_row(row: dict[int, int], den: int) -> int:
+    """Divide the row's numerators and den by their gcd; return the new
+    den."""
+    g = den
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return den
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        den //= g
+    return den
+
+
+def _eliminate(
+    row: dict[int, int], den: int, factor: int, source: dict[int, int], source_den: int
+) -> int:
+    """Set row/den to row/den - (factor/den) * source/source_den in place
+    and return the reduced denominator."""
+    if source_den != 1:
+        for j in row:
+            row[j] *= source_den
+    for j, v in source.items():
+        updated = row.get(j, 0) - factor * v
+        if updated:
+            row[j] = updated
+        else:
+            row.pop(j, None)
+    return _reduce_row(row, den * source_den)
 
 
 def truncate_flow(flow: FlowOverTime, horizon: int | Fraction) -> FlowOverTime:
@@ -223,7 +476,7 @@ def fourier_motzkin_feasible(lp: LinearProgram) -> bool:
     it is negative, both scaled to cancel it. A row left with no
     variable must hold on its own. Rows are scaled so that their first
     nonzero coefficient is +1 or -1, and kept in a set, which drops
-    duplicates. It shares no code with the simplex, as a reference for
+    duplicates. It shares no code with either simplex, as a reference for
     lp_feasible's verdicts.
     """
     n = lp.num_vars

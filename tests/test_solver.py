@@ -39,21 +39,21 @@ from qmcflow.instances import (
     wave_schedule_no_storage,
 )
 from qmcflow.solver import (
-    Constraint,
-    LinearProgram,
     NoHorizonFound,
     SpeedupReport,
     gap_csv,
     gap_sweep,
-    lp_feasible,
     min_feasible_horizon,
     probe_horizon,
     speedup_ratio,
 )
 
 from helpers import (
+    Constraint,
+    LinearProgram,
     assignment_from_flow,
     fourier_motzkin_feasible,
+    lp_feasible,
     path_master_lp,
     satisfies_unreduced_lp,
     unreduced_lp,
@@ -66,6 +66,17 @@ F = Fraction
 
 def row(coeffs: dict[int, int | str], relation: str, rhs: int | str) -> Constraint:
     return Constraint({j: F(v) for j, v in coeffs.items()}, relation, F(rhs))
+
+
+# Cycles whose commodity 0 has a demand d0 other than 2, with their
+# minima (with storage, without storage). The small random instances
+# never separate the modes; these do, and d0 = 3 moves the with-storage
+# minimum off k + 1.
+SEPARATING_CYCLES = {
+    CycleParams(3, F(3, 2)): (4, 5),
+    CycleParams(4, F(3, 2)): (5, 7),
+    CycleParams(4, F(3)): (6, 7),
+}
 
 
 def single_arc_instance() -> Instance:
@@ -217,6 +228,21 @@ class TestLPFeasible:
     def test_verdicts_match_fourier_motzkin(self, lp: LinearProgram):
         assert lp_feasible(lp).feasible == fourier_motzkin_feasible(lp)
 
+    def test_reference_is_independent_of_the_package_simplex(self, monkeypatch):
+        # The reference decides the k=3 cycle's node-arc LPs with the
+        # package's simplex broken, and the general LP is not in the
+        # package.
+        def broken(*args):
+            raise RuntimeError("the package simplex was called")
+
+        monkeypatch.setattr(solver, "_pivot_exact", broken)
+        monkeypatch.setattr(solver, "_run_phase_one", broken)
+        for horizon, mode, feasible in ((4, WITH, True), (3, WITH, False), (4, WITHOUT, False)):
+            expansion = build_time_expanded(cycle_instance(3), horizon, mode)
+            assert lp_feasible(unreduced_lp(expansion)).feasible == feasible, (horizon, mode)
+        for name in ("Constraint", "LinearProgram", "lp_feasible", "LESS_EQUAL", "EQUAL"):
+            assert not hasattr(qmcflow, name) and not hasattr(solver, name), name
+
     def test_fourier_motzkin_reference(self):
         # x/2 + y/3 = 1 is 3x + 2y = 6, so 3x + 2y <= 5 cannot hold and
         # 3x + 2y <= 6 can.
@@ -228,32 +254,6 @@ class TestLPFeasible:
         assert not fourier_motzkin_feasible(lp(5))
         assert fourier_motzkin_feasible(lp(6))
         assert not fourier_motzkin_feasible(LinearProgram(1, (row({0: 1}, "<=", -1),)))
-
-    def test_invalid_assignment_raises_even_under_python_O(self):
-        # The witness check must be explicit code: python -O strips asserts.
-        script = (
-            "import sys\n"
-            "from fractions import Fraction\n"
-            "from qmcflow import solver\n"
-            "lp = solver.LinearProgram(1, (solver.Constraint({0: Fraction(1)}, '=', Fraction(1)),))\n"
-            "solver._phase_one_exact = lambda lp: solver.LPResult(True, (Fraction(2),))\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "try:\n"
-            "    solver.lp_feasible(lp)\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n"
-            "else:\n"
-            "    print('returned')\n"
-        )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
 
 
 def fresh_master_lp(
@@ -663,16 +663,23 @@ class TestHorizonSearch:
             assert (minimum, probes) == (k + 1, [k, k + 1]), k
 
     @settings(max_examples=40, deadline=None)
-    @example(seed=None)
-    @given(st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)))
-    def test_search_matches_a_linear_scan(self, seed: int | None):
+    @example(case=CycleParams(3))
+    @example(case=CycleParams(3, F(3, 2)))
+    @example(case=CycleParams(4, F(3, 2)))
+    @example(case=CycleParams(4, F(3)))
+    @given(st.integers(min_value=1, max_value=10_000))
+    def test_search_matches_a_linear_scan(self, case: int | CycleParams):
         # In both modes the galloping search finds the least feasible
         # horizon of a scan from T=1, and the bracketed no-storage search
         # of speedup_ratio agrees with an independent search under the
-        # same generous bound. seed None stands for the k=3 cycle, whose
-        # minima differ (4 and 5); on these small random instances
-        # storage shortened the horizon for none of seeds 1..200.
-        instance = cycle_instance(3) if seed is None else random_instance(seed, 4, 6, 2, 3)
+        # same generous bound. An integer case is the seed of a small
+        # random instance; on those storage shortened the horizon for
+        # none of seeds 1..200. The examples are cycles whose minima
+        # differ: the k=3 cycle (4 and 5) and SEPARATING_CYCLES.
+        if isinstance(case, CycleParams):
+            instance = cycle_instance(case)
+        else:
+            instance = random_instance(case, 4, 6, 2, 3)
         t_max = 40
         minima = {}
         for mode in (WITH, WITHOUT):
@@ -994,14 +1001,24 @@ class PathLPCases:
     def cycle_minimum(self, k: int) -> int:
         raise NotImplementedError
 
-    @pytest.mark.parametrize("k", range(3, 9))
-    def test_cycle_verdicts_match_the_node_arc_lp(self, k: int):
-        horizons = range(k, 2 * k + 3)
+    @pytest.mark.parametrize(
+        "params",
+        [*range(3, 9), *SEPARATING_CYCLES],
+        ids=lambda p: None if isinstance(p, int) else f"{p.k}-d0={p.d0}",
+    )
+    def test_cycle_verdicts_match_the_node_arc_lp(self, params: int | CycleParams):
+        # The cycles of the closed form from the transit bound k up, the
+        # separating cycles from T = 1.
+        if isinstance(params, int):
+            horizons, minimum = range(params, 2 * params + 3), self.cycle_minimum(params)
+        else:
+            horizons = range(1, 2 * params.k + 4)
+            minimum = SEPARATING_CYCLES[params][self.mode is WITHOUT]
         verdicts = [
-            assert_matches_the_node_arc_lp(cycle_instance(k), t, self.mode)[1].feasible
+            assert_matches_the_node_arc_lp(cycle_instance(params), t, self.mode)[1].feasible
             for t in horizons
         ]
-        assert verdicts == [t >= self.cycle_minimum(k) for t in horizons]
+        assert verdicts == [t >= minimum for t in horizons]
 
     def test_pricing_rounds_resume_one_tableau(self):
         # The tight probe of the k=6 cycle, and the probe below it. With
