@@ -401,6 +401,14 @@ def transit_distances(network: Network, origin: str, *, reverse: bool = False) -
 #
 # Rationals are JSON integers or strings "p/q" with q > 0. Transit times
 # must be integers; a fractional transit is rejected outright.
+#
+# The writers emit exactly what json.dumps writes for doc with indent 2,
+# plus a newline, doc holding the keys in the order above. They format
+# each entry with f-strings instead of building a copy of the document
+# for json.dumps, whose indent mode runs the pure-Python encoder. Ids go
+# through json.dumps, the C ASCII escaper that encoder uses; rationals
+# are quoted format_rational text (digits, "-" and "/", nothing to
+# escape) and integers are str(n).
 
 
 def _load_json(text: str, what: str):
@@ -513,30 +521,38 @@ def parse_instance(text: str) -> Instance:
     return Instance(Network(tuple(nodes), tuple(arcs)), tuple(commodities))
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """Lay out already indented items as json.dumps with indent 2 lays out
+    an array; indent is that of the line holding the array."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
 def serialize_instance(instance: Instance) -> str:
-    """Render an instance document; parse_instance inverts this exactly."""
-    doc = {
-        "nodes": list(instance.network.nodes),
-        "arcs": [
-            {
-                "id": arc.id,
-                "tail": arc.tail,
-                "head": arc.head,
-                "capacity": format_rational(arc.capacity),
-                "transit": arc.transit,
-            }
-            for arc in instance.network.arcs
-        ],
-        "commodities": [
-            {
-                "source": commodity.source,
-                "sink": commodity.sink,
-                "demand": format_rational(commodity.demand),
-            }
-            for commodity in instance.commodities
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Render an instance document; parse_instance inverts this exactly.
+
+    The text is, byte for byte, what json.dumps writes for doc with
+    indent 2, plus a newline; doc is the document as the format notes
+    above lay it out.
+    """
+    fmt = format_rational
+    nodes = [f"    {json.dumps(node)}" for node in instance.network.nodes]
+    arcs = [
+        f'    {{\n      "id": {json.dumps(arc.id)},\n      "tail": {json.dumps(arc.tail)},\n'
+        f'      "head": {json.dumps(arc.head)},\n      "capacity": "{fmt(arc.capacity)}",\n'
+        f'      "transit": {arc.transit}\n    }}'
+        for arc in instance.network.arcs
+    ]
+    commodities = [
+        f'    {{\n      "source": {json.dumps(commodity.source)},\n'
+        f'      "sink": {json.dumps(commodity.sink)},\n      "demand": "{fmt(commodity.demand)}"\n    }}'
+        for commodity in instance.commodities
+    ]
+    return (
+        f'{{\n  "nodes": {_json_array(nodes, "  ")},\n  "arcs": {_json_array(arcs, "  ")},\n'
+        f'  "commodities": {_json_array(commodities, "  ")}\n}}\n'
+    )
 
 
 def parse_flow(text: str) -> FlowOverTime:
@@ -609,23 +625,23 @@ def parse_flow(text: str) -> FlowOverTime:
 
 
 def serialize_flow(flow: FlowOverTime) -> str:
-    """Render a flow document; entries are sorted for stable output."""
-    doc = {
-        "horizon": format_rational(flow.horizon),
-        "rates": [
-            {
-                "arc": arc_id,
-                "commodity": commodity,
-                "pieces": [
-                    {
-                        "from": format_rational(piece.start),
-                        "to": format_rational(piece.end),
-                        "rate": format_rational(piece.rate),
-                    }
-                    for piece in flow.rates[arc_id, commodity].pieces
-                ],
-            }
-            for arc_id, commodity in sorted(flow.rates)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Render a flow document; entries are sorted for stable output.
+
+    The text is, byte for byte, what json.dumps writes for doc with
+    indent 2, plus a newline; doc is the document as the format notes
+    above lay it out.
+    """
+    fmt = format_rational
+    rates = flow.rates
+    entries = []
+    for arc_id, commodity in sorted(rates):
+        pieces = [
+            f'        {{\n          "from": "{fmt(piece.start)}",\n          "to": "{fmt(piece.end)}",\n'
+            f'          "rate": "{fmt(piece.rate)}"\n        }}'
+            for piece in rates[arc_id, commodity].pieces
+        ]
+        entries.append(
+            f'    {{\n      "arc": {json.dumps(arc_id)},\n      "commodity": {commodity},\n'
+            f'      "pieces": {_json_array(pieces, "      ")}\n    }}'
+        )
+    return f'{{\n  "horizon": "{fmt(flow.horizon)}",\n  "rates": {_json_array(entries, "  ")}\n}}\n'

@@ -1,8 +1,10 @@
 """Shared test utilities: flow truncation, exact integration of rate
 functions, flow-to-LP transcription, the unreduced reference LP and the
 lift of windowed assignments onto it, the cold path master, the
-reference simplex for general LPs, Fourier-Motzkin elimination as a
-reference for it, and the per-breakpoint reference flow checker.
+cycles that separate the two storage modes, the reference simplex for general LPs, Fourier-Motzkin elimination as a
+reference for it, the per-breakpoint reference flow checker, and the
+json.dumps(doc, indent=2) document writers that the package's direct
+writers must match byte for byte.
 
 The reference simplex (lp_feasible) decides the node-arc and cold master
 LPs that the package's warm path masters are checked against, so it
@@ -11,6 +13,7 @@ cannot then hide on both sides of a differential test."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,11 +26,29 @@ from qmcflow.checker import (
     STRICT_CONSERVATION,
     Violation,
 )
-from qmcflow.core import FlowOverTime, Instance, Piece, StepFunction, StorageMode
+from qmcflow.core import (
+    FlowOverTime,
+    Instance,
+    Piece,
+    StepFunction,
+    StorageMode,
+    format_rational,
+)
 from qmcflow.expansion import ExpandedNetwork, Path
+from qmcflow.instances import CycleParams
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Cycles whose commodity 0 has a demand d0 other than 2, with their
+# minima (with storage, without storage). The small random instances
+# never separate the modes; these do, and d0 = 3 moves the with-storage
+# minimum off k + 1.
+SEPARATING_CYCLES = {
+    CycleParams(3, Fraction(3, 2)): (4, 5),
+    CycleParams(4, Fraction(3, 2)): (5, 7),
+    CycleParams(4, Fraction(3)): (6, 7),
+}
 
 
 LESS_EQUAL = "<="
@@ -651,3 +672,52 @@ def reference_check_flow(
         + _reference_conservation(flow, instance, mode)
         + _reference_demands(flow, instance)
     )
+
+
+def reference_serialize_instance(instance: Instance) -> str:
+    """The instance document as json.dumps(doc, indent=2) writes it."""
+    doc = {
+        "nodes": list(instance.network.nodes),
+        "arcs": [
+            {
+                "id": arc.id,
+                "tail": arc.tail,
+                "head": arc.head,
+                "capacity": format_rational(arc.capacity),
+                "transit": arc.transit,
+            }
+            for arc in instance.network.arcs
+        ],
+        "commodities": [
+            {
+                "source": commodity.source,
+                "sink": commodity.sink,
+                "demand": format_rational(commodity.demand),
+            }
+            for commodity in instance.commodities
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_serialize_flow(flow: FlowOverTime) -> str:
+    """The flow document as json.dumps(doc, indent=2) writes it."""
+    doc = {
+        "horizon": format_rational(flow.horizon),
+        "rates": [
+            {
+                "arc": arc_id,
+                "commodity": commodity,
+                "pieces": [
+                    {
+                        "from": format_rational(piece.start),
+                        "to": format_rational(piece.end),
+                        "rate": format_rational(piece.rate),
+                    }
+                    for piece in flow.rates[arc_id, commodity].pieces
+                ],
+            }
+            for arc_id, commodity in sorted(flow.rates)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmcflow.core import (
@@ -29,7 +29,14 @@ from qmcflow.core import (
     transit_distances,
     validate_instance,
 )
-from qmcflow.instances import cycle_instance, random_instance, wait_schedule_with_storage
+from qmcflow.instances import (
+    cycle_instance,
+    random_instance,
+    wait_schedule_with_storage,
+    wave_schedule_no_storage,
+)
+
+from helpers import reference_serialize_flow, reference_serialize_instance
 
 
 def two_node_instance() -> Instance:
@@ -253,6 +260,28 @@ class TestPaths:
         assert ac <= ab + bc
 
 
+# Ids that take every branch of the JSON string escaper: empty strings,
+# quotes, backslashes, control and non-ASCII characters, a lone surrogate.
+_ids = st.text(
+    st.sampled_from('a0"\\/\x00\x1f\n\x7f\u00e9\u20ac\U0001f600\ud800') | st.characters(), max_size=4
+)
+
+
+@st.composite
+def instances(draw) -> Instance:
+    """An instance with arbitrary-text ids whose arc and commodity lists may
+    be empty. It keeps the format's constraints (nonnegative capacities,
+    transits and demands), not the graph invariants of validate_instance."""
+    nodes = draw(st.lists(_ids, max_size=5))
+    endpoint = st.sampled_from(nodes) | _ids if nodes else _ids
+    amount = st.fractions(min_value=0, max_value=20, max_denominator=12)
+    arcs = draw(
+        st.lists(st.builds(Arc, _ids, endpoint, endpoint, amount, st.integers(0, 9)), max_size=6)
+    )
+    commodities = draw(st.lists(st.builds(Commodity, endpoint, endpoint, amount), max_size=3))
+    return Instance(Network(tuple(nodes), tuple(arcs)), tuple(commodities))
+
+
 class TestInstanceFormat:
     def test_round_trip_cycle(self):
         instance = cycle_instance(3)
@@ -274,6 +303,10 @@ class TestInstanceFormat:
         self, seed: int, node_max: int, arc_max: int, commodity_max: int, tau_max: int
     ):
         instance = random_instance(seed, node_max, arc_max, commodity_max, tau_max)
+        assert parse_instance(serialize_instance(instance)) == instance
+
+    @given(instances())
+    def test_round_trip_arbitrary_ids(self, instance: Instance):
         assert parse_instance(serialize_instance(instance)) == instance
 
     def test_rational_demand_literal(self):
@@ -464,9 +497,9 @@ REJECTED_FLOWS = {
 @st.composite
 def flows(draw) -> FlowOverTime:
     """A flow with fractional horizon, piece boundaries and rates; pieces may
-    touch, leave gaps, or be absent altogether."""
+    touch, leave gaps, or be absent altogether, and so may the rates."""
     horizon = draw(st.fractions(min_value=Fraction(1, 12), max_value=40, max_denominator=12))
-    keys = draw(st.sets(st.tuples(st.text(max_size=3), st.integers(0, 6)), max_size=6))
+    keys = draw(st.sets(st.tuples(_ids, st.integers(0, 6)), max_size=6))
     rates: dict[tuple[str, int], StepFunction] = {}
     for key in sorted(keys):
         cuts = sorted(draw(st.sets(st.fractions(0, horizon, max_denominator=12), max_size=8)))
@@ -534,3 +567,23 @@ class TestFlowFormat:
                 )
             },
         )
+
+
+class TestDocumentLayout:
+    """The writers give the bytes of json.dumps(doc, indent=2) plus a newline."""
+
+    @given(instances())
+    @example(Instance(Network((), ()), ()))
+    def test_instances_match_the_reference(self, instance: Instance):
+        assert serialize_instance(instance) == reference_serialize_instance(instance)
+
+    @given(flows())
+    @example(FlowOverTime(Fraction(1), {}))
+    def test_flows_match_the_reference(self, flow: FlowOverTime):
+        assert serialize_flow(flow) == reference_serialize_flow(flow)
+
+    def test_k80_documents_match_the_reference(self):
+        instance = cycle_instance(80)
+        assert serialize_instance(instance) == reference_serialize_instance(instance)
+        for flow in (wait_schedule_with_storage(80), wave_schedule_no_storage(80)):
+            assert serialize_flow(flow) == reference_serialize_flow(flow)

@@ -49,6 +49,7 @@ from qmcflow.solver import (
 )
 
 from helpers import (
+    SEPARATING_CYCLES,
     Constraint,
     LinearProgram,
     assignment_from_flow,
@@ -66,17 +67,6 @@ F = Fraction
 
 def row(coeffs: dict[int, int | str], relation: str, rhs: int | str) -> Constraint:
     return Constraint({j: F(v) for j, v in coeffs.items()}, relation, F(rhs))
-
-
-# Cycles whose commodity 0 has a demand d0 other than 2, with their
-# minima (with storage, without storage). The small random instances
-# never separate the modes; these do, and d0 = 3 moves the with-storage
-# minimum off k + 1.
-SEPARATING_CYCLES = {
-    CycleParams(3, F(3, 2)): (4, 5),
-    CycleParams(4, F(3, 2)): (5, 7),
-    CycleParams(4, F(3)): (6, 7),
-}
 
 
 def single_arc_instance() -> Instance:
