@@ -40,11 +40,7 @@ from .core import (
     step_function,
     validate_instance,
 )
-from .expansion import (
-    ExpandedNetwork,
-    build_time_expanded,
-    extract_flow_over_time,
-)
+from .expansion import ExpandedNetwork, build_time_expanded
 from .instances import (
     CycleParams,
     cycle_instance,
@@ -91,7 +87,6 @@ __all__ = [
     "build_time_expanded",
     "check_flow",
     "cycle_instance",
-    "extract_flow_over_time",
     "format_rational",
     "gap_csv",
     "gap_sweep",

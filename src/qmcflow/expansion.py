@@ -26,10 +26,7 @@ keeps it feasible, and what is left uses only such copies, so this time
 window leaves every verdict unchanged. ExpandedNetwork.column_endpoints
 lists the tail and head copy of every variable, so the solver's
 certificate check sees the expansion as a plain static network and
-never computes a time itself. In the other direction,
-extract_flow_over_time maps an LP assignment, one value per variable in
-that same order, back to a schedule: a flow over time whose rates are
-the movement values.
+never computes a time itself.
 
 The solver decides every probe over paths rather than over the
 variables above, and the storage mode reaches it only through the masks
@@ -44,10 +41,10 @@ arcs shifted to every departure that fits, cheapest_path prices a
 commodity by a shortest path under integer lengths on movement copies
 (a Dijkstra search layer by layer in time, with zero-transit arcs inside
 a layer and free holdovers from one layer to the next where the mask
-allows), and assignment_from_paths maps path values back to the
-variables above: movement values are the sums of the path values, and
-each path's flow waits on the holdovers between its copies, at its
-source before it departs and at its sink after it arrives.
+allows), and flow_from_paths turns path values into a schedule: a flow
+over time whose rate on each movement copy is the sum of the values of
+the paths through it. Where a path waits is implied by its copies, so
+the schedule needs no holdover values.
 
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
@@ -68,10 +65,9 @@ from .core import format_rational, transit_distances
 __all__ = [
     "ExpandedNetwork",
     "Path",
-    "assignment_from_paths",
     "build_time_expanded",
     "cheapest_path",
-    "extract_flow_over_time",
+    "flow_from_paths",
     "route_departures",
 ]
 
@@ -210,36 +206,6 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
     )
 
 
-def extract_flow_over_time(
-    expansion: ExpandedNetwork, assignment: Sequence[Fraction]
-) -> FlowOverTime:
-    """Turn an LP assignment of the expansion into a flow over time.
-
-    The assignment lists one value per variable in the canonical column
-    order: movement_variables, then holdover_variables. A nonzero value
-    x of movement variable (a, theta, i) becomes rate x of commodity i
-    on arc a during [theta, theta+1). Holdover values are node storage
-    and produce no arc rates. A length other than the column count
-    raises ValueError, and so does a negative value (StepFunction
-    rejects it).
-    """
-    movement = expansion.movement_variables
-    columns = len(movement) + len(expansion.holdover_variables)
-    if len(assignment) != columns:
-        raise ValueError(f"expected {columns} values, got {len(assignment)}")
-    grouped: dict[tuple[str, int], list[Piece]] = {}
-    for (arc_id, theta, commodity), value in zip(movement, assignment):
-        if value:
-            grouped.setdefault((arc_id, commodity), []).append(
-                Piece(Fraction(theta), Fraction(theta + 1), value)
-            )
-    horizon = Fraction(expansion.horizon)
-    rates = {
-        key: StepFunction(horizon, tuple(pieces)) for key, pieces in sorted(grouped.items())
-    }
-    return FlowOverTime(horizon, rates)
-
-
 def _fewest_transit_route(network: Network, source: str, sink: str) -> list[Arc] | None:
     """A source-sink route of least total transit over arcs of positive
     capacity, or None if there is none. Ties go to the smaller node name
@@ -365,40 +331,30 @@ def cheapest_path(
     return best[0], tuple(path)
 
 
-def assignment_from_paths(
+def flow_from_paths(
     expansion: ExpandedNetwork,
     paths: Sequence[tuple[int, Path]],
     values: Sequence[Fraction],
-) -> tuple[Fraction, ...]:
-    """The variables' values, in canonical column order, of the flow that
-    sends values[j] along paths[j] = (commodity, path).
+) -> FlowOverTime:
+    """The flow over time that sends values[j] along paths[j] =
+    (commodity, path).
 
-    Each movement variable (a, theta, i) takes the sum of the values of
-    commodity i's paths through copy (a, theta). Between one copy's
-    arrival and the next copy's departure the flow of a path waits on
-    the holdovers of the node it is at: on the source holdovers before
-    it departs, on the sink holdovers from its arrival to T - 1, and,
-    where the mask allows storage, at an intermediate node. A copy or
-    holdover outside the commodity's time window raises KeyError; none
-    is, since a path that reaches a node by theta and the sink by T can
-    use every copy in between in time.
+    Commodity i's rate on arc a during [theta, theta+1) is the sum of the
+    values of i's paths through copy (a, theta); a zero value adds
+    nothing. Paths and values of unequal length raise ValueError, and so
+    does a negative rate (StepFunction rejects it).
     """
-    movement = {key: j for j, key in enumerate(expansion.movement_variables)}
-    offset = len(movement)
-    holdover = {key: offset + j for j, key in enumerate(expansion.holdover_variables)}
-    assignment = [Fraction(0)] * (offset + len(holdover))
-    commodities = expansion.instance.commodities
-    arc_by_id = expansion.instance.network.arc_by_id
-    for (i, path), value in zip(paths, values):
-        if not value:
-            continue
-        node, arrival = commodities[i].source, 0
-        for arc_id, theta in path:
-            for wait in range(arrival, theta):
-                assignment[holdover[node, wait, i]] += value
-            assignment[movement[arc_id, theta, i]] += value
-            arc = arc_by_id[arc_id]
-            node, arrival = arc.head, theta + arc.transit
-        for wait in range(arrival, expansion.horizon):
-            assignment[holdover[node, wait, i]] += value
-    return tuple(assignment)
+    totals: dict[tuple[str, int], dict[int, Fraction]] = {}
+    for (i, path), value in zip(paths, values, strict=True):
+        if value:
+            for arc_id, theta in path:
+                rates = totals.setdefault((arc_id, i), {})
+                rates[theta] = rates.get(theta, 0) + value
+    horizon = Fraction(expansion.horizon)
+    steps = {}
+    for key, rates in sorted(totals.items()):
+        pieces = [
+            Piece(Fraction(theta), Fraction(theta + 1), rate) for theta, rate in sorted(rates.items())
+        ]
+        steps[key] = StepFunction(horizon, tuple(pieces))
+    return FlowOverTime(horizon, steps)

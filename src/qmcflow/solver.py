@@ -20,9 +20,8 @@ Fulkerson, Management Sci. 1958):
    generation of a probe works on this one tableau.
 2. Phase one decides the restricted master. A feasible master is a
    feasible probe: its path values are checked against the master's
-   rows in explicit code, then become an assignment of the expansion's
-   variables (assignment_from_paths), so every caller reads one kind of
-   witness.
+   rows in explicit code, then become the probe's witness, a flow over
+   time (flow_from_paths).
 3. An infeasible master's final phase-one row gives exact duals: a
    capacity row's dual y_e is its slack's entry, and commodity i's
    demand dual y_i is the entry of any of its columns minus the sum of
@@ -78,9 +77,9 @@ so a commodity needs T >= its shortest open-arc transit + 1. A speed-up
 report bisects the no-storage search inside [W, 2W], W the with-storage
 minimum. The search is sound because feasibility is monotone in the
 horizon (any schedule for T is also one for T+1).
-Before a search returns its minimum, the witness of that probe is
-turned into a flow over time and certified by the independent checker
-(check_flow); the search returns that flow together with the minimum.
+Before a search returns its minimum, the witness flow of that probe is
+certified by the independent checker (check_flow); the search returns
+that flow together with the minimum.
 """
 
 from __future__ import annotations
@@ -104,10 +103,9 @@ from .checker import check_flow
 from .expansion import (
     ExpandedNetwork,
     Path,
-    assignment_from_paths,
     build_time_expanded,
     cheapest_path,
-    extract_flow_over_time,
+    flow_from_paths,
     route_departures,
 )
 from .instances import cycle_instance
@@ -137,10 +135,10 @@ class NoHorizonFound(Exception):
 
 @dataclass(frozen=True)
 class LPResult:
-    """A verdict, with the assignment that witnesses a feasible one."""
+    """A verdict, with the flow over time that witnesses a feasible one."""
 
     feasible: bool
-    assignment: tuple[Fraction, ...] | None = None
+    flow: FlowOverTime | None = None
 
 
 # Right-hand-side pseudo-column: stored inside each row dict so pivots
@@ -355,8 +353,7 @@ def probe_horizon(
     """Build the expansion for one horizon and decide its feasibility on
     the path LP by column generation (see the module docstring). The
     mode reaches the decision only through the expansion's storage
-    masks. A feasible assignment is in the expansion's canonical column
-    order.
+    masks. A feasible verdict carries its witness flow over time.
     """
     expansion = build_time_expanded(instance, horizon, mode)
     return expansion, _decide_by_paths(expansion)
@@ -372,7 +369,7 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
     resumes from the basis it stopped at. When none enters, the lengths
     must pass the certificate check, or RuntimeError is raised. A
     feasible master's path values are checked (_master_values) and
-    become the expansion's assignment.
+    become the witness flow.
     """
     commodities = expansion.instance.commodities
     demanded = [i for i, goods in enumerate(commodities) if goods.demand > 0]
@@ -395,8 +392,7 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
             raise RuntimeError("pricing returned a column the master already has")
         known.update(priced)
         master.add(priced)
-    values = _master_values(master)
-    return LPResult(True, assignment_from_paths(expansion, master.paths, values))
+    return LPResult(True, flow_from_paths(expansion, master.paths, _master_values(master)))
 
 
 class _PathMaster:
@@ -602,7 +598,7 @@ class _Search:
         self.mode = mode
         self.observer = observer
         self.verdicts: dict[int, bool] = {}
-        self.witness: tuple[ExpandedNetwork, LPResult] | None = None
+        self.witness: FlowOverTime | None = None
 
     def feasible(self, horizon: int) -> bool:
         if horizon not in self.verdicts:
@@ -610,7 +606,7 @@ class _Search:
             if self.observer is not None:
                 self.observer(horizon, expansion, result)
             if result.feasible:
-                self.witness = expansion, result
+                self.witness = result.flow
             self.verdicts[horizon] = result.feasible
         return self.verdicts[horizon]
 
@@ -632,12 +628,11 @@ class _Search:
                 f"no feasible horizon <= {top} in mode {self.mode.value} "
                 f"(infeasible at T={top})"
             )
-        expansion, result = self.witness
-        flow = extract_flow_over_time(expansion, result.assignment)
+        flow = self.witness
         violations = check_flow(flow, self.instance, self.mode).violations
-        if expansion.horizon != lo or violations:
+        if flow.horizon != lo or violations:
             raise RuntimeError(
-                f"the witness at T={expansion.horizon} does not certify the minimum {lo}"
+                f"the witness at T={flow.horizon} does not certify the minimum {lo}"
                 f" ({len(violations)} checker violation(s))"
             )
         return lo, flow
@@ -674,11 +669,10 @@ def min_feasible_horizon(
     exact: any such path carries the demand without waiting, in both
     modes, once the horizon is long enough.
 
-    The minimum is certified before it is returned: the last feasible
-    probe's assignment becomes a flow over time (extract_flow_over_time),
-    and check_flow must accept it, or RuntimeError is raised. By
-    monotonicity this certificate also vouches for every feasible
-    verdict that shaped the search. The search returns the pair
+    The minimum is certified before it is returned: check_flow must
+    accept the last feasible probe's witness flow, or RuntimeError is
+    raised. By monotonicity this certificate also vouches for every
+    feasible verdict that shaped the search. The search returns the pair
     (minimum, flow), where flow is that certified schedule with horizon
     equal to the minimum.
     """

@@ -455,6 +455,12 @@ def satisfies_unreduced_lp(expansion: ExpandedNetwork, assignment) -> bool:
     return unreduced_lp(expansion).check_assignment(lift_assignment(expansion, assignment))
 
 
+def flow_satisfies_unreduced_lp(expansion: ExpandedNetwork, flow: FlowOverTime) -> bool:
+    """Whether a flow over time, transcribed by assignment_from_flow and
+    lifted onto unreduced_lp, satisfies every row of it."""
+    return satisfies_unreduced_lp(expansion, assignment_from_flow(expansion, flow))
+
+
 def path_master_lp(
     expansion: ExpandedNetwork, paths: list[tuple[int, Path]]
 ) -> tuple[LinearProgram, list[tuple[str, int]]]:

@@ -1,9 +1,10 @@
 """Acceptance sweep: one test per numbered criterion, exact arithmetic.
 
 Every LP probe executed here lands in a shared log; the final criterion
-re-extracts a schedule from each feasible probe and pushes it back
-through the checker. Timing lines are printed per criterion (visible
-with -s or on failure); the verdicts themselves never depend on time.
+pushes the witness flow of each feasible probe back through the checker
+and onto the unreduced node-arc LP. Timing lines are printed per
+criterion (visible with -s or on failure); the verdicts themselves never
+depend on time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from qmcflow import (
     StorageMode,
     check_flow,
     cycle_instance,
-    extract_flow_over_time,
     gap_csv,
     gap_sweep,
     min_feasible_horizon,
@@ -29,7 +29,7 @@ from qmcflow import (
     wave_schedule_no_storage,
 )
 
-from helpers import SEPARATING_CYCLES
+from helpers import SEPARATING_CYCLES, flow_satisfies_unreduced_lp
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -150,11 +150,16 @@ def test_criterion_09_every_feasible_probe_survives_the_checker():
         feasible = [(e, r) for e, r in _PROBE_LOG if r.feasible]
         assert feasible, "earlier criteria must have logged probes"
         for expansion, result in feasible:
-            flow = extract_flow_over_time(expansion, result.assignment)
+            flow = result.flow
+            assert flow.horizon == expansion.horizon
             report = check_flow(flow, expansion.instance, expansion.mode)
             assert report.ok, (
-                f"extracted flow fails at T={expansion.horizon}"
+                f"witness flow fails at T={expansion.horizon}"
                 f" in mode {expansion.mode.value}: {report.violations[:3]}"
+            )
+            assert flow_satisfies_unreduced_lp(expansion, flow), (
+                f"witness flow breaks the node-arc LP at T={expansion.horizon}"
+                f" in mode {expansion.mode.value}"
             )
 
 

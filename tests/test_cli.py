@@ -24,6 +24,7 @@ from qmcflow.core import (
     StorageMode,
     parse_flow,
     parse_instance,
+    serialize_flow,
     serialize_instance,
 )
 from qmcflow.instances import CycleParams, cycle_instance, random_instance
@@ -147,23 +148,31 @@ class TestSolve:
         assert counts[0] == counts[1]
 
     def test_each_solve_converts_one_witness(self, capsys, cycle4, tmp_path, monkeypatch):
-        # The search converts the witness of its minimum once, for its
-        # certificate, and --emit-flow writes that same flow.
+        # Each feasible probe turns its path values into a flow once;
+        # --emit-flow converts nothing more and writes the flow that the
+        # search returns.
         calls = []
-        extract = expansion.extract_flow_over_time
+        convert = expansion.flow_from_paths
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return extract(*args, **kwargs)
+            return convert(*args, **kwargs)
 
         for layer in ("cli", "core", "instances", "solver", "checker"):
             module = import_module(f"qmcflow.{layer}")
-            monkeypatch.setattr(module, "extract_flow_over_time", counted, raising=False)
-        for extra in ([], ["--emit-flow", str(tmp_path / "flow.json")]):
+            monkeypatch.setattr(module, "flow_from_paths", counted, raising=False)
+        target = tmp_path / "flow.json"
+        counts = []
+        for extra in ([], ["--emit-flow", str(target)]):
             calls.clear()
             code, out, _ = run(capsys, "solve", "--mode", "no-storage", "--max-T", "10", *extra, cycle4)
             assert (code, out) == (0, "7\n")
-            assert len(calls) == 1, extra
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+        mode = StorageMode.NO_INTERMEDIATE_STORAGE
+        _, flow = solver.min_feasible_horizon(cycle_instance(4), mode, 10)
+        assert target.read_text(encoding="utf-8") == serialize_flow(flow)
 
     def test_never_feasible_instance_is_exit_one(self, capsys, tmp_path):
         # The only path from s to t crosses an arc of capacity 0, so no

@@ -10,16 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode, transit_distances
-from qmcflow.expansion import (
-    assignment_from_paths,
-    build_time_expanded,
-    cheapest_path,
-    extract_flow_over_time,
-    route_departures,
-)
+from qmcflow.checker import STRICT_CONSERVATION, check_flow
+from qmcflow.expansion import build_time_expanded, cheapest_path, flow_from_paths, route_departures
 from qmcflow.instances import cycle_instance, random_instance
 
-from helpers import satisfies_unreduced_lp
+from helpers import assignment_from_flow, flow_satisfies_unreduced_lp
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -153,54 +148,63 @@ class TestBuild:
         assert "holdover arcs: 12" in text
 
 
-def positional(expansion, values: dict) -> list[Fraction]:
-    """An LP assignment in canonical column order: the given values on
-    the named movement variables, zero everywhere else."""
-    columns = len(expansion.movement_variables) + len(expansion.holdover_variables)
-    assignment = [Fraction(0)] * columns
-    for key, value in values.items():
-        assignment[expansion.movement_variables.index(key)] = value
-    return assignment
+def pieces(flow, key) -> list[tuple]:
+    return [(p.start, p.end, p.rate) for p in flow.rates[key].pieces]
+
+
+def held(expansion, flow) -> dict:
+    """The nonzero values of the expansion's variables that
+    assignment_from_flow reads off the flow, by variable."""
+    variables = expansion.movement_variables + expansion.holdover_variables
+    return {
+        key: value
+        for key, value in zip(variables, assignment_from_flow(expansion, flow))
+        if value
+    }
 
 
 class TestExtract:
+    """flow_from_paths: path values read out as a flow over time."""
+
     def test_single_copy_becomes_unit_interval(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        flow = extract_flow_over_time(expansion, positional(expansion, {("a0", 2, 0): Fraction(1)}))
-        step = flow.rates[("a0", 0)]
-        assert [(p.start, p.end, p.rate) for p in step.pieces] == [(2, 3, 1)]
+        flow = flow_from_paths(expansion, [(0, (("a0", 2),))], [Fraction(1)])
+        assert flow.rates.keys() == {("a0", 0)}
+        assert pieces(flow, ("a0", 0)) == [(2, 3, 1)]
         assert flow.horizon == 4
+
+    def test_paths_through_one_copy_are_summed(self):
+        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
+        paths = [(0, (("a0", 1), ("a1", 2))), (0, (("a0", 1), ("a1", 3)))]
+        flow = flow_from_paths(expansion, paths, [Fraction(1, 3), Fraction(1, 2)])
+        assert pieces(flow, ("a0", 0)) == [(1, 2, Fraction(5, 6))]
+        assert pieces(flow, ("a1", 0)) == [(2, 3, Fraction(1, 3)), (3, 4, Fraction(1, 2))]
 
     def test_all_zero_solution_is_the_empty_flow(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        assignment = positional(expansion, {("a0", 2, 0): Fraction(0)})
-        assert extract_flow_over_time(expansion, assignment).rates == {}
-        # Holdover values are storage, not arc rates.
-        assert expansion.holdover_variables
-        assignment[len(expansion.movement_variables):] = [Fraction(1)] * len(
-            expansion.holdover_variables
-        )
-        assert extract_flow_over_time(expansion, assignment).rates == {}
+        flow = flow_from_paths(expansion, [(0, (("a0", 2),))], [Fraction(0)])
+        assert flow.rates == {}
+        assert flow_from_paths(expansion, [], []).rates == {}
 
     def test_each_copy_becomes_its_own_unit_piece(self):
+        # Paths given out of order still give sorted keys and pieces.
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        flow = extract_flow_over_time(
-            expansion, positional(expansion, {("a0", 0, 0): Fraction(1), ("a0", 1, 0): Fraction(1)})
-        )
-        step = flow.rates[("a0", 0)]
-        assert [(p.start, p.end, p.rate) for p in step.pieces] == [(0, 1, 1), (1, 2, 1)]
+        paths = [(1, (("a1", 1),)), (0, (("a0", 1),)), (0, (("a0", 0),))]
+        flow = flow_from_paths(expansion, paths, [Fraction(1)] * 3)
+        assert list(flow.rates) == [("a0", 0), ("a1", 1)]
+        assert pieces(flow, ("a0", 0)) == [(0, 1, 1), (1, 2, 1)]
 
     def test_wrong_length_rejected(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        assignment = positional(expansion, {("a0", 2, 0): Fraction(1)})
-        for wrong in (assignment[:-1], assignment + [Fraction(0)], []):
-            with pytest.raises(ValueError, match="expected"):
-                extract_flow_over_time(expansion, wrong)
+        paths = [(0, (("a0", 2),))]
+        for wrong in ([], [Fraction(1), Fraction(0)]):
+            with pytest.raises(ValueError, match="zip"):
+                flow_from_paths(expansion, paths, wrong)
 
     def test_negative_amount_rejected(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         with pytest.raises(ValueError, match="negative"):
-            extract_flow_over_time(expansion, positional(expansion, {("a0", 0, 0): Fraction(-1)}))
+            flow_from_paths(expansion, [(0, (("a0", 0),))], [Fraction(-1)])
 
 
 def relay_instance() -> Instance:
@@ -273,17 +277,15 @@ class TestDeparturePaths:
         expansion = build_time_expanded(single_arc_instance(1), 3, WITHOUT)
         half = Fraction(1, 2)
         paths = [(0, (("a0", 0),)), (0, (("a0", 1),))]
-        assignment = assignment_from_paths(expansion, paths, [half, half])
-        variables = expansion.movement_variables + expansion.holdover_variables
-        values = {key: value for key, value in zip(variables, assignment) if value}
-        assert values == {
+        flow = flow_from_paths(expansion, paths, [half, half])
+        assert held(expansion, flow) == {
             ("a0", 0, 0): half,
             ("a0", 1, 0): half,
             ("v0", 0, 0): half,
             ("v1", 1, 0): half,
             ("v1", 2, 0): 1,
         }
-        assert satisfies_unreduced_lp(expansion, assignment)
+        assert flow_satisfies_unreduced_lp(expansion, flow)
 
     def test_a_path_waits_only_with_storage(self):
         # T = 4: both paths that do not wait at v use a dear copy, and
@@ -299,12 +301,18 @@ class TestDeparturePaths:
     def test_path_values_fill_the_holdovers_where_a_path_waits(self):
         expansion = build_time_expanded(two_hop_instance(), 4, WITH)
         paths = [(0, (("sv", 0), ("vt", 2)))]
-        assignment = assignment_from_paths(expansion, paths, [Fraction(1)])
-        variables = expansion.movement_variables + expansion.holdover_variables
-        values = {key: value for key, value in zip(variables, assignment) if value}
-        assert values == {("sv", 0, 0): 1, ("v", 1, 0): 1, ("vt", 2, 0): 1, ("t", 3, 0): 1}
-        assert satisfies_unreduced_lp(expansion, assignment)
-        # Without storage there is no holdover at v to fill.
+        flow = flow_from_paths(expansion, paths, [Fraction(1)])
+        assert held(expansion, flow) == {
+            ("sv", 0, 0): 1,
+            ("v", 1, 0): 1,
+            ("vt", 2, 0): 1,
+            ("t", 3, 0): 1,
+        }
+        assert flow_satisfies_unreduced_lp(expansion, flow)
+        # Without storage the same flow stores at v, which the checker
+        # flags.
         strict = build_time_expanded(two_hop_instance(), 4, WITHOUT)
-        with pytest.raises(KeyError):
-            assignment_from_paths(strict, paths, [Fraction(1)])
+        flow = flow_from_paths(strict, paths, [Fraction(1)])
+        violations = check_flow(flow, two_hop_instance(), WITHOUT).violations
+        assert [(v.kind, v.location) for v in violations] == [(STRICT_CONSERVATION, "v")]
+        assert not flow_satisfies_unreduced_lp(strict, flow)

@@ -28,7 +28,6 @@ from qmcflow.core import (
 from qmcflow.expansion import (
     build_time_expanded,
     cheapest_path,
-    extract_flow_over_time,
     route_departures,
 )
 from qmcflow.instances import (
@@ -53,6 +52,7 @@ from helpers import (
     Constraint,
     LinearProgram,
     assignment_from_flow,
+    flow_satisfies_unreduced_lp,
     fourier_motzkin_feasible,
     lp_feasible,
     path_master_lp,
@@ -347,9 +347,10 @@ class TestTranscription:
         # One movement copy (a0 at theta 0) and the sink holdover at
         # theta 1 must each carry the full unit; everything else is 0.
         names = list(expansion.movement_variables) + list(expansion.holdover_variables)
-        support = {names[j] for j, value in enumerate(result.assignment) if value != 0}
+        values = assignment_from_flow(expansion, result.flow)
+        support = {names[j] for j, value in enumerate(values) if value != 0}
         assert support == {("a0", 0, 0), ("v1", 1, 0)}
-        assert satisfies_unreduced_lp(expansion, result.assignment)
+        assert satisfies_unreduced_lp(expansion, values)
 
     def test_cycle3_infeasible_at_three_without_storage(self):
         expansion, result = probe_horizon(cycle_instance(3), 3, WITHOUT)
@@ -359,7 +360,7 @@ class TestTranscription:
     def test_cycle3_feasible_at_four_with_storage(self):
         expansion, result = probe_horizon(cycle_instance(3), 4, WITH)
         assert result.feasible
-        assert satisfies_unreduced_lp(expansion, result.assignment)
+        assert flow_satisfies_unreduced_lp(expansion, result.flow)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wait_schedule_satisfies_the_lp(self, k: int):
@@ -732,7 +733,7 @@ class TestIntegerHorizon:
         assert not probe_horizon(scaled, 12, WITHOUT)[1].feasible
         expansion, result = probe_horizon(scaled, 13, WITHOUT)
         assert result.feasible
-        flow = extract_flow_over_time(expansion, result.assignment)
+        flow = result.flow
         horizon = F(13, 3)
         rescaled = FlowOverTime(
             horizon,
@@ -822,8 +823,7 @@ class TestWindowPresolve:
                 assert ("shut", 0, 0) in window_names(expansion) or horizon < 2
                 assert result.feasible == full_verdict(expansion) == (horizon >= 4)
                 if result.feasible:
-                    flow = extract_flow_over_time(expansion, result.assignment)
-                    assert not any(arc_id == "shut" for arc_id, _ in flow.rates)
+                    assert not any(arc_id == "shut" for arc_id, _ in result.flow.rates)
 
     def test_zero_transit_arc_at_the_window_edge(self):
         network = Network(
@@ -944,8 +944,8 @@ class RecordedMaster(solver._PathMaster):
 def assert_matches_the_node_arc_lp(instance: Instance, horizon: int, mode: StorageMode):
     """Probe in the mode and check the verdict against the unreduced
     node-arc LP's; returns the probe's (expansion, result, final master).
-    A feasible verdict's assignment must satisfy every row of that LP,
-    which proves it feasible; an infeasible verdict must agree with
+    A feasible verdict's flow, lifted onto that LP, must satisfy every
+    row of it, which proves it feasible; an infeasible verdict must agree with
     lp_feasible on it. (Solving the feasible node-arc LPs with storage
     would take minutes at k = 8.) The verdict of the warm master must
     also equal lp_feasible's on the same final master built from
@@ -963,7 +963,7 @@ def assert_matches_the_node_arc_lp(instance: Instance, horizon: int, mode: Stora
     cold, _ = path_master_lp(expansion, master.paths)
     assert lp_feasible(cold).feasible == result.feasible, (instance, horizon, mode)
     if result.feasible:
-        assert satisfies_unreduced_lp(expansion, result.assignment), (instance, horizon, mode)
+        assert flow_satisfies_unreduced_lp(expansion, result.flow), (instance, horizon, mode)
     else:
         assert not full_verdict(expansion), (instance, horizon, mode)
     return expansion, result, master
@@ -1148,23 +1148,21 @@ class TestWaitingPathLP(PathLPCases):
             return pivot(*args)
 
         monkeypatch.setattr(solver, "_pivot_exact", counted)
-        expansion, result = probe_horizon(cycle_instance(20), 21, WITH)
+        _, result = probe_horizon(cycle_instance(20), 21, WITH)
         assert result.feasible
-        assert check_flow(
-            extract_flow_over_time(expansion, result.assignment), cycle_instance(20), WITH
-        ).ok
+        assert check_flow(result.flow, cycle_instance(20), WITH).ok
         assert pivots[0] <= 1000
 
 
 class TestMovementSolution:
-    """The movement values of a feasible probe, read back as a flow."""
+    """The witness flow of a feasible probe."""
 
     def test_round_trip_through_the_checker(self):
         instance = cycle_instance(4)
-        expansion, result = probe_horizon(instance, 7, WITHOUT)
+        _, result = probe_horizon(instance, 7, WITHOUT)
         assert result.feasible
-        flow = extract_flow_over_time(expansion, result.assignment)
-        assert check_flow(flow, instance, WITHOUT).ok
+        assert result.flow.horizon == 7
+        assert check_flow(result.flow, instance, WITHOUT).ok
 
 
 class TestSweep:
