@@ -1,8 +1,7 @@
 """Discrete time expansion of an instance over an integer horizon.
 
-This module is the only one that knows the time grid. The expansion has
-one copy (v, theta) of every node for each integer time theta in 0..T,
-and two kinds of arcs between copies:
+The expansion has one copy (v, theta) of every node for each integer
+time theta in 0..T, and two kinds of arcs between copies:
 
 * movement copies (a, theta) from (tail(a), theta) to (head(a), theta +
   transit(a)), one for each theta in 0..T-transit(a)-1, with the arc's
@@ -16,23 +15,15 @@ and two kinds of arcs between copies:
   holdover at the sink collects arrivals until the demand is read off at
   (sink, T).
 
-Not every (copy, commodity) pair is an LP variable. Besides the mask, a
-commodity must be able to use the copy in time: it keeps a copy from
-(u, theta) to (v, theta') only if u is reachable from its source by
-theta and its sink is still reachable from v by T, starting at theta'
-(dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T, with dist the
-smallest transit time). Dropping the cycles of a feasible static flow
-keeps it feasible, and what is left uses only such copies, so this time
-window leaves every verdict unchanged. ExpandedNetwork.column_endpoints
-lists the tail and head copy of every variable, so the solver's
-certificate check sees the expansion as a plain static network and
-never computes a time itself.
+The solver checks an infeasible verdict by one backward pass of its own
+over this grid (solver._distance_to_sink), which shares no code with the
+path helpers below.
 
-The solver decides every probe over paths rather than over the
-variables above, and the storage mode reaches it only through the masks
-here. A path of commodity i departs (s_i, theta), takes movement copies
-and ends on its first arrival at t_i, never re-entering s_i; it is a
-tuple of movement copies (arc id, theta). Between two copies it waits at
+The solver decides every probe over paths rather than over node-arc
+variables, and the storage mode reaches it only through the masks here.
+A path of commodity i departs (s_i, theta), takes movement copies and
+ends on its first arrival at t_i, never re-entering s_i; it is a tuple
+of movement copies (arc id, theta). Between two copies it waits at
 the node it is at, which the mask allows everywhere with storage and
 nowhere without, where a path is fully described by its departure time
 and its route. Three helpers hold the grid rule for paths:
@@ -57,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Arc, FlowOverTime, Instance, Network, Piece, StepFunction, StorageMode
-from .core import format_rational, transit_distances
+from .core import format_rational
 
 __all__ = [
     "ExpandedNetwork",
@@ -87,12 +78,7 @@ class ExpandedNetwork:
 
     movement_copies and holdover_arcs are sorted lexicographically, and
     holdover_nodes[i] is the set of nodes where commodity i may use
-    holdover arcs. movement_variables and holdover_variables are the LP
-    variables in canonical order: the movement copies by (arc id, theta,
-    commodity), then the holdover arcs by (node, theta, commodity), each
-    pair kept only if the mask allows it and it lies in the commodity's
-    time window. column_endpoints gives each variable's tail and head
-    node copy in that order.
+    holdover arcs.
     """
 
     instance: Instance
@@ -101,23 +87,6 @@ class ExpandedNetwork:
     movement_copies: tuple[tuple[str, int], ...]
     holdover_arcs: tuple[tuple[str, int], ...]
     holdover_nodes: tuple[frozenset[str], ...]
-    movement_variables: tuple[tuple[str, int, int], ...]
-    holdover_variables: tuple[tuple[str, int, int], ...]
-
-    def column_endpoints(self) -> Iterator[tuple[int, tuple[str, int], tuple[str, int]]]:
-        """(commodity, tail copy, head copy) of every variable, in the
-        canonical order: movement_variables, then holdover_variables.
-
-        Generated on demand rather than stored: each caller walks it
-        once, and a stored tuple would keep two copies per variable
-        alive with the expansion.
-        """
-        arc_by_id = self.instance.network.arc_by_id
-        for arc_id, theta, commodity in self.movement_variables:
-            arc = arc_by_id[arc_id]
-            yield commodity, (arc.tail, theta), (arc.head, theta + arc.transit)
-        for node, theta, commodity in self.holdover_variables:
-            yield commodity, (node, theta), (node, theta + 1)
 
     def describe(self) -> str:
         """Debug dump of copies and masks. Not a stable format."""
@@ -148,9 +117,7 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
     Raises ValueError for a horizon that is not a positive integer, a
     mode that is not a StorageMode, and non-integer transit times;
     everything else is assumed validated. A horizon too short for any
-    movement simply yields an expansion with no movement copies. The
-    variables are the mask-allowed (copy, commodity) pairs inside the
-    commodity's time window (see the module docstring).
+    movement simply yields an expansion with no movement copies.
     """
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise ValueError("horizon must be a positive integer")
@@ -171,39 +138,7 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
         masks = tuple([
             frozenset({commodity.source, commodity.sink}) for commodity in instance.commodities
         ])
-
-    # The time window: smallest transits from each source and to each sink.
-    windows = [
-        (transit_distances(network, c.source), transit_distances(network, c.sink, reverse=True))
-        for c in instance.commodities
-    ]
-    unreachable = horizon + 1
-
-    def usable(i: int, tail: str, theta: int, head: str, arrival: int) -> bool:
-        from_source, to_sink = windows[i]
-        return (
-            from_source.get(tail, unreachable) <= theta
-            and arrival + to_sink.get(head, unreachable) <= horizon
-        )
-
-    commodities = range(len(instance.commodities))
-    arcs = network.arc_by_id
-    movement_variables = tuple([
-        (a, theta, i)
-        for a, theta in movement
-        for i in commodities
-        if usable(i, arcs[a].tail, theta, arcs[a].head, theta + arcs[a].transit)
-    ])
-    holdover_variables = tuple([
-        (node, theta, i)
-        for node, theta in holdover
-        for i in commodities
-        if node in masks[i] and usable(i, node, theta, node, theta + 1)
-    ])
-    return ExpandedNetwork(
-        instance, horizon, mode, tuple(movement), tuple(holdover), masks,
-        movement_variables, holdover_variables,
-    )
+    return ExpandedNetwork(instance, horizon, mode, tuple(movement), tuple(holdover), masks)
 
 
 def _fewest_transit_route(network: Network, source: str, sink: str) -> list[Arc] | None:

@@ -10,7 +10,8 @@ waits in between only where the commodity's storage mask allows it
 arrival at t_i. The rows are one capacity row per movement copy that
 some column uses and one demand equality per commodity with positive
 demand. By flow decomposition the LP is feasible exactly when the
-node-arc LP of the expansion is: the expansion's variables, one
+node-arc LP of the expansion is: one variable per movement copy and
+commodity and per holdover arc and commodity the mask allows, one
 capacity row per movement copy and one flow conservation equality per
 (commodity, node copy). Its columns are generated, not listed (Ford and
 Fulkerson, Management Sci. 1958):
@@ -39,11 +40,13 @@ Fulkerson, Management Sci. 1958):
 When no path enters, the lengths prove the probe infeasible by the
 Japanese theorem (Iri 1971; Onaga and Kakusho 1971): sum_i d_i *
 dist_l(s_i, t_i) > sum_e c_e * l_e. That inequality is checked before
-the verdict is returned, with distances from a label-correcting search
-over the expansion's variables (ExpandedNetwork.column_endpoints,
-holdovers at length 0) that shares no code with pricing, and a failure
-raises RuntimeError. The certificate so proves the node-arc LP of the
-probe infeasible, whatever the masters did.
+the verdict is returned, and a failure raises RuntimeError. Each
+distance comes from one backward pass over the time grid, from (t_i, T)
+down to layer 0: a layer takes the holdovers the mask allows (length 0)
+and the movement copies into later layers, then relaxes its
+zero-transit copies to a fixed point. The pass shares no code with
+pricing. The certificate so proves the node-arc LP of the probe
+infeasible, whatever the masters did.
 
 Path masters are decided by one phase-one simplex on one kind of
 tableau in exact integer arithmetic (integer numerators over per-row
@@ -84,7 +87,6 @@ that flow together with the minimum.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -535,26 +537,20 @@ def _check_length_certificate(
     By the Japanese theorem (Iri 1971; Onaga and Kakusho 1971) the
     demands cannot be met if lengths l >= 0 on the movement copies give
     sum_i d_i * dist_l(i) > sum_e c_e * l_e, where dist_l(i) is the
-    least length of a path from (s_i, 0) to (t_i, T) over commodity i's
-    variables in the expansion (column_endpoints), holdovers at length
-    0. A commodity with positive demand and no such path settles the
-    inequality on its own. The distances come from a label-correcting
-    search over those variables, which shares no code with pricing.
+    least length of a walk from (s_i, 0) to (t_i, T) in the expansion
+    over movement copies and commodity i's holdovers, the holdovers at
+    length 0 (_distance_to_sink). A commodity with positive demand and
+    no such walk settles the inequality on its own.
     """
     if any(value < 0 for value in lengths.values()):
         raise RuntimeError("the length certificate has a negative length")
     instance = expansion.instance
     arc_by_id = instance.network.arc_by_id
     budget = sum([arc_by_id[arc_id].capacity * value for (arc_id, _), value in lengths.items()])
-    movement = expansion.movement_variables
-    graph: dict[tuple[int, tuple[str, int]], list[tuple[tuple[str, int], int]]] = {}
-    for j, (i, tail, head) in enumerate(expansion.column_endpoints()):
-        length = lengths.get(movement[j][:2], 0) if j < len(movement) else 0
-        graph.setdefault((i, tail), []).append((head, length))
     needed = _ZERO
     for i, goods in enumerate(instance.commodities):
         if goods.demand > 0:
-            dist = _relaxed_distance(graph, i, (goods.source, 0), (goods.sink, expansion.horizon))
+            dist = _distance_to_sink(expansion, i, lengths)
             if dist is None:
                 return
             needed += goods.demand * dist
@@ -566,24 +562,49 @@ def _check_length_certificate(
         )
 
 
-def _relaxed_distance(graph, commodity: int, start, target) -> int | None:
-    """Least length from start to target in commodity's part of graph,
-    by FIFO label correcting; None if target is unreachable."""
-    dist = {start: 0}
-    queue = deque([start])
-    waiting = {start}
-    while queue:
-        copy = queue.popleft()
-        waiting.discard(copy)
-        here = dist[copy]
-        for head, length in graph.get((commodity, copy), ()):
-            candidate = here + length
-            if candidate < dist.get(head, candidate + 1):
-                dist[head] = candidate
-                if head not in waiting:
-                    waiting.add(head)
-                    queue.append(head)
-    return dist.get(target)
+def _distance_to_sink(
+    expansion: ExpandedNetwork, commodity: int, lengths: Mapping[tuple[str, int], int]
+) -> int | None:
+    """dist_l((s_i, 0), (t_i, T)) for commodity i, or None if (t_i, T) is
+    unreachable, by one backward pass over the time grid.
+
+    Layer theta holds the least length from each (v, theta) to (t_i, T),
+    computed from the later layers: a holdover (v, theta) -> (v, theta+1)
+    has length 0 and exists where the mask lets i wait; a movement copy
+    (a, theta) exists when theta + transit(a) <= T - 1 and has length
+    l(a, theta). Copies of zero-transit arcs stay inside the layer and
+    are relaxed to a fixed point, which is reached because no length is
+    negative. It shares no code with pricing (cheapest_path).
+    """
+    network = expansion.instance.network
+    goods = expansion.instance.commodities[commodity]
+    horizon = expansion.horizon
+    waits = expansion.holdover_nodes[commodity]
+    moving = [arc for arc in network.arcs if arc.transit]
+    instant = [arc for arc in network.arcs if not arc.transit]
+    # layers[theta][v]: least length from (v, theta) to (t_i, T).
+    layers: list[dict[str, int]] = [{} for _ in range(horizon)] + [{goods.sink: 0}]
+    for theta in range(horizon - 1, -1, -1):
+        layer, above = layers[theta], layers[theta + 1]
+        for node in waits:
+            if node in above:
+                layer[node] = above[node]
+        for arc in moving:
+            arrival = theta + arc.transit
+            if arrival < horizon and arc.head in layers[arrival]:
+                candidate = layers[arrival][arc.head] + lengths.get((arc.id, theta), 0)
+                if candidate < layer.get(arc.tail, candidate + 1):
+                    layer[arc.tail] = candidate
+        changed = True
+        while changed:
+            changed = False
+            for arc in instant:
+                if arc.head in layer:
+                    candidate = layer[arc.head] + lengths.get((arc.id, theta), 0)
+                    if candidate < layer.get(arc.tail, candidate + 1):
+                        layer[arc.tail] = candidate
+                        changed = True
+    return layers[0].get(goods.source)
 
 
 Observer = Callable[[int, ExpandedNetwork, LPResult], None]
@@ -731,9 +752,9 @@ def speedup_ratio(
 
     The no-storage search bisects [W, min(t_max, 2W)], where W is the
     with-storage minimum, probing the top last. W is a proven lower end:
-    each no-storage expansion's variables are a subset of the
-    with-storage ones, and W - 1 was ruled out by a checked length
-    certificate or by the transit bound. Storage speeds things up by at
+    each no-storage mask is a subset of the with-storage one, and W - 1
+    was ruled out by a checked length certificate or by the transit
+    bound. Storage speeds things up by at
     most a factor of two; a violation of that bound would surface loudly
     as NoHorizonFound, never as a silently wrong minimum.
     """

@@ -1,10 +1,16 @@
 """Shared test utilities: flow truncation, exact integration of rate
-functions, flow-to-LP transcription, the unreduced reference LP and the
-lift of windowed assignments onto it, the cold path master, the
-cycles that separate the two storage modes, the reference simplex for general LPs, Fourier-Motzkin elimination as a
-reference for it, the per-breakpoint reference flow checker, and the
-json.dumps(doc, indent=2) document writers that the package's direct
-writers must match byte for byte.
+functions, flow-to-LP transcription, the unreduced node-arc LP with its
+time window (window_columns) and the lift of window assignments onto
+it, the label-correcting reference distance that the solver's backward
+pass over the time grid is checked against, the cold path master, the
+cycles that separate the two storage modes, the reference simplex for
+general LPs, Fourier-Motzkin elimination as a reference for it, the
+per-breakpoint reference flow checker, and the json.dumps(doc,
+indent=2) document writers that the package's direct writers must match
+byte for byte.
+
+The package lists no node-arc variable: the (copy, commodity) columns,
+their time window and their endpoints live here, as test references.
 
 The reference simplex (lp_feasible) decides the node-arc and cold master
 LPs that the package's warm path masters are checked against, so it
@@ -14,10 +20,11 @@ cannot then hide on both sides of a differential test."""
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from qmcflow.checker import (
     CAPACITY,
@@ -33,6 +40,7 @@ from qmcflow.core import (
     StepFunction,
     StorageMode,
     format_rational,
+    transit_distances,
 )
 from qmcflow.expansion import ExpandedNetwork, Path
 from qmcflow.instances import CycleParams
@@ -344,31 +352,33 @@ def _departed(flow: FlowOverTime, arc_id: str, commodity: int, t: int) -> Fracti
 
 
 def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list[Fraction]:
-    """Transcribe a unit-interval-constant flow into LP variable values.
+    """Transcribe a unit-interval-constant flow into values of the time
+    window's variables, in the order of window_columns.
 
     Movement variables take the amount entering the arc during
     [theta, theta+1). Holdover variables take the amount of the
     commodity parked at the node during that interval, where supply not
-    yet injected counts as parked at the source. The list is in the
-    expansion's canonical column order, so lift_assignment carries it
-    onto unreduced_lp, every row of which a feasible schedule satisfies.
+    yet injected counts as parked at the source. lift_assignment carries
+    the list onto unreduced_lp, every row of which a feasible schedule
+    satisfies.
     """
-    network = expansion.instance.network
+    instance = expansion.instance
+    network = instance.network
     values: list[Fraction] = []
-    for arc_id, theta, commodity in expansion.movement_variables:
-        step = flow.rates.get((arc_id, commodity))
-        if step is None:
-            values.append(ZERO)
-        else:
-            values.append(cumulative(step, theta + 1) - cumulative(step, theta))
-    for node, theta, commodity in expansion.holdover_variables:
-        com = expansion.instance.commodities[commodity]
+    for kind, name, theta, commodity in window_columns(expansion):
+        if kind == "move":
+            step = flow.rates.get((name, commodity))
+            values.append(
+                ZERO if step is None else cumulative(step, theta + 1) - cumulative(step, theta)
+            )
+            continue
+        com = instance.commodities[commodity]
         held = ZERO
-        for arc in network.in_arcs[node]:
+        for arc in network.in_arcs[name]:
             held += _delivered(flow, arc.id, commodity, arc.transit, theta + 1)
-        for arc in network.out_arcs[node]:
+        for arc in network.out_arcs[name]:
             held -= _departed(flow, arc.id, commodity, theta + 1)
-        if node == com.source:
+        if name == com.source:
             held += com.demand
         values.append(held)
     return values
@@ -388,6 +398,85 @@ def unreduced_columns(expansion: ExpandedNetwork) -> list[tuple]:
         for i in commodities
         if node in expansion.holdover_nodes[i]
     ]
+
+
+def window_columns(expansion: ExpandedNetwork) -> list[tuple]:
+    """The unreduced_columns that some path of their commodity can use in
+    time, in the same order: the time window.
+
+    A column of commodity i from (u, theta) to (v, theta') is kept when u
+    is reachable from s_i by theta and t_i from v by T, starting at
+    theta' (dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T, with
+    dist the smallest transit time). Dropping the cycles of a feasible
+    static flow keeps it feasible, and what is left uses only such
+    columns, so the window's node-arc LP has the verdict of unreduced_lp.
+    """
+    network = expansion.instance.network
+    windows = [
+        (transit_distances(network, c.source), transit_distances(network, c.sink, reverse=True))
+        for c in expansion.instance.commodities
+    ]
+    unreachable = expansion.horizon + 1
+    columns = unreduced_columns(expansion)
+    kept = []
+    for column, (i, (tail, theta), (head, arrival), _) in zip(
+        columns, column_endpoints(expansion, columns)
+    ):
+        from_source, to_sink = windows[i]
+        if (
+            from_source.get(tail, unreachable) <= theta
+            and arrival + to_sink.get(head, unreachable) <= expansion.horizon
+        ):
+            kept.append(column)
+    return kept
+
+
+def column_endpoints(expansion: ExpandedNetwork, columns: Sequence[tuple]) -> Iterator[tuple]:
+    """(commodity, tail copy, head copy, movement copy) of each column key
+    in unreduced_columns' format; the movement copy (arc id, theta) is
+    None for a holdover."""
+    arcs = expansion.instance.network.arc_by_id
+    for kind, name, theta, i in columns:
+        if kind == "move":
+            arc = arcs[name]
+            yield i, (arc.tail, theta), (arc.head, theta + arc.transit), (name, theta)
+        else:
+            yield i, (name, theta), (name, theta + 1), None
+
+
+def reference_distance(
+    expansion: ExpandedNetwork,
+    columns: Sequence[tuple],
+    lengths: Mapping[tuple[str, int], int],
+    commodity: int,
+) -> int | None:
+    """Least length from (s_i, 0) to (t_i, T) over commodity i's columns,
+    a movement column of length lengths.get(copy, 0) and a holdover of
+    length 0; None if (t_i, T) is unreachable. Computed by FIFO label
+    correcting over a graph built from the columns, as the reference for
+    the solver's backward pass over the time grid."""
+    graph: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {}
+    for i, tail, head, copy in column_endpoints(expansion, columns):
+        if i == commodity:
+            length = 0 if copy is None else lengths.get(copy, 0)
+            graph.setdefault(tail, []).append((head, length))
+    goods = expansion.instance.commodities[commodity]
+    start = (goods.source, 0)
+    dist = {start: 0}
+    queue = deque([start])
+    waiting = {start}
+    while queue:
+        copy = queue.popleft()
+        waiting.discard(copy)
+        here = dist[copy]
+        for head, length in graph.get(copy, ()):
+            candidate = here + length
+            if candidate < dist.get(head, candidate + 1):
+                dist[head] = candidate
+                if head not in waiting:
+                    waiting.add(head)
+                    queue.append(head)
+    return dist.get((goods.sink, expansion.horizon))
 
 
 def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
@@ -410,13 +499,9 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
     balance = {
         (i, copy): {} for i in range(len(instance.commodities)) for copy in node_copies
     }
-    for j, (kind, name, theta, i) in enumerate(columns):
-        if kind == "move":
-            arc = arcs[name]
-            capacity[name, theta][j] = ONE
-            tail, head = (arc.tail, theta), (arc.head, theta + arc.transit)
-        else:
-            tail, head = (name, theta), (name, theta + 1)
+    for j, (i, tail, head, copy) in enumerate(column_endpoints(expansion, columns)):
+        if copy is not None:
+            capacity[copy][j] = ONE
         balance[i, tail][j] = -ONE
         balance[i, head][j] = ONE
     rhs = dict.fromkeys(balance, ZERO)
@@ -433,20 +518,14 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
 
 
 def lift_assignment(expansion: ExpandedNetwork, assignment) -> list[Fraction]:
-    """unreduced_lp's column values of an assignment in the expansion's
-    canonical column order (movement_variables, then holdover_variables),
-    matched by key; the columns outside the time window take 0. A
-    variable with no column raises KeyError."""
-    keys = [("move", *key) for key in expansion.movement_variables]
-    keys += [("hold", *key) for key in expansion.holdover_variables]
+    """unreduced_lp's column values of an assignment of the time window's
+    variables in the order of window_columns; the columns outside the
+    window take 0."""
+    keys = window_columns(expansion)
     if len(keys) != len(assignment):
         raise ValueError(f"expected {len(keys)} values, got {len(assignment)}")
     values = dict(zip(keys, assignment))
-    columns = unreduced_columns(expansion)
-    stray = values.keys() - set(columns)
-    if stray:
-        raise KeyError(f"variables with no column: {sorted(stray)}")
-    return [values.get(key, ZERO) for key in columns]
+    return [values.get(key, ZERO) for key in unreduced_columns(expansion)]
 
 
 def satisfies_unreduced_lp(expansion: ExpandedNetwork, assignment) -> bool:

@@ -14,7 +14,12 @@ from qmcflow.checker import STRICT_CONSERVATION, check_flow
 from qmcflow.expansion import build_time_expanded, cheapest_path, flow_from_paths, route_departures
 from qmcflow.instances import cycle_instance, random_instance
 
-from helpers import assignment_from_flow, flow_satisfies_unreduced_lp
+from helpers import (
+    assignment_from_flow,
+    column_endpoints,
+    flow_satisfies_unreduced_lp,
+    window_columns,
+)
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
@@ -83,28 +88,33 @@ class TestBuild:
         assert len(expansion.holdover_arcs) == k * horizon
 
     def test_movement_variable_order_is_lexicographic(self):
-        expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        assert list(expansion.movement_variables) == sorted(expansion.movement_variables)
-        assert list(expansion.holdover_variables) == sorted(expansion.holdover_variables)
+        # The test reference's window: movement columns, then holdover
+        # columns, each sorted by (copy, commodity).
+        columns = window_columns(build_time_expanded(cycle_instance(3), 4, WITH))
+        movement = [key for key in columns if key[0] == "move"]
+        holdover = [key for key in columns if key[0] == "hold"]
+        assert columns == movement + holdover
+        assert movement == sorted(movement)
+        assert holdover == sorted(holdover)
 
     def test_column_endpoints_follow_the_variable_order(self):
         # T=3, transit 2: the supply can wait at v0 only until the last
         # departure at 0, and the demand can wait at v1 only from its
         # arrival at 2, so the time window keeps one holdover at each.
         expansion = build_time_expanded(single_arc_instance(2), 3, WITHOUT)
-        assert expansion.movement_variables == (("a0", 0, 0),)
-        assert expansion.holdover_variables == (("v0", 0, 0), ("v1", 2, 0))
-        assert list(expansion.column_endpoints()) == [
-            (0, ("v0", 0), ("v1", 2)),
-            (0, ("v0", 0), ("v0", 1)),
-            (0, ("v1", 2), ("v1", 3)),
+        columns = window_columns(expansion)
+        assert columns == [("move", "a0", 0, 0), ("hold", "v0", 0, 0), ("hold", "v1", 2, 0)]
+        assert list(column_endpoints(expansion, columns)) == [
+            (0, ("v0", 0), ("v1", 2), ("a0", 0)),
+            (0, ("v0", 0), ("v0", 1), None),
+            (0, ("v1", 2), ("v1", 3), None),
         ]
 
     @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
     def test_variables_are_the_mask_allowed_pairs_in_time(self, seed: int, horizon: int):
-        # A pair (copy from (u, theta) to (v, theta'), commodity i) is a
-        # variable exactly when the mask allows it, dist(s_i, u) <= theta
-        # and theta' + dist(v, t_i) <= T.
+        # A pair (copy from (u, theta) to (v, theta'), commodity i) is in
+        # the test reference's window exactly when the mask allows it,
+        # dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T.
         instance = random_instance(seed, 5, 8, 3, 3)
         network = instance.network
         commodities = range(len(instance.commodities))
@@ -127,18 +137,17 @@ class TestBuild:
             for arc_id, theta in expansion.movement_copies:
                 arc = network.arc_by_id[arc_id]
                 movement += [
-                    (arc_id, theta, i)
+                    ("move", arc_id, theta, i)
                     for i in commodities
                     if in_time(i, arc.tail, theta, arc.head, theta + arc.transit)
                 ]
             holdover = [
-                (node, theta, i)
+                ("hold", node, theta, i)
                 for node, theta in expansion.holdover_arcs
                 for i in commodities
                 if node in expansion.holdover_nodes[i] and in_time(i, node, theta, node, theta + 1)
             ]
-            assert expansion.movement_variables == tuple(movement)
-            assert expansion.holdover_variables == tuple(holdover)
+            assert window_columns(expansion) == movement + holdover
 
     def test_describe_mentions_the_shape(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITHOUT)
@@ -155,10 +164,9 @@ def pieces(flow, key) -> list[tuple]:
 def held(expansion, flow) -> dict:
     """The nonzero values of the expansion's variables that
     assignment_from_flow reads off the flow, by variable."""
-    variables = expansion.movement_variables + expansion.holdover_variables
     return {
-        key: value
-        for key, value in zip(variables, assignment_from_flow(expansion, flow))
+        key[1:]: value
+        for key, value in zip(window_columns(expansion), assignment_from_flow(expansion, flow))
         if value
     }
 

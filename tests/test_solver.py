@@ -56,8 +56,11 @@ from helpers import (
     fourier_motzkin_feasible,
     lp_feasible,
     path_master_lp,
+    reference_distance,
     satisfies_unreduced_lp,
+    unreduced_columns,
     unreduced_lp,
+    window_columns,
 )
 
 WITH = StorageMode.WITH_STORAGE
@@ -273,9 +276,8 @@ class TestTranscription:
         # pair as a column, 9 capacity rows and 45 (commodity, node copy)
         # balance rows.
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        movement = len(expansion.movement_variables)
-        holdover = len(expansion.holdover_variables)
-        assert (movement, holdover) == (15, 18)
+        kinds = [key[0] for key in window_columns(expansion)]
+        assert (kinds.count("move"), kinds.count("hold")) == (15, 18)
         full = unreduced_lp(expansion)
         assert (full.num_vars, len(full.constraints)) == (27 + 36, 9 + 45)
         relations = [c.relation for c in full.constraints]
@@ -296,8 +298,11 @@ class TestTranscription:
         # so both modes agree). The path master has the one path a0@0,
         # its capacity row and the demand row.
         expansion = build_time_expanded(single_arc_instance(), 2, mode)
-        assert expansion.movement_variables == (("a0", 0, 0),)
-        assert expansion.holdover_variables == (("v0", 0, 0), ("v1", 1, 0))
+        assert window_columns(expansion) == [
+            ("move", "a0", 0, 0),
+            ("hold", "v0", 0, 0),
+            ("hold", "v1", 1, 0),
+        ]
         paths = [(0, path) for path in route_departures(expansion, 0)]
         assert paths == [(0, (("a0", 0),))]
         lp, copies = fresh_master_lp(solver._PathMaster(expansion, [0], paths))
@@ -346,7 +351,7 @@ class TestTranscription:
         assert result.feasible
         # One movement copy (a0 at theta 0) and the sink holdover at
         # theta 1 must each carry the full unit; everything else is 0.
-        names = list(expansion.movement_variables) + list(expansion.holdover_variables)
+        names = [key[1:] for key in window_columns(expansion)]
         values = assignment_from_flow(expansion, result.flow)
         support = {names[j] for j, value in enumerate(values) if value != 0}
         assert support == {("a0", 0, 0), ("v1", 1, 0)}
@@ -749,8 +754,8 @@ class TestIntegerHorizon:
 
 
 def window_names(expansion) -> set[tuple[str, int, int]]:
-    """Keys of the (copy, commodity) pairs the time window keeps."""
-    return set(expansion.movement_variables) | set(expansion.holdover_variables)
+    """(copy name, theta, commodity) of the columns the time window keeps."""
+    return {key[1:] for key in window_columns(expansion)}
 
 
 def full_verdict(expansion) -> bool:
@@ -836,7 +841,7 @@ class TestWindowPresolve:
         # dist(s, v) = 0: a1 is usable from theta 0, and a0 at theta 1
         # still arrives at v in time for a1 to reach t by T = 3.
         assert {("a0", 0, 0), ("a0", 1, 0), ("a1", 0, 0), ("a1", 1, 0)} <= names
-        assert ("a1", 2, 0) not in expansion.movement_variables
+        assert ("a1", 2, 0) not in names
         assert result.feasible == full_verdict(expansion)
         assert result.feasible
         assert min_feasible_horizon(instance, WITHOUT, 10)[0] == 3
@@ -885,6 +890,63 @@ class TestWindowPresolve:
         assert not lp_feasible(lp).feasible
         assert not probe_horizon(instance, 2, WITH)[1].feasible
         assert not full_verdict(expansion)
+
+
+def zero_transit_chain_instance() -> Instance:
+    """s -> a -> b -> c over arcs of transit 0, listed in travel order so
+    that each sweep over a layer's zero-transit copies carries a
+    distance to the sink one node further back, then c -> t with
+    transit 1. Commodity 1 starts inside the chain."""
+    network = Network(
+        ("s", "a", "b", "c", "t"),
+        (
+            Arc("z0", "s", "a", F(1), 0),
+            Arc("z1", "a", "b", F(1), 0),
+            Arc("z2", "b", "c", F(1), 0),
+            Arc("m", "c", "t", F(1), 1),
+        ),
+    )
+    return Instance(network, (Commodity("s", "t", F(2)), Commodity("a", "t", F(1))))
+
+
+class TestLengthCertificate:
+    """The certificate's distances, one backward pass over the time grid
+    (solver._distance_to_sink), against the reference label-correcting
+    search over the window's columns and over every node-arc column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instance=st.integers(min_value=1, max_value=10_000).map(
+            lambda seed: random_instance(seed, 5, 8, 3, 3)
+        ),
+        horizon=st.integers(min_value=1, max_value=8),
+        drawn=st.lists(st.integers(min_value=0, max_value=3), max_size=64),
+    )
+    @example(
+        instance=zero_transit_chain_instance(),
+        horizon=3,
+        drawn=[2, 0, 1, 3, 1, 2, 0, 1, 2, 3, 1],
+    )
+    def test_grid_distances_match_the_reference(self, instance, horizon, drawn):
+        # Lengths 0..3 on the movement copies in sorted order, 0 past
+        # the end of drawn; transits 0..3, so zero-transit arcs occur.
+        for mode in (WITH, WITHOUT):
+            expansion = build_time_expanded(instance, horizon, mode)
+            lengths = dict(zip(expansion.movement_copies, drawn))
+            window, unreduced = window_columns(expansion), unreduced_columns(expansion)
+            for i in range(len(instance.commodities)):
+                grid = solver._distance_to_sink(expansion, i, lengths)
+                assert grid == reference_distance(expansion, window, lengths, i), (mode, i)
+                assert grid == reference_distance(expansion, unreduced, lengths, i), (mode, i)
+
+    def test_zero_transit_chain_distances(self):
+        # At T=3 commodity 0 crosses the chain and enters m at 0 or 1;
+        # the cheaper crossing at 1 costs z0@1 + z1@1 + z2@1 + m@1.
+        expansion = build_time_expanded(zero_transit_chain_instance(), 3, WITHOUT)
+        lengths = {("z0", 0): 5, ("z0", 1): 1, ("z1", 1): 1, ("z2", 1): 1, ("m", 0): 1}
+        assert solver._distance_to_sink(expansion, 0, lengths) == 3
+        assert solver._distance_to_sink(expansion, 1, lengths) == 1
+        assert solver._distance_to_sink(expansion, 0, {}) == 0
 
 
 def complete_digraph_instance() -> Instance:
@@ -1037,7 +1099,7 @@ class PathLPCases:
             # commodity) window variables.
             rounds = (master.appends, len(master.paths))
             assert master.appends <= 12 and len(master.paths) <= 64, (horizon, rounds)
-        assert len(expansion.movement_variables) == 447
+        assert [key[0] for key in window_columns(expansion)].count("move") == 447
         assert verdicts == [False] * 4 + [True] * 4
 
     def test_every_infeasible_probe_checks_its_certificate(self, monkeypatch):
