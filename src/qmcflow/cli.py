@@ -25,7 +25,6 @@ from typing import Sequence
 from .checker import check_flow
 from .core import (
     Instance,
-    ParseError,
     StorageMode,
     parse_flow,
     parse_instance,
@@ -239,13 +238,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NoHorizonFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ParseError is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

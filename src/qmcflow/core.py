@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "serialize_flow",
     "serialize_instance",
     "step_function",
-    "transit_distances",
     "validate_instance",
 ]
 
@@ -131,14 +129,6 @@ class Network:
         for arc in self.arcs:
             table.setdefault(arc.tail, []).append(arc)
             table.setdefault(arc.head, [])
-        return {node: tuple(arcs) for node, arcs in table.items()}
-
-    @cached_property
-    def in_arcs(self) -> dict[str, tuple[Arc, ...]]:
-        table: dict[str, list[Arc]] = {node: [] for node in self.nodes}
-        for arc in self.arcs:
-            table.setdefault(arc.head, []).append(arc)
-            table.setdefault(arc.tail, [])
         return {node: tuple(arcs) for node, arcs in table.items()}
 
 
@@ -343,9 +333,9 @@ def validate_instance(instance: Instance) -> ValidationReport:
 def reachable_nodes(network: Network, source: str) -> frozenset[str]:
     """Nodes reachable from source by directed arcs, including source.
 
-    Transit times are ignored, so validate_instance can call this on
-    arcs whose transits are negative or not integers, where
-    transit_distances would not apply.
+    Transit times and capacities are ignored, so validate_instance can
+    call this on arcs whose transits are negative or not integers. The
+    transit-aware search is qmcflow.expansion.fewest_transit_route.
     """
     if source not in network.node_set:
         raise ValueError(f"unknown node: {source!r}")
@@ -358,32 +348,6 @@ def reachable_nodes(network: Network, source: str) -> frozenset[str]:
                 seen.add(arc.head)
                 frontier.append(arc.head)
     return frozenset(seen)
-
-
-def transit_distances(network: Network, origin: str, *, reverse: bool = False) -> dict[str, int]:
-    """Smallest total transit time from origin to every reachable node.
-
-    With reverse=True, arcs are followed backwards, so the result gives
-    each node's smallest transit time to origin. Unreachable nodes are
-    absent; origin maps to 0. Transit times are nonnegative integers, so
-    this is a plain Dijkstra search. An unknown origin raises ValueError.
-    """
-    if origin not in network.node_set:
-        raise ValueError(f"unknown node: {origin!r}")
-    arcs_at = network.in_arcs if reverse else network.out_arcs
-    best: dict[str, int] = {origin: 0}
-    heap: list[tuple[int, str]] = [(0, origin)]
-    while heap:
-        dist, node = heappop(heap)
-        if dist > best[node]:
-            continue
-        for arc in arcs_at.get(node, ()):
-            other = arc.tail if reverse else arc.head
-            candidate = dist + arc.transit
-            if candidate < best.get(other, candidate + 1):
-                best[other] = candidate
-                heappush(heap, (candidate, other))
-    return best
 
 
 # --- file formats ---------------------------------------------------------

@@ -35,7 +35,9 @@ a layer and free holdovers from one layer to the next where the mask
 allows), and flow_from_paths turns path values into a schedule: a flow
 over time whose rate on each movement copy is the sum of the values of
 the paths through it. Where a path waits is implied by its copies, so
-the schedule needs no holdover values.
+the schedule needs no holdover values. The Dijkstra search behind
+route_departures, fewest_transit_route, is also the one that gives the
+solver's horizon search its lower bound.
 
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
@@ -58,6 +60,7 @@ __all__ = [
     "Path",
     "build_time_expanded",
     "cheapest_path",
+    "fewest_transit_route",
     "flow_from_paths",
     "route_departures",
 ]
@@ -76,36 +79,48 @@ Path = tuple[tuple[str, int], ...]
 class ExpandedNetwork:
     """The time expansion of an instance; see the module docstring.
 
-    movement_copies and holdover_arcs are sorted lexicographically, and
     holdover_nodes[i] is the set of nodes where commodity i may use
-    holdover arcs.
+    holdover arcs. The copies are listed on demand, for describe() and
+    for readers outside the solver, which never enumerates them.
     """
 
     instance: Instance
     horizon: int
     mode: StorageMode
-    movement_copies: tuple[tuple[str, int], ...]
-    holdover_arcs: tuple[tuple[str, int], ...]
     holdover_nodes: tuple[frozenset[str], ...]
+
+    @property
+    def movement_copies(self) -> tuple[tuple[str, int], ...]:
+        """Every movement copy (arc id, theta), sorted lexicographically."""
+        arcs = self.instance.network.arcs
+        copies = [(arc.id, theta) for arc in arcs for theta in range(self.horizon - arc.transit)]
+        return tuple(sorted(copies))
+
+    @property
+    def holdover_arcs(self) -> tuple[tuple[str, int], ...]:
+        """Every holdover arc (node, theta), sorted lexicographically."""
+        nodes = self.instance.network.nodes
+        return tuple(sorted([(node, theta) for node in nodes for theta in range(self.horizon)]))
 
     def describe(self) -> str:
         """Debug dump of copies and masks. Not a stable format."""
         network = self.instance.network
+        copies, holdovers = self.movement_copies, self.holdover_arcs
         lines = [
             f"time expansion: T={self.horizon} mode={self.mode.value}",
             f"node copies: {len(network.nodes)} nodes x {self.horizon + 1} layers"
             f" = {len(network.nodes) * (self.horizon + 1)}",
-            f"movement copies: {len(self.movement_copies)}",
+            f"movement copies: {len(copies)}",
         ]
-        for arc_id, theta in self.movement_copies:
+        for arc_id, theta in copies:
             arc = network.arc_by_id[arc_id]
             lines.append(
                 f"  {arc_id}@{theta}: ({arc.tail},{theta}) -> ({arc.head},{theta + arc.transit})"
                 f" cap {format_rational(arc.capacity)}"
             )
-        lines.append(f"holdover arcs: {len(self.holdover_arcs)}")
+        lines.append(f"holdover arcs: {len(holdovers)}")
         count = len(self.instance.commodities)
-        for node, theta in self.holdover_arcs:
+        for node, theta in holdovers:
             allowed = ",".join(str(i) for i in range(count) if node in self.holdover_nodes[i])
             lines.append(f"  {node}@{theta} -> {node}@{theta + 1} commodities [{allowed}]")
         return "\n".join(lines) + "\n"
@@ -127,21 +142,16 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
     for arc in network.arcs:
         if isinstance(arc.transit, bool) or not isinstance(arc.transit, int) or arc.transit < 0:
             raise ValueError(f"arc {arc.id!r}: transit must be a nonnegative integer")
-
-    movement = sorted(
-        (arc.id, theta) for arc in network.arcs for theta in range(max(0, horizon - arc.transit))
-    )
-    holdover = sorted((node, theta) for node in network.nodes for theta in range(horizon))
     if mode is StorageMode.WITH_STORAGE:
         masks = tuple([frozenset(network.nodes) for _ in instance.commodities])
     else:
         masks = tuple([
             frozenset({commodity.source, commodity.sink}) for commodity in instance.commodities
         ])
-    return ExpandedNetwork(instance, horizon, mode, tuple(movement), tuple(holdover), masks)
+    return ExpandedNetwork(instance, horizon, mode, masks)
 
 
-def _fewest_transit_route(network: Network, source: str, sink: str) -> list[Arc] | None:
+def fewest_transit_route(network: Network, source: str, sink: str) -> list[Arc] | None:
     """A source-sink route of least total transit over arcs of positive
     capacity, or None if there is none. Ties go to the smaller node name
     and then to the arc first in network.arcs, so the route is
@@ -180,7 +190,7 @@ def route_departures(expansion: ExpandedNetwork, commodity: int) -> list[Path]:
     such route exists or the horizon is too short for it."""
     instance = expansion.instance
     goods = instance.commodities[commodity]
-    route = _fewest_transit_route(instance.network, goods.source, goods.sink)
+    route = fewest_transit_route(instance.network, goods.source, goods.sink)
     if route is None:
         return []
     offsets = []

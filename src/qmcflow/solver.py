@@ -68,18 +68,19 @@ a master solved on its own. Bland's rule guarantees the procedure
 cannot cycle, so it always terminates, and with exact arithmetic every
 verdict is exact.
 
-Least feasible integer horizons are found by probing, unless a
-commodity with positive demand has no source-sink path over arcs of
-positive capacity, which no horizon can fix. Probing starts at the
-largest shortest transit time over arcs of positive capacity plus one
-among commodities with positive demand, gallops up from there with gaps
-1, 2, 4, ... until a probe is feasible, then bisects between the last
-infeasible probe and that feasible one. No flow crosses an arc of
-capacity zero, and a movement copy entered at theta arrives by T - 1,
-so a commodity needs T >= its shortest open-arc transit + 1. A speed-up
-report bisects the no-storage search inside [W, 2W], W the with-storage
-minimum. The search is sound because feasibility is monotone in the
-horizon (any schedule for T is also one for T+1).
+Least feasible integer horizons are found by probing from a lower bound
+that the route search seeding the first master proves: the largest
+transit of a commodity's fewest-transit route over open arcs
+(fewest_transit_route), plus one, among commodities with positive
+demand. No flow crosses an arc of capacity zero, and a movement copy
+entered at theta arrives by T - 1, so a commodity needs T >= its route
+transit + 1; a commodity with no such route makes every horizon
+infeasible. Probing gallops up from the bound with gaps 1, 2, 4, ...
+until a probe is feasible, then bisects between the last infeasible
+probe and that feasible one. A speed-up report bisects the no-storage
+search inside [W, 2W], W the with-storage minimum. The search is sound
+because feasibility is monotone in the horizon (any schedule for T is
+also one for T+1).
 Before a search returns its minimum, the witness flow of that probe is
 certified by the independent checker (check_flow); the search returns
 that flow together with the minimum.
@@ -92,21 +93,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, Sequence
 
-from .core import (
-    FlowOverTime,
-    Instance,
-    Network,
-    StorageMode,
-    format_rational,
-    transit_distances,
-    validate_instance,
-)
+from .core import FlowOverTime, Instance, StorageMode, format_rational, validate_instance
 from .checker import check_flow
 from .expansion import (
     ExpandedNetwork,
     Path,
     build_time_expanded,
     cheapest_path,
+    fewest_transit_route,
     flow_from_paths,
     route_departures,
 )
@@ -671,11 +665,12 @@ def min_feasible_horizon(
 
     Raises NoHorizonFound when even t_max is infeasible, and ValueError
     for invalid instances. The search never misses a smaller feasible
-    horizon: it starts at a proven lower bound L, the largest shortest
-    transit over arcs of positive capacity plus one among commodities
-    with positive demand (only those arcs carry flow, and movement copies
-    arrive by T - 1, so delivering anything needs a horizon beyond its
-    path transit). It probes L, L + 1, L + 3, L + 7, ... (capped at
+    horizon: it starts at a proven lower bound L, the largest transit of
+    fewest_transit_route, the route that seeds each probe's first
+    master, plus one among commodities with positive demand (only arcs
+    of positive capacity carry flow, and movement copies arrive by
+    T - 1, so delivering anything needs a horizon beyond its route
+    transit). It probes L, L + 1, L + 3, L + 7, ... (capped at
     t_max) until one is feasible, then bisects strictly between the last
     infeasible probe and that feasible one, which monotonicity of
     feasibility in T justifies. No horizon is probed twice. The optional
@@ -684,9 +679,9 @@ def min_feasible_horizon(
     last feasible result the observer receives is at the returned
     minimum.
 
-    A commodity with positive demand and no source-sink path over arcs
-    of positive capacity makes every horizon infeasible, so the search
-    raises NoHorizonFound, naming it, before any probe. The test is
+    A commodity with positive demand for which fewest_transit_route
+    finds no route makes every horizon infeasible, so the search raises
+    NoHorizonFound, naming it, before any probe. The test is
     exact: any such path carries the demand without waiting, in both
     modes, once the horizon is long enough.
 
@@ -703,21 +698,17 @@ def min_feasible_horizon(
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
 
-    network = instance.network
-    # A tuple from a list, not a generator: see the note on tuples in
-    # qmcflow.expansion.
-    open_arcs = Network(network.nodes, tuple([arc for arc in network.arcs if arc.capacity > 0]))
     lower = 1
     for index, commodity in enumerate(instance.commodities):
         if commodity.demand > 0:
-            transit = transit_distances(open_arcs, commodity.source).get(commodity.sink)
-            if transit is None:
+            route = fewest_transit_route(instance.network, commodity.source, commodity.sink)
+            if route is None:
                 raise NoHorizonFound(
                     f"commodity {index} has no path from {commodity.source!r} to "
                     f"{commodity.sink!r} over arcs of positive capacity, so no horizon "
                     f"is feasible in mode {mode.value}"
                 )
-            lower = max(lower, transit + 1)
+            lower = max(lower, sum(arc.transit for arc in route) + 1)
 
     search = _Search(instance, mode, observer)
     lo = top = min(lower, t_max)

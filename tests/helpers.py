@@ -1,13 +1,14 @@
 """Shared test utilities: flow truncation, exact integration of rate
-functions, flow-to-LP transcription, the unreduced node-arc LP with its
-time window (window_columns) and the lift of window assignments onto
-it, the label-correcting reference distance that the solver's backward
-pass over the time grid is checked against, the cold path master, the
-cycles that separate the two storage modes, the reference simplex for
-general LPs, Fourier-Motzkin elimination as a reference for it, the
-per-breakpoint reference flow checker, and the json.dumps(doc,
-indent=2) document writers that the package's direct writers must match
-byte for byte.
+functions, in-arcs and the transit Dijkstra search (the reference for
+the package's fewest_transit_route), flow-to-LP transcription, the
+unreduced node-arc LP with its time window (window_columns) and the
+lift of window assignments onto it, the label-correcting reference
+distance that the solver's backward pass over the time grid is checked
+against, the cold path master, the cycles that separate the two storage
+modes, the reference simplex for general LPs, Fourier-Motzkin
+elimination as a reference for it, the per-breakpoint reference flow
+checker, and the json.dumps(doc, indent=2) document writers that the
+package's direct writers must match byte for byte.
 
 The package lists no node-arc variable: the (copy, commodity) columns,
 their time window and their endpoints live here, as test references.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,13 +36,14 @@ from qmcflow.checker import (
     Violation,
 )
 from qmcflow.core import (
+    Arc,
     FlowOverTime,
     Instance,
+    Network,
     Piece,
     StepFunction,
     StorageMode,
     format_rational,
-    transit_distances,
 )
 from qmcflow.expansion import ExpandedNetwork, Path
 from qmcflow.instances import CycleParams
@@ -351,6 +354,45 @@ def _departed(flow: FlowOverTime, arc_id: str, commodity: int, t: int) -> Fracti
     return cumulative(step, t)
 
 
+def in_arcs(network: Network) -> dict[str, tuple[Arc, ...]]:
+    """The arcs into each node, in the order of network.arcs: the mirror
+    of Network.out_arcs, which the package needs no copy of."""
+    table: dict[str, list[Arc]] = {node: [] for node in network.nodes}
+    for arc in network.arcs:
+        table.setdefault(arc.head, []).append(arc)
+        table.setdefault(arc.tail, [])
+    return {node: tuple(arcs) for node, arcs in table.items()}
+
+
+def transit_distances(network: Network, origin: str, *, reverse: bool = False) -> dict[str, int]:
+    """Smallest total transit time from origin to every reachable node,
+    over every arc whatever its capacity.
+
+    With reverse=True, arcs are followed backwards, so the result gives
+    each node's smallest transit time to origin. Unreachable nodes are
+    absent; origin maps to 0. Transit times are nonnegative integers, so
+    this is a plain Dijkstra search. An unknown origin raises ValueError.
+    The reference for the package's fewest_transit_route, and the
+    distances of window_columns.
+    """
+    if origin not in network.node_set:
+        raise ValueError(f"unknown node: {origin!r}")
+    arcs_at = in_arcs(network) if reverse else network.out_arcs
+    best: dict[str, int] = {origin: 0}
+    heap: list[tuple[int, str]] = [(0, origin)]
+    while heap:
+        dist, node = heappop(heap)
+        if dist > best[node]:
+            continue
+        for arc in arcs_at.get(node, ()):
+            other = arc.tail if reverse else arc.head
+            candidate = dist + arc.transit
+            if candidate < best.get(other, candidate + 1):
+                best[other] = candidate
+                heappush(heap, (candidate, other))
+    return best
+
+
 def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list[Fraction]:
     """Transcribe a unit-interval-constant flow into values of the time
     window's variables, in the order of window_columns.
@@ -364,6 +406,7 @@ def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list
     """
     instance = expansion.instance
     network = instance.network
+    into = in_arcs(network)
     values: list[Fraction] = []
     for kind, name, theta, commodity in window_columns(expansion):
         if kind == "move":
@@ -374,7 +417,7 @@ def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list
             continue
         com = instance.commodities[commodity]
         held = ZERO
-        for arc in network.in_arcs[name]:
+        for arc in into[name]:
             held += _delivered(flow, arc.id, commodity, arc.transit, theta + 1)
         for arc in network.out_arcs[name]:
             held -= _departed(flow, arc.id, commodity, theta + 1)
@@ -659,11 +702,17 @@ def _reference_capacity(flow: FlowOverTime, instance: Instance) -> list[Violatio
 
 
 def _reference_balance(
-    flow: FlowOverTime, instance: Instance, commodity: int, node: str, theta: Fraction
+    flow: FlowOverTime,
+    instance: Instance,
+    into: Mapping[str, tuple[Arc, ...]],
+    commodity: int,
+    node: str,
+    theta: Fraction,
 ) -> Fraction:
-    """Cumulative balance at theta, integrating every piece from 0."""
+    """Cumulative balance at theta, integrating every piece from 0; into
+    is in_arcs(instance.network)."""
     total = ZERO
-    for arc in instance.network.in_arcs[node]:
+    for arc in into[node]:
         step = flow.rates.get((arc.id, commodity))
         if step is not None and theta > arc.transit:
             total += cumulative(step, theta - arc.transit)
@@ -681,13 +730,14 @@ def _reference_conservation(
     violations: list[Violation] = []
     horizon = flow.horizon
     strict = mode is StorageMode.NO_INTERMEDIATE_STORAGE
+    into = in_arcs(instance.network)
     for index, commodity in enumerate(instance.commodities):
         for node in instance.network.nodes:
             if node == commodity.source:
                 continue
             points: set[Fraction] = {horizon}
             relevant = False
-            for arc in instance.network.in_arcs[node]:
+            for arc in into[node]:
                 step = flow.rates.get((arc.id, index))
                 if step is not None:
                     relevant = True
@@ -704,7 +754,7 @@ def _reference_conservation(
             if not relevant:
                 continue
             for theta in sorted(p for p in points if 0 < p <= horizon):
-                balance = _reference_balance(flow, instance, index, node, theta)
+                balance = _reference_balance(flow, instance, into, index, node, theta)
                 if balance < 0:
                     violations.append(
                         Violation(CONSERVATION, node, index, theta, theta, -balance)
@@ -720,6 +770,7 @@ def _reference_demands(flow: FlowOverTime, instance: Instance) -> list[Violation
     """Demands: the balance at the horizon, integrating every piece from 0."""
     violations: list[Violation] = []
     horizon = flow.horizon
+    into = in_arcs(instance.network)
     for index, commodity in enumerate(instance.commodities):
         for node in instance.network.nodes:
             if node == commodity.sink:
@@ -730,11 +781,11 @@ def _reference_demands(flow: FlowOverTime, instance: Instance) -> list[Violation
                 expected = ZERO
             touched = any(
                 (arc.id, index) in flow.rates
-                for arc in instance.network.in_arcs[node] + instance.network.out_arcs[node]
+                for arc in into[node] + instance.network.out_arcs[node]
             )
             if not touched and expected == 0:
                 continue
-            balance = _reference_balance(flow, instance, index, node, horizon)
+            balance = _reference_balance(flow, instance, into, index, node, horizon)
             if balance != expected:
                 violations.append(
                     Violation(DEMAND, node, index, horizon, horizon, abs(balance - expected))

@@ -1,4 +1,5 @@
-"""Core domain types, validation, shortest paths and the file formats."""
+"""Core domain types, validation, reachability, the tests' transit
+reference and the file formats."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from qmcflow.core import (
     serialize_flow,
     serialize_instance,
     step_function,
-    transit_distances,
     validate_instance,
 )
 from qmcflow.instances import (
@@ -36,7 +36,7 @@ from qmcflow.instances import (
     wave_schedule_no_storage,
 )
 
-from helpers import reference_serialize_flow, reference_serialize_instance
+from helpers import reference_serialize_flow, reference_serialize_instance, transit_distances
 
 
 def two_node_instance() -> Instance:
@@ -178,6 +178,10 @@ class TestPaths:
     def test_reachable_unknown_node(self):
         with pytest.raises(ValueError, match="unknown node"):
             reachable_nodes(two_node_instance().network, "nope")
+
+    # The transit tests below check the test reference's Dijkstra search
+    # (helpers.transit_distances), which window_columns and the
+    # horizon-bound test of the package's fewest_transit_route rely on.
 
     def test_cycle_transit(self):
         network = cycle_instance(4).network

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode, transit_distances
+from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode
 from qmcflow.checker import STRICT_CONSERVATION, check_flow
 from qmcflow.expansion import build_time_expanded, cheapest_path, flow_from_paths, route_departures
 from qmcflow.instances import cycle_instance, random_instance
@@ -18,6 +18,7 @@ from helpers import (
     assignment_from_flow,
     column_endpoints,
     flow_satisfies_unreduced_lp,
+    transit_distances,
     window_columns,
 )
 
@@ -155,6 +156,47 @@ class TestBuild:
         assert "T=4" in text
         assert "movement copies: 9" in text
         assert "holdover arcs: 12" in text
+
+    def test_describe_text_is_pinned(self):
+        # Every line of the k=3 cycle at T=3, in both modes; only the
+        # header's mode and the holdover masks differ.
+        shared = (
+            "node copies: 3 nodes x 4 layers = 12\n"
+            "movement copies: 6\n"
+            "  a0@0: (v0,0) -> (v1,1) cap 1\n"
+            "  a0@1: (v0,1) -> (v1,2) cap 1\n"
+            "  a1@0: (v1,0) -> (v2,1) cap 1\n"
+            "  a1@1: (v1,1) -> (v2,2) cap 1\n"
+            "  a2@0: (v2,0) -> (v0,1) cap 1\n"
+            "  a2@1: (v2,1) -> (v0,2) cap 1\n"
+            "holdover arcs: 9\n"
+        )
+        expected = {
+            WITH: "time expansion: T=3 mode=with-storage\n" + shared + (
+                "  v0@0 -> v0@1 commodities [0,1,2]\n"
+                "  v0@1 -> v0@2 commodities [0,1,2]\n"
+                "  v0@2 -> v0@3 commodities [0,1,2]\n"
+                "  v1@0 -> v1@1 commodities [0,1,2]\n"
+                "  v1@1 -> v1@2 commodities [0,1,2]\n"
+                "  v1@2 -> v1@3 commodities [0,1,2]\n"
+                "  v2@0 -> v2@1 commodities [0,1,2]\n"
+                "  v2@1 -> v2@2 commodities [0,1,2]\n"
+                "  v2@2 -> v2@3 commodities [0,1,2]\n"
+            ),
+            WITHOUT: "time expansion: T=3 mode=no-storage\n" + shared + (
+                "  v0@0 -> v0@1 commodities [0,1]\n"
+                "  v0@1 -> v0@2 commodities [0,1]\n"
+                "  v0@2 -> v0@3 commodities [0,1]\n"
+                "  v1@0 -> v1@1 commodities [1,2]\n"
+                "  v1@1 -> v1@2 commodities [1,2]\n"
+                "  v1@2 -> v1@3 commodities [1,2]\n"
+                "  v2@0 -> v2@1 commodities [0,2]\n"
+                "  v2@1 -> v2@2 commodities [0,2]\n"
+                "  v2@2 -> v2@3 commodities [0,2]\n"
+            ),
+        }
+        for mode, text in expected.items():
+            assert build_time_expanded(cycle_instance(3), 3, mode).describe() == text, mode
 
 
 def pieces(flow, key) -> list[tuple]:

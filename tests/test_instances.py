@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmcflow.checker import DEMAND, check_flow
-from qmcflow.core import StorageMode, transit_distances, validate_instance
+from qmcflow.core import StorageMode, validate_instance
 from qmcflow.instances import (
     CycleParams,
     cycle_instance,
@@ -18,7 +18,7 @@ from qmcflow.instances import (
     wave_schedule_no_storage,
 )
 
-from helpers import truncate_flow
+from helpers import transit_distances, truncate_flow
 
 ONE = Fraction(1)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +59,7 @@ from helpers import (
     path_master_lp,
     reference_distance,
     satisfies_unreduced_lp,
+    transit_distances,
     unreduced_columns,
     unreduced_lp,
     window_columns,
@@ -611,6 +613,56 @@ class TestHorizonSearch:
                 instance, mode, 10, observer=lambda t, *rest: probes.append(t)
             )
             assert (minimum, probes) == (4, [4]), mode
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=1, max_value=10_000),
+        shut=st.sets(st.integers(min_value=0, max_value=7)),
+        idle=st.sets(st.integers(min_value=0, max_value=2)),
+        t_max=st.integers(min_value=1, max_value=12),
+    )
+    def test_first_probe_is_the_open_arc_transit_bound(self, seed, shut, idle, t_max):
+        # Arcs in shut get capacity 0 and commodities in idle demand 0.
+        # The first horizon probed is min(t_max, L), L the largest
+        # reference transit over open arcs plus one among commodities
+        # with demand (1 if there are none), in both modes; a demanded
+        # commodity with no open path fails before any probe. The
+        # observer stops each search after its first probe.
+        base = random_instance(seed, 5, 8, 3, 3)
+        arcs = tuple(
+            replace(arc, capacity=F(0)) if j in shut else arc
+            for j, arc in enumerate(base.network.arcs)
+        )
+        commodities = tuple(
+            replace(goods, demand=F(0)) if i in idle else goods
+            for i, goods in enumerate(base.commodities)
+        )
+        instance = Instance(Network(base.network.nodes, arcs), commodities)
+        open_network = Network(base.network.nodes, tuple(a for a in arcs if a.capacity > 0))
+        transits = [
+            transit_distances(open_network, goods.source).get(goods.sink)
+            for goods in commodities
+            if goods.demand > 0
+        ]
+
+        class FirstProbe(Exception):
+            pass
+
+        for mode in (WITH, WITHOUT):
+            probes: list[int] = []
+
+            def observer(horizon, *rest):
+                probes.append(horizon)
+                raise FirstProbe
+
+            if None in transits:
+                with pytest.raises(NoHorizonFound, match="over arcs of positive capacity"):
+                    min_feasible_horizon(instance, mode, t_max, observer=observer)
+                assert probes == [], mode
+            else:
+                with pytest.raises(FirstProbe):
+                    min_feasible_horizon(instance, mode, t_max, observer=observer)
+                assert probes == [min(t_max, max(transits, default=0) + 1)], mode
 
     def test_sweep_pivot_counts(self, monkeypatch):
         # The pivot rules are deterministic, so the pivots each search
