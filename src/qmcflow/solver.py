@@ -17,7 +17,8 @@ capacity row per movement copy and one flow conservation equality per
 Fulkerson, Management Sci. 1958):
 
 1. The first master holds each commodity's fewest-transit route over
-   open arcs, shifted to every departure that fits. The whole column
+   open arcs, shifted to every departure that fits, each column written
+   as A_p itself (every slack and artificial is basic). The whole column
    generation of a probe works on this one tableau.
 2. Phase one decides the restricted master. A feasible master is a
    feasible probe: its path values are checked against the master's
@@ -27,17 +28,20 @@ Fulkerson, Management Sci. 1958):
    capacity row's dual y_e is its slack's entry, and commodity i's
    demand dual y_i is the entry of any of its columns minus the sum of
    y_e along it, or the artificial's cost 1 if it has none.
-4. Each commodity is priced by one shortest path under the lengths
-   l_e = -y_e >= 0, waiting at no cost where the mask allows. A path
-   with y_i - length > 0 is appended to the tableau as a column, the
-   copies it uses that have no row yet as capacity rows with their
-   slacks basic, and phase one resumes from the basis it stopped at.
-   The new column is B^-1 A_p, read off the tableau by the same rule as
-   the duals: the slack columns of its copies, plus the column of
-   commodity i's artificial, or once that has left the basis, any of
-   i's columns minus the slack columns along it.
+4. The commodities are priced round-robin, from the one after the last
+   that gave a column, each by one shortest path under the lengths
+   l_e = -y_e >= 0, waiting at no cost where the mask allows. The first
+   path with y_i - length > 0 ends the round (partial pricing): it is
+   appended to the tableau as a column, the copies it uses that have
+   no row yet as capacity rows with their slacks basic, and phase one
+   resumes from the basis it stopped at. The new column is B^-1 A_p,
+   read off the tableau by the same rule as the duals: the slack
+   columns of its copies, plus the column of commodity i's artificial,
+   or once that has left the basis, any of i's columns minus the slack
+   columns along it.
 
-When no path enters, the lengths prove the probe infeasible by the
+When a round has priced every commodity under the same duals and no
+path enters, the lengths prove the probe infeasible by the
 Japanese theorem (Iri 1971; Onaga and Kakusho 1971): sum_i d_i *
 dist_l(s_i, t_i) > sum_e c_e * l_e. That inequality is checked before
 the verdict is returned, and a failure raises RuntimeError. Each
@@ -180,7 +184,7 @@ class _Tableau:
         b/den >= 0: a capacity row with its slack basic (slack), or a
         demand row with its artificial basic. The artificial joins the
         objective: its cost -1 is priced out by adding its row. Columns
-        enter the row later, as B^-1 A_p (see _PathMaster.add).
+        enter the row later (see _PathMaster).
         """
         r = len(self.rows)
         basic = (_SLACK if slack else _ART) + r
@@ -360,34 +364,38 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
 
     The first master holds each commodity's fewest-transit route at
     every departure that fits. While phase one ends infeasible, its
-    final row prices each commodity by one shortest path; the paths with
-    positive reduced cost are appended to the master and phase one
-    resumes from the basis it stopped at. When none enters, the lengths
-    must pass the certificate check, or RuntimeError is raised. A
-    feasible master's path values are checked (_master_values) and
-    become the witness flow.
+    final row prices the demanded commodities round-robin, from the one
+    after the last that gave a column, each by one shortest path; the
+    first path with positive reduced cost is appended to the master and
+    phase one resumes from the basis it stopped at. When a round prices
+    every commodity and none enters, the lengths must pass the
+    certificate check, or RuntimeError is raised. A feasible master's
+    path values are checked (_master_values) and become the witness flow.
     """
     commodities = expansion.instance.commodities
     demanded = [i for i, goods in enumerate(commodities) if goods.demand > 0]
     paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
     master = _PathMaster(expansion, demanded, paths)
     known = set(paths)
+    start = 0
     while not _run_phase_one(master.tableau):
         lengths, duals = _master_duals(master)
-        priced = []
-        for i in demanded:
+        for step in range(len(demanded)):
+            i = demanded[(start + step) % len(demanded)]
             cheapest = cheapest_path(expansion, i, lengths)
             if cheapest is not None and duals[i] > cheapest[0]:
-                priced.append((i, cheapest[1]))
-        if not priced:
+                break
+        else:
             _check_length_certificate(expansion, lengths)
             return LPResult(False)
-        if not known.isdisjoint(priced):
+        start += step + 1
+        column = (i, cheapest[1])
+        if column in known:
             # Every master column has reduced cost <= 0 at the end of
             # phase one, so pricing cannot pick one again.
             raise RuntimeError("pricing returned a column the master already has")
-        known.update(priced)
-        master.add(priced)
+        known.add(column)
+        master.add([column])
     return LPResult(True, flow_from_paths(expansion, master.paths, _master_values(master)))
 
 
@@ -398,8 +406,9 @@ class _PathMaster:
     some path uses (row_of[copy], its slack basic) and one demand
     equality per commodity in demanded (demand_row[i], its artificial
     basic). The first master has the capacity rows of its copies in
-    sorted order, then the demand rows; the copies of paths added later
-    get their rows after those.
+    sorted order, then the demand rows, and its columns written as A_p,
+    which is B^-1 A_p at its all-slack-and-artificial basis; the copies
+    of paths added later get their rows after those.
     """
 
     def __init__(
@@ -407,17 +416,26 @@ class _PathMaster:
     ) -> None:
         self.expansion = expansion
         self.tableau = _Tableau()
-        self.paths: list[tuple[int, Path]] = []
+        self.paths: list[tuple[int, Path]] = list(paths)
         self.row_of: dict[tuple[str, int], int] = {}
         self.demand_row: dict[int, int] = {}
         self.first_column: dict[int, int] = {}
         self._add_capacity_rows(paths)
         commodities = expansion.instance.commodities
+        tableau = self.tableau
         for i in demanded:
-            self.demand_row[i] = len(self.tableau.rows)
+            self.demand_row[i] = len(tableau.rows)
             demand = commodities[i].demand
-            self.tableau.add_row(demand.denominator, demand.numerator, False)
-        self.add(paths)
+            tableau.add_row(demand.denominator, demand.numerator, False)
+        # A_p: a 1 in the rows of the path's copies and in its demand row,
+        # and 1 in the phase-one objective (the sum of the demand rows).
+        for j, (i, path) in enumerate(paths):
+            self.first_column.setdefault(i, j)
+            own = [self.row_of[copy] for copy in path] + [self.demand_row[i]]
+            for r in own:
+                tableau.rows[r][j] = tableau.dens[r]
+            tableau.rows_of[j] = set(own)
+            tableau.objective[j] = tableau.objective_den
 
     def _add_capacity_rows(self, paths: Sequence[tuple[int, Path]]) -> None:
         """One capacity row, its slack basic, for each copy the paths use
@@ -429,7 +447,7 @@ class _PathMaster:
             self.tableau.add_row(capacity.denominator, capacity.numerator, True)
 
     def add(self, paths: Sequence[tuple[int, Path]]) -> None:
-        """Append the paths as columns, after the capacity rows of the
+        """Append priced paths as columns, after the capacity rows of the
         copies they use that have none.
 
         A new column enters as B^-1 A_p, the same linear combination of

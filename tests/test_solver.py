@@ -267,6 +267,38 @@ def fresh_master_lp(
     return LinearProgram(len(master.paths), tuple(constraints)), copies
 
 
+def departures_and_cheapest_paths(expansion, demanded: list[int]) -> list[tuple[int, tuple]]:
+    """Each demanded commodity's route departures, then one cheapest
+    path per commodity, which may wait, under lengths that price every
+    route copy."""
+    paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
+    lengths = {copy: 1 for _, path in paths for copy in path}
+    for i in demanded:
+        cheapest = cheapest_path(expansion, i, lengths)
+        if cheapest is not None and (i, cheapest[1]) not in paths:
+            paths.append((i, cheapest[1]))
+    return paths
+
+
+def master_built_by_add(
+    expansion, demanded: list[int], paths: list[tuple[int, tuple]]
+) -> solver._PathMaster:
+    """The first master over the paths as add's B^-1 A_p rule builds it:
+    the capacity rows of their copies in sorted order, then the demand
+    rows, each with its slack or artificial basic, and then every path
+    appended by add."""
+    master = object.__new__(solver._PathMaster)
+    master.expansion, master.tableau = expansion, solver._Tableau()
+    master.paths, master.row_of, master.demand_row, master.first_column = [], {}, {}, {}
+    master._add_capacity_rows(paths)
+    for i in demanded:
+        master.demand_row[i] = len(master.tableau.rows)
+        demand = expansion.instance.commodities[i].demand
+        master.tableau.add_row(demand.denominator, demand.numerator, False)
+    master.add(paths)
+    return master
+
+
 class TestTranscription:
     """The path master's rows, and the expansion's variables and
     witnesses read against the unreduced node-arc LP."""
@@ -314,19 +346,12 @@ class TestTranscription:
 
     @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
     def test_rows_are_the_incidence_of_the_copies(self, seed: int, horizon: int):
-        # The master over each commodity's route departures and one
-        # cheapest path under lengths that price every route copy.
         instance = random_instance(seed, 5, 8, 3, 3)
         arcs = instance.network.arc_by_id
         demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
         for mode in (WITH, WITHOUT):
             expansion = build_time_expanded(instance, horizon, mode)
-            paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
-            lengths = {copy: 1 for _, path in paths for copy in path}
-            for i in demanded:
-                cheapest = cheapest_path(expansion, i, lengths)
-                if cheapest is not None and (i, cheapest[1]) not in paths:
-                    paths.append((i, cheapest[1]))
+            paths = departures_and_cheapest_paths(expansion, demanded)
             lp, copies = fresh_master_lp(solver._PathMaster(expansion, demanded, paths))
             assert lp.num_vars == len(paths)
             assert (lp, copies) == path_master_lp(expansion, paths)
@@ -347,6 +372,23 @@ class TestTranscription:
                 own = {j for j, (commodity, _) in enumerate(paths) if commodity == i}
                 assert constraint.coeffs == dict.fromkeys(own, 1)
                 assert (constraint.relation, constraint.rhs) == ("=", instance.commodities[i].demand)
+
+    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
+    def test_first_master_is_the_tableau_add_builds(self, seed: int, horizon: int):
+        # The first master writes its columns as A_p. At its basis, where
+        # every slack and artificial is basic, that must be exactly the
+        # tableau add's B^-1 A_p rule builds for the same paths.
+        instance = random_instance(seed, 5, 8, 3, 3)
+        demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
+        for mode in (WITH, WITHOUT):
+            expansion = build_time_expanded(instance, horizon, mode)
+            paths = departures_and_cheapest_paths(expansion, demanded)
+            direct = solver._PathMaster(expansion, demanded, paths)
+            built = master_built_by_add(expansion, demanded, paths)
+            for name in ("rows", "dens", "basis", "rows_of", "objective", "objective_den"):
+                assert getattr(direct.tableau, name) == getattr(built.tableau, name), (mode, name)
+            for name in ("paths", "row_of", "demand_row", "first_column"):
+                assert getattr(direct, name) == getattr(built, name), (mode, name)
 
     def test_single_commodity_single_arc_unique_support(self):
         expansion, result = probe_horizon(single_arc_instance(), 2, WITH)
@@ -690,13 +732,13 @@ class TestHorizonSearch:
         monkeypatch.setattr(solver, "_pivot_exact", counted)
         gap_sweep(3, 6, observer=record)
         assert pivots == {
-            (3, WITH): 11,
+            (3, WITH): 12,
             (3, WITHOUT): 23,
-            (4, WITH): 17,
+            (4, WITH): 20,
             (4, WITHOUT): 24,
-            (5, WITH): 26,
+            (5, WITH): 28,
             (5, WITHOUT): 43,
-            (6, WITH): 39,
+            (6, WITH): 40,
             (6, WITHOUT): 67,
         }
 
@@ -1042,12 +1084,14 @@ def assert_demand_part_rule(master: solver._PathMaster) -> None:
 
 
 class RecordedMaster(solver._PathMaster):
-    """A path master that counts its appends (one per run of phase one)
-    and checks the demand-part rule after each."""
+    """A path master that counts its runs of phase one (the first
+    master's, then one per append) and checks the demand-part rule on the
+    first master and after each append."""
 
     def __init__(self, *args) -> None:
-        self.appends = 0
         super().__init__(*args)
+        self.appends = 1
+        assert_demand_part_rule(self)
 
     def add(self, paths) -> None:
         super().add(paths)
@@ -1101,6 +1145,8 @@ class PathLPCases:
     # Infeasible probes of the cycle searches k = 3, 4, 5 and of the
     # complete digraph's search.
     infeasible_probes: int
+    # Infeasible verdicts among the probes of the full-pricing test.
+    infeasible_cases: int
 
     def cycle_minimum(self, k: int) -> int:
         raise NotImplementedError
@@ -1146,11 +1192,11 @@ class PathLPCases:
                 complete_digraph_instance(), horizon, self.mode
             )
             verdicts.append(result.feasible)
-            # Pricing keeps the master small: at most 12 rounds and 64
+            # Pricing keeps the master small: at most 26 rounds and 40
             # final columns in either mode, against up to 447 (copy,
             # commodity) window variables.
             rounds = (master.appends, len(master.paths))
-            assert master.appends <= 12 and len(master.paths) <= 64, (horizon, rounds)
+            assert master.appends <= 26 and len(master.paths) <= 40, (horizon, rounds)
         assert [key[0] for key in window_columns(expansion)].count("move") == 447
         assert verdicts == [False] * 4 + [True] * 4
 
@@ -1174,6 +1220,41 @@ class PathLPCases:
         min_feasible_horizon(complete_digraph_instance(), self.mode, 12, observer=record)
         assert certified == infeasible
         assert len(infeasible) == self.infeasible_probes
+
+    def test_infeasible_verdicts_follow_a_full_pricing_round(self, monkeypatch):
+        # A pricing round may end at its first column, but the round
+        # before an infeasible verdict must price every demanded
+        # commodity exactly once, all under the lengths of the duals
+        # read last.
+        calls: list[tuple[int, object]] = []
+        last: list[object] = [None]
+        price, read = solver.cheapest_path, solver._master_duals
+
+        def priced(expansion, commodity, lengths):
+            calls.append((commodity, lengths))
+            return price(expansion, commodity, lengths)
+
+        def duals(master):
+            calls.clear()
+            last[0], demand_duals = read(master)
+            return last[0], demand_duals
+
+        monkeypatch.setattr(solver, "cheapest_path", priced)
+        monkeypatch.setattr(solver, "_master_duals", duals)
+        cases = [(cycle_instance(k), t) for k in range(3, 7) for t in sorted({k, k + 1, 2 * k - 2})]
+        cases += [(complete_digraph_instance(), t) for t in range(3, 7)]
+        cases += [(random_instance(seed, 5, 8, 3, 3), t) for seed in range(1, 21) for t in (2, 3)]
+        verdicts = 0
+        for instance, horizon in cases:
+            calls.clear()
+            _, result = probe_horizon(instance, horizon, self.mode)
+            if not result.feasible:
+                verdicts += 1
+                goods = instance.commodities
+                demanded = [i for i, commodity in enumerate(goods) if commodity.demand > 0]
+                assert sorted(i for i, _ in calls) == demanded, (instance, horizon)
+                assert all(lengths is last[0] for _, lengths in calls), (instance, horizon)
+        assert verdicts == self.infeasible_cases
 
     def test_corrupted_length_certificate_raises_even_under_python_O(self):
         # The certificate check is explicit code, which python -O keeps.
@@ -1228,6 +1309,7 @@ class TestDepartureLP(PathLPCases):
 
     mode = WITHOUT
     infeasible_probes = 11
+    infeasible_cases = 25
     cycle6_rounds = [1, 1]
 
     def cycle_minimum(self, k: int) -> int:
@@ -1244,7 +1326,8 @@ class TestWaitingPathLP(PathLPCases):
 
     mode = WITH
     infeasible_probes = 6
-    cycle6_rounds = [1, 8]
+    infeasible_cases = 18
+    cycle6_rounds = [1, 20]
 
     def cycle_minimum(self, k: int) -> int:
         return k + 1
