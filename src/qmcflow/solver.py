@@ -26,8 +26,8 @@ Fulkerson, Management Sci. 1958):
    time (flow_from_paths).
 3. An infeasible master's final phase-one row gives exact duals: a
    capacity row's dual y_e is its slack's entry, and commodity i's
-   demand dual y_i is the entry of any of its columns minus the sum of
-   y_e along it, or the artificial's cost 1 if it has none.
+   demand dual y_i is its artificial's entry plus the artificial's
+   cost 1.
 4. The commodities are priced round-robin, from the one after the last
    that gave a column, each by one shortest path under the lengths
    l_e = -y_e >= 0, waiting at no cost where the mask allows. The first
@@ -36,9 +36,7 @@ Fulkerson, Management Sci. 1958):
    no row yet as capacity rows with their slacks basic, and phase one
    resumes from the basis it stopped at. The new column is B^-1 A_p,
    read off the tableau by the same rule as the duals: the slack
-   columns of its copies, plus the column of commodity i's artificial,
-   or once that has left the basis, any of i's columns minus the slack
-   columns along it.
+   columns of its copies plus the column of commodity i's artificial.
 
 When a round has priced every commodity under the same duals and no
 path enters, the lengths prove the probe infeasible by the
@@ -57,7 +55,9 @@ tableau in exact integer arithmetic (integer numerators over per-row
 denominators). A master's rows start empty with right-hand sides >= 0:
 a capacity row has its slack basic and a demand row its artificial, and
 phase one minimizes the sum of the artificials; the master is feasible
-exactly when that minimum is zero. The objective is one more tableau
+exactly when that minimum is zero. An artificial that leaves the basis
+stays in the tableau as an ordinary column of cost 1, so the column of
+row r's artificial is always B^-1 e_r. The objective is one more tableau
 row: it is built from its cost row and updated at every pivot by the
 same elimination routine as every other row, and an infeasible run
 leaves it for the duals. An index from each column to the rows where it
@@ -165,10 +165,9 @@ class _Tableau:
     such row (objective over objective_den), kept apart from rows; one
     elimination routine (_eliminate) builds it and makes every pivot's
     row update. rows_of maps each column to the rows where it may be
-    nonzero, so a pivot, the ratio test, the drop of a departed
-    artificial and the build of a new column touch only those rows. It
-    is exact for basic columns and may keep rows where a column has
-    cancelled to zero; its users skip those.
+    nonzero, so a pivot, the ratio test and the build of a new column
+    touch only those rows. It is exact for basic columns and may keep
+    rows where a column has cancelled to zero; its users skip those.
     """
 
     def __init__(self) -> None:
@@ -334,15 +333,7 @@ def _pivot_exact(tableau: _Tableau, r: int, entering: int) -> None:
             if j != _RHS:
                 rows_of[j] |= touched
     rows_of[entering] = {r}
-
-    leaving = tableau.basis[r]
     tableau.basis[r] = entering
-    if leaving >= _ART:
-        # A departed artificial never re-enters; drop its column so rows
-        # stay sparse.
-        for i in rows_of.pop(leaving):
-            rows[i].pop(leaving, None)
-        objective.pop(leaving, None)
 
 
 def probe_horizon(
@@ -408,7 +399,9 @@ class _PathMaster:
     basic). The first master has the capacity rows of its copies in
     sorted order, then the demand rows, and its columns written as A_p,
     which is B^-1 A_p at its all-slack-and-artificial basis; the copies
-    of paths added later get their rows after those.
+    of paths added later get their rows after those. Slacks and
+    artificials stay columns whether basic or not, so the tableau always
+    holds B^-1 for add and _master_duals to read.
     """
 
     def __init__(
@@ -419,7 +412,6 @@ class _PathMaster:
         self.paths: list[tuple[int, Path]] = list(paths)
         self.row_of: dict[tuple[str, int], int] = {}
         self.demand_row: dict[int, int] = {}
-        self.first_column: dict[int, int] = {}
         self._add_capacity_rows(paths)
         commodities = expansion.instance.commodities
         tableau = self.tableau
@@ -430,7 +422,6 @@ class _PathMaster:
         # A_p: a 1 in the rows of the path's copies and in its demand row,
         # and 1 in the phase-one objective (the sum of the demand rows).
         for j, (i, path) in enumerate(paths):
-            self.first_column.setdefault(i, j)
             own = [self.row_of[copy] for copy in path] + [self.demand_row[i]]
             for r in own:
                 tableau.rows[r][j] = tableau.dens[r]
@@ -451,44 +442,30 @@ class _PathMaster:
         copies they use that have none.
 
         A new column enters as B^-1 A_p, the same linear combination of
-        the tableau's columns as A_p is of the identity. The capacity
-        rows give sum_{e in p} (slack column of e). Commodity i's demand
-        row gives the column of its artificial; once the artificial has
-        departed, its column is i's first column q minus the slack
-        columns along q, since A_q is the sum of those unit columns. Its
-        objective entry follows by the same rule, plus the artificial's
-        cost 1 while i has no column.
+        the tableau's columns as A_p is of the identity: the slack
+        columns of the copies along p plus the column of commodity i's
+        artificial. Its objective entry follows by the same rule, plus
+        the artificial's cost 1, since the path itself costs nothing.
         """
         self._add_capacity_rows(paths)
         tableau = self.tableau
         rows, rows_of, objective = tableau.rows, tableau.rows_of, tableau.objective
         for i, path in paths:
             j = len(self.paths)
-            plus = [_SLACK + self.row_of[copy] for copy in path]
-            q = self.first_column.get(i)
-            if q is None:
-                self.first_column[i] = j
-                plus.append(_ART + self.demand_row[i])
-                minus = []
-                cost = tableau.objective_den
-            else:
-                plus.append(q)
-                minus = [_SLACK + self.row_of[copy] for copy in self.paths[q][1]]
-                cost = 0
+            parts = [_SLACK + self.row_of[copy] for copy in path]
+            parts.append(_ART + self.demand_row[i])
             column: dict[int, int] = {}
-            for columns, sign in ((plus, 1), (minus, -1)):
-                for c in columns:
-                    for r in rows_of[c]:
-                        if v := rows[r].get(c):
-                            column[r] = column.get(r, 0) + sign * v
+            for c in parts:
+                for r in rows_of[c]:
+                    if v := rows[r].get(c):
+                        column[r] = column.get(r, 0) + v
             nonzero = set()
             for r, v in column.items():
                 if v:
                     rows[r][j] = v
                     nonzero.add(r)
             rows_of[j] = nonzero
-            value = cost + sum([objective.get(c, 0) for c in plus])
-            value -= sum([objective.get(c, 0) for c in minus])
+            value = tableau.objective_den + sum([objective.get(c, 0) for c in parts])
             if value:
                 objective[j] = value
             self.paths.append((i, path))
@@ -527,17 +504,17 @@ def _master_duals(master: _PathMaster) -> tuple[dict[tuple[str, int], int], dict
 
     The length of copy e is -y_e, where y_e is the entry of its capacity
     row's slack; copies with length 0 are left out. The demand dual y_i
-    is the entry of commodity i's first column plus the lengths along
-    it, or the cost 1 of the row's artificial if i has no column.
+    is the entry of commodity i's artificial plus its cost 1.
     """
-    objective = master.tableau.objective
+    tableau = master.tableau
+    objective = tableau.objective
     lengths = {}
     for copy, r in master.row_of.items():
         if value := -objective.get(_SLACK + r, 0):
             lengths[copy] = value
-    duals = dict.fromkeys(master.demand_row, master.tableau.objective_den)
-    for i, j in master.first_column.items():
-        duals[i] = objective.get(j, 0) + sum([lengths.get(copy, 0) for copy in master.paths[j][1]])
+    duals = {
+        i: objective.get(_ART + r, 0) + tableau.objective_den for i, r in master.demand_row.items()
+    }
     return lengths, duals
 
 

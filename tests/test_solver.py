@@ -3,6 +3,7 @@ paths, and the horizon searches."""
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -25,6 +26,7 @@ from qmcflow.core import (
     Piece,
     StepFunction,
     StorageMode,
+    serialize_flow,
 )
 from qmcflow.expansion import (
     build_time_expanded,
@@ -289,7 +291,7 @@ def master_built_by_add(
     appended by add."""
     master = object.__new__(solver._PathMaster)
     master.expansion, master.tableau = expansion, solver._Tableau()
-    master.paths, master.row_of, master.demand_row, master.first_column = [], {}, {}, {}
+    master.paths, master.row_of, master.demand_row = [], {}, {}
     master._add_capacity_rows(paths)
     for i in demanded:
         master.demand_row[i] = len(master.tableau.rows)
@@ -387,7 +389,7 @@ class TestTranscription:
             built = master_built_by_add(expansion, demanded, paths)
             for name in ("rows", "dens", "basis", "rows_of", "objective", "objective_den"):
                 assert getattr(direct.tableau, name) == getattr(built.tableau, name), (mode, name)
-            for name in ("paths", "row_of", "demand_row", "first_column"):
+            for name in ("paths", "row_of", "demand_row"):
                 assert getattr(direct, name) == getattr(built, name), (mode, name)
 
     def test_single_commodity_single_arc_unique_support(self):
@@ -742,6 +744,22 @@ class TestHorizonSearch:
             (6, WITHOUT): 67,
         }
 
+    @pytest.mark.parametrize(
+        "k, mode, t_max, digest",
+        [
+            (8, WITH, 32, "c00f3f8bb3bfd8fc883518d2e1e39c6ccd8a6b83224379d4407ec224548d7f4d"),
+            (6, WITHOUT, 24, "9fccee3047dc3420452e5c3139aefeeb73e48a806e78b0270b59b95be71aea24"),
+        ],
+        ids=["cycle8-with-storage", "cycle6-no-storage"],
+    )
+    def test_witness_bytes(self, k: int, mode: StorageMode, t_max: int, digest: str):
+        # The witness is the final master's basic solution, so a change
+        # to the simplex that keeps every verdict may still move it. A
+        # change that legitimately picks another basic solution re-pins
+        # these digests and says so in CHANGES.md.
+        _, flow = min_feasible_horizon(cycle_instance(k), mode, t_max)
+        assert hashlib.sha256(serialize_flow(flow).encode()).hexdigest() == digest
+
     def test_cycles_with_storage_probe_the_bound_and_the_minimum(self):
         # The transit bound k is infeasible and k + 1 is the minimum, so
         # the gallop stops at its second probe and nothing is bisected.
@@ -1065,9 +1083,10 @@ def complete_digraph_instance() -> Instance:
 def assert_demand_part_rule(master: solver._PathMaster) -> None:
     """The rule a new column's demand part is built by: for every row of
     the tableau, the objective included, entry j minus the entries of
-    the slacks along path j is the same for all of one commodity's
-    columns j, and equals the entry of its artificial while that is
-    still a column (plus the artificial's cost 1 in the objective)."""
+    the slacks along path j equals, for each of one commodity's columns
+    j, the entry of its artificial (plus the artificial's cost 1 in the
+    objective). The artificial's column is B^-1 e_r, which is never
+    zero, so it must be in the tableau whether basic or not."""
     tableau = master.tableau
     rows = [(entries, 0) for entries in tableau.rows]
     rows.append((tableau.objective, tableau.objective_den))
@@ -1075,12 +1094,11 @@ def assert_demand_part_rule(master: solver._PathMaster) -> None:
         own = [j for j, (commodity, _) in enumerate(master.paths) if commodity == i]
         slacks = {j: [solver._SLACK + master.row_of[e] for e in master.paths[j][1]] for j in own}
         artificial = solver._ART + demand_row
-        live = any(artificial in entries for entries, _ in rows)
+        assert any(artificial in entries for entries in tableau.rows), i
         for entries, cost in rows:
             parts = {entries.get(j, 0) - sum(entries.get(c, 0) for c in slacks[j]) for j in own}
-            if live:
-                parts.add(entries.get(artificial, 0) + cost)
-            assert len(parts) <= 1, (i, parts)
+            parts.add(entries.get(artificial, 0) + cost)
+            assert len(parts) == 1, (i, parts)
 
 
 class RecordedMaster(solver._PathMaster):
