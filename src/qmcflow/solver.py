@@ -80,24 +80,39 @@ demand. No flow crosses an arc of capacity zero, and a movement copy
 entered at theta arrives by T - 1, so a commodity needs T >= its route
 transit + 1; a commodity with no such route makes every horizon
 infeasible. Probing gallops up from the bound with gaps 1, 2, 4, ...
-until a probe is feasible, then bisects between the last infeasible
-probe and that feasible one. A speed-up report bisects the no-storage
-search inside [W, 2W], W the with-storage minimum. The search is sound
-because feasibility is monotone in the horizon (any schedule for T is
-also one for T+1).
-Before a search returns its minimum, the witness flow of that probe is
-certified by the independent checker (check_flow); the search returns
-that flow together with the minimum.
+until a probe is feasible, then bisects the bracket that the probes
+have proved. Its lower end is one past the largest infeasible probe.
+Its upper end is the least last arrival of a feasible probe's witness
+(the largest piece end plus its arc's transit), not the probed horizon:
+a flow that has fully arrived by L is a schedule for horizon L
+(Fleischer and Skutella, SIAM J. Comput. 2007), so the witness, with
+its horizon set to L, settles L without a probe. A witness arriving
+below the lower end contradicts a proven verdict and raises
+RuntimeError. A speed-up report bisects the no-storage search inside
+[W, 2W], W the with-storage minimum. The search is sound because
+feasibility is monotone in the horizon (any schedule for T is also one
+for T+1).
+Before a search returns its minimum, the witness that closed the
+bracket is certified by the independent checker (check_flow) as a flow
+for the minimum itself; the search returns that flow together with the
+minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
-from .core import FlowOverTime, Instance, StorageMode, format_rational, validate_instance
+from .core import (
+    FlowOverTime,
+    Instance,
+    StepFunction,
+    StorageMode,
+    format_rational,
+    validate_instance,
+)
 from .checker import check_flow
 from .expansion import (
     ExpandedNetwork,
@@ -199,14 +214,6 @@ class _Tableau:
             self.objective_den = _eliminate(
                 self.objective, self.objective_den, -self.objective_den, row.items(), den
             )
-
-    def values(self, n: int) -> list[Fraction]:
-        """The values of structural columns 0..n-1 at the current basis."""
-        values = [_ZERO] * n
-        for r, basic in enumerate(self.basis):
-            if basic < _SLACK:
-                values[basic] = Fraction(self.rows[r].get(_RHS, 0), self.dens[r])
-        return values
 
 
 def _run_phase_one(tableau: _Tableau) -> bool:
@@ -476,25 +483,41 @@ def _master_values(master: _PathMaster) -> list[Fraction]:
     checked against its rows in explicit code: every value is
     nonnegative, no copy carries more than its arc's capacity and every
     commodity's demand is met exactly. A failed check raises
-    RuntimeError."""
-    values = master.tableau.values(len(master.paths))
-    instance = master.expansion.instance
-    load: dict[tuple[str, int], Fraction] = {}
-    met = dict.fromkeys(master.demand_row, _ZERO)
-    for (i, path), value in zip(master.paths, values):
-        if value < 0:
-            raise RuntimeError(f"the master gives a path of commodity {i} a negative value")
-        if value:
+    RuntimeError.
+
+    The checks compare integers: each basic value is taken as a
+    numerator over D, the lcm of the basic rows' denominators, so a load
+    l/D exceeds a capacity p/q exactly when l * q > p * D. Fractions are
+    built only for the values returned.
+    """
+    tableau = master.tableau
+    rows, dens = tableau.rows, tableau.dens
+    basic = sorted((j, r) for r, j in enumerate(tableau.basis) if j < _SLACK)
+    den = lcm(*[dens[r] for _, r in basic])
+    load: dict[tuple[str, int], int] = {}
+    met = dict.fromkeys(master.demand_row, 0)
+    for j, r in basic:
+        if value := rows[r].get(_RHS, 0) * (den // dens[r]):
+            i, path = master.paths[j]
+            if value < 0:
+                raise RuntimeError(f"the master gives a path of commodity {i} a negative value")
             met[i] += value
             for copy in path:
-                load[copy] = load.get(copy, _ZERO) + value
+                load[copy] = load.get(copy, 0) + value
+    instance = master.expansion.instance
     arc_by_id = instance.network.arc_by_id
     for copy, total in load.items():
-        if total > arc_by_id[copy[0]].capacity:
+        capacity = arc_by_id[copy[0]].capacity
+        if total * capacity.denominator > capacity.numerator * den:
             raise RuntimeError(f"the master overloads copy {copy} of the expansion")
     for i, total in met.items():
-        if total != instance.commodities[i].demand:
+        demand = instance.commodities[i].demand
+        if total * demand.denominator != demand.numerator * den:
             raise RuntimeError(f"the master misses the demand of commodity {i}")
+    values = [_ZERO] * len(master.paths)
+    for j, r in basic:
+        if numerator := rows[r].get(_RHS, 0):
+            values[j] = Fraction(numerator, dens[r])
     return values
 
 
@@ -600,40 +623,65 @@ Observer = Callable[[int, ExpandedNetwork, LPResult], None]
 
 
 class _Search:
-    """The probes of one horizon search: verdicts are kept, so no
-    horizon is probed twice, and the last feasible probe is the witness."""
+    """The proven bracket of one horizon search.
 
-    def __init__(self, instance: Instance, mode: StorageMode, observer: Observer | None) -> None:
+    Every horizon below lo is infeasible: lo starts at a proven lower
+    bound and rises past each infeasible probe. witness, once a probe is
+    feasible, is the feasible probe's flow with the least last arrival
+    (_last_arrival), recast as a flow for that horizon: a flow that has
+    fully arrived by L is a schedule for horizon L, so L is feasible
+    whatever horizon was probed. Its horizon is the upper end of the
+    bracket. Each probe lies strictly inside the bracket, so no horizon
+    is probed twice and each feasible probe lowers the upper end.
+    """
+
+    def __init__(
+        self, instance: Instance, mode: StorageMode, observer: Observer | None, lo: int
+    ) -> None:
         self.instance = instance
         self.mode = mode
         self.observer = observer
-        self.verdicts: dict[int, bool] = {}
+        self.lo = lo
         self.witness: FlowOverTime | None = None
 
     def feasible(self, horizon: int) -> bool:
-        if horizon not in self.verdicts:
-            expansion, result = probe_horizon(self.instance, horizon, self.mode)
-            if self.observer is not None:
-                self.observer(horizon, expansion, result)
-            if result.feasible:
-                self.witness = result.flow
-            self.verdicts[horizon] = result.feasible
-        return self.verdicts[horizon]
+        """Probe one horizon and narrow the bracket by its verdict. A
+        witness that arrives below lo contradicts a proven infeasibility,
+        and one that arrives after the probed horizon is no witness for
+        it; both raise RuntimeError."""
+        expansion, result = probe_horizon(self.instance, horizon, self.mode)
+        if self.observer is not None:
+            self.observer(horizon, expansion, result)
+        if not result.feasible:
+            self.lo = horizon + 1
+            return False
+        flow = result.flow
+        arrival = _last_arrival(flow, self.instance)
+        if arrival < self.lo or arrival > horizon:
+            raise RuntimeError(
+                f"the witness at T={horizon} arrives by {arrival}, outside the"
+                f" bracket [{self.lo}, {horizon}] left by the verdicts so far"
+            )
+        if arrival < horizon:
+            end = Fraction(arrival)
+            flow = FlowOverTime(
+                end, {key: StepFunction(end, step.pieces) for key, step in flow.rates.items()}
+            )
+        self.witness = flow
+        return True
 
-    def least(self, lo: int, top: int) -> tuple[int, FlowOverTime]:
-        """The least feasible horizon in [lo, top], given that every
-        horizon below lo is infeasible, and its flow certified by
-        check_flow (RuntimeError if rejected). Bisection probes top last,
-        only if every horizon below it is infeasible; NoHorizonFound if
-        top is infeasible too."""
-        hi = top
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.feasible(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo > top or not self.feasible(lo):
+    def least(self, top: int) -> tuple[int, FlowOverTime]:
+        """The least feasible horizon <= top and its flow certified by
+        check_flow (RuntimeError if rejected). Bisection probes below the
+        upper end of the bracket, which is top until a probe is feasible,
+        so top is probed last, only if every horizon below it is
+        infeasible; NoHorizonFound if top is infeasible too."""
+        hi = top if self.witness is None else int(self.witness.horizon)
+        while self.lo < hi:
+            if self.feasible((self.lo + hi) // 2):
+                hi = int(self.witness.horizon)
+        lo = self.lo
+        if self.witness is None and (lo > top or not self.feasible(lo)):
             raise NoHorizonFound(
                 f"no feasible horizon <= {top} in mode {self.mode.value} "
                 f"(infeasible at T={top})"
@@ -646,6 +694,18 @@ class _Search:
                 f" ({len(violations)} checker violation(s))"
             )
         return lo, flow
+
+
+def _last_arrival(flow: FlowOverTime, instance: Instance) -> int:
+    """The time by which a probe's witness has fully arrived: the largest
+    piece end plus its arc's transit, and at least 1. A witness's pieces
+    are unit steps of the time grid (flow_from_paths), so each end is the
+    integer its numerator gives, read without Fraction arithmetic."""
+    arc_by_id = instance.network.arc_by_id
+    arrival = 1
+    for (arc_id, _), step in flow.rates.items():
+        arrival = max(arrival, step.pieces[-1].end.numerator + arc_by_id[arc_id].transit)
+    return arrival
 
 
 def min_feasible_horizon(
@@ -666,13 +726,14 @@ def min_feasible_horizon(
     of positive capacity carry flow, and movement copies arrive by
     T - 1, so delivering anything needs a horizon beyond its route
     transit). It probes L, L + 1, L + 3, L + 7, ... (capped at
-    t_max) until one is feasible, then bisects strictly between the last
-    infeasible probe and that feasible one, which monotonicity of
-    feasibility in T justifies. No horizon is probed twice. The optional
-    observer receives every (horizon, expansion, result) probed. Each
-    feasible probe is at a smaller horizon than the one before, so the
-    last feasible result the observer receives is at the returned
-    minimum.
+    t_max) until one is feasible, then bisects strictly inside the
+    bracket that monotonicity of feasibility in T proves (see _Search):
+    above the last infeasible probe and below the least last arrival of a
+    feasible probe's witness, which may lie below the probed horizon. No
+    horizon is probed twice. The optional observer receives every
+    (horizon, expansion, result) probed; the returned minimum is the
+    least last arrival among the feasible results' witnesses, and it need
+    not have been probed itself.
 
     A commodity with positive demand for which fewest_transit_route
     finds no route makes every horizon infeasible, so the search raises
@@ -681,11 +742,11 @@ def min_feasible_horizon(
     modes, once the horizon is long enough.
 
     The minimum is certified before it is returned: check_flow must
-    accept the last feasible probe's witness flow, or RuntimeError is
-    raised. By monotonicity this certificate also vouches for every
-    feasible verdict that shaped the search. The search returns the pair
-    (minimum, flow), where flow is that certified schedule with horizon
-    equal to the minimum.
+    accept the witness that closed the bracket, with its horizon set to
+    the minimum, or RuntimeError is raised. By monotonicity this
+    certificate also vouches for every feasible verdict that shaped the
+    search. The search returns the pair (minimum, flow), where flow is
+    that certified schedule with horizon equal to the minimum.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -705,15 +766,12 @@ def min_feasible_horizon(
                 )
             lower = max(lower, sum(arc.transit for arc in route) + 1)
 
-    search = _Search(instance, mode, observer)
-    lo = top = min(lower, t_max)
+    top = min(lower, t_max)
+    search = _Search(instance, mode, observer, top)
     gap = 1
-    while not search.feasible(top):
-        lo = top + 1
-        if top == t_max:
-            break
+    while not search.feasible(top) and top < t_max:
         top, gap = min(top + gap, t_max), 2 * gap
-    return search.least(lo, top)
+    return search.least(top)
 
 
 @dataclass(frozen=True)
@@ -737,19 +795,20 @@ def speedup_ratio(
     """Minimum horizons with and without storage, and their ratio.
 
     The no-storage search bisects [W, min(t_max, 2W)], where W is the
-    with-storage minimum, probing the top last. W is a proven lower end:
-    each no-storage mask is a subset of the with-storage one, and W - 1
-    was ruled out by a checked length certificate or by the transit
-    bound. Storage speeds things up by at
-    most a factor of two; a violation of that bound would surface loudly
-    as NoHorizonFound, never as a silently wrong minimum.
+    with-storage minimum; a feasible probe's witness lowers the top to
+    its last arrival, and the top is probed last, only if every horizon
+    below it is infeasible. W is a proven lower end: each no-storage mask
+    is a subset of the with-storage one, and W - 1 was ruled out by a
+    checked length certificate or by the transit bound. Storage speeds
+    things up by at most a factor of two; a violation of that bound would
+    surface loudly as NoHorizonFound, never as a silently wrong minimum.
     """
     with_storage, _ = min_feasible_horizon(
         instance, StorageMode.WITH_STORAGE, t_max, observer=observer
     )
-    without_storage, _ = _Search(instance, StorageMode.NO_INTERMEDIATE_STORAGE, observer).least(
-        with_storage, min(t_max, 2 * with_storage)
-    )
+    without_storage, _ = _Search(
+        instance, StorageMode.NO_INTERMEDIATE_STORAGE, observer, with_storage
+    ).least(min(t_max, 2 * with_storage))
     return SpeedupReport(with_storage, without_storage)
 
 

@@ -41,6 +41,7 @@ from qmcflow.instances import (
     wave_schedule_no_storage,
 )
 from qmcflow.solver import (
+    LPResult,
     NoHorizonFound,
     SpeedupReport,
     gap_csv,
@@ -488,18 +489,31 @@ class TestHorizonSearch:
         assert probes[0] == 2
 
     def test_observer_sees_every_probe(self):
-        probes: list[tuple[int, bool]] = []
-        minimum, _ = min_feasible_horizon(
-            cycle_instance(3),
-            WITH,
-            20,
-            observer=lambda t, expansion, result: probes.append((t, result.feasible)),
-        )
-        assert minimum == 4
-        feasible_probes = {t for t, ok in probes if ok}
-        infeasible_probes = {t for t, ok in probes if not ok}
-        assert minimum == min(feasible_probes)
-        assert all(t < minimum for t in infeasible_probes)
+        # A feasible probe settles every horizon its witness has fully
+        # arrived by, so the minimum is the least last arrival among the
+        # feasible probes' witnesses (piece end plus transit), and every
+        # infeasible probe lies below it. Without storage the k=3 search
+        # probes 6 and finds a witness that arrives by 5.
+        instance = cycle_instance(3)
+        transit = {arc.id: arc.transit for arc in instance.network.arcs}
+        for mode, expected in ((WITH, 4), (WITHOUT, 5)):
+            arrivals: list[Fraction] = []
+            infeasible: list[int] = []
+
+            def observer(t, expansion, result):
+                if result.feasible:
+                    arrivals.append(
+                        max(
+                            step.pieces[-1].end + transit[arc_id]
+                            for (arc_id, _), step in result.flow.rates.items()
+                        )
+                    )
+                else:
+                    infeasible.append(t)
+
+            minimum, _ = min_feasible_horizon(instance, mode, 20, observer=observer)
+            assert minimum == expected == min(arrivals), mode
+            assert all(t < minimum for t in infeasible), mode
 
     def test_no_horizon_is_probed_twice(self):
         def search(instance, mode, t_max):
@@ -607,6 +621,36 @@ class TestHorizonSearch:
             "feasible True",
             "raised the master misses the demand of commodity 0",
         ]
+
+    def test_master_values_compare_over_the_lcm_of_row_denominators(self):
+        # One commodity of demand 5/6 and two departures over an arc of
+        # capacity 1/2 per step: both paths must carry flow, so both are
+        # basic. Their values are then set by hand over different row
+        # denominators, which the checks must bring to a common one.
+        network = Network(("v0", "v1"), (Arc("a0", "v0", "v1", F(1, 2), 1),))
+        instance = Instance(network, (Commodity("v0", "v1", F(5, 6)),))
+        expansion = build_time_expanded(instance, 3, WITH)
+        cases = [
+            ((F(1, 2), F(1, 3)), None),
+            ((F(1, 3), F(1, 2)), None),
+            ((F(2, 3), F(1, 6)), "overloads copy"),
+            ((F(1, 2), F(1, 2)), "misses the demand of commodity 0"),
+            ((F(-1, 6), F(1, 1)), "negative value"),
+        ]
+        for values, error in cases:
+            paths = [(0, path) for path in route_departures(expansion, 0)]
+            master = solver._PathMaster(expansion, [0], paths)
+            assert len(paths) == 2 and solver._run_phase_one(master.tableau)
+            tableau = master.tableau
+            for j, value in enumerate(values):
+                r = tableau.basis.index(j)
+                tableau.rows[r][solver._RHS] = value.numerator
+                tableau.dens[r] = value.denominator
+            if error is None:
+                assert solver._master_values(master) == list(values)
+            else:
+                with pytest.raises(RuntimeError, match=error):
+                    solver._master_values(master)
 
     @example(seed=None)
     @given(st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)))
@@ -735,13 +779,13 @@ class TestHorizonSearch:
         gap_sweep(3, 6, observer=record)
         assert pivots == {
             (3, WITH): 12,
-            (3, WITHOUT): 23,
+            (3, WITHOUT): 14,
             (4, WITH): 20,
             (4, WITHOUT): 24,
             (5, WITH): 28,
             (5, WITHOUT): 43,
             (6, WITH): 40,
-            (6, WITHOUT): 67,
+            (6, WITHOUT): 46,
         }
 
     @pytest.mark.parametrize(
@@ -817,15 +861,99 @@ class TestHorizonSearch:
         # With storage the search gallops up from the transit bound k
         # and stops at the minimum k + 1. Without storage it bisects
         # [k + 1, 2k + 2], the bracket of the with-storage minimum, and
-        # probes its top last.
+        # would probe its top last. At k=3 the witness of T=6 arrives by
+        # 5, so 5 is never probed.
         assert probes == {
             (3, WITH): [3, 4],
-            (3, WITHOUT): [6, 5, 4],
+            (3, WITHOUT): [6, 4],
             (4, WITH): [4, 5],
             (4, WITHOUT): [7, 6],
             (5, WITH): [5, 6],
             (5, WITHOUT): [9, 7, 8],
         }
+
+
+    @settings(max_examples=40, deadline=None)
+    @example(case=CycleParams(3, F(3, 2)))
+    @example(case=CycleParams(4, F(3, 2)))
+    @example(case=CycleParams(4, F(3)))
+    @given(st.integers(min_value=1, max_value=10_000))
+    def test_witness_bracket_matches_a_linear_scan(self, case: int | CycleParams):
+        # The bracket that feasible probes' witnesses close must not skip
+        # the minimum. The reference scans T = 1, 2, ... with
+        # probe_horizon alone; the searches of min_feasible_horizon and
+        # speedup_ratio must find the same minima, and the returned flow
+        # must be a checked schedule for the minimum itself. An integer
+        # case seeds a random instance; the examples are
+        # SEPARATING_CYCLES.
+        if isinstance(case, CycleParams):
+            instance = cycle_instance(case)
+        else:
+            instance = random_instance(case, 5, 8, 3, 3)
+        t_max = 40
+        scans = {}
+        for mode in (WITH, WITHOUT):
+            scans[mode] = next(
+                (t for t in range(1, t_max + 1) if probe_horizon(instance, t, mode)[1].feasible),
+                None,
+            )
+            if scans[mode] is None:
+                with pytest.raises(NoHorizonFound):
+                    min_feasible_horizon(instance, mode, t_max)
+                continue
+            minimum, flow = min_feasible_horizon(instance, mode, t_max)
+            assert minimum == scans[mode], mode
+            assert flow.horizon == minimum, mode
+            assert check_flow(flow, instance, mode).ok, mode
+        if isinstance(case, CycleParams):
+            assert (scans[WITH], scans[WITHOUT]) == SEPARATING_CYCLES[case]
+        if scans[WITH] is None:
+            with pytest.raises(NoHorizonFound):
+                speedup_ratio(instance, t_max)
+        else:
+            assert speedup_ratio(instance, t_max) == SpeedupReport(scans[WITH], scans[WITHOUT])
+
+    def test_cycle8_no_storage_search_skips_what_its_witness_settled(self):
+        # Inside [9, 18] the probe at 13 is infeasible and the one at 16
+        # feasible, with a witness that arrives by 15. So the search
+        # bisects [14, 15], probes 14 and returns 15 unprobed, with that
+        # witness recast to horizon 15.
+        probes: list[int] = []
+
+        def record(horizon, expansion, result):
+            if expansion.mode is WITHOUT:
+                probes.append(horizon)
+
+        assert gap_sweep(8, 8, observer=record) == {8: SpeedupReport(9, 15)}
+        assert probes == [13, 16, 14]
+
+    def test_witness_below_a_proven_infeasible_horizon_raises(self, monkeypatch):
+        # The patched probe calls every horizon up to 6 infeasible, and
+        # above it returns the real witness of T=5, recast to the probed
+        # horizon. That witness arrives by 5, which the search has
+        # already proved infeasible, so it must fail loudly.
+        instance = cycle_instance(3)
+        real = probe_horizon(instance, 5, WITHOUT)[1].flow
+        probe = solver.probe_horizon
+
+        def faulty(instance, horizon, mode):
+            expansion, result = probe(instance, horizon, mode)
+            if horizon <= 6:
+                return expansion, LPResult(False)
+            end = F(horizon)
+            flow = FlowOverTime(
+                end, {key: StepFunction(end, step.pieces) for key, step in real.rates.items()}
+            )
+            assert check_flow(flow, instance, WITHOUT).ok
+            return expansion, LPResult(True, flow)
+
+        monkeypatch.setattr(solver, "probe_horizon", faulty)
+        probes: list[int] = []
+        with pytest.raises(RuntimeError, match="arrives by 5"):
+            min_feasible_horizon(
+                instance, WITHOUT, 20, observer=lambda t, *rest: probes.append(t)
+            )
+        assert probes == [3, 4, 6, 10]
 
 
 class TestIntegerHorizon:
