@@ -2,8 +2,9 @@
 
 The package models networks whose arcs have capacities and transit
 times, flows over time on them (with or without intermediate storage),
-a violation checker, a time-expanded LP feasibility solver over exact
-rational arithmetic, instance generators including a cycle family whose
+a checker of flows and cuts, which prove horizons feasible and
+infeasible, a time-expanded LP feasibility solver over exact rational
+arithmetic, instance generators including a cycle family whose
 storage speed-up approaches 2, and a CLI tying everything together.
 """
 
@@ -12,10 +13,12 @@ from __future__ import annotations
 from .checker import (
     CAPACITY,
     CONSERVATION,
+    CUT,
     DEMAND,
     STRICT_CONSERVATION,
     Violation,
     ViolationReport,
+    check_cut,
     check_flow,
 )
 from .core import (
@@ -65,6 +68,7 @@ __all__ = [
     "Arc",
     "CAPACITY",
     "CONSERVATION",
+    "CUT",
     "Commodity",
     "CycleParams",
     "DEMAND",
@@ -85,6 +89,7 @@ __all__ = [
     "Violation",
     "ViolationReport",
     "build_time_expanded",
+    "check_cut",
     "check_flow",
     "cycle_instance",
     "format_rational",

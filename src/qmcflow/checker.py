@@ -1,4 +1,5 @@
-"""Exact feasibility checking of flows over time.
+"""Exact checking of both kinds of certificate: flows over time, which
+prove a horizon feasible, and cuts, which prove one infeasible.
 
 A flow is feasible for an instance when three families of conditions
 hold:
@@ -33,6 +34,14 @@ T, the balance counts arrivals through T minus each in-arc's transit
 and all departures, which is exactly the demand condition. No piece is
 integrated more than once, and Fractions are built only for the
 violations reported.
+
+A cut for an integer horizon T is a length function l >= 0 on the
+movement copies (a, theta) of the time expansion (qmcflow.expansion).
+By the Japanese theorem (Iri 1971; Onaga and Kakusho 1971) it proves T
+infeasible when sum_i d_i * dist_l(i) > sum_e c_e * l_e, dist_l(i)
+being the least length from (s_i, 0) to (t_i, T), holdovers at length
+0. check_cut finds each distance by one backward pass over the time
+grid, which shares no code with the solver's pricing.
 """
 
 from __future__ import annotations
@@ -41,16 +50,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Mapping
 
-from .core import FlowOverTime, Instance, StorageMode, format_rational
+from .core import Commodity, FlowOverTime, Instance, Network, StorageMode, format_rational
 
 __all__ = [
     "CAPACITY",
     "CONSERVATION",
     "STRICT_CONSERVATION",
     "DEMAND",
+    "CUT",
     "Violation",
     "ViolationReport",
+    "check_cut",
     "check_flow",
 ]
 
@@ -58,6 +70,7 @@ CAPACITY = "capacity"
 CONSERVATION = "conservation"
 STRICT_CONSERVATION = "strict-conservation"
 DEMAND = "demand"
+CUT = "cut"
 
 _ZERO = Fraction(0)
 
@@ -69,11 +82,11 @@ _UnitPieces = dict[tuple[str, int], list[tuple[int, int, int]]]
 class Violation:
     """One violated feasibility condition.
 
-    location is an arc id for capacity violations and a node id
-    otherwise. commodity is None when the condition aggregates over all
-    commodities (capacity). start == end denotes a single time point.
-    The magnitude is the exact rational amount by which the condition
-    fails.
+    location is an arc id for capacity violations and negative lengths,
+    empty for a cut's inequality and a node id otherwise. commodity is
+    None when the condition aggregates over all commodities (capacity,
+    cut). start == end denotes a single time point. The magnitude is the
+    exact rational amount by which the condition fails.
     """
 
     kind: str
@@ -304,3 +317,83 @@ def _balance_violations(
                     Violation(DEMAND, node, index, end, end, abs(Fraction(value, scale) - expected))
                 )
     return conservation + demand
+
+
+def check_cut(
+    horizon: int,
+    lengths: Mapping[tuple[str, int], int | Fraction],
+    instance: Instance,
+    mode: StorageMode,
+) -> ViolationReport:
+    """The violations of a cut meant to prove the horizon infeasible.
+
+    lengths maps movement copies (arc id, theta) to rationals; absent
+    copies have length 0. Each negative length is a CUT violation at its
+    arc over [theta, theta + 1), and then no distance is computed.
+    Otherwise a cut failing the inequality gives one CUT violation over
+    [0, T], by how far the capacity side exceeds the demand side. A
+    commodity with positive demand and no walk to (t_i, T) satisfies it
+    on its own. An arc the instance lacks raises ValueError.
+    """
+    arc_by_id = instance.network.arc_by_id
+    negative = []
+    for (arc_id, theta), value in sorted(lengths.items()):
+        if arc_id not in arc_by_id:
+            raise ValueError(f"cut references unknown arc {arc_id!r}")
+        if value < 0:
+            start, end = Fraction(theta), Fraction(theta + 1)
+            negative.append(Violation(CUT, arc_id, None, start, end, -Fraction(value)))
+    if negative:
+        return ViolationReport(tuple(negative))
+    budget = sum([arc_by_id[arc_id].capacity * value for (arc_id, _), value in lengths.items()])
+    needed = _ZERO
+    for commodity in instance.commodities:
+        if commodity.demand > 0:
+            dist = _distance_to_sink(horizon, lengths, instance.network, commodity, mode)
+            if dist is None:
+                return ViolationReport(())
+            needed += commodity.demand * dist
+    if needed > budget:
+        return ViolationReport(())
+    return ViolationReport((Violation(CUT, "", None, _ZERO, Fraction(horizon), budget - needed),))
+
+
+def _distance_to_sink(
+    horizon: int, lengths: Mapping, network: Network, commodity: Commodity, mode: StorageMode
+) -> int | Fraction | None:
+    """dist_l((s_i, 0), (t_i, T)), or None if (t_i, T) is unreachable.
+
+    Layer theta holds the least length from each (v, theta) to (t_i, T),
+    from the later layers: the holdovers the mode allows (every node with
+    storage, s_i and t_i without) at length 0, and each movement copy
+    (a, theta) with theta + transit(a) <= T - 1 at length l(a, theta).
+    Zero-transit copies stay inside the layer and are relaxed to a fixed
+    point, which is reached because no length is negative.
+    """
+    with_storage = mode is StorageMode.WITH_STORAGE
+    waits = network.nodes if with_storage else (commodity.source, commodity.sink)
+    moving = [arc for arc in network.arcs if arc.transit]
+    instant = [arc for arc in network.arcs if not arc.transit]
+    # layers[theta][v]: least length from (v, theta) to (t_i, T).
+    layers: list[dict[str, int]] = [{} for _ in range(horizon)] + [{commodity.sink: 0}]
+    for theta in range(horizon - 1, -1, -1):
+        layer, above = layers[theta], layers[theta + 1]
+        for node in waits:
+            if node in above:
+                layer[node] = above[node]
+        for arc in moving:
+            arrival = theta + arc.transit
+            if arrival < horizon and arc.head in layers[arrival]:
+                candidate = layers[arrival][arc.head] + lengths.get((arc.id, theta), 0)
+                if candidate < layer.get(arc.tail, candidate + 1):
+                    layer[arc.tail] = candidate
+        changed = True
+        while changed:
+            changed = False
+            for arc in instant:
+                if arc.head in layer:
+                    candidate = layer[arc.head] + lengths.get((arc.id, theta), 0)
+                    if candidate < layer.get(arc.tail, candidate + 1):
+                        layer[arc.tail] = candidate
+                        changed = True
+    return layers[0].get(commodity.source)

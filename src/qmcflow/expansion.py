@@ -15,9 +15,9 @@ time theta in 0..T, and two kinds of arcs between copies:
   holdover at the sink collects arrivals until the demand is read off at
   (sink, T).
 
-The solver checks an infeasible verdict by one backward pass of its own
-over this grid (solver._distance_to_sink), which shares no code with the
-path helpers below.
+The checker checks an infeasible verdict's cut by one backward pass of
+its own over this grid (qmcflow.checker.check_cut), which shares no code
+with the path helpers below.
 
 The solver decides every probe over paths rather than over node-arc
 variables, and the storage mode reaches it only through the masks here.
@@ -34,8 +34,9 @@ commodity by a shortest path under integer lengths on movement copies
 a layer and free holdovers from one layer to the next where the mask
 allows), and flow_from_paths turns path values into a schedule: a flow
 over time whose rate on each movement copy is the sum of the values of
-the paths through it. Where a path waits is implied by its copies, so
-the schedule needs no holdover values. The Dijkstra search behind
+the paths through it, and whose horizon is its last arrival. Where a
+path waits is implied by its copies, so the schedule needs no holdover
+values. The Dijkstra search behind
 route_departures, fewest_transit_route, is also the one that gives the
 solver's horizon search its lower bound.
 
@@ -286,16 +287,22 @@ def flow_from_paths(
 
     Commodity i's rate on arc a during [theta, theta+1) is the sum of the
     values of i's paths through copy (a, theta); a zero value adds
-    nothing. Paths and values of unequal length raise ValueError, and so
-    does a negative rate (StepFunction rejects it).
+    nothing. The horizon is the last arrival: the largest theta + 1 +
+    transit over the last copy (a, theta) of each path with a nonzero
+    value, and at least 1. Paths and values of unequal length raise
+    ValueError, and so does a negative rate (StepFunction rejects it).
     """
+    arc_by_id = expansion.instance.network.arc_by_id
     totals: dict[tuple[str, int], dict[int, Fraction]] = {}
+    arrival = 1
     for (i, path), value in zip(paths, values, strict=True):
         if value:
             for arc_id, theta in path:
                 rates = totals.setdefault((arc_id, i), {})
                 rates[theta] = rates.get(theta, 0) + value
-    horizon = Fraction(expansion.horizon)
+            arc_id, theta = path[-1]
+            arrival = max(arrival, theta + 1 + arc_by_id[arc_id].transit)
+    horizon = Fraction(arrival)
     steps = {}
     for key, rates in sorted(totals.items()):
         pieces = [

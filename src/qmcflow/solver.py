@@ -39,16 +39,10 @@ Fulkerson, Management Sci. 1958):
    columns of its copies plus the column of commodity i's artificial.
 
 When a round has priced every commodity under the same duals and no
-path enters, the lengths prove the probe infeasible by the
-Japanese theorem (Iri 1971; Onaga and Kakusho 1971): sum_i d_i *
-dist_l(s_i, t_i) > sum_e c_e * l_e. That inequality is checked before
-the verdict is returned, and a failure raises RuntimeError. Each
-distance comes from one backward pass over the time grid, from (t_i, T)
-down to layer 0: a layer takes the holdovers the mask allows (length 0)
-and the movement copies into later layers, then relaxes its
-zero-transit copies to a fixed point. The pass shares no code with
-pricing. The certificate so proves the node-arc LP of the probe
-infeasible, whatever the masters did.
+path enters, the lengths are a cut that proves the probe's node-arc LP
+infeasible, whatever the masters did, once the independent checker
+(qmcflow.checker.check_cut) accepts it; the verdict is returned only
+then, and otherwise RuntimeError is raised.
 
 Path masters are decided by one phase-one simplex on one kind of
 tableau in exact integer arithmetic (integer numerators over per-row
@@ -82,12 +76,9 @@ transit + 1; a commodity with no such route makes every horizon
 infeasible. Probing gallops up from the bound with gaps 1, 2, 4, ...
 until a probe is feasible, then bisects the bracket that the probes
 have proved. Its lower end is one past the largest infeasible probe.
-Its upper end is the least last arrival of a feasible probe's witness
-(the largest piece end plus its arc's transit), not the probed horizon:
-a flow that has fully arrived by L is a schedule for horizon L
-(Fleischer and Skutella, SIAM J. Comput. 2007), so the witness, with
-its horizon set to L, settles L without a probe. A witness arriving
-below the lower end contradicts a proven verdict and raises
+Its upper end is the least horizon of a feasible probe's witness, which
+ends at its last arrival (flow_from_paths), not at the probed horizon.
+A witness below the lower end contradicts a proven verdict and raises
 RuntimeError. A speed-up report bisects the no-storage search inside
 [W, 2W], W the with-storage minimum. The search is sound because
 feasibility is monotone in the horizon (any schedule for T is also one
@@ -105,15 +96,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
-from .core import (
-    FlowOverTime,
-    Instance,
-    StepFunction,
-    StorageMode,
-    format_rational,
-    validate_instance,
-)
-from .checker import check_flow
+from .core import FlowOverTime, Instance, StorageMode, format_rational, validate_instance
+from .checker import check_cut, check_flow
 from .expansion import (
     ExpandedNetwork,
     Path,
@@ -351,7 +335,7 @@ def probe_horizon(
     """Build the expansion for one horizon and decide its feasibility on
     the path LP by column generation (see the module docstring). The
     mode reaches the decision only through the expansion's storage
-    masks. A feasible verdict carries its witness flow over time.
+    masks. A feasible verdict carries its witness, ending at its last arrival.
     """
     expansion = build_time_expanded(instance, horizon, mode)
     return expansion, _decide_by_paths(expansion)
@@ -366,9 +350,9 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
     after the last that gave a column, each by one shortest path; the
     first path with positive reduced cost is appended to the master and
     phase one resumes from the basis it stopped at. When a round prices
-    every commodity and none enters, the lengths must pass the
-    certificate check, or RuntimeError is raised. A feasible master's
-    path values are checked (_master_values) and become the witness flow.
+    every commodity and none enters, check_cut must accept the lengths
+    as a cut, or RuntimeError is raised. A feasible master's path values
+    are checked (_master_values) and become the witness flow.
     """
     commodities = expansion.instance.commodities
     demanded = [i for i, goods in enumerate(commodities) if goods.demand > 0]
@@ -384,7 +368,12 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
             if cheapest is not None and duals[i] > cheapest[0]:
                 break
         else:
-            _check_length_certificate(expansion, lengths)
+            report = check_cut(expansion.horizon, lengths, expansion.instance, expansion.mode)
+            if not report.ok:
+                raise RuntimeError(
+                    f"the length certificate at T={expansion.horizon} does not prove"
+                    f" infeasibility: {report.violations[0].to_json()}"
+                )
             return LPResult(False)
         start += step + 1
         column = (i, cheapest[1])
@@ -541,84 +530,6 @@ def _master_duals(master: _PathMaster) -> tuple[dict[tuple[str, int], int], dict
     return lengths, duals
 
 
-def _check_length_certificate(
-    expansion: ExpandedNetwork, lengths: Mapping[tuple[str, int], int]
-) -> None:
-    """Raise RuntimeError unless the lengths prove the probe infeasible.
-
-    By the Japanese theorem (Iri 1971; Onaga and Kakusho 1971) the
-    demands cannot be met if lengths l >= 0 on the movement copies give
-    sum_i d_i * dist_l(i) > sum_e c_e * l_e, where dist_l(i) is the
-    least length of a walk from (s_i, 0) to (t_i, T) in the expansion
-    over movement copies and commodity i's holdovers, the holdovers at
-    length 0 (_distance_to_sink). A commodity with positive demand and
-    no such walk settles the inequality on its own.
-    """
-    if any(value < 0 for value in lengths.values()):
-        raise RuntimeError("the length certificate has a negative length")
-    instance = expansion.instance
-    arc_by_id = instance.network.arc_by_id
-    budget = sum([arc_by_id[arc_id].capacity * value for (arc_id, _), value in lengths.items()])
-    needed = _ZERO
-    for i, goods in enumerate(instance.commodities):
-        if goods.demand > 0:
-            dist = _distance_to_sink(expansion, i, lengths)
-            if dist is None:
-                return
-            needed += goods.demand * dist
-    if not needed > budget:
-        raise RuntimeError(
-            f"the length certificate at T={expansion.horizon} does not prove infeasibility"
-            f" (demand-weighted distance {format_rational(needed)},"
-            f" capacity-weighted length {format_rational(Fraction(budget))})"
-        )
-
-
-def _distance_to_sink(
-    expansion: ExpandedNetwork, commodity: int, lengths: Mapping[tuple[str, int], int]
-) -> int | None:
-    """dist_l((s_i, 0), (t_i, T)) for commodity i, or None if (t_i, T) is
-    unreachable, by one backward pass over the time grid.
-
-    Layer theta holds the least length from each (v, theta) to (t_i, T),
-    computed from the later layers: a holdover (v, theta) -> (v, theta+1)
-    has length 0 and exists where the mask lets i wait; a movement copy
-    (a, theta) exists when theta + transit(a) <= T - 1 and has length
-    l(a, theta). Copies of zero-transit arcs stay inside the layer and
-    are relaxed to a fixed point, which is reached because no length is
-    negative. It shares no code with pricing (cheapest_path).
-    """
-    network = expansion.instance.network
-    goods = expansion.instance.commodities[commodity]
-    horizon = expansion.horizon
-    waits = expansion.holdover_nodes[commodity]
-    moving = [arc for arc in network.arcs if arc.transit]
-    instant = [arc for arc in network.arcs if not arc.transit]
-    # layers[theta][v]: least length from (v, theta) to (t_i, T).
-    layers: list[dict[str, int]] = [{} for _ in range(horizon)] + [{goods.sink: 0}]
-    for theta in range(horizon - 1, -1, -1):
-        layer, above = layers[theta], layers[theta + 1]
-        for node in waits:
-            if node in above:
-                layer[node] = above[node]
-        for arc in moving:
-            arrival = theta + arc.transit
-            if arrival < horizon and arc.head in layers[arrival]:
-                candidate = layers[arrival][arc.head] + lengths.get((arc.id, theta), 0)
-                if candidate < layer.get(arc.tail, candidate + 1):
-                    layer[arc.tail] = candidate
-        changed = True
-        while changed:
-            changed = False
-            for arc in instant:
-                if arc.head in layer:
-                    candidate = layer[arc.head] + lengths.get((arc.id, theta), 0)
-                    if candidate < layer.get(arc.tail, candidate + 1):
-                        layer[arc.tail] = candidate
-                        changed = True
-    return layers[0].get(goods.source)
-
-
 Observer = Callable[[int, ExpandedNetwork, LPResult], None]
 
 
@@ -626,13 +537,13 @@ class _Search:
     """The proven bracket of one horizon search.
 
     Every horizon below lo is infeasible: lo starts at a proven lower
-    bound and rises past each infeasible probe. witness, once a probe is
-    feasible, is the feasible probe's flow with the least last arrival
-    (_last_arrival), recast as a flow for that horizon: a flow that has
-    fully arrived by L is a schedule for horizon L, so L is feasible
-    whatever horizon was probed. Its horizon is the upper end of the
-    bracket. Each probe lies strictly inside the bracket, so no horizon
-    is probed twice and each feasible probe lowers the upper end.
+    bound and rises past each infeasible probe. witness is the feasible
+    probes' witness of least horizon, its last arrival L: a flow that has
+    fully arrived by L is a schedule for horizon L (Fleischer and
+    Skutella, SIAM J. Comput. 2007), whatever horizon was probed. L is
+    the upper end of the bracket. Each probe lies strictly inside the
+    bracket, so no horizon is probed twice and each feasible probe lowers
+    the upper end.
     """
 
     def __init__(
@@ -646,28 +557,22 @@ class _Search:
 
     def feasible(self, horizon: int) -> bool:
         """Probe one horizon and narrow the bracket by its verdict. A
-        witness that arrives below lo contradicts a proven infeasibility,
-        and one that arrives after the probed horizon is no witness for
-        it; both raise RuntimeError."""
+        witness that ends below lo contradicts a proven infeasibility, and
+        one that ends after the probed horizon is no witness for it; both
+        raise RuntimeError."""
         expansion, result = probe_horizon(self.instance, horizon, self.mode)
         if self.observer is not None:
             self.observer(horizon, expansion, result)
         if not result.feasible:
             self.lo = horizon + 1
             return False
-        flow = result.flow
-        arrival = _last_arrival(flow, self.instance)
+        arrival = result.flow.horizon
         if arrival < self.lo or arrival > horizon:
             raise RuntimeError(
                 f"the witness at T={horizon} arrives by {arrival}, outside the"
                 f" bracket [{self.lo}, {horizon}] left by the verdicts so far"
             )
-        if arrival < horizon:
-            end = Fraction(arrival)
-            flow = FlowOverTime(
-                end, {key: StepFunction(end, step.pieces) for key, step in flow.rates.items()}
-            )
-        self.witness = flow
+        self.witness = result.flow
         return True
 
     def least(self, top: int) -> tuple[int, FlowOverTime]:
@@ -696,18 +601,6 @@ class _Search:
         return lo, flow
 
 
-def _last_arrival(flow: FlowOverTime, instance: Instance) -> int:
-    """The time by which a probe's witness has fully arrived: the largest
-    piece end plus its arc's transit, and at least 1. A witness's pieces
-    are unit steps of the time grid (flow_from_paths), so each end is the
-    integer its numerator gives, read without Fraction arithmetic."""
-    arc_by_id = instance.network.arc_by_id
-    arrival = 1
-    for (arc_id, _), step in flow.rates.items():
-        arrival = max(arrival, step.pieces[-1].end.numerator + arc_by_id[arc_id].transit)
-    return arrival
-
-
 def min_feasible_horizon(
     instance: Instance,
     mode: StorageMode,
@@ -728,12 +621,12 @@ def min_feasible_horizon(
     transit). It probes L, L + 1, L + 3, L + 7, ... (capped at
     t_max) until one is feasible, then bisects strictly inside the
     bracket that monotonicity of feasibility in T proves (see _Search):
-    above the last infeasible probe and below the least last arrival of a
-    feasible probe's witness, which may lie below the probed horizon. No
-    horizon is probed twice. The optional observer receives every
-    (horizon, expansion, result) probed; the returned minimum is the
-    least last arrival among the feasible results' witnesses, and it need
-    not have been probed itself.
+    above the last infeasible probe and below the least horizon of a
+    feasible probe's witness, which ends at its last arrival and may lie
+    below the probed horizon. No horizon is probed twice. The optional
+    observer receives every (horizon, expansion, result) probed; the
+    returned minimum is the least horizon among the feasible results'
+    witnesses, and it need not have been probed itself.
 
     A commodity with positive demand for which fewest_transit_route
     finds no route makes every horizon infeasible, so the search raises
@@ -741,12 +634,12 @@ def min_feasible_horizon(
     exact: any such path carries the demand without waiting, in both
     modes, once the horizon is long enough.
 
-    The minimum is certified before it is returned: check_flow must
-    accept the witness that closed the bracket, with its horizon set to
-    the minimum, or RuntimeError is raised. By monotonicity this
-    certificate also vouches for every feasible verdict that shaped the
-    search. The search returns the pair (minimum, flow), where flow is
-    that certified schedule with horizon equal to the minimum.
+    The minimum is certified before it is returned: the witness that
+    closed the bracket must have the minimum as its horizon, and
+    check_flow must accept it, or RuntimeError is raised. By
+    monotonicity this certificate also vouches for every feasible verdict
+    that shaped the search. The search returns the pair (minimum, flow),
+    where flow is that certified schedule.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -796,10 +689,10 @@ def speedup_ratio(
 
     The no-storage search bisects [W, min(t_max, 2W)], where W is the
     with-storage minimum; a feasible probe's witness lowers the top to
-    its last arrival, and the top is probed last, only if every horizon
+    its own horizon, its last arrival, and the top is probed last, only if every horizon
     below it is infeasible. W is a proven lower end: each no-storage mask
     is a subset of the with-storage one, and W - 1 was ruled out by a
-    checked length certificate or by the transit bound. Storage speeds
+    cut that check_cut accepted or by the transit bound. Storage speeds
     things up by at most a factor of two; a violation of that bound would
     surface loudly as NoHorizonFound, never as a silently wrong minimum.
     """

@@ -150,11 +150,12 @@ def test_criterion_09_every_feasible_probe_survives_the_checker():
         feasible = [(e, r) for e, r in _PROBE_LOG if r.feasible]
         assert feasible, "earlier criteria must have logged probes"
         for expansion, result in feasible:
+            # A witness ends at its last arrival, and is checked there.
             flow = result.flow
-            assert flow.horizon == expansion.horizon
+            assert flow.horizon <= expansion.horizon
             report = check_flow(flow, expansion.instance, expansion.mode)
             assert report.ok, (
-                f"witness flow fails at T={expansion.horizon}"
+                f"witness flow fails at T={flow.horizon} probed at T={expansion.horizon}"
                 f" in mode {expansion.mode.value}: {report.violations[:3]}"
             )
             assert flow_satisfies_unreduced_lp(expansion, flow), (

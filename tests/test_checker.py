@@ -1,4 +1,5 @@
-"""The flow checker: capacity, conservation and demand violations."""
+"""The checker: capacity, conservation and demand violations of flows,
+and the inequality of cuts."""
 
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from qmcflow.checker import (
     CAPACITY,
     CONSERVATION,
+    CUT,
     DEMAND,
     STRICT_CONSERVATION,
     Violation,
+    check_cut,
     check_flow,
 )
 from qmcflow.core import (
@@ -266,6 +269,67 @@ class TestCheckFlow:
             record = json.loads(line)
             assert record["kind"] == STRICT_CONSERVATION
             assert record["location"] == "v0"
+
+
+def no_storage_cycle_cut(k: int) -> dict[tuple[str, int], int]:
+    """Length 1 on every arc of the k-cycle at layer k-2. Every
+    no-storage path departs by k-2 at T = 2k-2 and spans k-1 consecutive
+    layers, so it crosses that layer: a demand of k+1 against a budget of
+    k."""
+    return {(f"a{j}", k - 2): 1 for j in range(k)}
+
+
+def with_storage_cycle_cut(k: int) -> dict[tuple[str, int], int]:
+    """Length 1 on (a0, theta) for theta = 0..k-2, plus (a1, 0)."""
+    cut = {("a0", theta): 1 for theta in range(k - 1)}
+    cut["a1", 0] = 1
+    return cut
+
+
+class TestCheckCut:
+    """check_cut: the cycle family's closed-form cuts and edge cases."""
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_no_storage_cycle_cut(self, k: int):
+        instance, cut = cycle_instance(k), no_storage_cycle_cut(k)
+        assert check_cut(2 * k - 2, cut, instance, WITHOUT).ok
+        # At the minimum 2k-1 itself every commodity departs late enough
+        # to avoid the layer, so nothing is proved.
+        assert check_cut(2 * k - 1, cut, instance, WITHOUT).violations == (
+            Violation(CUT, "", None, Fraction(0), Fraction(2 * k - 1), Fraction(k)),
+        )
+        for copy in cut:
+            assert not check_cut(2 * k - 2, {**cut, copy: 0}, instance, WITHOUT).ok, copy
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_with_storage_cycle_cut(self, k: int):
+        instance, cut = cycle_instance(k), with_storage_cycle_cut(k)
+        assert check_cut(k, cut, instance, WITH).ok
+        assert check_cut(k + 1, cut, instance, WITH).of_kind(CUT)
+        # The cut is not minimal: it certifies without (a1, 0) too.
+        del cut["a1", 0]
+        assert check_cut(k, cut, instance, WITH).ok
+
+    def test_negative_length_is_a_violation(self):
+        report = check_cut(3, {("a0", 1): -2, ("a1", 0): 1}, path_instance(), WITH)
+        assert report.violations == (
+            Violation(CUT, "a0", None, Fraction(1), Fraction(2), Fraction(2)),
+        )
+
+    def test_unknown_arc_is_structural(self):
+        with pytest.raises(ValueError, match="unknown arc"):
+            check_cut(3, {("zz", 0): 1}, path_instance(), WITH)
+
+    def test_no_walk_to_the_sink_proves_infeasibility(self):
+        # The path needs T >= 3; below that even the empty cut proves it.
+        for horizon in (1, 2):
+            for mode in (WITH, WITHOUT):
+                assert check_cut(horizon, {}, path_instance(), mode).ok
+
+    def test_empty_cut_proves_nothing_once_the_sink_is_reachable(self):
+        assert check_cut(3, {}, path_instance(), WITH).violations == (
+            Violation(CUT, "", None, Fraction(0), Fraction(3), Fraction(0)),
+        )
 
 
 # Times of random pieces lie on a grid of twelfths; rates mix denominators.

@@ -244,6 +244,22 @@ class TestExtract:
         assert list(flow.rates) == [("a0", 0), ("a1", 1)]
         assert pieces(flow, ("a0", 0)) == [(0, 1, 1), (1, 2, 1)]
 
+    def test_horizon_is_the_last_arrival(self):
+        # The largest piece end is 3, on all three copies at theta 2, but
+        # direct's transit 2 makes its flow arrive last, by 5. The path
+        # of value zero would arrive by 8 and does not count.
+        expansion = build_time_expanded(relay_instance(), 8, WITH)
+        paths = [
+            (0, (("direct", 2),)),
+            (0, (("hop", 2), ("last", 2))),
+            (0, (("direct", 5),)),
+        ]
+        flow = flow_from_paths(expansion, paths, [Fraction(1), Fraction(1), Fraction(0)])
+        assert flow.horizon == 5
+        assert {step.domain_end for step in flow.rates.values()} == {5}
+        assert flow_from_paths(expansion, [(0, (("hop", 0),))], [Fraction(1)]).horizon == 1
+        assert flow_from_paths(expansion, [], []).horizon == 1
+
     def test_wrong_length_rejected(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
         paths = [(0, (("a0", 2),))]

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmcflow
-from qmcflow import solver
+from qmcflow import checker, solver
 from qmcflow.checker import check_flow
 from qmcflow.core import (
     Arc,
@@ -929,23 +929,20 @@ class TestHorizonSearch:
 
     def test_witness_below_a_proven_infeasible_horizon_raises(self, monkeypatch):
         # The patched probe calls every horizon up to 6 infeasible, and
-        # above it returns the real witness of T=5, recast to the probed
-        # horizon. That witness arrives by 5, which the search has
-        # already proved infeasible, so it must fail loudly.
+        # above it returns the real witness of T=5, which flow_from_paths
+        # ends at its last arrival, 5. The search has already proved 5
+        # infeasible, so it must fail loudly.
         instance = cycle_instance(3)
         real = probe_horizon(instance, 5, WITHOUT)[1].flow
+        assert real.horizon == 5
+        assert check_flow(real, instance, WITHOUT).ok
         probe = solver.probe_horizon
 
         def faulty(instance, horizon, mode):
             expansion, result = probe(instance, horizon, mode)
             if horizon <= 6:
                 return expansion, LPResult(False)
-            end = F(horizon)
-            flow = FlowOverTime(
-                end, {key: StepFunction(end, step.pieces) for key, step in real.rates.items()}
-            )
-            assert check_flow(flow, instance, WITHOUT).ok
-            return expansion, LPResult(True, flow)
+            return expansion, LPResult(True, real)
 
         monkeypatch.setattr(solver, "probe_horizon", faulty)
         probes: list[int] = []
@@ -1150,8 +1147,8 @@ def zero_transit_chain_instance() -> Instance:
 
 
 class TestLengthCertificate:
-    """The certificate's distances, one backward pass over the time grid
-    (solver._distance_to_sink), against the reference label-correcting
+    """The cut check's distances, one backward pass over the time grid
+    (checker._distance_to_sink), against the reference label-correcting
     search over the window's columns and over every node-arc column."""
 
     @settings(max_examples=300, deadline=None)
@@ -1174,19 +1171,20 @@ class TestLengthCertificate:
             expansion = build_time_expanded(instance, horizon, mode)
             lengths = dict(zip(expansion.movement_copies, drawn))
             window, unreduced = window_columns(expansion), unreduced_columns(expansion)
-            for i in range(len(instance.commodities)):
-                grid = solver._distance_to_sink(expansion, i, lengths)
+            for i, goods in enumerate(instance.commodities):
+                grid = checker._distance_to_sink(horizon, lengths, instance.network, goods, mode)
                 assert grid == reference_distance(expansion, window, lengths, i), (mode, i)
                 assert grid == reference_distance(expansion, unreduced, lengths, i), (mode, i)
 
     def test_zero_transit_chain_distances(self):
         # At T=3 commodity 0 crosses the chain and enters m at 0 or 1;
         # the cheaper crossing at 1 costs z0@1 + z1@1 + z2@1 + m@1.
-        expansion = build_time_expanded(zero_transit_chain_instance(), 3, WITHOUT)
+        instance = zero_transit_chain_instance()
+        network, (first, second) = instance.network, instance.commodities
         lengths = {("z0", 0): 5, ("z0", 1): 1, ("z1", 1): 1, ("z2", 1): 1, ("m", 0): 1}
-        assert solver._distance_to_sink(expansion, 0, lengths) == 3
-        assert solver._distance_to_sink(expansion, 1, lengths) == 1
-        assert solver._distance_to_sink(expansion, 0, {}) == 0
+        assert checker._distance_to_sink(3, lengths, network, first, WITHOUT) == 3
+        assert checker._distance_to_sink(3, lengths, network, second, WITHOUT) == 1
+        assert checker._distance_to_sink(3, {}, network, first, WITHOUT) == 0
 
 
 def complete_digraph_instance() -> Instance:
@@ -1348,13 +1346,14 @@ class PathLPCases:
 
     def test_every_infeasible_probe_checks_its_certificate(self, monkeypatch):
         certified: list[int] = []
-        check = solver._check_length_certificate
+        check = solver.check_cut
 
-        def counted(expansion, lengths):
-            check(expansion, lengths)
-            certified.append(expansion.horizon)
+        def counted(horizon, lengths, instance, mode):
+            report = check(horizon, lengths, instance, mode)
+            certified.append(horizon)
+            return report
 
-        monkeypatch.setattr(solver, "_check_length_certificate", counted)
+        monkeypatch.setattr(solver, "check_cut", counted)
         infeasible: list[int] = []
 
         def record(horizon, expansion, result):
@@ -1403,9 +1402,10 @@ class PathLPCases:
         assert verdicts == self.infeasible_cases
 
     def test_corrupted_length_certificate_raises_even_under_python_O(self):
-        # The certificate check is explicit code, which python -O keeps.
-        # The zero length function proves nothing; a negative length is
-        # no length function at all.
+        # The cut check is explicit code, which python -O keeps. The zero
+        # length function proves nothing, so the probe must raise; a
+        # negative length is no length function at all, so the checker
+        # reports it.
         horizon = self.cycle_minimum(3) - 1
         script = (
             "import sys\n"
@@ -1415,26 +1415,26 @@ class PathLPCases:
             f"mode = StorageMode.{self.mode.name}\n"
             "print('optimize', sys.flags.optimize)\n"
             "certificates = []\n"
-            "check = solver._check_length_certificate\n"
-            "def recorded(expansion, lengths):\n"
-            "    certificates.append((expansion, dict(lengths)))\n"
-            "    check(expansion, lengths)\n"
-            "solver._check_length_certificate = recorded\n"
+            "check = solver.check_cut\n"
+            "def recorded(*args):\n"
+            "    certificates.append(args)\n"
+            "    return check(*args)\n"
+            "solver.check_cut = recorded\n"
             f"print('feasible', solver.probe_horizon(cycle_instance(3), {horizon}, mode)[1].feasible)\n"
-            "expansion, lengths = certificates[0]\n"
+            "horizon, lengths, instance, _ = certificates[0]\n"
             "negative = {copy: -value for copy, value in lengths.items()}\n"
+            "report = check(horizon, negative, instance, mode)\n"
+            "print('negated', report.ok, sorted({v.kind for v in report.violations}))\n"
             "duals = solver._master_duals\n"
             "def zero(*args):\n"
             "    return {}, dict.fromkeys(duals(*args)[1], 0)\n"
             "solver._master_duals = zero\n"
-            f"for attempt in (lambda: solver.probe_horizon(cycle_instance(3), {horizon}, mode),\n"
-            "                lambda: check(expansion, negative)):\n"
-            "    try:\n"
-            "        attempt()\n"
-            "    except RuntimeError as error:\n"
-            "        print('raised', error)\n"
-            "    else:\n"
-            "        print('returned')\n"
+            "try:\n"
+            f"    solver.probe_horizon(cycle_instance(3), {horizon}, mode)\n"
+            "except RuntimeError as error:\n"
+            "    print('raised', error)\n"
+            "else:\n"
+            "    print('returned')\n"
         )
         src = str(Path(qmcflow.__file__).resolve().parents[1])
         completed = subprocess.run(
@@ -1445,9 +1445,8 @@ class PathLPCases:
             check=True,
         )
         lines = completed.stdout.split("\n")
-        assert lines[:2] == ["optimize 1", "feasible False"]
-        assert lines[2].startswith(f"raised the length certificate at T={horizon} does not prove")
-        assert lines[3] == "raised the length certificate has a negative length"
+        assert lines[:3] == ["optimize 1", "feasible False", "negated False ['cut']"]
+        assert lines[3].startswith(f"raised the length certificate at T={horizon} does not prove")
 
 
 class TestDepartureLP(PathLPCases):
