@@ -21,19 +21,19 @@ linear function of time. A piecewise linear function is nonnegative
 breakpoints, which is why checking the finitely many breakpoints below
 is exact and complete, not a sampling heuristic.
 
-check_flow converts the flow to integer units once: times to multiples
-of 1/tu, where tu is the lcm of the horizon's and every piece
-boundary's denominator, and rates to multiples of 1/ru, where ru is the
-lcm of the rate denominators. Amounts are then integer multiples of
-1/(tu*ru). Two sweeps over sorted breakpoints follow, in integer
-arithmetic. The capacity sweep keeps a running total rate per arc. The
-balance sweep advances each (commodity, node) balance by its current
-slope between breakpoints, reports conservation violations at the
-breakpoints, and compares its value at the horizon with the demand: at
-T, the balance counts arrivals through T minus each in-arc's transit
-and all departures, which is exactly the demand condition. No piece is
-integrated more than once, and Fractions are built only for the
-violations reported.
+check_flow converts each distinct rate function to integer units once:
+times to multiples of 1/tu, where tu is the lcm of the horizon's and
+every piece boundary's denominator, and rates to multiples of 1/ru,
+where ru is the lcm of the rate denominators, so amounts are integer
+multiples of 1/(tu*ru). One pass over the entries adds each piece to
+its arc's rate changes and to the slope changes of the balances at the
+arc's tail and head. The capacity sweep then keeps a running total rate
+per arc over sorted breakpoints. The balance sweep advances each
+(commodity, node) balance by its current slope between breakpoints,
+reports conservation violations at the breakpoints, and compares its
+value at the horizon with the demand: at T, the balance counts arrivals
+through T minus each in-arc's transit and all departures, which is
+exactly the demand condition. Fractions are built only for violations.
 
 A cut for an integer horizon T is a length function l >= 0 on the
 movement copies (a, theta) of the time expansion (qmcflow.expansion).
@@ -73,9 +73,6 @@ DEMAND = "demand"
 CUT = "cut"
 
 _ZERO = Fraction(0)
-
-# Pieces (start, end, rate) in integer units, keyed like FlowOverTime.rates.
-_UnitPieces = dict[tuple[str, int], list[tuple[int, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -137,38 +134,6 @@ def _require_consistent(flow: FlowOverTime, instance: Instance) -> None:
             raise ValueError(f"flow references unknown commodity {commodity}")
 
 
-def _integer_units(flow: FlowOverTime) -> tuple[int, int, int, _UnitPieces]:
-    """The flow in integer units: (tu, ru, horizon, pieces).
-
-    tu is the lcm of the horizon's and every piece start and end
-    denominator, ru the lcm of the rate denominators. The horizon and
-    each piece (start, end, rate) are returned as integer multiples of
-    1/tu (times) and 1/ru (rates), keyed like flow.rates, so every
-    amount is an integer multiple of 1/(tu*ru).
-    """
-    time_denominators = {flow.horizon.denominator}
-    rate_denominators = {1}
-    for step in flow.rates.values():
-        for piece in step.pieces:
-            time_denominators.add(piece.start.denominator)
-            time_denominators.add(piece.end.denominator)
-            rate_denominators.add(piece.rate.denominator)
-    tu = lcm(*time_denominators)
-    ru = lcm(*rate_denominators)
-    pieces: _UnitPieces = {}
-    for key, step in flow.rates.items():
-        pieces[key] = [
-            (
-                p.start.numerator * (tu // p.start.denominator),
-                p.end.numerator * (tu // p.end.denominator),
-                p.rate.numerator * (ru // p.rate.denominator),
-            )
-            for p in step.pieces
-        ]
-    horizon = flow.horizon.numerator * (tu // flow.horizon.denominator)
-    return tu, ru, horizon, pieces
-
-
 def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> ViolationReport:
     """All capacity, conservation and demand violations of the flow.
 
@@ -178,17 +143,60 @@ def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> Vio
     commodity the instance lacks raises ValueError.
     """
     _require_consistent(flow, instance)
-    tu, ru, horizon, pieces = _integer_units(flow)
+    # Entries may share a StepFunction; flow.rates keeps each id valid.
+    steps = {id(step): step for step in flow.rates.values()}
+    time_denominators = {flow.horizon.denominator}
+    rate_denominators = {1}
+    for step in steps.values():
+        for piece in step.pieces:
+            time_denominators.add(piece.start.denominator)
+            time_denominators.add(piece.end.denominator)
+            rate_denominators.add(piece.rate.denominator)
+    tu = lcm(*time_denominators)
+    ru = lcm(*rate_denominators)
+    # Each distinct step's pieces (start, end, rate) in units of 1/tu and 1/ru.
+    units = {
+        key: [
+            (
+                p.start.numerator * (tu // p.start.denominator),
+                p.end.numerator * (tu // p.end.denominator),
+                p.rate.numerator * (ru // p.rate.denominator),
+            )
+            for p in step.pieces
+        ]
+        for key, step in steps.items()
+    }
+    # One pass over the entries gives, per arc id, the change of the
+    # total rate at each breakpoint, and per (commodity, node) the change
+    # of the balance's slope: an in-arc's piece raises it while its flow
+    # arrives, an out-arc's piece lowers it while its flow departs.
+    changes: dict[str, dict[int, int]] = {}
+    slopes: dict[tuple[int, str], dict[int, int]] = {}
+    arc_by_id = instance.network.arc_by_id
+    for (arc_id, commodity), step in flow.rates.items():
+        arc = arc_by_id[arc_id]
+        shift = arc.transit * tu
+        change = changes.setdefault(arc_id, {})
+        arriving = slopes.setdefault((commodity, arc.head), {})
+        departing = slopes.setdefault((commodity, arc.tail), {})
+        for start, end, rate in units[id(step)]:
+            change[start] = change.get(start, 0) + rate
+            change[end] = change.get(end, 0) - rate
+            arriving[start + shift] = arriving.get(start + shift, 0) + rate
+            arriving[end + shift] = arriving.get(end + shift, 0) - rate
+            departing[start] = departing.get(start, 0) - rate
+            departing[end] = departing.get(end, 0) + rate
+    horizon = flow.horizon.numerator * (tu // flow.horizon.denominator)
     return ViolationReport(
         tuple(
-            _capacity_violations(instance, tu, ru, pieces)
-            + _balance_violations(instance, mode, tu, ru, horizon, pieces)
+            _capacity_violations(instance, tu, ru, changes)
+            + _balance_violations(instance, mode, tu, ru, horizon, slopes)
         )
     )
 
 
 def _capacity_violations(
-    instance: Instance, tu: int, ru: int, pieces: _UnitPieces
+    instance: Instance, tu: int, ru: int, changes: dict[str, dict[int, int]]
 ) -> list[Violation]:
     """Compare total rates against capacity on each arc.
 
@@ -196,13 +204,6 @@ def _capacity_violations(
     which the commodities' total rate is constant and exceeds capacity;
     its magnitude is the excess over capacity.
     """
-    # Per arc id, the change of the total rate at each piece start and end.
-    changes: dict[str, dict[int, int]] = {}
-    for (arc_id, _), parts in pieces.items():
-        change = changes.setdefault(arc_id, {})
-        for start, end, rate in parts:
-            change[start] = change.get(start, 0) + rate
-            change[end] = change.get(end, 0) - rate
     violations: list[Violation] = []
     for arc in instance.network.arcs:
         change = changes.get(arc.id)
@@ -241,7 +242,7 @@ def _balance_violations(
     tu: int,
     ru: int,
     horizon: int,
-    pieces: _UnitPieces,
+    slopes: dict[tuple[int, str], dict[int, int]],
 ) -> list[Violation]:
     """Sweep each commodity's cumulative balance at each node up to T.
 
@@ -255,23 +256,6 @@ def _balance_violations(
     violation's magnitude is the absolute deviation. Conservation
     violations are returned before demand violations.
     """
-    by_id: dict[str, list[tuple[int, list[tuple[int, int, int]]]]] = {}
-    for (arc_id, commodity), parts in pieces.items():
-        by_id.setdefault(arc_id, []).append((commodity, parts))
-    # Per (commodity, node), the change of the balance's slope at each
-    # breakpoint: an in-arc's piece raises it while its flow arrives,
-    # an out-arc's piece lowers it while its flow departs.
-    slopes: dict[tuple[int, str], dict[int, int]] = {}
-    for arc in instance.network.arcs:
-        shift = arc.transit * tu
-        for commodity, parts in by_id.get(arc.id, ()):
-            arriving = slopes.setdefault((commodity, arc.head), {})
-            departing = slopes.setdefault((commodity, arc.tail), {})
-            for start, end, rate in parts:
-                arriving[start + shift] = arriving.get(start + shift, 0) + rate
-                arriving[end + shift] = arriving.get(end + shift, 0) - rate
-                departing[start] = departing.get(start, 0) - rate
-                departing[end] = departing.get(end, 0) + rate
     conservation: list[Violation] = []
     demand: list[Violation] = []
     scale = tu * ru

@@ -11,9 +11,9 @@ All quantities are exact rationals (fractions.Fraction). Floats are
 rejected at the boundaries so that feasibility verdicts computed
 downstream are exact, never approximate.
 
-The parsers validate each distinct literal text once per document:
-rational() is the only literal grammar, and its result is reused for
-every repeat of the same text in that document.
+The parsers validate each distinct literal text, and parse_flow each
+distinct piece list, once per document, and reuse the Fraction or the
+StepFunction for every repeat; rational() is the only literal grammar.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ class FlowOverTime:
             raise ValueError("horizon must be positive")
         for key, step in self.rates.items():
             end = step.domain_end
-            if end.numerator != num or end.denominator != den:
+            if end is not self.horizon and (end.numerator != num or end.denominator != den):
                 raise ValueError(
                     f"rate for {key!r}: domain end {step.domain_end} differs from horizon {self.horizon}"
                 )
@@ -428,12 +428,34 @@ def _integer_field(obj: dict, key: str, path: str, literals: dict[str, Fraction]
     return int(value)
 
 
+def _read_arc(raw, path: str, literals: dict[str, Fraction]) -> Arc:
+    """One arc through the field readers, which raise the error naming its path."""
+    _require(isinstance(raw, dict), path, "must be a JSON object")
+    capacity = _rational_field(raw, "capacity", path, literals)
+    _require(capacity >= 0, f"{path}.capacity", "capacity must be nonnegative")
+    transit = _integer_field(raw, "transit", path, literals)
+    _require(transit >= 0, f"{path}.transit", "transit must be nonnegative")
+    ids = [_string_field(raw, key, path) for key in ("id", "tail", "head")]
+    return Arc(*ids, capacity, transit)
+
+
+def _read_commodity(raw, path: str, literals: dict[str, Fraction]) -> Commodity:
+    """One commodity through the field readers, which raise the error naming its path."""
+    _require(isinstance(raw, dict), path, "must be a JSON object")
+    demand = _rational_field(raw, "demand", path, literals)
+    _require(demand >= 0, f"{path}.demand", "demand must be nonnegative")
+    return Commodity(_string_field(raw, "source", path), _string_field(raw, "sink", path), demand)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse an instance document.
 
     Format-level constraints (shape, rational literals, sign of capacity,
     transit and demand) raise ParseError naming the offending path.
-    Graph-level invariants are left to validate_instance.
+    Graph-level invariants are left to validate_instance. As in
+    parse_flow, fields are read directly; an arc or commodity with a
+    value missing, mistyped or negative takes the field readers, which
+    raise the same errors, as does a capacity or demand new to literals.
     """
     doc = _load_json(text, "instance")
     _require(isinstance(doc, dict), "instance", "must be a JSON object")
@@ -441,48 +463,47 @@ def parse_instance(text: str) -> Instance:
 
     raw_nodes = _get(doc, "nodes", "instance")
     _require(isinstance(raw_nodes, list), "instance.nodes", "must be an array")
-    nodes: list[str] = []
     for i, value in enumerate(raw_nodes):
-        _require(isinstance(value, str), f"nodes[{i}]", "must be a string")
-        nodes.append(value)
+        if type(value) is not str:
+            raise ParseError(f"nodes[{i}]: must be a string")
 
     raw_arcs = _get(doc, "arcs", "instance")
     _require(isinstance(raw_arcs, list), "instance.arcs", "must be an array")
     arcs: list[Arc] = []
     for i, raw in enumerate(raw_arcs):
-        path = f"arcs[{i}]"
-        _require(isinstance(raw, dict), path, "must be a JSON object")
-        capacity = _rational_field(raw, "capacity", path, literals)
-        _require(capacity >= 0, f"{path}.capacity", "capacity must be nonnegative")
-        transit = _integer_field(raw, "transit", path, literals)
-        _require(transit >= 0, f"{path}.transit", "transit must be nonnegative")
-        arcs.append(
-            Arc(
-                id=_string_field(raw, "id", path),
-                tail=_string_field(raw, "tail", path),
-                head=_string_field(raw, "head", path),
-                capacity=capacity,
-                transit=transit,
-            )
-        )
+        try:
+            capacity = literals.get(raw["capacity"])
+            if capacity is None:
+                capacity = _rational_field(raw, "capacity", f"arcs[{i}]", literals)
+            arc = Arc(raw["id"], raw["tail"], raw["head"], capacity, raw["transit"])
+        except (KeyError, TypeError):
+            arc = None
+        if not (
+            arc
+            and type(arc.id) is type(arc.tail) is type(arc.head) is str
+            and type(arc.transit) is int
+            and arc.transit >= 0
+            and capacity.numerator >= 0
+        ):
+            arc = _read_arc(raw, f"arcs[{i}]", literals)
+        arcs.append(arc)
 
     raw_commodities = _get(doc, "commodities", "instance")
     _require(isinstance(raw_commodities, list), "instance.commodities", "must be an array")
     commodities: list[Commodity] = []
     for i, raw in enumerate(raw_commodities):
-        path = f"commodities[{i}]"
-        _require(isinstance(raw, dict), path, "must be a JSON object")
-        demand = _rational_field(raw, "demand", path, literals)
-        _require(demand >= 0, f"{path}.demand", "demand must be nonnegative")
-        commodities.append(
-            Commodity(
-                source=_string_field(raw, "source", path),
-                sink=_string_field(raw, "sink", path),
-                demand=demand,
-            )
-        )
+        try:
+            demand = literals.get(raw["demand"])
+            if demand is None:
+                demand = _rational_field(raw, "demand", f"commodities[{i}]", literals)
+            commodity = Commodity(raw["source"], raw["sink"], demand)
+        except (KeyError, TypeError):
+            commodity = None
+        if not (commodity and type(commodity.source) is type(commodity.sink) is str and demand.numerator >= 0):
+            commodity = _read_commodity(raw, f"commodities[{i}]", literals)
+        commodities.append(commodity)
 
-    return Instance(Network(tuple(nodes), tuple(arcs)), tuple(commodities))
+    return Instance(Network(tuple(raw_nodes), tuple(arcs)), tuple(commodities))
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -525,9 +546,10 @@ def parse_flow(text: str) -> FlowOverTime:
     The decoded document is read once. Each field is first read
     directly; only a value that is missing or not of its usual exact type
     goes through the field readers, which accept it or raise the error
-    naming its path, so no path is formatted for a valid field. Every
-    piece's literals and signs are read before StepFunction checks the
-    order of the entry's pieces.
+    naming its path, so no path is formatted for a valid field. An entry
+    whose piece strings repeat an earlier one's shares its StepFunction;
+    any other has every piece's literals and signs read before
+    StepFunction checks the order of its pieces.
     """
     doc = _load_json(text, "flow")
     _require(isinstance(doc, dict), "flow", "must be a JSON object")
@@ -540,6 +562,7 @@ def parse_flow(text: str) -> FlowOverTime:
     _require(isinstance(raw_rates, list), "flow.rates", "must be an array")
 
     rates: dict[tuple[str, int], StepFunction] = {}
+    steps: dict[tuple[tuple[str, str, str], ...], StepFunction] = {}
     for i, raw in enumerate(raw_rates):
         if type(raw) is not dict:
             raise ParseError(f"rates[{i}]: must be a JSON object")
@@ -558,7 +581,17 @@ def parse_flow(text: str) -> FlowOverTime:
         if type(raw_pieces) is not list:
             _get(raw, "pieces", f"rates[{i}]")
             raise ParseError(f"rates[{i}].pieces: must be an array")
-
+        # steps is keyed by piece lists of strings only: True == 1 and both
+        # hash alike, but neither matches a string.
+        try:
+            texts = tuple([(p["from"], p["to"], p["rate"]) for p in raw_pieces])
+            step = steps.get(texts)
+        except (KeyError, TypeError):
+            texts = step = None
+        if step is not None:
+            rates[key] = step
+            continue
+        shared = texts is not None
         pieces: list[Piece] = []
         for j, raw_piece in enumerate(raw_pieces):
             # literals has only string keys, so a number, bool or null
@@ -572,6 +605,7 @@ def parse_flow(text: str) -> FlowOverTime:
                 start = _rational_field(raw_piece, "from", piece_path, literals)
                 end = _rational_field(raw_piece, "to", piece_path, literals)
                 rate = _rational_field(raw_piece, "rate", piece_path, literals)
+                shared = shared and all([type(text) is str for text in texts[j]])
             if start.numerator < 0:
                 raise ParseError(f"rates[{i}].pieces[{j}].from: must be nonnegative")
             if rate.numerator < 0:
@@ -581,6 +615,8 @@ def parse_flow(text: str) -> FlowOverTime:
             rates[key] = StepFunction(horizon, tuple(pieces))
         except ValueError as exc:
             raise ParseError(f"rates[{i}].pieces: {exc}") from None
+        if shared:
+            steps[texts] = rates[key]
 
     try:
         return FlowOverTime(horizon, rates)

@@ -28,6 +28,8 @@ from qmcflow.core import (
     Piece,
     StepFunction,
     StorageMode,
+    parse_flow,
+    serialize_flow,
     step_function,
 )
 from qmcflow.instances import (
@@ -394,3 +396,39 @@ class TestAgainstReference:
             assert check_flow(flow, instance, mode).violations == reference_check_flow(
                 flow, instance, mode
             ), mode
+
+
+class TestParsedFlows:
+    """parse_flow shares one StepFunction among entries with equal pieces,
+    and check_flow converts each distinct one once."""
+
+    @_with_cycle_schedules
+    @given(random_flows())
+    def test_a_parsed_flow_checks_like_the_flow_it_was_written_from(self, case):
+        instance, flow = case
+        parsed = parse_flow(serialize_flow(flow))
+        for mode in (WITH, WITHOUT):
+            assert check_flow(parsed, instance, mode) == check_flow(flow, instance, mode), mode
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_wait_schedule_without_storage(self, k: int):
+        instance = cycle_instance(k)
+        flow = wait_schedule_with_storage(k)
+        parsed = parse_flow(serialize_flow(flow))
+        assert len({id(step) for step in parsed.rates.values()}) < len(parsed.rates)
+        report = check_flow(parsed, instance, WITHOUT)
+        assert len(report.violations) == k - 2
+        assert {(v.kind, v.location) for v in report.violations} == {(STRICT_CONSERVATION, "v0")}
+        assert report == check_flow(flow, instance, WITHOUT)
+        assert check_flow(parsed, instance, WITH).ok
+
+    def test_one_step_function_on_several_arcs(self):
+        instance = path_instance()
+        step = step_function(4, [(0, 1, 1)])
+        shared = FlowOverTime(Fraction(4), {("a0", 0): step, ("a1", 0): step})
+        copied = FlowOverTime(Fraction(4), {("a0", 0): step, ("a1", 0): step_function(4, [(0, 1, 1)])})
+        for mode in (WITH, WITHOUT):
+            report = check_flow(shared, instance, mode)
+            assert report == check_flow(copied, instance, mode)
+            # a1 sends during [0, 1) what a0 brings to v1 only at time 1.
+            assert [(v.kind, v.location, v.start) for v in report.violations] == [(CONSERVATION, "v1", 1)]

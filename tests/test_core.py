@@ -286,6 +286,98 @@ def instances(draw) -> Instance:
     return Instance(Network(tuple(nodes), tuple(arcs)), tuple(commodities))
 
 
+def _arc_doc(**fields) -> dict:
+    return {"id": "a0", "tail": "s", "head": "t", "capacity": "1", "transit": 1, **fields}
+
+
+def _commodity_doc(**fields) -> dict:
+    return {"source": "s", "sink": "t", "demand": "1", **fields}
+
+
+def _instance_doc(arcs=None, commodities=None, nodes=("s", "t")) -> dict:
+    return {
+        "nodes": list(nodes),
+        "arcs": [_arc_doc()] if arcs is None else arcs,
+        "commodities": [_commodity_doc()] if commodities is None else commodities,
+    }
+
+
+# Malformed instance documents and the exact message each raises. A field
+# that repeats an earlier arc's or commodity's literal is read directly,
+# so several cases put the defect in the second element; the last case of
+# each kind has two defects and pins the one reported first.
+REJECTED_INSTANCES = {
+    "node not a string": (_instance_doc(nodes=["s", 3]), "nodes[1]: must be a string"),
+    "arc not an object": (_instance_doc(arcs=[_arc_doc(), ["a1"]]), "arcs[1]: must be a JSON object"),
+    "missing capacity": (
+        _instance_doc(arcs=[{"id": "a0", "tail": "s", "head": "t", "transit": 1}]),
+        "arcs[0]: missing required key 'capacity'",
+    ),
+    "bad capacity literal": (
+        _instance_doc(arcs=[_arc_doc(capacity="x")]),
+        "arcs[0].capacity: not a rational literal: 'x'",
+    ),
+    "bool capacity": (
+        _instance_doc(arcs=[_arc_doc(), _arc_doc(id="a1", capacity=True)]),
+        "arcs[1].capacity: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "negative capacity": (
+        _instance_doc(arcs=[_arc_doc(capacity=-1)]),
+        "arcs[0].capacity: capacity must be nonnegative",
+    ),
+    "negative capacity seen before": (
+        _instance_doc(arcs=[_arc_doc(), _arc_doc(id="a1", capacity="-1"), _arc_doc(id="a2", capacity="-1")]),
+        "arcs[1].capacity: capacity must be nonnegative",
+    ),
+    "fractional transit": (
+        _instance_doc(arcs=[_arc_doc(transit="1/2")]),
+        "arcs[0].transit: must be an integer, got 1/2",
+    ),
+    "bool transit": (
+        _instance_doc(arcs=[_arc_doc(), _arc_doc(id="a1", transit=True)]),
+        "arcs[1].transit: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "float transit": (
+        _instance_doc(arcs=[_arc_doc(transit=1.0)]),
+        "arcs[0].transit: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "negative transit": (
+        _instance_doc(arcs=[_arc_doc(), _arc_doc(id="a1", transit=-1)]),
+        "arcs[1].transit: transit must be nonnegative",
+    ),
+    "id not a string": (_instance_doc(arcs=[_arc_doc(), _arc_doc(id=7)]), "arcs[1].id: must be a string"),
+    "missing head": (
+        _instance_doc(arcs=[{"id": "a0", "tail": "s", "capacity": "1", "transit": 1}]),
+        "arcs[0]: missing required key 'head'",
+    ),
+    "negative capacity, then a bad id": (
+        _instance_doc(arcs=[_arc_doc(id=7, capacity="-1")]),
+        "arcs[0].capacity: capacity must be nonnegative",
+    ),
+    "commodity not an object": (_instance_doc(commodities=[None]), "commodities[0]: must be a JSON object"),
+    "float demand": (
+        _instance_doc(commodities=[_commodity_doc(demand=1.5)]),
+        "commodities[0].demand: must be an integer or a 'p/q' string (floats are not exact)",
+    ),
+    "negative demand seen before": (
+        _instance_doc(commodities=[_commodity_doc(demand="-1"), _commodity_doc(demand="-1")]),
+        "commodities[0].demand: demand must be nonnegative",
+    ),
+    "null source": (
+        _instance_doc(commodities=[_commodity_doc(), _commodity_doc(source=None)]),
+        "commodities[1].source: must be a string",
+    ),
+    "missing sink": (
+        _instance_doc(commodities=[{"source": "s", "demand": "1"}]),
+        "commodities[0]: missing required key 'sink'",
+    ),
+    "negative demand, then a bad sink": (
+        _instance_doc(commodities=[_commodity_doc(demand="-1", sink=[])]),
+        "commodities[0].demand: demand must be nonnegative",
+    ),
+}
+
+
 class TestInstanceFormat:
     def test_round_trip_cycle(self):
         instance = cycle_instance(3)
@@ -347,6 +439,27 @@ class TestInstanceFormat:
     def test_not_json(self):
         with pytest.raises(ParseError):
             parse_instance("{nodes:")
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_INSTANCES))
+    def test_rejection_messages_are_pinned(self, name: str):
+        doc, message = REJECTED_INSTANCES[name]
+        with pytest.raises(ParseError) as caught:
+            parse_instance(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_literals_of_any_accepted_form(self):
+        doc = _instance_doc(
+            arcs=[_arc_doc(), _arc_doc(id="a1", capacity=" 3/2 ", transit="2"), _arc_doc(id="a2", capacity=3)],
+            commodities=[_commodity_doc(demand=2), _commodity_doc(demand="1")],
+        )
+        instance = parse_instance(json.dumps(doc))
+        assert instance.network.arcs == (
+            Arc("a0", "s", "t", Fraction(1), 1),
+            Arc("a1", "s", "t", Fraction(3, 2), 2),
+            Arc("a2", "s", "t", Fraction(3), 1),
+        )
+        assert instance.commodities == (Commodity("s", "t", Fraction(2)), Commodity("s", "t", Fraction(1)))
+        assert type(instance.network.arcs[1].transit) is int
 
     def test_serialization_is_deterministic(self):
         instance = random_instance(7, 5, 8, 3, 3)
@@ -547,6 +660,52 @@ class TestFlowFormat:
         with pytest.raises(ParseError) as caught:
             parse_flow(json.dumps(doc))
         assert str(caught.value) == message
+
+    def test_repeated_pieces_share_one_step_function(self):
+        doc = _flow_doc(rates=[_entry(), _entry(arc="a1"), _entry(arc="a2", pieces=[_piece(rate="2")])])
+        rates = parse_flow(json.dumps(doc)).rates
+        assert rates["a0", 0] is rates["a1", 0]
+        assert rates["a2", 0] is not rates["a0", 0]
+        flow = parse_flow(serialize_flow(wait_schedule_with_storage(20)))
+        assert len({id(step) for step in flow.rates.values()}) == 39 < len(flow.rates) == 380
+
+    @pytest.mark.parametrize(
+        "piece, message",
+        [
+            (_piece(rate=True), "rates[1].pieces[0].rate: must be an integer or a 'p/q' string (floats are not exact)"),
+            (_piece(end=None), "rates[1].pieces[0].to: must be an integer or a 'p/q' string"),
+            (_piece(start=0.0), "rates[1].pieces[0].from: must be an integer or a 'p/q' string (floats are not exact)"),
+            (_piece(rate=["1"]), "rates[1].pieces[0].rate: must be an integer or a 'p/q' string"),
+            ({"from": "0", "to": "2"}, "rates[1].pieces[0]: missing required key 'rate'"),
+            ("0", "rates[1].pieces[0]: must be a JSON object"),
+        ],
+    )
+    def test_a_repeated_piece_of_another_type_is_read_afresh(self, piece, message: str):
+        doc = _flow_doc(rates=[_entry(), _entry(arc="a1", pieces=[piece])])
+        with pytest.raises(ParseError) as caught:
+            parse_flow(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_a_repeated_piece_with_integer_literals_is_equal_but_not_shared(self):
+        doc = _flow_doc(rates=[_entry(), _entry(arc="a1", pieces=[_piece(rate=1)])])
+        rates = parse_flow(json.dumps(doc)).rates
+        assert rates["a1", 0] == rates["a0", 0]
+        assert rates["a1", 0] is not rates["a0", 0]
+
+    def test_a_bool_after_an_equal_integer_is_rejected(self):
+        # True == 1 and both hash alike, so only string keys may be shared.
+        doc = _flow_doc(rates=[_entry(pieces=[_piece(rate=1)]), _entry(arc="a1", pieces=[_piece(rate=True)])])
+        with pytest.raises(ParseError) as caught:
+            parse_flow(json.dumps(doc))
+        assert str(caught.value) == (
+            "rates[1].pieces[0].rate: must be an integer or a 'p/q' string (floats are not exact)"
+        )
+
+    def test_a_duplicate_pair_with_shared_pieces_is_rejected(self):
+        doc = _flow_doc(rates=[_entry(), _entry(arc="a1"), _entry()])
+        with pytest.raises(ParseError) as caught:
+            parse_flow(json.dumps(doc))
+        assert str(caught.value) == "rates[2]: duplicate rate entry for arc 'a0', commodity 0"
 
     def test_whitespace_and_json_integers_are_accepted(self):
         doc = _flow_doc(
