@@ -123,17 +123,6 @@ class ViolationReport:
         return "".join(v.to_json() + "\n" for v in self.violations)
 
 
-def _require_consistent(flow: FlowOverTime, instance: Instance) -> None:
-    """Raise ValueError when the flow references unknown arcs or commodities."""
-    arc_ids = instance.network.arc_by_id
-    commodity_count = len(instance.commodities)
-    for arc_id, commodity in flow.rates:
-        if arc_id not in arc_ids:
-            raise ValueError(f"flow references unknown arc {arc_id!r}")
-        if not 0 <= commodity < commodity_count:
-            raise ValueError(f"flow references unknown commodity {commodity}")
-
-
 def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> ViolationReport:
     """All capacity, conservation and demand violations of the flow.
 
@@ -142,7 +131,6 @@ def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> Vio
     in arc or (commodity, node) order. A flow that references an arc or
     commodity the instance lacks raises ValueError.
     """
-    _require_consistent(flow, instance)
     # Entries may share a StepFunction; flow.rates keeps each id valid.
     steps = {id(step): step for step in flow.rates.values()}
     time_denominators = {flow.horizon.denominator}
@@ -173,8 +161,13 @@ def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> Vio
     changes: dict[str, dict[int, int]] = {}
     slopes: dict[tuple[int, str], dict[int, int]] = {}
     arc_by_id = instance.network.arc_by_id
+    commodity_count = len(instance.commodities)
     for (arc_id, commodity), step in flow.rates.items():
-        arc = arc_by_id[arc_id]
+        arc = arc_by_id.get(arc_id)
+        if arc is None:
+            raise ValueError(f"flow references unknown arc {arc_id!r}")
+        if not 0 <= commodity < commodity_count:
+            raise ValueError(f"flow references unknown commodity {commodity}")
         shift = arc.transit * tu
         change = changes.setdefault(arc_id, {})
         arriving = slopes.setdefault((commodity, arc.head), {})

@@ -618,10 +618,9 @@ def parse_flow(text: str) -> FlowOverTime:
         if shared:
             steps[texts] = rates[key]
 
-    try:
-        return FlowOverTime(horizon, rates)
-    except ValueError as exc:
-        raise ParseError(f"flow: {exc}") from None
+    # Every step was built with horizon, which is checked positive, so
+    # this cannot raise.
+    return FlowOverTime(horizon, rates)
 
 
 def serialize_flow(flow: FlowOverTime) -> str:

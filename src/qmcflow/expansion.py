@@ -8,7 +8,7 @@ time theta in 0..T, and two kinds of arcs between copies:
   capacity. A unit of flow on the copy stands for flow entering arc a
   during [theta, theta+1).
 * holdover arcs (v, theta) -> (v, theta+1) for theta in 0..T-1, with
-  unbounded capacity, usable by a commodity only where its storage mask
+  unbounded capacity, usable by a commodity only where the storage mode
   allows: everywhere when storage is permitted, and only at the
   commodity's own source and sink otherwise. Holdover at the source
   encodes free departure timing for the supply placed at (source, 0);
@@ -20,18 +20,18 @@ its own over this grid (qmcflow.checker.check_cut), which shares no code
 with the path helpers below.
 
 The solver decides every probe over paths rather than over node-arc
-variables, and the storage mode reaches it only through the masks here.
-A path of commodity i departs (s_i, theta), takes movement copies and
-ends on its first arrival at t_i, never re-entering s_i; it is a tuple
-of movement copies (arc id, theta). Between two copies it waits at
-the node it is at, which the mask allows everywhere with storage and
-nowhere without, where a path is fully described by its departure time
-and its route. Three helpers hold the grid rule for paths:
+variables, and the storage mode reaches it only through the helpers
+here. A path of commodity i departs (s_i, theta), takes movement copies
+and ends on its first arrival at t_i, never re-entering s_i; it is a
+tuple of movement copies (arc id, theta). Between two copies it waits
+at the node it is at, which storage allows everywhere and its absence
+nowhere, where a path is fully described by its departure time and its
+route. Three helpers hold the grid rule for paths:
 route_departures lists the commodity's fewest-transit route over open
 arcs shifted to every departure that fits, cheapest_path prices a
 commodity by a shortest path under integer lengths on movement copies
 (a Dijkstra search layer by layer in time, with zero-transit arcs inside
-a layer and free holdovers from one layer to the next where the mask
+a layer and free holdovers from one layer to the next where the mode
 allows), and flow_from_paths turns path values into a schedule: a flow
 over time whose rate on each movement copy is the sum of the values of
 the paths through it, and whose horizon is its last arrival. Where a
@@ -80,15 +80,15 @@ Path = tuple[tuple[str, int], ...]
 class ExpandedNetwork:
     """The time expansion of an instance; see the module docstring.
 
-    holdover_nodes[i] is the set of nodes where commodity i may use
-    holdover arcs. The copies are listed on demand, for describe() and
-    for readers outside the solver, which never enumerates them.
+    The mode says where commodity i may use holdover arcs: at every node
+    with storage, and only at s_i and t_i without. The copies are listed
+    on demand, for describe() and for readers outside the solver, which
+    never enumerates them.
     """
 
     instance: Instance
     horizon: int
     mode: StorageMode
-    holdover_nodes: tuple[frozenset[str], ...]
 
     @property
     def movement_copies(self) -> tuple[tuple[str, int], ...]:
@@ -104,7 +104,8 @@ class ExpandedNetwork:
         return tuple(sorted([(node, theta) for node in nodes for theta in range(self.horizon)]))
 
     def describe(self) -> str:
-        """Debug dump of copies and masks. Not a stable format."""
+        """Dump of the copies, and of the commodities each holdover arc
+        admits under the mode. The text is pinned by the tests and CI."""
         network = self.instance.network
         copies, holdovers = self.movement_copies, self.holdover_arcs
         lines = [
@@ -120,9 +121,14 @@ class ExpandedNetwork:
                 f" cap {format_rational(arc.capacity)}"
             )
         lines.append(f"holdover arcs: {len(holdovers)}")
-        count = len(self.instance.commodities)
+        storage = self.mode is StorageMode.WITH_STORAGE
+        commodities = self.instance.commodities
         for node, theta in holdovers:
-            allowed = ",".join(str(i) for i in range(count) if node in self.holdover_nodes[i])
+            allowed = ",".join(
+                str(i)
+                for i, goods in enumerate(commodities)
+                if storage or node in (goods.source, goods.sink)
+            )
             lines.append(f"  {node}@{theta} -> {node}@{theta + 1} commodities [{allowed}]")
         return "\n".join(lines) + "\n"
 
@@ -143,13 +149,7 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
     for arc in network.arcs:
         if isinstance(arc.transit, bool) or not isinstance(arc.transit, int) or arc.transit < 0:
             raise ValueError(f"arc {arc.id!r}: transit must be a nonnegative integer")
-    if mode is StorageMode.WITH_STORAGE:
-        masks = tuple([frozenset(network.nodes) for _ in instance.commodities])
-    else:
-        masks = tuple([
-            frozenset({commodity.source, commodity.sink}) for commodity in instance.commodities
-        ])
-    return ExpandedNetwork(instance, horizon, mode, masks)
+    return ExpandedNetwork(instance, horizon, mode)
 
 
 def fewest_transit_route(network: Network, source: str, sink: str) -> list[Arc] | None:
@@ -216,9 +216,10 @@ def cheapest_path(
     copy (s_i, theta) starts at 0, a copy with positive transit relaxes
     a later layer, and a zero-transit copy stays inside its layer, which
     is scanned as one Dijkstra search. Once a layer is scanned, the
-    labels of the nodes where the mask lets the commodity wait, other
-    than s_i and t_i, are carried to the next layer at no cost (a free
-    holdover); a carried label keeps the copy that entered its node.
+    labels of the nodes where the mode lets the commodity wait (with
+    storage every node but s_i and t_i, without storage none) are
+    carried to the next layer at no cost (a free holdover); a carried
+    label keeps the copy that entered its node.
     Arcs into s_i are not taken and t_i is not left. Ties go to the
     earliest arrival, then to the first label set.
     """
@@ -226,7 +227,9 @@ def cheapest_path(
     goods = instance.commodities[commodity]
     source, sink = goods.source, goods.sink
     out_arcs = instance.network.out_arcs
-    waits = expansion.holdover_nodes[commodity] - {source, sink}
+    waits = set()
+    if expansion.mode is StorageMode.WITH_STORAGE:
+        waits = instance.network.node_set - {source, sink}
     last = expansion.horizon - 1
     # labels[theta][node] = (length, copy taken into it, tail of that copy)
     labels: list[dict[str, tuple]] = [{} for _ in range(expansion.horizon)]

@@ -5,21 +5,22 @@ horizon T. The time expansion turns that into a static linear
 feasibility problem, and one path LP decides it in both storage modes.
 A column is one commodity and one path in the expansion (see
 qmcflow.expansion): it departs (s_i, theta), takes movement copies,
-waits in between only where the commodity's storage mask allows it
-(never without storage), never re-enters s_i and ends on its first
-arrival at t_i. The rows are one capacity row per movement copy that
-some column uses and one demand equality per commodity with positive
-demand. By flow decomposition the LP is feasible exactly when the
-node-arc LP of the expansion is: one variable per movement copy and
-commodity and per holdover arc and commodity the mask allows, one
-capacity row per movement copy and one flow conservation equality per
-(commodity, node copy). Its columns are generated, not listed (Ford and
-Fulkerson, Management Sci. 1958):
+waits in between only where the storage mode allows it (never without
+storage), never re-enters s_i and ends on its first arrival at t_i.
+The rows are one capacity row per movement copy that some column uses
+and one demand equality per commodity with positive demand. By flow
+decomposition the LP is feasible exactly when the node-arc LP of the
+expansion is: one variable per movement copy and commodity and per
+holdover arc and commodity the mode allows, one capacity row per
+movement copy and one flow conservation equality per (commodity, node
+copy). Its columns are generated, not listed (Ford and Fulkerson,
+Management Sci. 1958):
 
 1. The first master holds each commodity's fewest-transit route over
    open arcs, shifted to every departure that fits, each column written
    as A_p itself (every slack and artificial is basic). The whole column
-   generation of a probe works on this one tableau.
+   generation of a probe works on this one master, which is its own
+   tableau (_PathMaster).
 2. Phase one decides the restricted master. A feasible master is a
    feasible probe: its path values are checked against the master's
    rows in explicit code, then become the probe's witness, a flow over
@@ -30,7 +31,7 @@ Fulkerson, Management Sci. 1958):
    cost 1.
 4. The commodities are priced round-robin, from the one after the last
    that gave a column, each by one shortest path under the lengths
-   l_e = -y_e >= 0, waiting at no cost where the mask allows. The first
+   l_e = -y_e >= 0, waiting at no cost where the mode allows. The first
    path with y_i - length > 0 ends the round (partial pricing): it is
    appended to the tableau as a column, the copies it uses that have
    no row yet as capacity rows with their slacks basic, and phase one
@@ -44,8 +45,8 @@ infeasible, whatever the masters did, once the independent checker
 (qmcflow.checker.check_cut) accepts it; the verdict is returned only
 then, and otherwise RuntimeError is raised.
 
-Path masters are decided by one phase-one simplex on one kind of
-tableau in exact integer arithmetic (integer numerators over per-row
+Each path master is decided by one phase-one simplex on its tableau,
+in exact integer arithmetic (integer numerators over per-row
 denominators). A master's rows start empty with right-hand sides >= 0:
 a capacity row has its slack basic and a demand row its artificial, and
 phase one minimizes the sum of the artificials; the master is feasible
@@ -94,7 +95,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .core import FlowOverTime, Instance, StorageMode, format_rational, validate_instance
 from .checker import check_cut, check_flow
@@ -154,9 +155,20 @@ _SLACK = 1 << 40
 _ART = 1 << 41
 
 
-class _Tableau:
-    """A phase-one tableau in exact integer arithmetic, which rows and
-    columns can be appended to between runs of phase one.
+class _PathMaster:
+    """The restricted master of one probe: one phase-one tableau in exact
+    integer arithmetic, to which rows and columns are appended between
+    runs of phase one.
+
+    Column j is paths[j]. Rows: one capacity row per movement copy that
+    some path uses (row_of[copy], its slack basic) and one demand
+    equality per commodity in demanded (demand_row[i], its artificial
+    basic). The first master has the capacity rows of its copies in
+    sorted order, then the demand rows, and its columns written as A_p,
+    which is B^-1 A_p at its all-slack-and-artificial basis; the copies
+    of paths added later get their rows after those. Slacks and
+    artificials stay columns whether basic or not, so the tableau always
+    holds B^-1 for add and _master_duals to read.
 
     Each row is a dict of integer numerators over one positive integer
     denominator (dens[r]), reduced by their gcd after every update, and
@@ -169,20 +181,45 @@ class _Tableau:
     rows where a column has cancelled to zero; its users skip those.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, expansion: ExpandedNetwork, demanded: list[int], paths: list[tuple[int, Path]]
+    ) -> None:
+        self.expansion = expansion
         self.rows: list[dict[int, int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
         self.objective: dict[int, int] = {}
         self.objective_den = 1
         self.rows_of: dict[int, set[int]] = {}
+        self.paths: list[tuple[int, Path]] = list(paths)
+        self.row_of: dict[tuple[str, int], int] = {}
+        self.demand_row: dict[int, int] = {}
+        self._add_capacity_rows(copy for _, path in paths for copy in path)
+        commodities = expansion.instance.commodities
+        for i in demanded:
+            self.demand_row[i] = len(self.rows)
+            demand = commodities[i].demand
+            self.add_row(demand.denominator, demand.numerator, False)
+        # A_p: a 1 in the rows of the path's copies and in its demand row,
+        # and 1 in the phase-one objective (the sum of the demand rows).
+        # At this basis A_p is B^-1 A_p, so add would write the same
+        # entries, but it builds each column from the slack columns: the
+        # first no-storage master of the k=48 cycle at T=94 took 79-86 ms
+        # through add against 39-42 ms here, and at k=64, T=126 195-203
+        # ms against 91-101 ms (Python 3.11, 2 cores).
+        for j, (i, path) in enumerate(paths):
+            own = [self.row_of[copy] for copy in path] + [self.demand_row[i]]
+            for r in own:
+                self.rows[r][j] = self.dens[r]
+            self.rows_of[j] = set(own)
+            self.objective[j] = self.objective_den
 
     def add_row(self, den: int, b: int, slack: bool) -> None:
         """Append a row with no column in it yet and right-hand side
         b/den >= 0: a capacity row with its slack basic (slack), or a
         demand row with its artificial basic. The artificial joins the
         objective: its cost -1 is priced out by adding its row. Columns
-        enter the row later (see _PathMaster).
+        enter the row later.
         """
         r = len(self.rows)
         basic = (_SLACK if slack else _ART) + r
@@ -199,14 +236,54 @@ class _Tableau:
                 self.objective, self.objective_den, -self.objective_den, row.items(), den
             )
 
+    def _add_capacity_rows(self, copies: Iterable[tuple[str, int]]) -> None:
+        """One capacity row, its slack basic, for each of the copies that
+        has none, in sorted order."""
+        arc_by_id = self.expansion.instance.network.arc_by_id
+        for copy in sorted({c for c in copies if c not in self.row_of}):
+            self.row_of[copy] = len(self.rows)
+            capacity = arc_by_id[copy[0]].capacity
+            self.add_row(capacity.denominator, capacity.numerator, True)
 
-def _run_phase_one(tableau: _Tableau) -> bool:
-    """Run phase one from the tableau's current basis. True when the
+    def add(self, i: int, path: Path) -> None:
+        """Append a priced path of commodity i as a column, after the
+        capacity rows of the copies it uses that have none.
+
+        The column enters as B^-1 A_p, the same linear combination of
+        the tableau's columns as A_p is of the identity: the slack
+        columns of the copies along p plus the column of commodity i's
+        artificial. Its objective entry follows by the same rule, plus
+        the artificial's cost 1, since the path itself costs nothing.
+        """
+        self._add_capacity_rows(path)
+        rows, rows_of, objective = self.rows, self.rows_of, self.objective
+        j = len(self.paths)
+        parts = [_SLACK + self.row_of[copy] for copy in path]
+        parts.append(_ART + self.demand_row[i])
+        column: dict[int, int] = {}
+        for c in parts:
+            for r in rows_of[c]:
+                if v := rows[r].get(c):
+                    column[r] = column.get(r, 0) + v
+        nonzero = set()
+        for r, v in column.items():
+            if v:
+                rows[r][j] = v
+                nonzero.add(r)
+        rows_of[j] = nonzero
+        value = self.objective_den + sum([objective.get(c, 0) for c in parts])
+        if value:
+            objective[j] = value
+        self.paths.append((i, path))
+
+
+def _run_phase_one(master: _PathMaster) -> bool:
+    """Run phase one from the master's current basis. True when the
     objective, the sum of the artificials, reaches zero (the rows are
     feasible); False when it is positive and no column can enter, which
     leaves the final phase-one row in the objective."""
-    rows, basis = tableau.rows, tableau.basis
-    objective, rows_of = tableau.objective, tableau.rows_of
+    rows, basis = master.rows, master.basis
+    objective, rows_of = master.objective, master.rows_of
     bland = False
     degenerate_streak = 0
 
@@ -239,7 +316,7 @@ def _run_phase_one(tableau: _Tableau) -> bool:
             # tableau is corrupt.
             raise RuntimeError("phase-one ratio test found no pivot row")
 
-        _pivot_exact(tableau, pivot_row, entering)
+        _pivot_exact(master, pivot_row, entering)
         if best_num == 0:
             degenerate_streak += 1
             if degenerate_streak >= _BLAND_TRIGGER:
@@ -295,12 +372,12 @@ def _eliminate(row: dict[int, int], den: int, factor: int, source, source_den: i
     return _reduce_row(row, den * source_den)
 
 
-def _pivot_exact(tableau: _Tableau, r: int, entering: int) -> None:
+def _pivot_exact(master: _PathMaster, r: int, entering: int) -> None:
     """Gaussian pivot on (r, entering), whose entry the ratio test found
     positive: row r is divided by its entering value and entering is
     eliminated from every other row where it is nonzero, the objective
     included."""
-    rows, dens, rows_of, objective = tableau.rows, tableau.dens, tableau.rows_of, tableau.objective
+    rows, dens, rows_of, objective = master.rows, master.dens, master.rows_of, master.objective
     pivot_row = rows[r]
     pivot_num = pivot_row[entering]
     # Row r over den becomes (num_j / den) / (pivot_num / den) =
@@ -315,8 +392,8 @@ def _pivot_exact(tableau: _Tableau, r: int, entering: int) -> None:
         if factor := row.get(entering):
             dens[i] = _eliminate(row, dens[i], factor, pivot_items, den_r)
     if factor := objective.get(entering):
-        tableau.objective_den = _eliminate(
-            objective, tableau.objective_den, factor, pivot_items, den_r
+        master.objective_den = _eliminate(
+            objective, master.objective_den, factor, pivot_items, den_r
         )
     if touched:
         # An updated row gains entries only in the pivot row's columns.
@@ -324,7 +401,7 @@ def _pivot_exact(tableau: _Tableau, r: int, entering: int) -> None:
             if j != _RHS:
                 rows_of[j] |= touched
     rows_of[entering] = {r}
-    tableau.basis[r] = entering
+    master.basis[r] = entering
 
 
 def probe_horizon(
@@ -333,16 +410,9 @@ def probe_horizon(
     mode: StorageMode,
 ) -> tuple[ExpandedNetwork, LPResult]:
     """Build the expansion for one horizon and decide its feasibility on
-    the path LP by column generation (see the module docstring). The
-    mode reaches the decision only through the expansion's storage
-    masks. A feasible verdict carries its witness, ending at its last arrival.
-    """
-    expansion = build_time_expanded(instance, horizon, mode)
-    return expansion, _decide_by_paths(expansion)
-
-
-def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
-    """Column generation over paths for one probe, on one warm tableau.
+    the path LP by column generation over paths, on one warm master (see
+    the module docstring). A feasible verdict carries its witness, ending
+    at its last arrival.
 
     The first master holds each commodity's fewest-transit route at
     every departure that fits. While phase one ends infeasible, its
@@ -354,13 +424,13 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
     as a cut, or RuntimeError is raised. A feasible master's path values
     are checked (_master_values) and become the witness flow.
     """
-    commodities = expansion.instance.commodities
-    demanded = [i for i, goods in enumerate(commodities) if goods.demand > 0]
+    expansion = build_time_expanded(instance, horizon, mode)
+    demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
     paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
     master = _PathMaster(expansion, demanded, paths)
     known = set(paths)
     start = 0
-    while not _run_phase_one(master.tableau):
+    while not _run_phase_one(master):
         lengths, duals = _master_duals(master)
         for step in range(len(demanded)):
             i = demanded[(start + step) % len(demanded)]
@@ -368,13 +438,13 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
             if cheapest is not None and duals[i] > cheapest[0]:
                 break
         else:
-            report = check_cut(expansion.horizon, lengths, expansion.instance, expansion.mode)
+            report = check_cut(horizon, lengths, instance, mode)
             if not report.ok:
                 raise RuntimeError(
-                    f"the length certificate at T={expansion.horizon} does not prove"
+                    f"the length certificate at T={horizon} does not prove"
                     f" infeasibility: {report.violations[0].to_json()}"
                 )
-            return LPResult(False)
+            return expansion, LPResult(False)
         start += step + 1
         column = (i, cheapest[1])
         if column in known:
@@ -382,89 +452,9 @@ def _decide_by_paths(expansion: ExpandedNetwork) -> LPResult:
             # phase one, so pricing cannot pick one again.
             raise RuntimeError("pricing returned a column the master already has")
         known.add(column)
-        master.add([column])
-    return LPResult(True, flow_from_paths(expansion, master.paths, _master_values(master)))
-
-
-class _PathMaster:
-    """The restricted master of one probe, kept as one tableau.
-
-    Column j is paths[j]. Rows: one capacity row per movement copy that
-    some path uses (row_of[copy], its slack basic) and one demand
-    equality per commodity in demanded (demand_row[i], its artificial
-    basic). The first master has the capacity rows of its copies in
-    sorted order, then the demand rows, and its columns written as A_p,
-    which is B^-1 A_p at its all-slack-and-artificial basis; the copies
-    of paths added later get their rows after those. Slacks and
-    artificials stay columns whether basic or not, so the tableau always
-    holds B^-1 for add and _master_duals to read.
-    """
-
-    def __init__(
-        self, expansion: ExpandedNetwork, demanded: list[int], paths: list[tuple[int, Path]]
-    ) -> None:
-        self.expansion = expansion
-        self.tableau = _Tableau()
-        self.paths: list[tuple[int, Path]] = list(paths)
-        self.row_of: dict[tuple[str, int], int] = {}
-        self.demand_row: dict[int, int] = {}
-        self._add_capacity_rows(paths)
-        commodities = expansion.instance.commodities
-        tableau = self.tableau
-        for i in demanded:
-            self.demand_row[i] = len(tableau.rows)
-            demand = commodities[i].demand
-            tableau.add_row(demand.denominator, demand.numerator, False)
-        # A_p: a 1 in the rows of the path's copies and in its demand row,
-        # and 1 in the phase-one objective (the sum of the demand rows).
-        for j, (i, path) in enumerate(paths):
-            own = [self.row_of[copy] for copy in path] + [self.demand_row[i]]
-            for r in own:
-                tableau.rows[r][j] = tableau.dens[r]
-            tableau.rows_of[j] = set(own)
-            tableau.objective[j] = tableau.objective_den
-
-    def _add_capacity_rows(self, paths: Sequence[tuple[int, Path]]) -> None:
-        """One capacity row, its slack basic, for each copy the paths use
-        that has none, in sorted order."""
-        arc_by_id = self.expansion.instance.network.arc_by_id
-        for copy in sorted({copy for _, path in paths for copy in path} - self.row_of.keys()):
-            self.row_of[copy] = len(self.tableau.rows)
-            capacity = arc_by_id[copy[0]].capacity
-            self.tableau.add_row(capacity.denominator, capacity.numerator, True)
-
-    def add(self, paths: Sequence[tuple[int, Path]]) -> None:
-        """Append priced paths as columns, after the capacity rows of the
-        copies they use that have none.
-
-        A new column enters as B^-1 A_p, the same linear combination of
-        the tableau's columns as A_p is of the identity: the slack
-        columns of the copies along p plus the column of commodity i's
-        artificial. Its objective entry follows by the same rule, plus
-        the artificial's cost 1, since the path itself costs nothing.
-        """
-        self._add_capacity_rows(paths)
-        tableau = self.tableau
-        rows, rows_of, objective = tableau.rows, tableau.rows_of, tableau.objective
-        for i, path in paths:
-            j = len(self.paths)
-            parts = [_SLACK + self.row_of[copy] for copy in path]
-            parts.append(_ART + self.demand_row[i])
-            column: dict[int, int] = {}
-            for c in parts:
-                for r in rows_of[c]:
-                    if v := rows[r].get(c):
-                        column[r] = column.get(r, 0) + v
-            nonzero = set()
-            for r, v in column.items():
-                if v:
-                    rows[r][j] = v
-                    nonzero.add(r)
-            rows_of[j] = nonzero
-            value = tableau.objective_den + sum([objective.get(c, 0) for c in parts])
-            if value:
-                objective[j] = value
-            self.paths.append((i, path))
+        master.add(*column)
+    flow = flow_from_paths(expansion, master.paths, _master_values(master))
+    return expansion, LPResult(True, flow)
 
 
 def _master_values(master: _PathMaster) -> list[Fraction]:
@@ -479,9 +469,8 @@ def _master_values(master: _PathMaster) -> list[Fraction]:
     l/D exceeds a capacity p/q exactly when l * q > p * D. Fractions are
     built only for the values returned.
     """
-    tableau = master.tableau
-    rows, dens = tableau.rows, tableau.dens
-    basic = sorted((j, r) for r, j in enumerate(tableau.basis) if j < _SLACK)
+    rows, dens = master.rows, master.dens
+    basic = sorted((j, r) for r, j in enumerate(master.basis) if j < _SLACK)
     den = lcm(*[dens[r] for _, r in basic])
     load: dict[tuple[str, int], int] = {}
     met = dict.fromkeys(master.demand_row, 0)
@@ -518,14 +507,13 @@ def _master_duals(master: _PathMaster) -> tuple[dict[tuple[str, int], int], dict
     row's slack; copies with length 0 are left out. The demand dual y_i
     is the entry of commodity i's artificial plus its cost 1.
     """
-    tableau = master.tableau
-    objective = tableau.objective
+    objective = master.objective
     lengths = {}
     for copy, r in master.row_of.items():
         if value := -objective.get(_SLACK + r, 0):
             lengths[copy] = value
     duals = {
-        i: objective.get(_ART + r, 0) + tableau.objective_den for i, r in master.demand_row.items()
+        i: objective.get(_ART + r, 0) + master.objective_den for i, r in master.demand_row.items()
     }
     return lengths, duals
 
@@ -690,8 +678,8 @@ def speedup_ratio(
     The no-storage search bisects [W, min(t_max, 2W)], where W is the
     with-storage minimum; a feasible probe's witness lowers the top to
     its own horizon, its last arrival, and the top is probed last, only if every horizon
-    below it is infeasible. W is a proven lower end: each no-storage mask
-    is a subset of the with-storage one, and W - 1 was ruled out by a
+    below it is infeasible. W is a proven lower end: every no-storage
+    schedule is also one with storage, and W - 1 was ruled out by a
     cut that check_cut accepted or by the transit bound. Storage speeds
     things up by at most a factor of two; a violation of that bound would
     surface loudly as NoHorizonFound, never as a silently wrong minimum.

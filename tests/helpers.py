@@ -431,15 +431,19 @@ def unreduced_columns(expansion: ExpandedNetwork) -> list[tuple]:
     """Keys of unreduced_lp's columns, in its order: ("move", arc id,
     theta, commodity) for every movement copy and every commodity, then
     ("hold", node, theta, commodity) for every holdover arc and every
-    commodity whose holdover_nodes contain its node."""
-    commodities = range(len(expansion.instance.commodities))
+    commodity that may hold over at its node: all of them with storage,
+    and without it those whose source or sink the node is."""
+    commodities = expansion.instance.commodities
+    storage = expansion.mode is StorageMode.WITH_STORAGE
     return [
-        ("move", arc_id, theta, i) for arc_id, theta in expansion.movement_copies for i in commodities
+        ("move", arc_id, theta, i)
+        for arc_id, theta in expansion.movement_copies
+        for i in range(len(commodities))
     ] + [
         ("hold", node, theta, i)
         for node, theta in expansion.holdover_arcs
-        for i in commodities
-        if node in expansion.holdover_nodes[i]
+        for i, goods in enumerate(commodities)
+        if storage or node in (goods.source, goods.sink)
     ]
 
 
@@ -526,7 +530,7 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
     """The time-expanded node-arc LP with no time window and no row
     dropped.
 
-    Its variables are all (copy, commodity) pairs the storage mask
+    Its variables are all (copy, commodity) pairs the storage mode
     allows, in the order of unreduced_columns. Its rows are one capacity
     row per movement copy and one balance equality per (commodity, node
     copy), with the supply entering at (source, 0) and the demand leaving

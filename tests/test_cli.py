@@ -200,6 +200,48 @@ class TestSolve:
         assert code == 1
         assert "invalid instance" in err
 
+    @pytest.mark.parametrize(
+        "nodes, arcs, sink, line",
+        [
+            (["s", "t", "s"], [], "t", "duplicate node id: s: node listed more than once"),
+            (
+                ["s", "t"],
+                [("a1", "t", "u")],
+                "t",
+                "unknown arc endpoint: a1: node 'u' is not in the network",
+            ),
+            (["s", "t"], [("a1", "s", "s")], "t", "self-loop: a1: tail and head are both 's'"),
+            (
+                ["s", "t"],
+                [],
+                "u",
+                "unknown commodity endpoint: commodity 0: node 'u' is not in the network",
+            ),
+        ],
+        ids=["duplicate-node", "unknown-arc-endpoint", "self-loop", "unknown-commodity-endpoint"],
+    )
+    def test_graph_defects_in_a_file_are_exit_one(self, capsys, tmp_path, nodes, arcs, sink, line):
+        # The graph invariants that parse_instance leaves to
+        # validate_instance: the file parses, and solve and expand both
+        # refuse it with one stderr line per defect.
+        arcs = [("a0", "s", "t"), *arcs]
+        doc = {
+            "nodes": nodes,
+            "arcs": [
+                {"id": a, "tail": tail, "head": head, "capacity": "1", "transit": 1}
+                for a, tail, head in arcs
+            ],
+            "commodities": [{"source": "s", "sink": sink, "demand": "1"}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        parse_instance(path.read_text(encoding="utf-8"))
+        for argv in (
+            ("solve", "--mode", "with-storage", "--max-T", "5"),
+            ("expand", "--T", "3", "--mode", "no-storage"),
+        ):
+            assert run(capsys, *argv, str(path)) == (1, "", f"invalid instance: {line}\n"), argv
+
     def test_missing_file_is_exit_two(self, capsys):
         code, _, err = run(capsys, "solve", "--mode", "with-storage", "--max-T", "5", "nope.json")
         assert code == 2

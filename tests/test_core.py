@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qmcflow.core import (
     Arc,
     Commodity,
+    Defect,
     FlowOverTime,
     Instance,
     Network,
@@ -164,6 +165,96 @@ class TestValidateInstance:
         base = two_node_instance()
         bad = Instance(base.network, (Commodity("v0", "v0", Fraction(1)),))
         assert "source equals sink" in str(validate_instance(bad))
+
+    @pytest.mark.parametrize(
+        "nodes, arcs, commodity, defect",
+        [
+            (
+                ("v0", "v1", "v0"),
+                (),
+                None,
+                Defect("duplicate node id", "v0", "node listed more than once"),
+            ),
+            (
+                None,
+                (Arc("a1", "v0", "v9", Fraction(1), 1),),
+                None,
+                Defect("unknown arc endpoint", "a1", "node 'v9' is not in the network"),
+            ),
+            (
+                None,
+                (Arc("a1", "v1", "v1", Fraction(1), 1),),
+                None,
+                Defect("self-loop", "a1", "tail and head are both 'v1'"),
+            ),
+            (
+                None,
+                (Arc("a1", "v0", "v1", Fraction(1), Fraction(1, 2)),),
+                None,
+                Defect("non-integer transit", "a1", "transit Fraction(1, 2) is not an integer"),
+            ),
+            (
+                None,
+                (Arc("a1", "v0", "v1", Fraction(1), True),),
+                None,
+                Defect("non-integer transit", "a1", "transit True is not an integer"),
+            ),
+            (
+                None,
+                (Arc("a1", "v0", "v1", Fraction(1), -1),),
+                None,
+                Defect("negative transit", "a1", "transit -1 is negative"),
+            ),
+            (
+                None,
+                (),
+                Commodity("v0", "v9", Fraction(1)),
+                Defect(
+                    "unknown commodity endpoint", "commodity 0", "node 'v9' is not in the network"
+                ),
+            ),
+            (
+                None,
+                (),
+                Commodity("v0", "v1", Fraction(-1)),
+                Defect("negative demand", "commodity 0", "demand -1 is negative"),
+            ),
+        ],
+        ids=[
+            "duplicate-node",
+            "unknown-arc-endpoint",
+            "self-loop",
+            "fractional-transit",
+            "bool-transit",
+            "negative-transit",
+            "unknown-commodity-endpoint",
+            "negative-demand",
+        ],
+    )
+    def test_each_defect_is_reported_alone(self, nodes, arcs, commodity, defect):
+        # Each case adds one defect to the valid two-node instance: nodes
+        # replace its nodes, arcs join its arc a0 and commodity replaces
+        # its commodity. The report names exactly that defect.
+        base = two_node_instance()
+        network = Network(nodes or base.network.nodes, base.network.arcs + arcs)
+        instance = Instance(network, (commodity,) if commodity else base.commodities)
+        report = validate_instance(instance)
+        assert report.defects == (defect,)
+        assert str(report) == f"{defect.invariant}: {defect.element}: {defect.detail}"
+
+    def test_report_str_of_a_valid_instance_is_ok(self):
+        assert str(validate_instance(two_node_instance())) == "ok"
+
+    def test_report_str_lists_every_defect_on_its_own_line(self):
+        network = Network(("v0", "v1"), (Arc("a0", "v0", "v0", Fraction(-1), -1),))
+        report = validate_instance(Instance(network, (Commodity("v0", "v1", Fraction(-1)),)))
+        assert str(report).split("\n") == [
+            "self-loop: a0: tail and head are both 'v0'",
+            "negative capacity: a0: capacity -1 is negative",
+            "negative transit: a0: transit -1 is negative",
+            "negative demand: commodity 0: demand -1 is negative",
+            "sink unreachable: commodity 0: no directed path from 'v0' to 'v1'",
+        ]
 
 
 class TestPaths:

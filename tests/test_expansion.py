@@ -1,4 +1,5 @@
-"""Time expansion: copies, holdover masks, and mapping solutions back."""
+"""Time expansion: copies, where each mode allows holdover, and mapping
+solutions back."""
 
 from __future__ import annotations
 
@@ -24,6 +25,17 @@ from helpers import (
 
 WITH = StorageMode.WITH_STORAGE
 WITHOUT = StorageMode.NO_INTERMEDIATE_STORAGE
+
+
+def holdover_nodes(expansion) -> list[set[str]]:
+    """Per commodity, the nodes on whose holdover arcs describe() lists it."""
+    nodes: list[set[str]] = [set() for _ in expansion.instance.commodities]
+    for line in expansion.describe().splitlines():
+        if " commodities [" in line:
+            node = line.split("@")[0].strip()
+            for i in filter(None, line.rpartition("[")[2].rstrip("]").split(",")):
+                nodes[int(i)].add(node)
+    return nodes
 
 
 def single_arc_instance(transit: int) -> Instance:
@@ -53,14 +65,13 @@ class TestBuild:
         assert "node copies: 3 nodes x 5 layers = 15" in expansion.describe()
         assert len(expansion.movement_copies) == 9
         assert len(expansion.holdover_arcs) == 12
-        assert expansion.holdover_nodes == (frozenset(expansion.instance.network.nodes),) * 3
+        assert holdover_nodes(expansion) == [set(expansion.instance.network.nodes)] * 3
 
     def test_cycle3_no_storage_masks(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITHOUT)
         assert len(expansion.movement_copies) == 9
         assert len(expansion.holdover_arcs) == 12
-        for commodity in range(3):
-            allowed = expansion.holdover_nodes[commodity]
+        for commodity, allowed in enumerate(holdover_nodes(expansion)):
             assert allowed == {f"v{commodity}", f"v{(commodity - 1) % 3}"}
 
     def test_long_arc_has_single_copy(self):
@@ -125,6 +136,10 @@ class TestBuild:
             transit = transit_distances(network, origin).get(target)
             return horizon + 1 if transit is None else transit
 
+        def may_hold(i: int, node: str) -> bool:
+            goods = instance.commodities[i]
+            return mode is WITH or node in (goods.source, goods.sink)
+
         def in_time(i: int, tail: str, theta: int, head: str, arrival: int) -> bool:
             commodity = instance.commodities[i]
             return (
@@ -146,7 +161,7 @@ class TestBuild:
                 ("hold", node, theta, i)
                 for node, theta in expansion.holdover_arcs
                 for i in commodities
-                if node in expansion.holdover_nodes[i] and in_time(i, node, theta, node, theta + 1)
+                if may_hold(i, node) and in_time(i, node, theta, node, theta + 1)
             ]
             assert window_columns(expansion) == movement + holdover
 
@@ -159,7 +174,7 @@ class TestBuild:
 
     def test_describe_text_is_pinned(self):
         # Every line of the k=3 cycle at T=3, in both modes; only the
-        # header's mode and the holdover masks differ.
+        # header's mode and the commodities on the holdover arcs differ.
         shared = (
             "node copies: 3 nodes x 4 layers = 12\n"
             "movement copies: 6\n"

@@ -260,9 +260,8 @@ def fresh_master_lp(
     """A path master that no pivot has touched, read back from its
     tableau: its rows as an LP over its paths, and the copies of its
     capacity rows in row order. A row holding its slack is a <= row."""
-    tableau = master.tableau
     constraints = []
-    for r, (entries, den) in enumerate(zip(tableau.rows, tableau.dens)):
+    for r, (entries, den) in enumerate(zip(master.rows, master.dens)):
         coeffs = {j: F(v, den) for j, v in entries.items() if 0 <= j < solver._SLACK}
         relation = "<=" if solver._SLACK + r in entries else "="
         constraints.append(Constraint(coeffs, relation, F(entries.get(solver._RHS, 0), den)))
@@ -290,15 +289,14 @@ def master_built_by_add(
     the capacity rows of their copies in sorted order, then the demand
     rows, each with its slack or artificial basic, and then every path
     appended by add."""
-    master = object.__new__(solver._PathMaster)
-    master.expansion, master.tableau = expansion, solver._Tableau()
-    master.paths, master.row_of, master.demand_row = [], {}, {}
-    master._add_capacity_rows(paths)
+    master = solver._PathMaster(expansion, [], [])
+    master._add_capacity_rows({copy for _, path in paths for copy in path})
     for i in demanded:
-        master.demand_row[i] = len(master.tableau.rows)
+        master.demand_row[i] = len(master.rows)
         demand = expansion.instance.commodities[i].demand
-        master.tableau.add_row(demand.denominator, demand.numerator, False)
-    master.add(paths)
+        master.add_row(demand.denominator, demand.numerator, False)
+    for i, path in paths:
+        master.add(i, path)
     return master
 
 
@@ -389,7 +387,7 @@ class TestTranscription:
             direct = solver._PathMaster(expansion, demanded, paths)
             built = master_built_by_add(expansion, demanded, paths)
             for name in ("rows", "dens", "basis", "rows_of", "objective", "objective_den"):
-                assert getattr(direct.tableau, name) == getattr(built.tableau, name), (mode, name)
+                assert getattr(direct, name) == getattr(built, name), (mode, name)
             for name in ("paths", "row_of", "demand_row"):
                 assert getattr(direct, name) == getattr(built, name), (mode, name)
 
@@ -594,9 +592,9 @@ class TestHorizonSearch:
             "for value in (1, -1, 2, 0):\n"
             "    paths = [(0, path) for path in route_departures(expansion, 0)]\n"
             "    master = solver._PathMaster(expansion, [0], paths)\n"
-            "    print('feasible', solver._run_phase_one(master.tableau))\n"
-            "    r = master.tableau.basis.index(0)\n"
-            "    master.tableau.rows[r][solver._RHS] = value * master.tableau.dens[r]\n"
+            "    print('feasible', solver._run_phase_one(master))\n"
+            "    r = master.basis.index(0)\n"
+            "    master.rows[r][solver._RHS] = value * master.dens[r]\n"
             "    try:\n"
             "        print('returned', solver._master_values(master))\n"
             "    except RuntimeError as error:\n"
@@ -640,12 +638,11 @@ class TestHorizonSearch:
         for values, error in cases:
             paths = [(0, path) for path in route_departures(expansion, 0)]
             master = solver._PathMaster(expansion, [0], paths)
-            assert len(paths) == 2 and solver._run_phase_one(master.tableau)
-            tableau = master.tableau
+            assert len(paths) == 2 and solver._run_phase_one(master)
             for j, value in enumerate(values):
-                r = tableau.basis.index(j)
-                tableau.rows[r][solver._RHS] = value.numerator
-                tableau.dens[r] = value.denominator
+                r = master.basis.index(j)
+                master.rows[r][solver._RHS] = value.numerator
+                master.dens[r] = value.denominator
             if error is None:
                 assert solver._master_values(master) == list(values)
             else:
@@ -787,6 +784,35 @@ class TestHorizonSearch:
             (6, WITH): 40,
             (6, WITHOUT): 46,
         }
+
+    @pytest.mark.parametrize(
+        "mode, horizon, feasible, counts",
+        [
+            (WITH, 17, True, (115, 80, 79, 111)),
+            (WITH, 16, False, (16, 1, 1, 16)),
+            (WITHOUT, 30, False, (102, 1, 1, 16)),
+            (WITHOUT, 32, True, (61, 1, 0, 0)),
+        ],
+        ids=["with-storage-17", "with-storage-16", "no-storage-30", "no-storage-32"],
+    )
+    def test_probe_counters(self, monkeypatch, mode, horizon, feasible, counts):
+        # Pivots, runs of phase one, pricing rounds (one reading of the
+        # duals each) and pricing calls of single probes of the k=16
+        # cycle. They do not depend on timing, so a change that moves
+        # any of them changes the path the column generation takes.
+        names = ("_pivot_exact", "_run_phase_one", "_master_duals", "cheapest_path")
+        tally = dict.fromkeys(names, 0)
+        for name in tally:
+            original = getattr(solver, name)
+
+            def counted(*args, name=name, original=original):
+                tally[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        _, result = probe_horizon(cycle_instance(16), horizon, mode)
+        assert result.feasible == feasible
+        assert tuple(tally.values()) == counts
 
     @pytest.mark.parametrize(
         "k, mode, t_max, digest",
@@ -1213,14 +1239,13 @@ def assert_demand_part_rule(master: solver._PathMaster) -> None:
     j, the entry of its artificial (plus the artificial's cost 1 in the
     objective). The artificial's column is B^-1 e_r, which is never
     zero, so it must be in the tableau whether basic or not."""
-    tableau = master.tableau
-    rows = [(entries, 0) for entries in tableau.rows]
-    rows.append((tableau.objective, tableau.objective_den))
+    rows = [(entries, 0) for entries in master.rows]
+    rows.append((master.objective, master.objective_den))
     for i, demand_row in master.demand_row.items():
         own = [j for j, (commodity, _) in enumerate(master.paths) if commodity == i]
         slacks = {j: [solver._SLACK + master.row_of[e] for e in master.paths[j][1]] for j in own}
         artificial = solver._ART + demand_row
-        assert any(artificial in entries for entries in tableau.rows), i
+        assert any(artificial in entries for entries in master.rows), i
         for entries, cost in rows:
             parts = {entries.get(j, 0) - sum(entries.get(c, 0) for c in slacks[j]) for j in own}
             parts.add(entries.get(artificial, 0) + cost)
@@ -1237,8 +1262,8 @@ class RecordedMaster(solver._PathMaster):
         self.appends = 1
         assert_demand_part_rule(self)
 
-    def add(self, paths) -> None:
-        super().add(paths)
+    def add(self, i, path) -> None:
+        super().add(i, path)
         self.appends += 1
         assert_demand_part_rule(self)
 
