@@ -125,9 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gap = commands.add_parser("gap", help="cycle family sweep, CSV output")
     gap.add_argument("--k-min", type=int, required=True)
     gap.add_argument("--k-max", type=int, required=True)
-    gap.add_argument(
-        "--max-T", type=int, default=None, metavar="N", help="search bound per k (default 4k)"
-    )
     gap.add_argument("--csv", metavar="FILE", help="write the CSV here instead of stdout")
 
     return parser
@@ -211,7 +208,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    reports = gap_sweep(args.k_min, args.k_max, t_max=args.max_T)
+    reports = gap_sweep(args.k_min, args.k_max)
     _emit(gap_csv(reports), args.csv)
     return 0
 

@@ -151,6 +151,10 @@ class Instance:
     network: Network
     commodities: tuple[Commodity, ...]
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _find_defects(self)
+
 
 class StorageMode(Enum):
     """Whether flow may wait at intermediate nodes.
@@ -272,8 +276,14 @@ def validate_instance(instance: Instance) -> ValidationReport:
     Covered: unique node and arc ids, arc endpoints exist, no self-loops,
     nonnegative capacities, nonnegative integer transit times, commodity
     endpoints exist and differ, nonnegative demands, and a directed path
-    from every commodity's source to its sink.
+    from every commodity's source to its sink. Validity is decided here
+    only, and the report is worked out once per Instance and cached on
+    the frozen object, as Network caches arc_by_id.
     """
+    return instance._report
+
+
+def _find_defects(instance: Instance) -> ValidationReport:
     defects: list[Defect] = []
     network = instance.network
 

@@ -54,7 +54,7 @@ from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .core import Arc, FlowOverTime, Instance, Network, Piece, StepFunction, StorageMode
-from .core import format_rational
+from .core import format_rational, validate_instance
 
 __all__ = [
     "ExpandedNetwork",
@@ -134,21 +134,20 @@ class ExpandedNetwork:
 
 
 def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> ExpandedNetwork:
-    """Construct the time expansion. The instance must be valid.
+    """Construct the time expansion.
 
     Raises ValueError for a horizon that is not a positive integer, a
-    mode that is not a StorageMode, and non-integer transit times;
-    everything else is assumed validated. A horizon too short for any
-    movement simply yields an expansion with no movement copies.
+    mode that is not a StorageMode, and an instance that
+    validate_instance rejects. A horizon too short for any movement
+    simply yields an expansion with no movement copies.
     """
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise ValueError("horizon must be a positive integer")
     if not isinstance(mode, StorageMode):
         raise ValueError("mode must be a StorageMode")
-    network = instance.network
-    for arc in network.arcs:
-        if isinstance(arc.transit, bool) or not isinstance(arc.transit, int) or arc.transit < 0:
-            raise ValueError(f"arc {arc.id!r}: transit must be a nonnegative integer")
+    report = validate_instance(instance)
+    if not report.ok:
+        raise ValueError(f"invalid instance: {report}")
     return ExpandedNetwork(instance, horizon, mode)
 
 

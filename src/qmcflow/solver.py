@@ -24,7 +24,8 @@ Management Sci. 1958):
 2. Phase one decides the restricted master. A feasible master is a
    feasible probe: its path values are checked against the master's
    rows in explicit code, then become the probe's witness, a flow over
-   time (flow_from_paths).
+   time (flow_from_paths) that the independent checker
+   (qmcflow.checker.check_flow) must accept, or RuntimeError is raised.
 3. An infeasible master's final phase-one row gives exact duals: a
    capacity row's dual y_e is its slack's entry, and commodity i's
    demand dual y_i is its artificial's entry plus the artificial's
@@ -83,11 +84,10 @@ A witness below the lower end contradicts a proven verdict and raises
 RuntimeError. A speed-up report bisects the no-storage search inside
 [W, 2W], W the with-storage minimum. The search is sound because
 feasibility is monotone in the horizon (any schedule for T is also one
-for T+1).
-Before a search returns its minimum, the witness that closed the
-bracket is certified by the independent checker (check_flow) as a flow
-for the minimum itself; the search returns that flow together with the
-minimum.
+for T+1). It returns the minimum with the witness that closed the
+bracket, and calls no checker: every verdict is certified in its probe.
+Validity is decided by qmcflow.core.validate_instance alone, once per
+instance; build_time_expanded, and so every probe, rejects an invalid one.
 """
 
 from __future__ import annotations
@@ -412,7 +412,7 @@ def probe_horizon(
     """Build the expansion for one horizon and decide its feasibility on
     the path LP by column generation over paths, on one warm master (see
     the module docstring). A feasible verdict carries its witness, ending
-    at its last arrival.
+    at its last arrival; build_time_expanded rejects invalid instances.
 
     The first master holds each commodity's fewest-transit route at
     every departure that fits. While phase one ends infeasible, its
@@ -422,7 +422,8 @@ def probe_horizon(
     phase one resumes from the basis it stopped at. When a round prices
     every commodity and none enters, check_cut must accept the lengths
     as a cut, or RuntimeError is raised. A feasible master's path values
-    are checked (_master_values) and become the witness flow.
+    are checked (_master_values) and become the witness flow, which
+    check_flow must accept, or RuntimeError is raised.
     """
     expansion = build_time_expanded(instance, horizon, mode)
     demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
@@ -454,6 +455,9 @@ def probe_horizon(
         known.add(column)
         master.add(*column)
     flow = flow_from_paths(expansion, master.paths, _master_values(master))
+    violations = check_flow(flow, instance, mode).violations
+    if violations:
+        raise RuntimeError(f"the witness at T={horizon} fails check_flow: {violations[0].to_json()}")
     return expansion, LPResult(True, flow)
 
 
@@ -531,7 +535,7 @@ class _Search:
     Skutella, SIAM J. Comput. 2007), whatever horizon was probed. L is
     the upper end of the bracket. Each probe lies strictly inside the
     bracket, so no horizon is probed twice and each feasible probe lowers
-    the upper end.
+    the upper end. probe_horizon certifies every verdict.
     """
 
     def __init__(
@@ -564,11 +568,11 @@ class _Search:
         return True
 
     def least(self, top: int) -> tuple[int, FlowOverTime]:
-        """The least feasible horizon <= top and its flow certified by
-        check_flow (RuntimeError if rejected). Bisection probes below the
-        upper end of the bracket, which is top until a probe is feasible,
-        so top is probed last, only if every horizon below it is
-        infeasible; NoHorizonFound if top is infeasible too."""
+        """The least feasible horizon <= top and the witness that closed
+        the bracket there (RuntimeError if it ends elsewhere). Bisection
+        probes below the upper end of the bracket, which is top until a
+        probe is feasible, so top is probed last, only if every horizon
+        below it is infeasible; NoHorizonFound if top is infeasible too."""
         hi = top if self.witness is None else int(self.witness.horizon)
         while self.lo < hi:
             if self.feasible((self.lo + hi) // 2):
@@ -580,12 +584,8 @@ class _Search:
                 f"(infeasible at T={top})"
             )
         flow = self.witness
-        violations = check_flow(flow, self.instance, self.mode).violations
-        if flow.horizon != lo or violations:
-            raise RuntimeError(
-                f"the witness at T={flow.horizon} does not certify the minimum {lo}"
-                f" ({len(violations)} checker violation(s))"
-            )
+        if flow.horizon != lo:
+            raise RuntimeError(f"the witness at T={flow.horizon} does not close the bracket at {lo}")
         return lo, flow
 
 
@@ -617,17 +617,16 @@ def min_feasible_horizon(
     witnesses, and it need not have been probed itself.
 
     A commodity with positive demand for which fewest_transit_route
-    finds no route makes every horizon infeasible, so the search raises
-    NoHorizonFound, naming it, before any probe. The test is
-    exact: any such path carries the demand without waiting, in both
-    modes, once the horizon is long enough.
+    finds no route makes every horizon infeasible, and L > t_max every
+    horizon up to t_max; the search raises NoHorizonFound, naming the
+    commodity or L, before any probe. The route test is exact: any such path carries the demand
+    without waiting, in both modes, once the horizon is long enough.
 
-    The minimum is certified before it is returned: the witness that
-    closed the bracket must have the minimum as its horizon, and
-    check_flow must accept it, or RuntimeError is raised. By
-    monotonicity this certificate also vouches for every feasible verdict
-    that shaped the search. The search returns the pair (minimum, flow),
-    where flow is that certified schedule.
+    Every probe certifies its own verdict (probe_horizon): a feasible
+    one by check_flow on its witness, an infeasible one by check_cut on
+    its lengths. The witness that closed the bracket must have the
+    minimum as its horizon, or RuntimeError is raised. The search
+    returns the pair (minimum, flow), where flow is that witness.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -647,9 +646,13 @@ def min_feasible_horizon(
                 )
             lower = max(lower, sum(arc.transit for arc in route) + 1)
 
-    top = min(lower, t_max)
-    search = _Search(instance, mode, observer, top)
-    gap = 1
+    if lower > t_max:
+        raise NoHorizonFound(
+            f"no feasible horizon <= {t_max} in mode {mode.value}: the transit"
+            f" bound proves every horizon below {lower} infeasible"
+        )
+    search = _Search(instance, mode, observer, lower)
+    top, gap = lower, 1
     while not search.feasible(top) and top < t_max:
         top, gap = min(top + gap, t_max), 2 * gap
     return search.least(top)
@@ -677,12 +680,14 @@ def speedup_ratio(
 
     The no-storage search bisects [W, min(t_max, 2W)], where W is the
     with-storage minimum; a feasible probe's witness lowers the top to
-    its own horizon, its last arrival, and the top is probed last, only if every horizon
-    below it is infeasible. W is a proven lower end: every no-storage
-    schedule is also one with storage, and W - 1 was ruled out by a
-    cut that check_cut accepted or by the transit bound. Storage speeds
-    things up by at most a factor of two; a violation of that bound would
-    surface loudly as NoHorizonFound, never as a silently wrong minimum.
+    its own horizon, its last arrival, and the top is probed last, only
+    if every horizon below it is infeasible. W is a proven lower end:
+    every no-storage schedule is also one with storage, and W - 1 was
+    ruled out by a cut that check_cut accepted or by the transit bound.
+    Storage speeds things up by at most a factor of two; a violation of
+    that bound would surface loudly as NoHorizonFound, never as a
+    silently wrong minimum. Every feasible probe's witness passes
+    check_flow; ValueError for an invalid instance.
     """
     with_storage, _ = min_feasible_horizon(
         instance, StorageMode.WITH_STORAGE, t_max, observer=observer
@@ -697,21 +702,18 @@ def gap_sweep(
     k_min: int,
     k_max: int,
     *,
-    t_max: int | None = None,
     observer: Observer | None = None,
 ) -> dict[int, SpeedupReport]:
     """Speed-up reports for the cycle family, keyed by k from k_min to k_max.
 
-    Runs serially in order of k, searching each k up to t_max (4k by
-    default); the observer sees every probe of every search. Requires
-    3 <= k_min <= k_max.
+    Runs serially in order of k, searching each k up to 4k, above both
+    minima k + 1 and 2k - 1; the observer sees every probe of every
+    search. Requires 3 <= k_min <= k_max.
     """
     if not 3 <= k_min <= k_max:
         raise ValueError("need 3 <= k_min <= k_max")
     return {
-        k: speedup_ratio(
-            cycle_instance(k), 4 * k if t_max is None else t_max, observer=observer
-        )
+        k: speedup_ratio(cycle_instance(k), 4 * k, observer=observer)
         for k in range(k_min, k_max + 1)
     }
 

@@ -7,8 +7,9 @@ distance that the solver's backward pass over the time grid is checked
 against, the cold path master, the cycles that separate the two storage
 modes, the reference simplex for general LPs, Fourier-Motzkin
 elimination as a reference for it, the per-breakpoint reference flow
-checker, and the json.dumps(doc, indent=2) document writers that the
-package's direct writers must match byte for byte.
+checker, the json.dumps(doc, indent=2) document writers that the
+package's direct writers must match byte for byte, and instances with
+exactly one defect.
 
 The package lists no node-arc variable: the (copy, commodity) columns,
 their time window and their endpoints live here, as test references.
@@ -28,6 +29,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
+import pytest
+
 from qmcflow.checker import (
     CAPACITY,
     CONSERVATION,
@@ -37,6 +40,8 @@ from qmcflow.checker import (
 )
 from qmcflow.core import (
     Arc,
+    Commodity,
+    Defect,
     FlowOverTime,
     Instance,
     Network,
@@ -60,6 +65,77 @@ SEPARATING_CYCLES = {
     CycleParams(4, Fraction(3, 2)): (5, 7),
     CycleParams(4, Fraction(3)): (6, 7),
 }
+
+
+# Each case adds one defect to the valid two-node instance v0 -> v1
+# (one_defect_instance): nodes replace its nodes, arcs join its arc a0
+# and commodity replaces its commodity. defect is what validate_instance
+# must report, alone.
+ONE_DEFECT_CASES = [
+    pytest.param(
+        ("v0", "v1", "v0"),
+        (),
+        None,
+        Defect("duplicate node id", "v0", "node listed more than once"),
+        id="duplicate-node",
+    ),
+    pytest.param(
+        None,
+        (Arc("a1", "v0", "v9", ONE, 1),),
+        None,
+        Defect("unknown arc endpoint", "a1", "node 'v9' is not in the network"),
+        id="unknown-arc-endpoint",
+    ),
+    pytest.param(
+        None,
+        (Arc("a1", "v1", "v1", ONE, 1),),
+        None,
+        Defect("self-loop", "a1", "tail and head are both 'v1'"),
+        id="self-loop",
+    ),
+    pytest.param(
+        None,
+        (Arc("a1", "v0", "v1", ONE, Fraction(1, 2)),),
+        None,
+        Defect("non-integer transit", "a1", "transit Fraction(1, 2) is not an integer"),
+        id="fractional-transit",
+    ),
+    pytest.param(
+        None,
+        (Arc("a1", "v0", "v1", ONE, True),),
+        None,
+        Defect("non-integer transit", "a1", "transit True is not an integer"),
+        id="bool-transit",
+    ),
+    pytest.param(
+        None,
+        (Arc("a1", "v0", "v1", ONE, -1),),
+        None,
+        Defect("negative transit", "a1", "transit -1 is negative"),
+        id="negative-transit",
+    ),
+    pytest.param(
+        None,
+        (),
+        Commodity("v0", "v9", ONE),
+        Defect("unknown commodity endpoint", "commodity 0", "node 'v9' is not in the network"),
+        id="unknown-commodity-endpoint",
+    ),
+    pytest.param(
+        None,
+        (),
+        Commodity("v0", "v1", -ONE),
+        Defect("negative demand", "commodity 0", "demand -1 is negative"),
+        id="negative-demand",
+    ),
+]
+
+
+def one_defect_instance(
+    nodes: tuple[str, ...] | None, arcs: tuple[Arc, ...], commodity: Commodity | None
+) -> Instance:
+    network = Network(nodes or ("v0", "v1"), (Arc("a0", "v0", "v1", ONE, 1),) + arcs)
+    return Instance(network, (commodity or Commodity("v0", "v1", ONE),))
 
 
 LESS_EQUAL = "<="

@@ -371,10 +371,12 @@ class TestGap:
         assert code == 2
         assert "error" in err
 
-    def test_explicit_bound_too_small_is_exit_one(self, capsys):
-        code, _, err = run(capsys, "gap", "--k-min", "4", "--k-max", "4", "--max-T", "6")
-        assert code == 1
-        assert "no feasible horizon" in err
+    def test_max_T_is_a_usage_error(self, capsys):
+        # Every bound at least 2k - 1 printed the default's bytes and every
+        # smaller one failed, so gap searches each k up to 4k, no option.
+        code, _, err = run(capsys, "gap", "--k-min", "3", "--k-max", "3", "--max-T", "40")
+        assert code == 2
+        assert "--max-T" in err
 
     def test_parallel_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "gap", "--k-min", "3", "--k-max", "3", "--parallel")

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qmcflow.core import (
     Arc,
     Commodity,
-    Defect,
     FlowOverTime,
     Instance,
     Network,
@@ -37,7 +36,13 @@ from qmcflow.instances import (
     wave_schedule_no_storage,
 )
 
-from helpers import reference_serialize_flow, reference_serialize_instance, transit_distances
+from helpers import (
+    ONE_DEFECT_CASES,
+    one_defect_instance,
+    reference_serialize_flow,
+    reference_serialize_instance,
+    transit_distances,
+)
 
 
 def two_node_instance() -> Instance:
@@ -166,79 +171,10 @@ class TestValidateInstance:
         bad = Instance(base.network, (Commodity("v0", "v0", Fraction(1)),))
         assert "source equals sink" in str(validate_instance(bad))
 
-    @pytest.mark.parametrize(
-        "nodes, arcs, commodity, defect",
-        [
-            (
-                ("v0", "v1", "v0"),
-                (),
-                None,
-                Defect("duplicate node id", "v0", "node listed more than once"),
-            ),
-            (
-                None,
-                (Arc("a1", "v0", "v9", Fraction(1), 1),),
-                None,
-                Defect("unknown arc endpoint", "a1", "node 'v9' is not in the network"),
-            ),
-            (
-                None,
-                (Arc("a1", "v1", "v1", Fraction(1), 1),),
-                None,
-                Defect("self-loop", "a1", "tail and head are both 'v1'"),
-            ),
-            (
-                None,
-                (Arc("a1", "v0", "v1", Fraction(1), Fraction(1, 2)),),
-                None,
-                Defect("non-integer transit", "a1", "transit Fraction(1, 2) is not an integer"),
-            ),
-            (
-                None,
-                (Arc("a1", "v0", "v1", Fraction(1), True),),
-                None,
-                Defect("non-integer transit", "a1", "transit True is not an integer"),
-            ),
-            (
-                None,
-                (Arc("a1", "v0", "v1", Fraction(1), -1),),
-                None,
-                Defect("negative transit", "a1", "transit -1 is negative"),
-            ),
-            (
-                None,
-                (),
-                Commodity("v0", "v9", Fraction(1)),
-                Defect(
-                    "unknown commodity endpoint", "commodity 0", "node 'v9' is not in the network"
-                ),
-            ),
-            (
-                None,
-                (),
-                Commodity("v0", "v1", Fraction(-1)),
-                Defect("negative demand", "commodity 0", "demand -1 is negative"),
-            ),
-        ],
-        ids=[
-            "duplicate-node",
-            "unknown-arc-endpoint",
-            "self-loop",
-            "fractional-transit",
-            "bool-transit",
-            "negative-transit",
-            "unknown-commodity-endpoint",
-            "negative-demand",
-        ],
-    )
+    @pytest.mark.parametrize("nodes, arcs, commodity, defect", ONE_DEFECT_CASES)
     def test_each_defect_is_reported_alone(self, nodes, arcs, commodity, defect):
-        # Each case adds one defect to the valid two-node instance: nodes
-        # replace its nodes, arcs join its arc a0 and commodity replaces
-        # its commodity. The report names exactly that defect.
-        base = two_node_instance()
-        network = Network(nodes or base.network.nodes, base.network.arcs + arcs)
-        instance = Instance(network, (commodity,) if commodity else base.commodities)
-        report = validate_instance(instance)
+        # The report names exactly the one defect the case adds.
+        report = validate_instance(one_defect_instance(nodes, arcs, commodity))
         assert report.defects == (defect,)
         assert str(report) == f"{defect.invariant}: {defect.element}: {defect.detail}"
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmcflow
-from qmcflow import checker, solver
+from qmcflow import checker, cli, core, solver
 from qmcflow.checker import check_flow
 from qmcflow.core import (
     Arc,
@@ -27,6 +27,7 @@ from qmcflow.core import (
     StepFunction,
     StorageMode,
     serialize_flow,
+    serialize_instance,
 )
 from qmcflow.expansion import (
     build_time_expanded,
@@ -52,6 +53,7 @@ from qmcflow.solver import (
 )
 
 from helpers import (
+    ONE_DEFECT_CASES,
     SEPARATING_CYCLES,
     Constraint,
     LinearProgram,
@@ -59,6 +61,7 @@ from helpers import (
     flow_satisfies_unreduced_lp,
     fourier_motzkin_feasible,
     lp_feasible,
+    one_defect_instance,
     path_master_lp,
     reference_distance,
     satisfies_unreduced_lp,
@@ -451,8 +454,14 @@ class TestHorizonSearch:
             min_feasible_horizon(cycle_instance(4), WITHOUT, 6)
 
     def test_bound_below_lower_bound_raises(self):
-        with pytest.raises(NoHorizonFound):
-            min_feasible_horizon(cycle_instance(4), WITH, 2)
+        # The k=4 cycle's transit bound is L = 4, so every horizon up to
+        # t_max = 2 is infeasible without a probe.
+        probes: list[int] = []
+        with pytest.raises(NoHorizonFound, match="every horizon below 4 infeasible"):
+            min_feasible_horizon(
+                cycle_instance(4), WITH, 2, observer=lambda t, *rest: probes.append(t)
+            )
+        assert probes == []
 
     def test_invalid_instance_rejected(self):
         network = Network(("v0", "v1"), (Arc("a0", "v0", "v1", F(1), 1),))
@@ -541,10 +550,10 @@ class TestHorizonSearch:
                     assert all(t >= minimum for t, ok in probes if ok)
 
     def test_uncertified_minimum_raises_even_under_python_O(self):
-        # The flow checker certifies the minimum in explicit code, which
-        # python -O keeps. The patched _master_values corrupts the path
-        # values of every feasible master after the real ones passed
-        # their check.
+        # The flow checker certifies each feasible probe's witness in
+        # explicit code, which python -O keeps. The patched _master_values
+        # corrupts the path values of every feasible master after the
+        # real ones passed their check.
         script = (
             "import sys\n"
             "from fractions import Fraction\n"
@@ -573,6 +582,65 @@ class TestHorizonSearch:
             check=True,
         )
         assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+
+    def test_rejected_witness_raises_in_the_probe_even_under_python_O(self):
+        # The patched flow_from_paths doubles every rate of each witness,
+        # after the master's values passed their own check, so only
+        # check_flow in the probe can catch it.
+        script = (
+            "import sys\n"
+            "from qmcflow import solver\n"
+            "from qmcflow.core import StorageMode\n"
+            "from qmcflow.instances import cycle_instance\n"
+            "build = solver.flow_from_paths\n"
+            "def doubled(expansion, paths, values):\n"
+            "    return build(expansion, paths, [2 * value for value in values])\n"
+            "solver.flow_from_paths = doubled\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "for mode, horizon in ((StorageMode.WITH_STORAGE, 4), (StorageMode.NO_INTERMEDIATE_STORAGE, 5)):\n"
+            "    try:\n"
+            "        solver.probe_horizon(cycle_instance(3), horizon, mode)\n"
+            "    except RuntimeError as error:\n"
+            "        print('raised', str(error).partition(': ')[0])\n"
+            "    else:\n"
+            "        print('returned')\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        assert completed.stdout.split("\n")[:3] == [
+            "optimize 1",
+            "raised the witness at T=4 fails check_flow",
+            "raised the witness at T=5 fails check_flow",
+        ]
+
+    def test_only_the_probe_calls_a_checker(self, monkeypatch):
+        # Each verdict is certified in its probe: check_flow once per
+        # feasible probe and check_cut once per infeasible one, and no
+        # function of the horizon search calls either checker.
+        calls: list[tuple[str, str]] = []
+
+        def spy(name):
+            checker_function = getattr(solver, name)
+
+            def spied(*args):
+                calls.append((name, sys._getframe(1).f_code.co_name))
+                return checker_function(*args)
+
+            monkeypatch.setattr(solver, name, spied)
+
+        spy("check_flow")
+        spy("check_cut")
+        verdicts: list[bool] = []
+        gap_sweep(3, 8, observer=lambda t, expansion, result: verdicts.append(result.feasible))
+        assert {caller for _, caller in calls} == {"probe_horizon"}
+        assert [name for name, _ in calls].count("check_flow") == verdicts.count(True) == 12
+        assert [name for name, _ in calls].count("check_cut") == verdicts.count(False) == 14
 
     def test_unchecked_master_values_raise_even_under_python_O(self):
         # A feasible master's path values are checked in explicit code,
@@ -673,6 +741,32 @@ class TestHorizonSearch:
                 )
             assert probes == []
 
+    def test_probe_of_a_commodity_with_no_open_route(self, monkeypatch):
+        # s -> m is closed, so route_departures seeds no column and
+        # pricing alone refutes the probe: below T = 3 there is no path
+        # at all and the cut is empty; from T = 3 on each departure's
+        # path crosses a copy of a0, which gets length 1.
+        network = Network(
+            ("s", "m", "t"), (Arc("a0", "s", "m", F(0), 1), Arc("a1", "m", "t", F(1), 1))
+        )
+        instance = Instance(network, (Commodity("s", "t", F(1)),))
+        cuts: list[dict] = []
+        check = solver.check_cut
+
+        def recorded(horizon, lengths, instance, mode):
+            cuts.append(dict(lengths))
+            return check(horizon, lengths, instance, mode)
+
+        monkeypatch.setattr(solver, "check_cut", recorded)
+        expected = {2: {}, 3: {("a0", 0): 1}, 6: {("a0", theta): 1 for theta in range(4)}}
+        for mode in (WITH, WITHOUT):
+            for horizon, lengths in expected.items():
+                cuts.clear()
+                expansion, result = probe_horizon(instance, horizon, mode)
+                assert route_departures(expansion, 0) == []
+                assert not result.feasible
+                assert cuts == [lengths], (mode, horizon)
+
     def test_zero_demand_commodity_behind_a_closed_arc_still_searches(self):
         instance = closed_path_instance(0)
         for mode in (WITH, WITHOUT):
@@ -708,11 +802,11 @@ class TestHorizonSearch:
     )
     def test_first_probe_is_the_open_arc_transit_bound(self, seed, shut, idle, t_max):
         # Arcs in shut get capacity 0 and commodities in idle demand 0.
-        # The first horizon probed is min(t_max, L), L the largest
-        # reference transit over open arcs plus one among commodities
-        # with demand (1 if there are none), in both modes; a demanded
-        # commodity with no open path fails before any probe. The
-        # observer stops each search after its first probe.
+        # The first horizon probed is L, the largest reference transit
+        # over open arcs plus one among commodities with demand (1 if
+        # there are none), in both modes; a demanded commodity with no
+        # open path, or L > t_max, fails before any probe. The observer
+        # stops each search after its first probe.
         base = random_instance(seed, 5, 8, 3, 3)
         arcs = tuple(
             replace(arc, capacity=F(0)) if j in shut else arc
@@ -744,10 +838,16 @@ class TestHorizonSearch:
                 with pytest.raises(NoHorizonFound, match="over arcs of positive capacity"):
                     min_feasible_horizon(instance, mode, t_max, observer=observer)
                 assert probes == [], mode
+                continue
+            bound = max(transits, default=0) + 1
+            if bound > t_max:
+                with pytest.raises(NoHorizonFound, match=f"every horizon below {bound} infeasible"):
+                    min_feasible_horizon(instance, mode, t_max, observer=observer)
+                assert probes == [], mode
             else:
                 with pytest.raises(FirstProbe):
                     min_feasible_horizon(instance, mode, t_max, observer=observer)
-                assert probes == [min(t_max, max(transits, default=0) + 1)], mode
+                assert probes == [bound], mode
 
     def test_sweep_pivot_counts(self, monkeypatch):
         # The pivot rules are deterministic, so the pivots each search
@@ -977,6 +1077,48 @@ class TestHorizonSearch:
                 instance, WITHOUT, 20, observer=lambda t, *rest: probes.append(t)
             )
         assert probes == [3, 4, 6, 10]
+
+
+class TestValidity:
+    """validate_instance alone decides validity, once per instance."""
+
+    @pytest.mark.parametrize("nodes, arcs, commodity, defect", ONE_DEFECT_CASES)
+    def test_every_entry_point_rejects_an_invalid_instance(self, nodes, arcs, commodity, defect):
+        instance = one_defect_instance(nodes, arcs, commodity)
+        calls = [
+            lambda: build_time_expanded(instance, 3, WITH),
+            lambda: probe_horizon(instance, 3, WITH),
+            lambda: probe_horizon(instance, 3, WITHOUT),
+            lambda: min_feasible_horizon(instance, WITHOUT, 10),
+            lambda: speedup_ratio(instance, 10),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^invalid instance: {defect.invariant}: "):
+                call()
+
+    def test_the_report_is_computed_once_per_solve_and_per_speedup_ratio(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        computed: list[Instance] = []
+        find = core._find_defects
+
+        def counted(instance):
+            computed.append(instance)
+            return find(instance)
+
+        monkeypatch.setattr(core, "_find_defects", counted)
+        path = tmp_path / "cycle4.json"
+        path.write_text(serialize_instance(cycle_instance(4)), encoding="utf-8")
+        for mode, minimum in (("with-storage", "5"), ("no-storage", "7")):
+            computed.clear()
+            assert cli.main(["solve", "--mode", mode, "--max-T", "20", str(path)]) == 0
+            assert capsys.readouterr().out == f"{minimum}\n"
+            assert len(computed) == 1, mode
+        probes: list[int] = []
+        computed.clear()
+        report = speedup_ratio(cycle_instance(8), 32, observer=lambda t, *rest: probes.append(t))
+        assert report == SpeedupReport(9, 15)
+        assert len(probes) == 5 and len(computed) == 1
 
 
 class TestIntegerHorizon:
@@ -1573,7 +1715,3 @@ class TestSweep:
         for k, report in reports.items():
             with_storage = report.with_storage
             assert all(with_storage <= t <= 2 * with_storage for t in probes[k, WITHOUT]), k
-
-    def test_explicit_bound_too_small_propagates(self):
-        with pytest.raises(NoHorizonFound):
-            gap_sweep(4, 4, t_max=6)
