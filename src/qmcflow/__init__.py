@@ -52,9 +52,9 @@ from .instances import (
     wave_schedule_no_storage,
 )
 from .solver import (
-    LPResult,
     NoHorizonFound,
     SpeedupReport,
+    Verdict,
     gap_csv,
     gap_sweep,
     min_feasible_horizon,
@@ -76,7 +76,6 @@ __all__ = [
     "ExpandedNetwork",
     "FlowOverTime",
     "Instance",
-    "LPResult",
     "Network",
     "NoHorizonFound",
     "ParseError",
@@ -86,6 +85,7 @@ __all__ = [
     "StepFunction",
     "StorageMode",
     "ValidationReport",
+    "Verdict",
     "Violation",
     "ViolationReport",
     "build_time_expanded",

@@ -43,8 +43,10 @@ Management Sci. 1958):
 When a round has priced every commodity under the same duals and no
 path enters, the lengths are a cut that proves the probe's node-arc LP
 infeasible, whatever the masters did, once the independent checker
-(qmcflow.checker.check_cut) accepts it; the verdict is returned only
-then, and otherwise RuntimeError is raised.
+(qmcflow.checker.check_cut) accepts it, or RuntimeError is raised. So
+every probe returns a Verdict that carries exactly one checked
+certificate: the witness that check_flow accepted, or the cut that
+check_cut accepted.
 
 Each path master is decided by one phase-one simplex on its tableau,
 in exact integer arithmetic (integer numerators over per-row
@@ -68,26 +70,21 @@ a master solved on its own. Bland's rule guarantees the procedure
 cannot cycle, so it always terminates, and with exact arithmetic every
 verdict is exact.
 
-Least feasible integer horizons are found by probing from a lower bound
-that the route search seeding the first master proves: the largest
-transit of a commodity's fewest-transit route over open arcs
-(fewest_transit_route), plus one, among commodities with positive
-demand. No flow crosses an arc of capacity zero, and a movement copy
-entered at theta arrives by T - 1, so a commodity needs T >= its route
-transit + 1; a commodity with no such route makes every horizon
-infeasible. Probing gallops up from the bound with gaps 1, 2, 4, ...
-until a probe is feasible, then bisects the bracket that the probes
-have proved. Its lower end is one past the largest infeasible probe.
-Its upper end is the least horizon of a feasible probe's witness, which
-ends at its last arrival (flow_from_paths), not at the probed horizon.
-A witness below the lower end contradicts a proven verdict and raises
-RuntimeError. A speed-up report bisects the no-storage search inside
-[W, 2W], W the with-storage minimum. The search is sound because
-feasibility is monotone in the horizon (any schedule for T is also one
-for T+1). It returns the minimum with the witness that closed the
-bracket, and calls no checker: every verdict is certified in its probe.
-Validity is decided by qmcflow.core.validate_instance alone, once per
-instance; build_time_expanded, and so every probe, rejects an invalid one.
+Least feasible integer horizons are found by one loop (_least_horizon)
+inside a bracket proved at both ends; the search calls no checker. Its
+lower end rises past each infeasible probe from a proven start: for a
+search of its own, the largest transit of a commodity's fewest-transit
+route over open arcs (fewest_transit_route), plus one, among commodities
+with positive demand, since no flow crosses an arc of capacity zero and
+a movement copy entered at theta arrives by T - 1; for the no-storage
+search of a speed-up report, W, the with-storage minimum. Until a probe
+is feasible the first gallops up with gaps 1, 2, 4, ... and the second
+bisects toward 2W, probing 2W last. The upper end is then the last
+arrival of a feasible probe's witness (flow_from_paths), and both bisect
+the bracket. The search is sound because feasibility is monotone in the
+horizon (any schedule for T is also one for T+1). Validity is decided
+by qmcflow.core.validate_instance alone, once per instance;
+build_time_expanded, and so every probe, rejects an invalid one.
 """
 
 from __future__ import annotations
@@ -111,9 +108,9 @@ from .expansion import (
 from .instances import cycle_instance
 
 __all__ = [
-    "LPResult",
     "NoHorizonFound",
     "SpeedupReport",
+    "Verdict",
     "gap_csv",
     "gap_sweep",
     "min_feasible_horizon",
@@ -134,11 +131,22 @@ class NoHorizonFound(Exception):
 
 
 @dataclass(frozen=True)
-class LPResult:
-    """A verdict, with the flow over time that witnesses a feasible one."""
+class Verdict:
+    """A probe's verdict and its certificate, exactly one of: flow, the
+    witness that check_flow accepted, for a feasible horizon; cut, the
+    integer lengths of movement copies that check_cut accepted, for an
+    infeasible one. Any other combination raises ValueError."""
 
-    feasible: bool
     flow: FlowOverTime | None = None
+    cut: Mapping[tuple[str, int], int] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.flow is None) == (self.cut is None):
+            raise ValueError("a verdict carries exactly one certificate: a flow or a cut")
+
+    @property
+    def feasible(self) -> bool:
+        return self.flow is not None
 
 
 # Right-hand-side pseudo-column: stored inside each row dict so pivots
@@ -408,11 +416,12 @@ def probe_horizon(
     instance: Instance,
     horizon: int,
     mode: StorageMode,
-) -> tuple[ExpandedNetwork, LPResult]:
+) -> tuple[ExpandedNetwork, Verdict]:
     """Build the expansion for one horizon and decide its feasibility on
     the path LP by column generation over paths, on one warm master (see
-    the module docstring). A feasible verdict carries its witness, ending
-    at its last arrival; build_time_expanded rejects invalid instances.
+    the module docstring); build_time_expanded rejects invalid instances.
+    Returns the expansion and the Verdict, which carries its checked
+    certificate.
 
     The first master holds each commodity's fewest-transit route at
     every departure that fits. While phase one ends infeasible, its
@@ -420,10 +429,11 @@ def probe_horizon(
     after the last that gave a column, each by one shortest path; the
     first path with positive reduced cost is appended to the master and
     phase one resumes from the basis it stopped at. When a round prices
-    every commodity and none enters, check_cut must accept the lengths
-    as a cut, or RuntimeError is raised. A feasible master's path values
-    are checked (_master_values) and become the witness flow, which
-    check_flow must accept, or RuntimeError is raised.
+    every commodity and none enters, check_cut must accept the lengths,
+    which become the verdict's cut, or RuntimeError is raised. A
+    feasible master's path values are checked (_master_values) and
+    become the witness flow, ending at its last arrival, which check_flow
+    must accept, or RuntimeError is raised.
     """
     expansion = build_time_expanded(instance, horizon, mode)
     demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
@@ -445,7 +455,7 @@ def probe_horizon(
                     f"the length certificate at T={horizon} does not prove"
                     f" infeasibility: {report.violations[0].to_json()}"
                 )
-            return expansion, LPResult(False)
+            return expansion, Verdict(cut=lengths)
         start += step + 1
         column = (i, cheapest[1])
         if column in known:
@@ -458,7 +468,7 @@ def probe_horizon(
     violations = check_flow(flow, instance, mode).violations
     if violations:
         raise RuntimeError(f"the witness at T={horizon} fails check_flow: {violations[0].to_json()}")
-    return expansion, LPResult(True, flow)
+    return expansion, Verdict(flow)
 
 
 def _master_values(master: _PathMaster) -> list[Fraction]:
@@ -522,71 +532,53 @@ def _master_duals(master: _PathMaster) -> tuple[dict[tuple[str, int], int], dict
     return lengths, duals
 
 
-Observer = Callable[[int, ExpandedNetwork, LPResult], None]
+Observer = Callable[[ExpandedNetwork, Verdict], None]
 
 
-class _Search:
-    """The proven bracket of one horizon search.
-
-    Every horizon below lo is infeasible: lo starts at a proven lower
-    bound and rises past each infeasible probe. witness is the feasible
-    probes' witness of least horizon, its last arrival L: a flow that has
-    fully arrived by L is a schedule for horizon L (Fleischer and
-    Skutella, SIAM J. Comput. 2007), whatever horizon was probed. L is
-    the upper end of the bracket. Each probe lies strictly inside the
-    bracket, so no horizon is probed twice and each feasible probe lowers
-    the upper end. probe_horizon certifies every verdict.
+def _least_horizon(
+    instance: Instance,
+    mode: StorageMode,
+    lo: int,
+    top: int,
+    observer: Observer | None,
+    gallop: bool,
+) -> tuple[int, FlowOverTime]:
+    """The least feasible horizon <= top and the witness that settles it,
+    given that every horizon below lo is infeasible (see the module
+    docstring). Until a probe is feasible the next one gallops up from
+    lo with gaps 1, 2, 4, ... capped at top (gallop), or bisects
+    [lo, top]; NoHorizonFound once top is infeasible too. A witness
+    ending at hi settles hi whatever horizon was probed (a flow that has
+    fully arrived by hi is a schedule for hi), so from then on each
+    probe bisects [lo, hi]. A witness below lo or after its probe
+    contradicts the verdicts so far and raises RuntimeError. The
+    observer receives every probe's (expansion, verdict).
     """
-
-    def __init__(
-        self, instance: Instance, mode: StorageMode, observer: Observer | None, lo: int
-    ) -> None:
-        self.instance = instance
-        self.mode = mode
-        self.observer = observer
-        self.lo = lo
-        self.witness: FlowOverTime | None = None
-
-    def feasible(self, horizon: int) -> bool:
-        """Probe one horizon and narrow the bracket by its verdict. A
-        witness that ends below lo contradicts a proven infeasibility, and
-        one that ends after the probed horizon is no witness for it; both
-        raise RuntimeError."""
-        expansion, result = probe_horizon(self.instance, horizon, self.mode)
-        if self.observer is not None:
-            self.observer(horizon, expansion, result)
-        if not result.feasible:
-            self.lo = horizon + 1
-            return False
-        arrival = result.flow.horizon
-        if arrival < self.lo or arrival > horizon:
-            raise RuntimeError(
-                f"the witness at T={horizon} arrives by {arrival}, outside the"
-                f" bracket [{self.lo}, {horizon}] left by the verdicts so far"
-            )
-        self.witness = result.flow
-        return True
-
-    def least(self, top: int) -> tuple[int, FlowOverTime]:
-        """The least feasible horizon <= top and the witness that closed
-        the bracket there (RuntimeError if it ends elsewhere). Bisection
-        probes below the upper end of the bracket, which is top until a
-        probe is feasible, so top is probed last, only if every horizon
-        below it is infeasible; NoHorizonFound if top is infeasible too."""
-        hi = top if self.witness is None else int(self.witness.horizon)
-        while self.lo < hi:
-            if self.feasible((self.lo + hi) // 2):
-                hi = int(self.witness.horizon)
-        lo = self.lo
-        if self.witness is None and (lo > top or not self.feasible(lo)):
+    witness = None
+    horizon, gap = lo, 1
+    while witness is None or lo < hi:
+        if witness is not None:
+            horizon = (lo + hi) // 2
+        elif lo > top:
             raise NoHorizonFound(
-                f"no feasible horizon <= {top} in mode {self.mode.value} "
-                f"(infeasible at T={top})"
+                f"no feasible horizon <= {top} in mode {mode.value} (infeasible at T={top})"
             )
-        flow = self.witness
-        if flow.horizon != lo:
-            raise RuntimeError(f"the witness at T={flow.horizon} does not close the bracket at {lo}")
-        return lo, flow
+        elif not gallop:
+            horizon = (lo + top) // 2
+        expansion, verdict = probe_horizon(instance, horizon, mode)
+        if observer is not None:
+            observer(expansion, verdict)
+        if not verdict.feasible:
+            lo = horizon + 1
+            horizon, gap = min(horizon + gap, top), 2 * gap
+            continue
+        witness, hi = verdict.flow, int(verdict.flow.horizon)
+        if hi < lo or hi > horizon:
+            raise RuntimeError(
+                f"the witness at T={horizon} arrives by {hi}, outside the"
+                f" bracket [{lo}, {horizon}] left by the verdicts so far"
+            )
+    return lo, witness
 
 
 def min_feasible_horizon(
@@ -597,36 +589,21 @@ def min_feasible_horizon(
     observer: Observer | None = None,
 ) -> tuple[int, FlowOverTime]:
     """Smallest integer horizon T <= t_max whose expansion is feasible,
-    and the certified flow over time that meets it.
+    and the witness that settles it, a flow over time ending at T.
 
-    Raises NoHorizonFound when even t_max is infeasible, and ValueError
-    for invalid instances. The search never misses a smaller feasible
-    horizon: it starts at a proven lower bound L, the largest transit of
-    fewest_transit_route, the route that seeds each probe's first
-    master, plus one among commodities with positive demand (only arcs
-    of positive capacity carry flow, and movement copies arrive by
-    T - 1, so delivering anything needs a horizon beyond its route
-    transit). It probes L, L + 1, L + 3, L + 7, ... (capped at
-    t_max) until one is feasible, then bisects strictly inside the
-    bracket that monotonicity of feasibility in T proves (see _Search):
-    above the last infeasible probe and below the least horizon of a
-    feasible probe's witness, which ends at its last arrival and may lie
-    below the probed horizon. No horizon is probed twice. The optional
-    observer receives every (horizon, expansion, result) probed; the
-    returned minimum is the least horizon among the feasible results'
-    witnesses, and it need not have been probed itself.
+    Raises ValueError for invalid instances. The search starts at a
+    proven lower bound L, the largest transit of fewest_transit_route,
+    the route that seeds each probe's first master, plus one, among
+    commodities with positive demand, and gallops up L, L + 1, L + 3,
+    L + 7, ... (capped at t_max) until a probe is feasible, then bisects
+    the bracket (_least_horizon). The minimum need not have been probed
+    itself; the observer receives every probe's (expansion, verdict).
 
-    A commodity with positive demand for which fewest_transit_route
-    finds no route makes every horizon infeasible, and L > t_max every
-    horizon up to t_max; the search raises NoHorizonFound, naming the
-    commodity or L, before any probe. The route test is exact: any such path carries the demand
-    without waiting, in both modes, once the horizon is long enough.
-
-    Every probe certifies its own verdict (probe_horizon): a feasible
-    one by check_flow on its witness, an infeasible one by check_cut on
-    its lengths. The witness that closed the bracket must have the
-    minimum as its horizon, or RuntimeError is raised. The search
-    returns the pair (minimum, flow), where flow is that witness.
+    NoHorizonFound is raised when even t_max is infeasible, and before
+    any probe when a commodity with positive demand has no such route
+    (every horizon is then infeasible; the route test is exact, since
+    any such path carries the demand without waiting once the horizon
+    is long enough) or when L > t_max.
     """
     report = validate_instance(instance)
     if not report.ok:
@@ -651,11 +628,7 @@ def min_feasible_horizon(
             f"no feasible horizon <= {t_max} in mode {mode.value}: the transit"
             f" bound proves every horizon below {lower} infeasible"
         )
-    search = _Search(instance, mode, observer, lower)
-    top, gap = lower, 1
-    while not search.feasible(top) and top < t_max:
-        top, gap = min(top + gap, t_max), 2 * gap
-    return search.least(top)
+    return _least_horizon(instance, mode, lower, t_max, observer, gallop=True)
 
 
 @dataclass(frozen=True)
@@ -678,23 +651,30 @@ def speedup_ratio(
 ) -> SpeedupReport:
     """Minimum horizons with and without storage, and their ratio.
 
-    The no-storage search bisects [W, min(t_max, 2W)], where W is the
-    with-storage minimum; a feasible probe's witness lowers the top to
-    its own horizon, its last arrival, and the top is probed last, only
-    if every horizon below it is infeasible. W is a proven lower end:
-    every no-storage schedule is also one with storage, and W - 1 was
-    ruled out by a cut that check_cut accepted or by the transit bound.
+    The no-storage search is the same bracket loop as
+    min_feasible_horizon's (_least_horizon), started at W, the
+    with-storage minimum, with top min(t_max, 2W): until a probe is
+    feasible it bisects toward the top, which is probed last, only if
+    every horizon below it is infeasible. W is a proven lower end: every
+    no-storage schedule is also one with storage, and W - 1 was ruled
+    out by a cut that check_cut accepted or by the transit bound.
     Storage speeds things up by at most a factor of two; a violation of
     that bound would surface loudly as NoHorizonFound, never as a
-    silently wrong minimum. Every feasible probe's witness passes
-    check_flow; ValueError for an invalid instance.
+    silently wrong minimum. The observer receives every probe's
+    (expansion, verdict) of both searches; ValueError for an invalid
+    instance.
     """
     with_storage, _ = min_feasible_horizon(
         instance, StorageMode.WITH_STORAGE, t_max, observer=observer
     )
-    without_storage, _ = _Search(
-        instance, StorageMode.NO_INTERMEDIATE_STORAGE, observer, with_storage
-    ).least(min(t_max, 2 * with_storage))
+    without_storage, _ = _least_horizon(
+        instance,
+        StorageMode.NO_INTERMEDIATE_STORAGE,
+        with_storage,
+        min(t_max, 2 * with_storage),
+        observer,
+        gallop=False,
+    )
     return SpeedupReport(with_storage, without_storage)
 
 

@@ -38,7 +38,7 @@ KS = range(3, 9)
 _PROBE_LOG = []
 
 
-def _log(horizon, expansion, result):
+def _log(expansion, result):
     _PROBE_LOG.append((expansion, result))
 
 

@@ -4,6 +4,7 @@ paths, and the horizon searches."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import qmcflow
 from qmcflow import checker, cli, core, solver
-from qmcflow.checker import check_flow
+from qmcflow.checker import check_cut, check_flow
 from qmcflow.core import (
     Arc,
     Commodity,
@@ -30,6 +31,7 @@ from qmcflow.core import (
     serialize_instance,
 )
 from qmcflow.expansion import (
+    ExpandedNetwork,
     build_time_expanded,
     cheapest_path,
     route_departures,
@@ -42,9 +44,9 @@ from qmcflow.instances import (
     wave_schedule_no_storage,
 )
 from qmcflow.solver import (
-    LPResult,
     NoHorizonFound,
     SpeedupReport,
+    Verdict,
     gap_csv,
     gap_sweep,
     min_feasible_horizon,
@@ -78,6 +80,11 @@ F = Fraction
 
 def row(coeffs: dict[int, int | str], relation: str, rhs: int | str) -> Constraint:
     return Constraint({j: F(v) for j, v in coeffs.items()}, relation, F(rhs))
+
+
+def horizons_into(probes: list[int]):
+    """An observer that appends each probe's horizon to probes."""
+    return lambda expansion, _: probes.append(expansion.horizon)
 
 
 def single_arc_instance() -> Instance:
@@ -458,9 +465,7 @@ class TestHorizonSearch:
         # t_max = 2 is infeasible without a probe.
         probes: list[int] = []
         with pytest.raises(NoHorizonFound, match="every horizon below 4 infeasible"):
-            min_feasible_horizon(
-                cycle_instance(4), WITH, 2, observer=lambda t, *rest: probes.append(t)
-            )
+            min_feasible_horizon(cycle_instance(4), WITH, 2, observer=horizons_into(probes))
         assert probes == []
 
     def test_invalid_instance_rejected(self):
@@ -486,9 +491,7 @@ class TestHorizonSearch:
             (Commodity("v0", "v1", F(1)), Commodity("v1", "v2", F(0))),
         )
         probes: list[int] = []
-        minimum, _ = min_feasible_horizon(
-            instance, WITH, 4, observer=lambda t, *rest: probes.append(t)
-        )
+        minimum, _ = min_feasible_horizon(instance, WITH, 4, observer=horizons_into(probes))
         assert minimum == 2
         # The empty commodity's transit of 5 must not inflate the start
         # of the search past the only demand that matters: its transit
@@ -507,7 +510,7 @@ class TestHorizonSearch:
             arrivals: list[Fraction] = []
             infeasible: list[int] = []
 
-            def observer(t, expansion, result):
+            def observer(expansion, result):
                 if result.feasible:
                     arrivals.append(
                         max(
@@ -516,7 +519,7 @@ class TestHorizonSearch:
                         )
                     )
                 else:
-                    infeasible.append(t)
+                    infeasible.append(expansion.horizon)
 
             minimum, _ = min_feasible_horizon(instance, mode, 20, observer=observer)
             assert minimum == expected == min(arrivals), mode
@@ -529,7 +532,7 @@ class TestHorizonSearch:
                 instance,
                 mode,
                 t_max,
-                observer=lambda t, expansion, result: probes.append((t, result.feasible)),
+                observer=lambda expansion, v: probes.append((expansion.horizon, v.feasible)),
             )
             # The returned flow is the certified witness of the minimum.
             assert flow.horizon == minimum
@@ -637,7 +640,7 @@ class TestHorizonSearch:
         spy("check_flow")
         spy("check_cut")
         verdicts: list[bool] = []
-        gap_sweep(3, 8, observer=lambda t, expansion, result: verdicts.append(result.feasible))
+        gap_sweep(3, 8, observer=lambda _, verdict: verdicts.append(verdict.feasible))
         assert {caller for _, caller in calls} == {"probe_horizon"}
         assert [name for name, _ in calls].count("check_flow") == verdicts.count(True) == 12
         assert [name for name, _ in calls].count("check_cut") == verdicts.count(False) == 14
@@ -736,9 +739,7 @@ class TestHorizonSearch:
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
             with pytest.raises(NoHorizonFound, match="commodity 1 has no path"):
-                min_feasible_horizon(
-                    instance, mode, 4000, observer=lambda t, *rest: probes.append(t)
-                )
+                min_feasible_horizon(instance, mode, 4000, observer=horizons_into(probes))
             assert probes == []
 
     def test_probe_of_a_commodity_with_no_open_route(self, monkeypatch):
@@ -771,9 +772,7 @@ class TestHorizonSearch:
         instance = closed_path_instance(0)
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
-            minimum, _ = min_feasible_horizon(
-                instance, mode, 10, observer=lambda t, *rest: probes.append(t)
-            )
+            minimum, _ = min_feasible_horizon(instance, mode, 10, observer=horizons_into(probes))
             assert minimum == 2
             assert probes[-1] == 2
 
@@ -788,9 +787,7 @@ class TestHorizonSearch:
         instance = Instance(network, (Commodity("s", "t", F(1)),))
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
-            minimum, _ = min_feasible_horizon(
-                instance, mode, 10, observer=lambda t, *rest: probes.append(t)
-            )
+            minimum, _ = min_feasible_horizon(instance, mode, 10, observer=horizons_into(probes))
             assert (minimum, probes) == (4, [4]), mode
 
     @settings(max_examples=100, deadline=None)
@@ -830,8 +827,8 @@ class TestHorizonSearch:
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
 
-            def observer(horizon, *rest):
-                probes.append(horizon)
+            def observer(expansion, _):
+                probes.append(expansion.horizon)
                 raise FirstProbe
 
             if None in transits:
@@ -867,7 +864,7 @@ class TestHorizonSearch:
             pending[0] += 1
             return pivot(*args)
 
-        def record(horizon, expansion, result):
+        def record(expansion, _):
             key = (len(expansion.instance.network.nodes), expansion.mode)
             pivots[key] = pivots.get(key, 0) + pending[0]
             pending[0] = 0
@@ -936,7 +933,7 @@ class TestHorizonSearch:
         for k in range(3, 9):
             probes: list[int] = []
             minimum, _ = min_feasible_horizon(
-                cycle_instance(k), WITH, 4 * k, observer=lambda t, *rest: probes.append(t)
+                cycle_instance(k), WITH, 4 * k, observer=horizons_into(probes)
             )
             assert (minimum, probes) == (k + 1, [k, k + 1]), k
 
@@ -979,9 +976,9 @@ class TestHorizonSearch:
     def test_sweep_probe_order(self):
         probes: dict[tuple[int, StorageMode], list[int]] = {}
 
-        def record(horizon, expansion, result):
+        def record(expansion, _):
             key = (len(expansion.instance.network.nodes), expansion.mode)
-            probes.setdefault(key, []).append(horizon)
+            probes.setdefault(key, []).append(expansion.horizon)
 
         gap_sweep(3, 5, observer=record)
         # With storage the search gallops up from the transit bound k
@@ -1069,15 +1066,16 @@ class TestHorizonSearch:
         # witness recast to horizon 15.
         probes: list[int] = []
 
-        def record(horizon, expansion, result):
+        def record(expansion, _):
             if expansion.mode is WITHOUT:
-                probes.append(horizon)
+                probes.append(expansion.horizon)
 
         assert gap_sweep(8, 8, observer=record) == {8: SpeedupReport(9, 15)}
         assert probes == [13, 16, 14]
 
     def test_witness_below_a_proven_infeasible_horizon_raises(self, monkeypatch):
-        # The patched probe calls every horizon up to 6 infeasible, and
+        # The patched probe calls every horizon up to 6 infeasible, with an
+        # empty cut no checker saw, and
         # above it returns the real witness of T=5, which flow_from_paths
         # ends at its last arrival, 5. The search has already proved 5
         # infeasible, so it must fail loudly.
@@ -1090,16 +1088,93 @@ class TestHorizonSearch:
         def faulty(instance, horizon, mode):
             expansion, result = probe(instance, horizon, mode)
             if horizon <= 6:
-                return expansion, LPResult(False)
-            return expansion, LPResult(True, real)
+                return expansion, Verdict(cut={})
+            return expansion, Verdict(real)
 
         monkeypatch.setattr(solver, "probe_horizon", faulty)
         probes: list[int] = []
         with pytest.raises(RuntimeError, match="arrives by 5"):
-            min_feasible_horizon(
-                instance, WITHOUT, 20, observer=lambda t, *rest: probes.append(t)
-            )
+            min_feasible_horizon(instance, WITHOUT, 20, observer=horizons_into(probes))
         assert probes == [3, 4, 6, 10]
+
+
+class TestVerdict:
+    """A verdict carries exactly one certificate, the one its probe checked."""
+
+    def test_exactly_one_certificate(self):
+        flow = probe_horizon(single_arc_instance(), 2, WITH)[1].flow
+        assert Verdict(flow).feasible and not Verdict(cut={}).feasible
+        for fields in ({}, {"flow": flow, "cut": {}}, {"flow": flow, "cut": {("a0", 0): 1}}):
+            with pytest.raises(ValueError, match="exactly one certificate"):
+                Verdict(**fields)
+
+    def test_exactly_one_certificate_even_under_python_O(self):
+        # The check is explicit code, which python -O keeps.
+        script = (
+            "import sys\n"
+            "from qmcflow.core import FlowOverTime\n"
+            "from qmcflow.solver import Verdict\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "flow = FlowOverTime(1, {})\n"
+            "for fields in ({}, {'flow': flow, 'cut': {}}):\n"
+            "    try:\n"
+            "        Verdict(**fields)\n"
+            "    except ValueError as error:\n"
+            "        print('raised', error)\n"
+            "    else:\n"
+            "        print('returned')\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        raised = "raised a verdict carries exactly one certificate: a flow or a cut"
+        assert completed.stdout.split("\n")[:3] == ["optimize 1", raised, raised]
+
+    def test_every_cut_is_a_certificate_on_its_own(self):
+        # Each infeasible verdict of the k=3..8 reports and of both modes'
+        # searches on 60 instances at the random-solve bounds: its cut
+        # passes check_cut at the probed horizon and, since a sound cut
+        # proves only infeasible horizons, fails at the search's minimum.
+        seen: list[tuple[ExpandedNetwork, Verdict, int]] = []
+        probes: list[tuple[ExpandedNetwork, Verdict]] = []
+
+        def record(expansion, verdict):
+            probes.append((expansion, verdict))
+
+        for k in range(3, 9):
+            report = speedup_ratio(cycle_instance(k), 4 * k, observer=record)
+            minima = {WITH: report.with_storage, WITHOUT: report.without_storage}
+            seen += [(e, v, minima[e.mode]) for e, v in probes if not v.feasible]
+            probes.clear()
+        for seed in range(1, 61):
+            for mode in (WITH, WITHOUT):
+                instance = random_instance(seed, 6, 10, 3, 3)
+                minimum, _ = min_feasible_horizon(instance, mode, 40, observer=record)
+                seen += [(e, v, minimum) for e, v in probes if not v.feasible]
+                probes.clear()
+        assert len(seen) == 44
+        for expansion, verdict, minimum in seen:
+            instance, mode = expansion.instance, expansion.mode
+            assert check_cut(expansion.horizon, verdict.cut, instance, mode).ok
+            assert not check_cut(minimum, verdict.cut, instance, mode).ok, expansion.horizon
+
+    def test_the_benchmark_probe_hook_reads_the_verdict(self):
+        # perfbench/tracing.py reads each traced probe's verdict through
+        # _ATTRIBUTES; the file is loaded by path, as it stands.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        hook = tracing._ATTRIBUTES["solver.probe_horizon"]
+        args = (cycle_instance(3), 4, WITHOUT)
+        assert hook(args, probe_horizon(*args)) is False
+        args = (cycle_instance(3), 5, WITHOUT)
+        assert hook(args, probe_horizon(*args)) is True
 
 
 class TestValidity:
@@ -1139,7 +1214,7 @@ class TestValidity:
             assert len(computed) == 1, mode
         probes: list[int] = []
         computed.clear()
-        report = speedup_ratio(cycle_instance(8), 32, observer=lambda t, *rest: probes.append(t))
+        report = speedup_ratio(cycle_instance(8), 32, observer=horizons_into(probes))
         assert report == SpeedupReport(9, 15)
         assert len(probes) == 5 and len(computed) == 1
 
@@ -1546,9 +1621,9 @@ class PathLPCases:
         monkeypatch.setattr(solver, "check_cut", counted)
         infeasible: list[int] = []
 
-        def record(horizon, expansion, result):
+        def record(expansion, result):
             if not result.feasible:
-                infeasible.append(horizon)
+                infeasible.append(expansion.horizon)
 
         for k in (3, 4, 5):
             min_feasible_horizon(cycle_instance(k), self.mode, 4 * k, observer=record)
@@ -1730,9 +1805,9 @@ class TestSweep:
     def test_no_storage_probes_stay_in_the_bracket(self):
         probes: dict[tuple[int, StorageMode], list[int]] = {}
 
-        def record(horizon, expansion, result):
+        def record(expansion, _):
             key = (len(expansion.instance.network.nodes), expansion.mode)
-            probes.setdefault(key, []).append(horizon)
+            probes.setdefault(key, []).append(expansion.horizon)
 
         reports = gap_sweep(3, 8, observer=record)
         for k, report in reports.items():
