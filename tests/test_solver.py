@@ -766,7 +766,7 @@ class TestHorizonSearch:
                 expansion, result = probe_horizon(instance, horizon, mode)
                 assert route_departures(expansion, 0) == []
                 assert not result.feasible
-                assert cuts == [lengths], (mode, horizon)
+                assert cuts == [lengths] == [result.cut], (mode, horizon)
 
     def test_zero_demand_commodity_behind_a_closed_arc_still_searches(self):
         instance = closed_path_instance(0)
@@ -1075,10 +1075,10 @@ class TestHorizonSearch:
 
     def test_witness_below_a_proven_infeasible_horizon_raises(self, monkeypatch):
         # The patched probe calls every horizon up to 6 infeasible, with an
-        # empty cut no checker saw, and
-        # above it returns the real witness of T=5, which flow_from_paths
-        # ends at its last arrival, 5. The search has already proved 5
-        # infeasible, so it must fail loudly.
+        # empty cut that no checker saw, and above it returns the real
+        # witness of T=5, which flow_from_paths ends at its last arrival,
+        # 5. The search has already proved 5 infeasible, so it must fail
+        # loudly.
         instance = cycle_instance(3)
         real = probe_horizon(instance, 5, WITHOUT)[1].flow
         assert real.horizon == 5
