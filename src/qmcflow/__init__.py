@@ -6,107 +6,25 @@ a checker of flows and cuts, which prove horizons feasible and
 infeasible, a time-expanded LP feasibility solver over exact rational
 arithmetic, instance generators including a cycle family whose
 storage speed-up approaches 2, and a CLI tying everything together.
+
+Each module's __all__ is its public API. The package re-exports those
+of checker, core, instances and solver as they stand, and of
+expansion's only ExpandedNetwork and build_time_expanded: its other
+names serve the solver.
 """
 
 from __future__ import annotations
 
-from .checker import (
-    CAPACITY,
-    CONSERVATION,
-    CUT,
-    DEMAND,
-    STRICT_CONSERVATION,
-    Violation,
-    ViolationReport,
-    check_cut,
-    check_flow,
-)
-from .core import (
-    Arc,
-    Commodity,
-    Defect,
-    FlowOverTime,
-    Instance,
-    Network,
-    ParseError,
-    Piece,
-    StepFunction,
-    StorageMode,
-    ValidationReport,
-    format_rational,
-    parse_flow,
-    parse_instance,
-    rational,
-    reachable_nodes,
-    serialize_flow,
-    serialize_instance,
-    step_function,
-    validate_instance,
-)
+from . import checker, core, instances, solver
+from .checker import *  # noqa: F403
+from .core import *  # noqa: F403
 from .expansion import ExpandedNetwork, build_time_expanded
-from .instances import (
-    CycleParams,
-    cycle_instance,
-    random_instance,
-    wait_schedule_with_storage,
-    wave_schedule_no_storage,
-)
-from .solver import (
-    NoHorizonFound,
-    SpeedupReport,
-    Verdict,
-    gap_csv,
-    gap_sweep,
-    min_feasible_horizon,
-    probe_horizon,
-    speedup_ratio,
-)
+from .instances import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "CAPACITY",
-    "CONSERVATION",
-    "CUT",
-    "Commodity",
-    "CycleParams",
-    "DEMAND",
-    "Defect",
-    "ExpandedNetwork",
-    "FlowOverTime",
-    "Instance",
-    "Network",
-    "NoHorizonFound",
-    "ParseError",
-    "Piece",
-    "STRICT_CONSERVATION",
-    "SpeedupReport",
-    "StepFunction",
-    "StorageMode",
-    "ValidationReport",
-    "Verdict",
-    "Violation",
-    "ViolationReport",
-    "build_time_expanded",
-    "check_cut",
-    "check_flow",
-    "cycle_instance",
-    "format_rational",
-    "gap_csv",
-    "gap_sweep",
-    "min_feasible_horizon",
-    "parse_flow",
-    "parse_instance",
-    "probe_horizon",
-    "random_instance",
-    "rational",
-    "reachable_nodes",
-    "serialize_flow",
-    "serialize_instance",
-    "speedup_ratio",
-    "step_function",
-    "validate_instance",
-    "wait_schedule_with_storage",
-    "wave_schedule_no_storage",
-]
+__all__ = sorted(
+    [*checker.__all__, *core.__all__, *instances.__all__, *solver.__all__]
+    + ["ExpandedNetwork", "build_time_expanded"]
+)

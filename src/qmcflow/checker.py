@@ -53,6 +53,7 @@ from math import lcm
 from typing import Mapping
 
 from .core import Commodity, FlowOverTime, Instance, Network, StorageMode, format_rational
+from .core import _require_horizon, _require_mode
 
 __all__ = [
     "CAPACITY",
@@ -128,9 +129,11 @@ def check_flow(flow: FlowOverTime, instance: Instance, mode: StorageMode) -> Vio
 
     Capacity violations come first, then conservation and
     strict-conservation violations, then demand violations, each group
-    in arc or (commodity, node) order. A flow that references an arc or
-    commodity the instance lacks raises ValueError.
+    in arc or (commodity, node) order. A mode that is not a StorageMode,
+    and a flow that references an arc or commodity the instance lacks,
+    raise ValueError.
     """
+    _require_mode(mode)
     # Entries may share a StepFunction; flow.rates keeps each id valid.
     steps = {id(step): step for step in flow.rates.values()}
     time_denominators = {flow.horizon.denominator}
@@ -310,8 +313,11 @@ def check_cut(
     Otherwise a cut failing the inequality gives one CUT violation over
     [0, T], by how far the capacity side exceeds the demand side. A
     commodity with positive demand and no walk to (t_i, T) satisfies it
-    on its own. An arc the instance lacks raises ValueError.
+    on its own. A horizon that is not a positive integer, a mode that is
+    not a StorageMode and an arc the instance lacks raise ValueError.
     """
+    _require_horizon(horizon)
+    _require_mode(mode)
     arc_by_id = instance.network.arc_by_id
     negative = []
     for (arc_id, theta), value in sorted(lengths.items()):

@@ -169,6 +169,18 @@ class StorageMode(Enum):
     NO_INTERMEDIATE_STORAGE = "no-storage"
 
 
+def _require_horizon(horizon: int) -> None:
+    """Reject a horizon that is not a positive integer, bools included."""
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise ValueError("horizon must be a positive integer")
+
+
+def _require_mode(mode: StorageMode) -> None:
+    """Reject a mode that is not a StorageMode, such as its value string."""
+    if not isinstance(mode, StorageMode):
+        raise ValueError("mode must be a StorageMode")
+
+
 @dataclass(frozen=True)
 class Piece:
     """Constant rate on the half-open interval [start, end)."""

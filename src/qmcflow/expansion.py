@@ -54,7 +54,7 @@ from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .core import Arc, FlowOverTime, Instance, Network, Piece, StepFunction, StorageMode
-from .core import format_rational, validate_instance
+from .core import _require_horizon, _require_mode, format_rational, validate_instance
 
 __all__ = [
     "ExpandedNetwork",
@@ -141,10 +141,8 @@ def build_time_expanded(instance: Instance, horizon: int, mode: StorageMode) -> 
     validate_instance rejects. A horizon too short for any movement
     simply yields an expansion with no movement copies.
     """
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-        raise ValueError("horizon must be a positive integer")
-    if not isinstance(mode, StorageMode):
-        raise ValueError("mode must be a StorageMode")
+    _require_horizon(horizon)
+    _require_mode(mode)
     report = validate_instance(instance)
     if not report.ok:
         raise ValueError(f"invalid instance: {report}")

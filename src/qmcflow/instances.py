@@ -24,6 +24,27 @@ Two explicit schedules witness upper bounds for the default family:
 
 Neither schedule is trusted by construction. Tests certify both with the
 checker before anything else relies on them.
+
+Two closed-form cuts (qmcflow.checker.check_cut) prove the horizons just
+below those minima infeasible. A cut's budget is the sum of its lengths,
+all capacities being 1; a movement copy (a, theta) of the time expansion
+at horizon T exists only for theta <= T-2. Each commodity's route has
+k-1 arcs, and a route that goes round the ring more than once has more.
+Both arguments take the default d0 = 2:
+
+* Without storage, at T = 2k-2: length 1 on (aj, k-2) for every j, a
+  budget of k. Copies exist only for theta <= 2k-4, and a path cannot
+  wait between two of its copies, so every path departs at some
+  theta <= k-2 and its copies cover the consecutive layers
+  theta..theta+k-2, which include layer k-2. Every commodity pays 1,
+  and the demand side is d0 + k-1 = k+1 > k.
+* With storage, at T = k: length 1 on (a0, theta) for theta = 0..k-2
+  and on (a1, 0), a budget of k. A path's k-1 copies lie at distinct
+  layers, so they fill layers 0..k-2 with no slack, and commodity i
+  crosses a(i+m) at layer m. Commodity 0 pays (a0, 0), commodity 1 pays
+  (a1, 0), and commodity i >= 2 pays (a0, k-i). The demand side is
+  2 + 1 + (k-2) = k+1 > k.
+  The cut proves T = k infeasible without (a1, 0) too: k against k-1.
 """
 
 from __future__ import annotations

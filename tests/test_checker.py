@@ -260,6 +260,13 @@ class TestCheckFlow:
         with pytest.raises(ValueError, match="unknown commodity"):
             check_flow(flow, instance, WITH)
 
+    @pytest.mark.parametrize("mode", ["no-storage", "with-storage", None])
+    def test_mode_must_be_a_storage_mode(self, mode):
+        # Read as with-storage, "no-storage" would pass the wait
+        # schedule, which stores flow at v0.
+        with pytest.raises(ValueError, match="mode must be a StorageMode"):
+            check_flow(wait_schedule_with_storage(5), cycle_instance(5), mode)
+
     def test_json_lines_are_parseable(self):
         import json
 
@@ -321,6 +328,18 @@ class TestCheckCut:
     def test_unknown_arc_is_structural(self):
         with pytest.raises(ValueError, match="unknown arc"):
             check_cut(3, {("zz", 0): 1}, path_instance(), WITH)
+
+    @pytest.mark.parametrize("mode", ["no-storage", "with-storage", None])
+    def test_mode_must_be_a_storage_mode(self, mode):
+        with pytest.raises(ValueError, match="mode must be a StorageMode"):
+            check_cut(3, {}, cycle_instance(3), mode)
+
+    @pytest.mark.parametrize("horizon", [0, -4, True, Fraction(5, 2)])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        # Unchecked, the empty cut finds no walk to the sink at 0, -4
+        # and True, and so accepts them.
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            check_cut(horizon, {}, cycle_instance(3), WITH)
 
     def test_no_walk_to_the_sink_proves_infeasibility(self):
         # The path needs T >= 3; below that even the empty cut proves it.
