@@ -55,8 +55,9 @@ _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 class ParseError(ValueError):
     """An instance or flow document does not match the file format.
 
-    The message names the offending JSON path, or the line and column
-    for syntax errors.
+    The message names the offending JSON path, the line and column of a
+    syntax error, or the document for any other value json.loads
+    rejects.
     """
 
 
@@ -398,10 +399,15 @@ def reachable_nodes(network: Network, source: str) -> frozenset[str]:
 
 
 def _load_json(text: str, what: str):
+    """Decode a document; a syntax error, nesting too deep for the
+    decoder (RecursionError) or any other value json.loads rejects, such
+    as an integer past the digit limit, is a ParseError naming what."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{what}: invalid JSON: {exc}") from None
 
 
 def _require(condition: bool, path: str, message: str) -> None:

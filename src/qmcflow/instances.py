@@ -107,7 +107,7 @@ def cycle_instance(params: CycleParams | int) -> Instance:
     transit 1. Commodity i ships from vi to v(i-1 mod k); commodity 0 has
     demand d0, the rest demand 1.
     """
-    p = CycleParams(params) if isinstance(params, int) else params
+    p = params if isinstance(params, CycleParams) else CycleParams(params)
     k = p.k
     nodes = tuple(f"v{i}" for i in range(k))
     arcs = tuple(Arc(f"a{j}", f"v{j}", f"v{(j + 1) % k}", _ONE, 1) for j in range(k))
@@ -128,8 +128,7 @@ def wait_schedule_with_storage(k: int) -> FlowOverTime:
     one time unit and continue, crossing aj during [k-i+1+j, k-i+2+j),
     which keeps them just behind commodity 0's pulse.
     """
-    if k < 3:
-        raise ValueError("k must be at least 3")
+    CycleParams(k)  # raises ValueError unless k is an integer >= 3
     horizon = Fraction(k + 1)
     rates: dict[tuple[str, int], StepFunction] = {}
 
@@ -156,8 +155,7 @@ def wave_schedule_no_storage(k: int) -> FlowOverTime:
     Commodity 0's second unit departs during [k-1, k), after the ring has
     drained, and crosses aj during [k-1+j, k+j), arriving by 2k-1.
     """
-    if k < 3:
-        raise ValueError("k must be at least 3")
+    CycleParams(k)  # raises ValueError unless k is an integer >= 3
     horizon = Fraction(2 * k - 1)
     pieces: dict[tuple[str, int], list[Piece]] = {}
 

@@ -1,18 +1,17 @@
 """Shared test utilities: flow truncation, exact integration of rate
 functions, in-arcs and the transit Dijkstra search (the reference for
 the package's fewest_transit_route), flow-to-LP transcription, the
-unreduced node-arc LP with its time window (window_columns) and the
-lift of window assignments onto it, the label-correcting reference
-distance that the solver's backward pass over the time grid is checked
-against, the cold path master, the cycles that separate the two storage
-modes, the reference simplex for general LPs, Fourier-Motzkin
-elimination as a reference for it, the per-breakpoint reference flow
-checker, the json.dumps(doc, indent=2) document writers that the
-package's direct writers must match byte for byte, and instances with
-exactly one defect.
+unreduced node-arc LP, the label-correcting reference distance that the
+solver's backward pass over the time grid is checked against, the cold
+path master, the cycles that separate the two storage modes, the
+reference simplex for general LPs, Fourier-Motzkin elimination as a
+reference for it, the per-breakpoint reference flow checker, the
+json.dumps(doc, indent=2) document writers that the package's direct
+writers must match byte for byte, and instances with exactly one
+defect.
 
-The package lists no node-arc variable: the (copy, commodity) columns,
-their time window and their endpoints live here, as test references.
+The package lists no node-arc variable: the (copy, commodity) columns
+and their endpoints live here, as test references.
 
 The reference simplex (lp_feasible) decides the node-arc and cold master
 LPs that the package's warm path masters are checked against, so it
@@ -440,51 +439,46 @@ def in_arcs(network: Network) -> dict[str, tuple[Arc, ...]]:
     return {node: tuple(arcs) for node, arcs in table.items()}
 
 
-def transit_distances(network: Network, origin: str, *, reverse: bool = False) -> dict[str, int]:
+def transit_distances(network: Network, origin: str) -> dict[str, int]:
     """Smallest total transit time from origin to every reachable node,
     over every arc whatever its capacity.
 
-    With reverse=True, arcs are followed backwards, so the result gives
-    each node's smallest transit time to origin. Unreachable nodes are
-    absent; origin maps to 0. Transit times are nonnegative integers, so
-    this is a plain Dijkstra search. An unknown origin raises ValueError.
-    The reference for the package's fewest_transit_route, and the
-    distances of window_columns.
+    Unreachable nodes are absent; origin maps to 0. Transit times are
+    nonnegative integers, so this is a plain Dijkstra search. An unknown
+    origin raises ValueError. The reference for the package's
+    fewest_transit_route.
     """
     if origin not in network.node_set:
         raise ValueError(f"unknown node: {origin!r}")
-    arcs_at = in_arcs(network) if reverse else network.out_arcs
     best: dict[str, int] = {origin: 0}
     heap: list[tuple[int, str]] = [(0, origin)]
     while heap:
         dist, node = heappop(heap)
         if dist > best[node]:
             continue
-        for arc in arcs_at.get(node, ()):
-            other = arc.tail if reverse else arc.head
+        for arc in network.out_arcs.get(node, ()):
             candidate = dist + arc.transit
-            if candidate < best.get(other, candidate + 1):
-                best[other] = candidate
-                heappush(heap, (candidate, other))
+            if candidate < best.get(arc.head, candidate + 1):
+                best[arc.head] = candidate
+                heappush(heap, (candidate, arc.head))
     return best
 
 
 def assignment_from_flow(expansion: ExpandedNetwork, flow: FlowOverTime) -> list[Fraction]:
-    """Transcribe a unit-interval-constant flow into values of the time
-    window's variables, in the order of window_columns.
+    """Transcribe a unit-interval-constant flow into values of
+    unreduced_lp's columns, in the order of unreduced_columns.
 
     Movement variables take the amount entering the arc during
     [theta, theta+1). Holdover variables take the amount of the
     commodity parked at the node during that interval, where supply not
-    yet injected counts as parked at the source. lift_assignment carries
-    the list onto unreduced_lp, every row of which a feasible schedule
-    satisfies.
+    yet injected counts as parked at the source. A feasible schedule
+    satisfies every row of unreduced_lp.
     """
     instance = expansion.instance
     network = instance.network
     into = in_arcs(network)
     values: list[Fraction] = []
-    for kind, name, theta, commodity in window_columns(expansion):
+    for kind, name, theta, commodity in unreduced_columns(expansion):
         if kind == "move":
             step = flow.rates.get((name, commodity))
             values.append(
@@ -523,37 +517,6 @@ def unreduced_columns(expansion: ExpandedNetwork) -> list[tuple]:
     ]
 
 
-def window_columns(expansion: ExpandedNetwork) -> list[tuple]:
-    """The unreduced_columns that some path of their commodity can use in
-    time, in the same order: the time window.
-
-    A column of commodity i from (u, theta) to (v, theta') is kept when u
-    is reachable from s_i by theta and t_i from v by T, starting at
-    theta' (dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T, with
-    dist the smallest transit time). Dropping the cycles of a feasible
-    static flow keeps it feasible, and what is left uses only such
-    columns, so the window's node-arc LP has the verdict of unreduced_lp.
-    """
-    network = expansion.instance.network
-    windows = [
-        (transit_distances(network, c.source), transit_distances(network, c.sink, reverse=True))
-        for c in expansion.instance.commodities
-    ]
-    unreachable = expansion.horizon + 1
-    columns = unreduced_columns(expansion)
-    kept = []
-    for column, (i, (tail, theta), (head, arrival), _) in zip(
-        columns, column_endpoints(expansion, columns)
-    ):
-        from_source, to_sink = windows[i]
-        if (
-            from_source.get(tail, unreachable) <= theta
-            and arrival + to_sink.get(head, unreachable) <= expansion.horizon
-        ):
-            kept.append(column)
-    return kept
-
-
 def column_endpoints(expansion: ExpandedNetwork, columns: Sequence[tuple]) -> Iterator[tuple]:
     """(commodity, tail copy, head copy, movement copy) of each column key
     in unreduced_columns' format; the movement copy (arc id, theta) is
@@ -568,18 +531,15 @@ def column_endpoints(expansion: ExpandedNetwork, columns: Sequence[tuple]) -> It
 
 
 def reference_distance(
-    expansion: ExpandedNetwork,
-    columns: Sequence[tuple],
-    lengths: Mapping[tuple[str, int], int],
-    commodity: int,
+    expansion: ExpandedNetwork, lengths: Mapping[tuple[str, int], int], commodity: int
 ) -> int | None:
-    """Least length from (s_i, 0) to (t_i, T) over commodity i's columns,
-    a movement column of length lengths.get(copy, 0) and a holdover of
-    length 0; None if (t_i, T) is unreachable. Computed by FIFO label
-    correcting over a graph built from the columns, as the reference for
-    the solver's backward pass over the time grid."""
+    """Least length from (s_i, 0) to (t_i, T) over commodity i's columns
+    of unreduced_lp, a movement column of length lengths.get(copy, 0) and
+    a holdover of length 0; None if (t_i, T) is unreachable. Computed by
+    FIFO label correcting over a graph built from the columns, as the
+    reference for the solver's backward pass over the time grid."""
     graph: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {}
-    for i, tail, head, copy in column_endpoints(expansion, columns):
+    for i, tail, head, copy in column_endpoints(expansion, unreduced_columns(expansion)):
         if i == commodity:
             length = 0 if copy is None else lengths.get(copy, 0)
             graph.setdefault(tail, []).append((head, length))
@@ -603,8 +563,7 @@ def reference_distance(
 
 
 def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
-    """The time-expanded node-arc LP with no time window and no row
-    dropped.
+    """The time-expanded node-arc LP, with no column or row dropped.
 
     Its variables are all (copy, commodity) pairs the storage mode
     allows, in the order of unreduced_columns. Its rows are one capacity
@@ -640,26 +599,15 @@ def unreduced_lp(expansion: ExpandedNetwork) -> LinearProgram:
     return LinearProgram(len(columns), tuple(rows))
 
 
-def lift_assignment(expansion: ExpandedNetwork, assignment) -> list[Fraction]:
-    """unreduced_lp's column values of an assignment of the time window's
-    variables in the order of window_columns; the columns outside the
-    window take 0."""
-    keys = window_columns(expansion)
-    if len(keys) != len(assignment):
-        raise ValueError(f"expected {len(keys)} values, got {len(assignment)}")
-    values = dict(zip(keys, assignment))
-    return [values.get(key, ZERO) for key in unreduced_columns(expansion)]
-
-
 def satisfies_unreduced_lp(expansion: ExpandedNetwork, assignment) -> bool:
-    """Whether an assignment of the expansion's variables, lifted onto
-    unreduced_lp, satisfies every row of it."""
-    return unreduced_lp(expansion).check_assignment(lift_assignment(expansion, assignment))
+    """Whether an assignment of unreduced_lp's columns, in the order of
+    unreduced_columns, satisfies every row of it."""
+    return unreduced_lp(expansion).check_assignment(assignment)
 
 
 def flow_satisfies_unreduced_lp(expansion: ExpandedNetwork, flow: FlowOverTime) -> bool:
-    """Whether a flow over time, transcribed by assignment_from_flow and
-    lifted onto unreduced_lp, satisfies every row of it."""
+    """Whether a flow over time, transcribed by assignment_from_flow,
+    satisfies every row of unreduced_lp."""
     return satisfies_unreduced_lp(expansion, assignment_from_flow(expansion, flow))
 
 

@@ -254,6 +254,15 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("what", ["instance", "flow"])
+    def test_deeply_nested_json_is_exit_two(self, capsys, cycle4, tmp_path, what):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        argv = ["solve", "--max-T", "10", str(deep)] if what == "instance" else ["check", cycle4, str(deep)]
+        code, out, err = run(capsys, *argv, "--mode", "no-storage")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {what}: invalid JSON: ")
+
 
 class TestCheck:
     def test_feasible_flow(self, capsys, cycle4, tmp_path):

@@ -207,8 +207,8 @@ class TestPaths:
             reachable_nodes(two_node_instance().network, "nope")
 
     # The transit tests below check the test reference's Dijkstra search
-    # (helpers.transit_distances), which window_columns and the
-    # horizon-bound test of the package's fewest_transit_route rely on.
+    # (helpers.transit_distances), which the horizon-bound test of the
+    # package's fewest_transit_route relies on.
 
     def test_cycle_transit(self):
         network = cycle_instance(4).network
@@ -234,15 +234,6 @@ class TestPaths:
         network = cycle_instance(4).network
         assert transit_distances(network, "v1") == {"v1": 0, "v2": 1, "v3": 2, "v0": 3}
 
-    def test_reverse_distances_lead_to_the_origin(self):
-        network = cycle_instance(4).network
-        assert transit_distances(network, "v1", reverse=True) == {
-            "v1": 0,
-            "v0": 1,
-            "v3": 2,
-            "v2": 3,
-        }
-
     def test_unreachable_nodes_are_absent(self):
         network = Network(
             ("s", "m", "t", "x"),
@@ -253,31 +244,15 @@ class TestPaths:
             ),
         )
         assert transit_distances(network, "s") == {"s": 0, "m": 2, "t": 2}
-        assert transit_distances(network, "t", reverse=True) == {"t": 0, "m": 0, "s": 2, "x": 1}
-        assert transit_distances(network, "x", reverse=True) == {"x": 0}
-        assert transit_distances(network, "s", reverse=True) == {"s": 0}
+        assert transit_distances(network, "x") == {"x": 0, "m": 1, "t": 1}
+        assert transit_distances(network, "t") == {"t": 0}
 
-    def test_reverse_takes_the_cheaper_parallel_arc(self):
+    def test_takes_the_cheaper_parallel_arc(self):
         network = Network(
             ("u", "v"),
             (Arc("slow", "u", "v", Fraction(1), 5), Arc("fast", "u", "v", Fraction(1), 2)),
         )
-        assert transit_distances(network, "v", reverse=True) == {"v": 0, "u": 2}
-
-    def test_distances_unknown_origin(self):
-        with pytest.raises(ValueError, match="unknown node"):
-            transit_distances(two_node_instance().network, "nope", reverse=True)
-
-    @given(st.integers(min_value=3, max_value=10), st.data())
-    def test_reverse_distances_match_shortest_transit(self, k: int, data):
-        network = random_instance(data.draw(st.integers(0, 10**6)), k, 2 * k, 1, 3).network
-        origin = data.draw(st.sampled_from(network.nodes))
-        expected = {
-            node: transit_distances(network, node)[origin]
-            for node in network.nodes
-            if origin in transit_distances(network, node)
-        }
-        assert transit_distances(network, origin, reverse=True) == expected
+        assert transit_distances(network, "u") == {"u": 0, "v": 2}
 
     @given(st.integers(min_value=3, max_value=10), st.data())
     def test_triangle_inequality_on_cycles(self, k: int, data):
@@ -757,6 +732,16 @@ class TestFlowFormat:
                 )
             },
         )
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "9" * 5000], ids=["deep", "long-int"])
+@pytest.mark.parametrize("parse", [parse_instance, parse_flow], ids=["instance", "flow"])
+def test_json_the_decoder_rejects_is_a_parse_error(parse, text: str):
+    # Nesting past the decoder's recursion limit, and an integer past the
+    # interpreter's digit limit.
+    what = parse.__name__.removeprefix("parse_")
+    with pytest.raises(ParseError, match=f"^{what}: invalid JSON: "):
+        parse(text)
 
 
 class TestDocumentLayout:

@@ -4,7 +4,6 @@ solutions back."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from hypothesis import given
@@ -13,14 +12,13 @@ from hypothesis import strategies as st
 from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode
 from qmcflow.checker import STRICT_CONSERVATION, check_flow
 from qmcflow.expansion import build_time_expanded, cheapest_path, flow_from_paths, route_departures
-from qmcflow.instances import cycle_instance, random_instance
+from qmcflow.instances import cycle_instance
 
 from helpers import (
     assignment_from_flow,
     column_endpoints,
     flow_satisfies_unreduced_lp,
-    transit_distances,
-    window_columns,
+    unreduced_columns,
 )
 
 WITH = StorageMode.WITH_STORAGE
@@ -100,9 +98,9 @@ class TestBuild:
         assert len(expansion.holdover_arcs) == k * horizon
 
     def test_movement_variable_order_is_lexicographic(self):
-        # The test reference's window: movement columns, then holdover
-        # columns, each sorted by (copy, commodity).
-        columns = window_columns(build_time_expanded(cycle_instance(3), 4, WITH))
+        # The test reference's node-arc columns: movement columns, then
+        # holdover columns, each sorted by (copy, commodity).
+        columns = unreduced_columns(build_time_expanded(cycle_instance(3), 4, WITH))
         movement = [key for key in columns if key[0] == "move"]
         holdover = [key for key in columns if key[0] == "hold"]
         assert columns == movement + holdover
@@ -110,60 +108,15 @@ class TestBuild:
         assert holdover == sorted(holdover)
 
     def test_column_endpoints_follow_the_variable_order(self):
-        # T=3, transit 2: the supply can wait at v0 only until the last
-        # departure at 0, and the demand can wait at v1 only from its
-        # arrival at 2, so the time window keeps one holdover at each.
+        # T=3, transit 2: one movement copy, and the holdovers at v0 and
+        # v1, both the commodity's endpoints, at every step.
         expansion = build_time_expanded(single_arc_instance(2), 3, WITHOUT)
-        columns = window_columns(expansion)
-        assert columns == [("move", "a0", 0, 0), ("hold", "v0", 0, 0), ("hold", "v1", 2, 0)]
+        columns = unreduced_columns(expansion)
+        holdovers = [(node, theta) for node in ("v0", "v1") for theta in range(3)]
+        assert columns == [("move", "a0", 0, 0)] + [("hold", *copy, 0) for copy in holdovers]
         assert list(column_endpoints(expansion, columns)) == [
-            (0, ("v0", 0), ("v1", 2), ("a0", 0)),
-            (0, ("v0", 0), ("v0", 1), None),
-            (0, ("v1", 2), ("v1", 3), None),
-        ]
-
-    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=8))
-    def test_variables_are_the_mask_allowed_pairs_in_time(self, seed: int, horizon: int):
-        # A pair (copy from (u, theta) to (v, theta'), commodity i) is in
-        # the test reference's window exactly when the mask allows it,
-        # dist(s_i, u) <= theta and theta' + dist(v, t_i) <= T.
-        instance = random_instance(seed, 5, 8, 3, 3)
-        network = instance.network
-        commodities = range(len(instance.commodities))
-
-        @cache
-        def dist(origin: str, target: str) -> int:
-            transit = transit_distances(network, origin).get(target)
-            return horizon + 1 if transit is None else transit
-
-        def may_hold(i: int, node: str) -> bool:
-            goods = instance.commodities[i]
-            return mode is WITH or node in (goods.source, goods.sink)
-
-        def in_time(i: int, tail: str, theta: int, head: str, arrival: int) -> bool:
-            commodity = instance.commodities[i]
-            return (
-                dist(commodity.source, tail) <= theta
-                and arrival + dist(head, commodity.sink) <= horizon
-            )
-
-        for mode in (WITH, WITHOUT):
-            expansion = build_time_expanded(instance, horizon, mode)
-            movement = []
-            for arc_id, theta in expansion.movement_copies:
-                arc = network.arc_by_id[arc_id]
-                movement += [
-                    ("move", arc_id, theta, i)
-                    for i in commodities
-                    if in_time(i, arc.tail, theta, arc.head, theta + arc.transit)
-                ]
-            holdover = [
-                ("hold", node, theta, i)
-                for node, theta in expansion.holdover_arcs
-                for i in commodities
-                if may_hold(i, node) and in_time(i, node, theta, node, theta + 1)
-            ]
-            assert window_columns(expansion) == movement + holdover
+            (0, ("v0", 0), ("v1", 2), ("a0", 0))
+        ] + [(0, (node, theta), (node, theta + 1), None) for node, theta in holdovers]
 
     def test_describe_mentions_the_shape(self):
         expansion = build_time_expanded(cycle_instance(3), 4, WITHOUT)
@@ -223,7 +176,7 @@ def held(expansion, flow) -> dict:
     assignment_from_flow reads off the flow, by variable."""
     return {
         key[1:]: value
-        for key, value in zip(window_columns(expansion), assignment_from_flow(expansion, flow))
+        for key, value in zip(unreduced_columns(expansion), assignment_from_flow(expansion, flow))
         if value
     }
 

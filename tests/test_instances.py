@@ -129,6 +129,13 @@ class TestWaveSchedule:
             wave_schedule_no_storage(2)
 
 
+@pytest.mark.parametrize("k", [2, 3.0, True, "4"])
+@pytest.mark.parametrize("build", [cycle_instance, wait_schedule_with_storage, wave_schedule_no_storage])
+def test_cycle_family_k_must_be_an_integer_of_at_least_three(build, k):
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 3$"):
+        build(k)
+
+
 class TestRandomInstance:
     def test_deterministic(self):
         assert random_instance(1, 5, 8, 3, 3) == random_instance(1, 5, 8, 3, 3)

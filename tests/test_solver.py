@@ -70,7 +70,6 @@ from helpers import (
     transit_distances,
     unreduced_columns,
     unreduced_lp,
-    window_columns,
 )
 
 WITH = StorageMode.WITH_STORAGE
@@ -311,18 +310,15 @@ def master_built_by_add(
 
 
 class TestTranscription:
-    """The path master's rows, and the expansion's variables and
-    witnesses read against the unreduced node-arc LP."""
+    """The path master's rows, and witnesses read against the unreduced
+    node-arc LP."""
 
     def test_row_and_column_counts(self):
-        # The k=3 cycle at T=4 with storage. The time window keeps 15 of
-        # the 27 (movement copy, commodity) pairs and 18 of the 36
-        # (holdover arc, commodity) pairs. The unreduced LP has every
-        # pair as a column, 9 capacity rows and 45 (commodity, node copy)
+        # The k=3 cycle at T=4 with storage. The unreduced LP has all 27
+        # (movement copy, commodity) and 36 (holdover arc, commodity)
+        # pairs as columns, 9 capacity rows and 45 (commodity, node copy)
         # balance rows.
         expansion = build_time_expanded(cycle_instance(3), 4, WITH)
-        kinds = [key[0] for key in window_columns(expansion)]
-        assert (kinds.count("move"), kinds.count("hold")) == (15, 18)
         full = unreduced_lp(expansion)
         assert (full.num_vars, len(full.constraints)) == (27 + 36, 9 + 45)
         relations = [c.relation for c in full.constraints]
@@ -338,14 +334,16 @@ class TestTranscription:
 
     @pytest.mark.parametrize("mode", [WITH, WITHOUT])
     def test_single_arc_rows(self, mode: StorageMode):
-        # Variables: a0@0, then holdovers v0@0 and v1@1, the only copies
-        # in the commodity's time window (both nodes are its endpoints,
-        # so both modes agree). The path master has the one path a0@0,
-        # its capacity row and the demand row.
+        # Columns: a0@0, then the holdovers at v0 and v1 (both nodes are
+        # the commodity's endpoints, so both modes agree). The path
+        # master has the one path a0@0, its capacity row and the demand
+        # row.
         expansion = build_time_expanded(single_arc_instance(), 2, mode)
-        assert window_columns(expansion) == [
+        assert unreduced_columns(expansion) == [
             ("move", "a0", 0, 0),
             ("hold", "v0", 0, 0),
+            ("hold", "v0", 1, 0),
+            ("hold", "v1", 0, 0),
             ("hold", "v1", 1, 0),
         ]
         paths = [(0, path) for path in route_departures(expansion, 0)]
@@ -406,7 +404,7 @@ class TestTranscription:
         assert result.feasible
         # One movement copy (a0 at theta 0) and the sink holdover at
         # theta 1 must each carry the full unit; everything else is 0.
-        names = [key[1:] for key in window_columns(expansion)]
+        names = [key[1:] for key in unreduced_columns(expansion)]
         values = assignment_from_flow(expansion, result.flow)
         support = {names[j] for j, value in enumerate(values) if value != 0}
         assert support == {("a0", 0, 0), ("v1", 1, 0)}
@@ -719,6 +717,25 @@ class TestHorizonSearch:
             else:
                 with pytest.raises(RuntimeError, match=error):
                     solver._master_values(master)
+
+    def test_improving_column_with_no_positive_entry_raises(self):
+        # The one path of the single-arc instance enters phase one; with
+        # its entries negated, no row blocks it.
+        expansion = build_time_expanded(single_arc_instance(), 2, WITH)
+        master = solver._PathMaster(expansion, [0], [(0, (("a0", 0),))])
+        for r in master.rows_of[0]:
+            master.rows[r][0] = -master.rows[r][0]
+        with pytest.raises(RuntimeError, match="phase-one ratio test found no pivot row"):
+            solver._run_phase_one(master)
+
+    def test_priced_column_the_master_has_raises(self, monkeypatch):
+        # The rebound pricing offers a route departure, which the first
+        # master holds, at a length below every dual.
+        monkeypatch.setattr(
+            solver, "cheapest_path", lambda expansion, i, _: (-1, route_departures(expansion, i)[0])
+        )
+        with pytest.raises(RuntimeError, match="pricing returned a column the master already has"):
+            probe_horizon(cycle_instance(3), 4, WITH)
 
     @example(seed=None)
     @given(st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)))
@@ -1256,17 +1273,16 @@ class TestIntegerHorizon:
         assert check_flow(rescaled, original, WITHOUT).ok
 
 
-def window_names(expansion) -> set[tuple[str, int, int]]:
-    """(copy name, theta, commodity) of the columns the time window keeps."""
-    return {key[1:] for key in window_columns(expansion)}
-
-
 def full_verdict(expansion) -> bool:
-    """Verdict of the LP with no time window."""
+    """Verdict of the unreduced node-arc LP."""
     return lp_feasible(unreduced_lp(expansion)).feasible
 
 
-class TestWindowPresolve:
+class TestEdgeInstanceVerdicts:
+    """Probe verdicts against the unreduced node-arc LP on edge
+    instances: zero demand, unreachable nodes, zero capacity, zero
+    transit, no movement copy and empty demand rows."""
+
     def test_verdicts_match_the_full_lp(self):
         instances = [random_instance(seed, 5, 8, 3, 3) for seed in range(1, 26)]
         assert any(arc.transit == 0 for i in instances for arc in i.network.arcs)
@@ -1293,19 +1309,8 @@ class TestWindowPresolve:
                 expansion, result = probe_horizon(instance, horizon, mode)
                 assert result.feasible == full_verdict(expansion)
                 assert result.feasible == (horizon >= 3)
-        expansion, result = probe_horizon(instance, 3, WITH)
-        # The empty commodity keeps its windows: a1 entered at 1 reaches
-        # v2 at 2, and it may wait at v2 until T.
-        assert {key for key in window_names(expansion) if key[2] == 1} == {
-            ("a1", 0, 1),
-            ("a1", 1, 1),
-            ("v1", 0, 1),
-            ("v1", 1, 1),
-            ("v2", 1, 1),
-            ("v2", 2, 1),
-        }
 
-    def test_node_no_source_reaches_keeps_no_copies(self):
+    def test_node_no_source_reaches_carries_no_flow(self):
         network = Network(
             ("s", "t", "x"),
             (Arc("a0", "s", "t", F(1), 1), Arc("a1", "x", "t", F(1), 1)),
@@ -1313,9 +1318,9 @@ class TestWindowPresolve:
         instance = Instance(network, (Commodity("s", "t", F(2)),))
         for horizon in range(1, 6):
             expansion, result = probe_horizon(instance, horizon, WITH)
-            names = window_names(expansion)
-            assert not any(key[0] in ("x", "a1") for key in names)
             assert result.feasible == full_verdict(expansion) == (horizon >= 3)
+            if result.feasible:
+                assert ("a1", 0) not in result.flow.rates
 
     def test_zero_capacity_arc_still_binds(self):
         network = Network(
@@ -1326,27 +1331,22 @@ class TestWindowPresolve:
         for mode in (WITH, WITHOUT):
             for horizon in range(1, 7):
                 expansion, result = probe_horizon(instance, horizon, mode)
-                # The closed arc's copies lie inside the window, so its
-                # capacity rows (rhs 0) must survive the window.
-                assert ("shut", 0, 0) in window_names(expansion) or horizon < 2
                 assert result.feasible == full_verdict(expansion) == (horizon >= 4)
                 if result.feasible:
                     assert not any(arc_id == "shut" for arc_id, _ in result.flow.rates)
 
-    def test_zero_transit_arc_at_the_window_edge(self):
+    def test_zero_transit_arc_feeds_both_departures(self):
         network = Network(
             ("s", "v", "t"),
             (Arc("a0", "s", "v", F(1), 0), Arc("a1", "v", "t", F(1), 1)),
         )
         instance = Instance(network, (Commodity("s", "t", F(2)),))
+        # dist(s, v) = 0: a1 departs at theta 0 and 1, each fed by a0
+        # at the same step, and reaches t by T = 3.
         expansion, result = probe_horizon(instance, 3, WITHOUT)
-        names = window_names(expansion)
-        # dist(s, v) = 0: a1 is usable from theta 0, and a0 at theta 1
-        # still arrives at v in time for a1 to reach t by T = 3.
-        assert {("a0", 0, 0), ("a0", 1, 0), ("a1", 0, 0), ("a1", 1, 0)} <= names
-        assert ("a1", 2, 0) not in names
         assert result.feasible == full_verdict(expansion)
         assert result.feasible
+        assert result.flow.rates["a0", 0] == result.flow.rates["a1", 0]
         assert min_feasible_horizon(instance, WITHOUT, 10)[0] == 3
 
     def test_horizon_below_every_transit_is_infeasible(self):
@@ -1354,17 +1354,16 @@ class TestWindowPresolve:
         instance = Instance(network, (Commodity("s", "t", F(1)),))
         for mode in (WITH, WITHOUT):
             expansion, result = probe_horizon(instance, 3, mode)
-            # Nothing can move, so the window keeps no variable and the
-            # commodity has no path.
-            assert not window_names(expansion)
+            # Nothing can move, so the commodity has no path.
+            assert expansion.movement_copies == ()
             assert route_departures(expansion, 0) == []
             assert not result.feasible
             assert not full_verdict(expansion)
 
     def test_empty_rows_satisfied_by_zero_are_dropped(self):
         # Commodity 0 ships s -> t over a0 at T=2. Commodity 1 needs
-        # T >= 3 to cross a2, so it keeps no column; x is reachable from
-        # no source, so a1 keeps no column either.
+        # T >= 3 to cross a2, so it has no path; x is reachable from no
+        # source, so no path uses a1.
         network = Network(
             ("s", "t", "x", "y"),
             (
@@ -1375,7 +1374,6 @@ class TestWindowPresolve:
         )
         instance = Instance(network, (Commodity("s", "t", F(1)), Commodity("y", "t", F(1))))
         expansion = build_time_expanded(instance, 2, WITH)
-        assert window_names(expansion) == {("a0", 0, 0), ("s", 0, 0), ("t", 1, 0)}
         paths = [(0, path) for path in route_departures(expansion, 0)]
         assert paths == [(0, (("a0", 0),))]
         assert route_departures(expansion, 1) == []
@@ -1415,7 +1413,7 @@ def zero_transit_chain_instance() -> Instance:
 class TestLengthCertificate:
     """The cut check's distances, one backward pass over the time grid
     (checker._distance_to_sink), against the reference label-correcting
-    search over the window's columns and over every node-arc column."""
+    search over every node-arc column."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1436,11 +1434,9 @@ class TestLengthCertificate:
         for mode in (WITH, WITHOUT):
             expansion = build_time_expanded(instance, horizon, mode)
             lengths = dict(zip(expansion.movement_copies, drawn))
-            window, unreduced = window_columns(expansion), unreduced_columns(expansion)
             for i, goods in enumerate(instance.commodities):
                 grid = checker._distance_to_sink(horizon, lengths, instance.network, goods, mode)
-                assert grid == reference_distance(expansion, window, lengths, i), (mode, i)
-                assert grid == reference_distance(expansion, unreduced, lengths, i), (mode, i)
+                assert grid == reference_distance(expansion, lengths, i), (mode, i)
 
     def test_zero_transit_chain_distances(self):
         # At T=3 commodity 0 crosses the chain and enters m at 0 or 1;
@@ -1602,11 +1598,11 @@ class PathLPCases:
             )
             verdicts.append(result.feasible)
             # Pricing keeps the master small: at most 26 rounds and 40
-            # final columns in either mode, against up to 447 (copy,
-            # commodity) window variables.
+            # final columns in either mode, against up to 702 (movement
+            # copy, commodity) columns of the node-arc LP.
             rounds = (master.appends, len(master.paths))
             assert master.appends <= 26 and len(master.paths) <= 40, (horizon, rounds)
-        assert [key[0] for key in window_columns(expansion)].count("move") == 447
+        assert len(expansion.movement_copies) * len(expansion.instance.commodities) == 702
         assert verdicts == [False] * 4 + [True] * 4
 
     def test_every_infeasible_probe_checks_its_certificate(self, monkeypatch):
