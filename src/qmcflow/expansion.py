@@ -38,7 +38,10 @@ the paths through it, and whose horizon is its last arrival. Where a
 path waits is implied by its copies, so the schedule needs no holdover
 values. The Dijkstra search behind
 route_departures, fewest_transit_route, is also the one that gives the
-solver's horizon search its lower bound.
+solver's horizon search its lower bound, and its routes give the search
+its upper end: route_witness repeats each of them over time without
+waiting (a temporally repeated flow; Ford and Fulkerson, 1962), a
+schedule built with no LP.
 
 With a unit step and integer transit times the expansion is exact for
 schedules whose rates are constant on unit intervals: balances of such
@@ -51,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import ceil
 from typing import Mapping, Sequence
 
 from .core import Arc, FlowOverTime, Instance, Network, Piece, StepFunction, StorageMode
@@ -64,6 +68,7 @@ __all__ = [
     "fewest_transit_route",
     "flow_from_paths",
     "route_departures",
+    "route_witness",
 ]
 
 # A path: its movement copies (arc id, theta) in travel order.
@@ -200,6 +205,41 @@ def route_departures(expansion: ExpandedNetwork, commodity: int) -> list[Path]:
         tuple([(arc_id, theta + offset) for arc_id, offset in offsets])
         for theta in range(expansion.horizon - transit)
     ]
+
+
+def route_witness(instance: Instance, routes: Mapping[int, Sequence[Arc]]) -> FlowOverTime:
+    """The temporally repeated flow along routes, which maps commodity
+    indices to a source-sink route each, over arcs of positive capacity.
+
+    Each commodity i in routes with demand d_i > 0 is sent at the rate
+    d_i/S on every arc of its route during [o, o + S), where o is the
+    transit of the route before that arc, so it never waits. S is the
+    least integer at or above the largest load, the sum of d_i / c_e over
+    the routes through an arc e, so no arc carries more than its
+    capacity, and every piece lies on the unit grid. The flow has one
+    piece per (arc, commodity) and ends at its last arrival, S plus the
+    largest route transit (at least 1). Commodities of zero demand are
+    skipped. Nothing else is checked here: the solver hands the flow to
+    qmcflow.checker.check_flow before relying on it.
+    """
+    commodities = instance.commodities
+    demanded = {i: route for i, route in routes.items() if commodities[i].demand > 0}
+    load: dict[str, Fraction] = {}
+    for i, route in demanded.items():
+        for arc in route:
+            load[arc.id] = load.get(arc.id, 0) + commodities[i].demand / arc.capacity
+    span = ceil(max(load.values(), default=0))
+    transit = max([sum([arc.transit for arc in route]) for route in demanded.values()], default=0)
+    horizon = Fraction(max(1, span + transit))
+    rates = {}
+    for i, route in demanded.items():
+        rate = commodities[i].demand / span
+        offset = 0
+        for arc in route:
+            piece = Piece(Fraction(offset), Fraction(offset + span), rate)
+            rates[arc.id, i] = StepFunction(horizon, (piece,))
+            offset += arc.transit
+    return FlowOverTime(horizon, dict(sorted(rates.items())))
 
 
 def cheapest_path(

@@ -71,20 +71,30 @@ cannot cycle, so it always terminates, and with exact arithmetic every
 verdict is exact.
 
 Least feasible integer horizons are found by one loop (_least_horizon)
-inside a bracket proved at both ends; the search calls no checker. Its
-lower end rises past each infeasible probe from a proven start: for a
-search of its own, the largest transit of a commodity's fewest-transit
-route over open arcs (fewest_transit_route), plus one, among commodities
-with positive demand, since no flow crosses an arc of capacity zero and
-a movement copy entered at theta arrives by T - 1; for the no-storage
-search of a speed-up report, W, the with-storage minimum. Until a probe
-is feasible the first gallops up with gaps 1, 2, 4, ... and the second
-bisects toward 2W, probing 2W last. The upper end is then the last
-arrival of a feasible probe's witness (flow_from_paths), and both bisect
-the bracket. The search is sound because feasibility is monotone in the
-horizon (any schedule for T is also one for T+1). Validity is decided
-by qmcflow.core.validate_instance alone, once per instance;
-build_time_expanded, and so every probe, rejects an invalid one.
+inside a bracket proved at both ends, whose ends come from each
+commodity's fewest-transit route over open arcs (fewest_transit_route),
+found once per instance (_bracket). The lower end rises past each
+infeasible probe from a proven start: for a search of its own, the
+largest transit of those routes, plus one, among commodities with
+positive demand, since no flow crosses an arc of capacity zero and a
+movement copy entered at theta arrives by T - 1; for the no-storage
+search of a speed-up report, W, the with-storage minimum. The upper end
+starts at H, the last arrival of the route witness: those routes
+repeated over time without waiting (route_witness; Ford and Fulkerson,
+1962), a schedule built with no LP. _bracket checks it once per instance
+with check_flow without storage, which also proves it with storage, or
+raises RuntimeError; apart from that the search calls no checker. When
+H exceeds the search's top, the top alone bounds the search. Until a
+probe is feasible, a search of its own gallops up with gaps 1, 2, 4, ...
+capped below H, and the no-storage search of a speed-up report probes
+H - 1, or, without H, bisects toward 2W, probing 2W last; a search whose
+lower end reaches H makes no probe. A feasible probe's witness
+(flow_from_paths) then lowers the upper end to its last arrival, and
+both bisect the bracket. The search is sound because feasibility is
+monotone in the horizon (any schedule for T is also one for T+1).
+Validity is decided by qmcflow.core.validate_instance alone, once per
+instance; build_time_expanded, and so every probe, rejects an invalid
+one.
 """
 
 from __future__ import annotations
@@ -104,6 +114,7 @@ from .expansion import (
     fewest_transit_route,
     flow_from_paths,
     route_departures,
+    route_witness,
 )
 from .instances import cycle_instance
 
@@ -540,45 +551,106 @@ def _least_horizon(
     mode: StorageMode,
     lo: int,
     top: int,
+    route: FlowOverTime,
     observer: Observer | None,
     gallop: bool,
 ) -> tuple[int, FlowOverTime]:
     """The least feasible horizon <= top and the witness that settles it,
-    given that every horizon below lo is infeasible (see the module
-    docstring). Until a probe is feasible the next one gallops up from
-    lo with gaps 1, 2, 4, ... capped at top (gallop), or bisects
-    [lo, top]; NoHorizonFound once top is infeasible too. A witness
-    ending at hi settles hi whatever horizon was probed (a flow that has
-    fully arrived by hi is a schedule for hi), so from then on each
-    probe bisects [lo, hi]. A witness below lo or after its probe
-    contradicts the verdicts so far and raises RuntimeError. The
-    observer receives every probe's (expansion, verdict).
+    given that every horizon below lo is infeasible and that route, a
+    checked schedule for its own horizon H >= lo (see the module
+    docstring), settles H if H <= top. A witness ending at hi settles
+    hi whatever horizon was probed (a flow that has fully arrived by hi
+    is a schedule for hi), so no probe reaches hi. Until a probe is
+    feasible the next one gallops up from lo with gaps 1, 2, 4, ...
+    capped below hi (gallop), or else probes hi - 1 under the route
+    witness, or bisects [lo, top] without one; NoHorizonFound once top
+    is infeasible too. Once a probe is feasible, each probe bisects
+    [lo, hi]. A probe's witness that ends below lo or after its probe
+    contradicts the verdicts so far and raises RuntimeError. The observer
+    receives every probe's (expansion, verdict).
     """
-    witness = None
+    witness, hi = None, top + 1
+    if route.horizon <= top:
+        witness, hi = route, int(route.horizon)
+    probed = False
     horizon, gap = lo, 1
-    while witness is None or lo < hi:
-        if witness is not None:
+    while lo < hi:
+        if probed:
             horizon = (lo + hi) // 2
-        elif lo > top:
-            raise NoHorizonFound(
-                f"no feasible horizon <= {top} in mode {mode.value} (infeasible at T={top})"
-            )
-        elif not gallop:
+        elif gallop:
+            horizon = min(horizon, hi - 1)
+        elif witness is not None:
+            horizon = hi - 1
+        else:
             horizon = (lo + top) // 2
         expansion, verdict = probe_horizon(instance, horizon, mode)
         if observer is not None:
             observer(expansion, verdict)
         if not verdict.feasible:
             lo = horizon + 1
-            horizon, gap = min(horizon + gap, top), 2 * gap
+            horizon, gap = horizon + gap, 2 * gap
             continue
+        probed = True
         witness, hi = verdict.flow, int(verdict.flow.horizon)
         if hi < lo or hi > horizon:
             raise RuntimeError(
                 f"the witness at T={horizon} arrives by {hi}, outside the"
                 f" bracket [{lo}, {horizon}] left by the verdicts so far"
             )
+    if witness is None:
+        raise NoHorizonFound(
+            f"no feasible horizon <= {top} in mode {mode.value} (infeasible at T={top})"
+        )
     return lo, witness
+
+
+def _bracket(instance: Instance, mode: StorageMode, t_max: int) -> tuple[int, FlowOverTime]:
+    """The proven ends of every search on the instance: the lower end L,
+    the largest transit of fewest_transit_route, the route that seeds
+    each probe's first master, plus one, among commodities with positive
+    demand (1 if there are none), and the route witness along those
+    routes (route_witness), which check_flow must accept without
+    storage, and so with it, or RuntimeError is raised.
+
+    Raises ValueError for an invalid instance or t_max < 1, and
+    NoHorizonFound before any probe when a commodity with positive
+    demand has no such route (every horizon is then infeasible; the
+    route test is exact, since any such path carries the demand without
+    waiting once the horizon is long enough) or when L > t_max.
+    """
+    report = validate_instance(instance)
+    if not report.ok:
+        raise ValueError(f"invalid instance: {report}")
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
+
+    routes = {}
+    lower = 1
+    for index, commodity in enumerate(instance.commodities):
+        if commodity.demand > 0:
+            route = fewest_transit_route(instance.network, commodity.source, commodity.sink)
+            if route is None:
+                raise NoHorizonFound(
+                    f"commodity {index} has no path from {commodity.source!r} to "
+                    f"{commodity.sink!r} over arcs of positive capacity, so no horizon "
+                    f"is feasible in mode {mode.value}"
+                )
+            routes[index] = route
+            lower = max(lower, sum(arc.transit for arc in route) + 1)
+
+    if lower > t_max:
+        raise NoHorizonFound(
+            f"no feasible horizon <= {t_max} in mode {mode.value}: the transit"
+            f" bound proves every horizon below {lower} infeasible"
+        )
+    witness = route_witness(instance, routes)
+    violations = check_flow(witness, instance, StorageMode.NO_INTERMEDIATE_STORAGE).violations
+    if violations:
+        raise RuntimeError(
+            f"the route witness ending at {witness.horizon} fails check_flow:"
+            f" {violations[0].to_json()}"
+        )
+    return lower, witness
 
 
 def min_feasible_horizon(
@@ -591,44 +663,20 @@ def min_feasible_horizon(
     """Smallest integer horizon T <= t_max whose expansion is feasible,
     and the witness that settles it, a flow over time ending at T.
 
-    Raises ValueError for invalid instances. The search starts at a
-    proven lower bound L, the largest transit of fewest_transit_route,
-    the route that seeds each probe's first master, plus one, among
-    commodities with positive demand, and gallops up L, L + 1, L + 3,
-    L + 7, ... (capped at t_max) until a probe is feasible, then bisects
-    the bracket (_least_horizon). The minimum need not have been probed
-    itself; the observer receives every probe's (expansion, verdict).
+    The search starts from the proven ends of _bracket, the transit
+    bound L and the checked route witness, which ends at H, and gallops
+    up L, L + 1, L + 3, L + 7, ..., capped at H - 1 (or at t_max when
+    H > t_max), until a probe is feasible, then bisects the bracket
+    (_least_horizon). When L = H it makes no probe. The minimum need not
+    have been probed itself; the observer receives every probe's
+    (expansion, verdict).
 
-    NoHorizonFound is raised when even t_max is infeasible, and before
-    any probe when a commodity with positive demand has no such route
-    (every horizon is then infeasible; the route test is exact, since
-    any such path carries the demand without waiting once the horizon
-    is long enough) or when L > t_max.
+    Raises ValueError for invalid instances, and NoHorizonFound when
+    even t_max is infeasible or, before any probe, when _bracket proves
+    every horizon <= t_max infeasible.
     """
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {report}")
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-
-    lower = 1
-    for index, commodity in enumerate(instance.commodities):
-        if commodity.demand > 0:
-            route = fewest_transit_route(instance.network, commodity.source, commodity.sink)
-            if route is None:
-                raise NoHorizonFound(
-                    f"commodity {index} has no path from {commodity.source!r} to "
-                    f"{commodity.sink!r} over arcs of positive capacity, so no horizon "
-                    f"is feasible in mode {mode.value}"
-                )
-            lower = max(lower, sum(arc.transit for arc in route) + 1)
-
-    if lower > t_max:
-        raise NoHorizonFound(
-            f"no feasible horizon <= {t_max} in mode {mode.value}: the transit"
-            f" bound proves every horizon below {lower} infeasible"
-        )
-    return _least_horizon(instance, mode, lower, t_max, observer, gallop=True)
+    lower, route = _bracket(instance, mode, t_max)
+    return _least_horizon(instance, mode, lower, t_max, route, observer, gallop=True)
 
 
 @dataclass(frozen=True)
@@ -651,27 +699,31 @@ def speedup_ratio(
 ) -> SpeedupReport:
     """Minimum horizons with and without storage, and their ratio.
 
-    The no-storage search is the same bracket loop as
-    min_feasible_horizon's (_least_horizon), started at W, the
-    with-storage minimum, with top min(t_max, 2W): until a probe is
-    feasible it bisects toward the top, which is probed last, only if
-    every horizon below it is infeasible. W is a proven lower end: every
-    no-storage schedule is also one with storage, and W - 1 was ruled
-    out by a cut that check_cut accepted or by the transit bound.
-    Storage speeds things up by at most a factor of two; a violation of
-    that bound would surface loudly as NoHorizonFound, never as a
-    silently wrong minimum. The observer receives every probe's
-    (expansion, verdict) of both searches; ValueError for an invalid
-    instance.
+    Both searches share the proven ends of _bracket, built and checked
+    once: the transit bound and the route witness, a no-storage schedule
+    ending at H. The with-storage search is min_feasible_horizon's. The
+    no-storage search is the same bracket loop (_least_horizon), started
+    at W, the with-storage minimum, with top min(t_max, 2W). W is a
+    proven lower end: every no-storage schedule is also one with
+    storage, and W - 1 was ruled out by a cut that check_cut accepted or
+    by the transit bound. When H <= top, the search first probes H - 1
+    and then bisects; otherwise it bisects toward the top, which is
+    probed last, only if every horizon below it is infeasible. Storage
+    speeds things up by at most a factor of two; a violation of that
+    bound would surface loudly as NoHorizonFound, never as a silently
+    wrong minimum. The observer receives every probe's (expansion,
+    verdict) of both searches; ValueError for an invalid instance.
     """
-    with_storage, _ = min_feasible_horizon(
-        instance, StorageMode.WITH_STORAGE, t_max, observer=observer
+    lower, route = _bracket(instance, StorageMode.WITH_STORAGE, t_max)
+    with_storage, _ = _least_horizon(
+        instance, StorageMode.WITH_STORAGE, lower, t_max, route, observer, gallop=True
     )
     without_storage, _ = _least_horizon(
         instance,
         StorageMode.NO_INTERMEDIATE_STORAGE,
         with_storage,
         min(t_max, 2 * with_storage),
+        route,
         observer,
         gallop=False,
     )

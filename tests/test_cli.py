@@ -147,10 +147,11 @@ class TestSolve:
         assert counts[0] > 0
         assert counts[0] == counts[1]
 
-    def test_each_solve_converts_one_witness(self, capsys, cycle4, tmp_path, monkeypatch):
+    def test_each_solve_converts_one_witness(self, capsys, tmp_path, monkeypatch):
         # Each feasible probe turns its path values into a flow once;
         # --emit-flow converts nothing more and writes the flow that the
-        # search returns.
+        # search returns. With d0 = 3 the k=4 cycle's route witness ends
+        # at 8, above the no-storage minimum 7, so a probe settles it.
         calls = []
         convert = expansion.flow_from_paths
 
@@ -161,17 +162,20 @@ class TestSolve:
         for layer in ("cli", "core", "instances", "solver", "checker"):
             module = import_module(f"qmcflow.{layer}")
             monkeypatch.setattr(module, "flow_from_paths", counted, raising=False)
+        instance = cycle_instance(CycleParams(4, Fraction(3)))
+        path = tmp_path / "cycle4d3.json"
+        path.write_text(serialize_instance(instance), encoding="utf-8")
         target = tmp_path / "flow.json"
         counts = []
         for extra in ([], ["--emit-flow", str(target)]):
             calls.clear()
-            code, out, _ = run(capsys, "solve", "--mode", "no-storage", "--max-T", "10", *extra, cycle4)
+            code, out, _ = run(capsys, "solve", "--mode", "no-storage", "--max-T", "10", *extra, str(path))
             assert (code, out) == (0, "7\n")
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
         mode = StorageMode.NO_INTERMEDIATE_STORAGE
-        _, flow = solver.min_feasible_horizon(cycle_instance(4), mode, 10)
+        _, flow = solver.min_feasible_horizon(instance, mode, 10)
         assert target.read_text(encoding="utf-8") == serialize_flow(flow)
 
     def test_never_feasible_instance_is_exit_one(self, capsys, tmp_path):

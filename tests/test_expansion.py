@@ -4,6 +4,7 @@ solutions back."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given
@@ -11,13 +12,21 @@ from hypothesis import strategies as st
 
 from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode
 from qmcflow.checker import STRICT_CONSERVATION, check_flow
-from qmcflow.expansion import build_time_expanded, cheapest_path, flow_from_paths, route_departures
-from qmcflow.instances import cycle_instance
+from qmcflow.expansion import (
+    build_time_expanded,
+    cheapest_path,
+    fewest_transit_route,
+    flow_from_paths,
+    route_departures,
+    route_witness,
+)
+from qmcflow.instances import cycle_instance, random_instance
 
 from helpers import (
     assignment_from_flow,
     column_endpoints,
     flow_satisfies_unreduced_lp,
+    transit_distances,
     unreduced_columns,
 )
 
@@ -350,3 +359,92 @@ class TestDeparturePaths:
         violations = check_flow(flow, two_hop_instance(), WITHOUT).violations
         assert [(v.kind, v.location) for v in violations] == [(STRICT_CONSERVATION, "v")]
         assert not flow_satisfies_unreduced_lp(strict, flow)
+
+
+def fewest_transit_routes(instance: Instance) -> dict:
+    """Every commodity's fewest_transit_route, zero demands included."""
+    network = instance.network
+    return {
+        i: fewest_transit_route(network, goods.source, goods.sink)
+        for i, goods in enumerate(instance.commodities)
+    }
+
+
+def assert_route_witness(instance: Instance) -> Fraction:
+    """Check route_witness against its construction and the checker in
+    both modes, and return its horizon.
+
+    The expected horizon is worked out here: ceil(D), where D is the
+    largest sum of d_i / c_e over the routes through an arc e, plus the
+    largest route transit, which must equal the reference distance over
+    open arcs. Each demanded commodity has one piece per arc of its
+    route, at the rate d_i / ceil(D) on [o, o + ceil(D)), o being the
+    transit before the arc; commodities of zero demand have none.
+    """
+    routes = fewest_transit_routes(instance)
+    network = instance.network
+    open_network = Network(network.nodes, tuple(a for a in network.arcs if a.capacity > 0))
+    demands = {i: goods.demand for i, goods in enumerate(instance.commodities) if goods.demand > 0}
+    load: dict[str, Fraction] = {}
+    transits = []
+    for i in demands:
+        goods = instance.commodities[i]
+        transit = sum(arc.transit for arc in routes[i])
+        assert transit == transit_distances(open_network, goods.source)[goods.sink]
+        transits.append(transit)
+        for arc in routes[i]:
+            load[arc.id] = load.get(arc.id, 0) + demands[i] / arc.capacity
+    span = ceil(max(load.values()))
+    flow = route_witness(instance, routes)
+    assert flow.horizon == span + max(transits)
+    expected = {}
+    for i, demand in demands.items():
+        offset = 0
+        for arc in routes[i]:
+            expected[arc.id, i] = [(offset, offset + span, demand / span)]
+            offset += arc.transit
+    assert {
+        key: [(piece.start, piece.end, piece.rate) for piece in step.pieces]
+        for key, step in flow.rates.items()
+    } == expected
+    for mode in (WITH, WITHOUT):
+        assert check_flow(flow, instance, mode).ok, mode
+    return flow.horizon
+
+
+class TestRouteWitness:
+    """route_witness: each demanded commodity's route, repeated over
+    time without waiting, on the unit grid."""
+
+    def test_cycle_witness_ends_at_the_no_storage_minimum(self):
+        # Every arc of the k-cycle lies on k - 1 routes, one of them
+        # commodity 0's with demand 2, so D = k and the witness ends at
+        # k + (k - 1) = 2k - 1.
+        for k in range(3, 49):
+            assert assert_route_witness(cycle_instance(k)) == 2 * k - 1, k
+
+    def test_random_solve_instances(self):
+        # The 450 instances of the benchmark's random-solve workload at
+        # seed 1 (perfbench/workloads.py): every demanded commodity has
+        # an open route on each.
+        for index in range(450):
+            assert_route_witness(random_instance(1_000_000 + index, 6, 10, 3, 3))
+
+    def test_zero_demand_commodities_are_skipped(self):
+        # Commodity 1 has demand 0 and a longer route; it adds no piece
+        # and neither its load nor its transit counts. Commodity 0 loads
+        # a0 with 3 / 2, so S = 2 and the flow ends at 2 + 1.
+        network = Network(
+            ("v0", "v1", "v2"),
+            (Arc("a0", "v0", "v1", Fraction(2), 1), Arc("a1", "v1", "v2", Fraction(1), 5)),
+        )
+        instance = Instance(
+            network, (Commodity("v0", "v1", Fraction(3)), Commodity("v0", "v2", Fraction(0)))
+        )
+        assert assert_route_witness(instance) == 3
+        assert list(route_witness(instance, fewest_transit_routes(instance)).rates) == [("a0", 0)]
+
+    def test_no_demand_is_the_empty_flow_on_one_step(self):
+        instance = Instance(single_arc_instance(1).network, (Commodity("v0", "v1", Fraction(0)),))
+        flow = route_witness(instance, fewest_transit_routes(instance))
+        assert (flow.horizon, flow.rates) == (1, {})

@@ -47,14 +47,6 @@ class TestCycleInstance:
         instance = cycle_instance(CycleParams(5, Fraction(3, 2)))
         assert instance.commodities[0].demand == Fraction(3, 2)
 
-    def test_k_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            CycleParams(2)
-
-    def test_bool_k_rejected(self):
-        with pytest.raises(ValueError):
-            CycleParams(True)
-
     def test_nonpositive_d0_rejected(self):
         with pytest.raises(ValueError):
             CycleParams(4, Fraction(0))
@@ -96,10 +88,6 @@ class TestWaitSchedule:
         report = check_flow(wait_schedule_with_storage(k), cycle_instance(k), StorageMode.WITH_STORAGE)
         assert report.ok
 
-    def test_small_k_rejected(self):
-        with pytest.raises(ValueError):
-            wait_schedule_with_storage(2)
-
 
 class TestWaveSchedule:
     def test_horizon(self):
@@ -123,10 +111,6 @@ class TestWaveSchedule:
         report = check_flow(flow, cycle_instance(4), StorageMode.NO_INTERMEDIATE_STORAGE)
         assert not report.ok
         assert report.of_kind(DEMAND)
-
-    def test_small_k_rejected(self):
-        with pytest.raises(ValueError):
-            wave_schedule_no_storage(2)
 
 
 @pytest.mark.parametrize("k", [2, 3.0, True, "4"])

@@ -106,6 +106,19 @@ def closed_path_instance(blocked_demand: int | str) -> Instance:
     return Instance(network, commodities)
 
 
+def parallel_arcs_instance(demand: int) -> Instance:
+    """One commodity s -> t over two parallel arcs of capacity 1: fast,
+    of transit 1, its fewest-transit route, and slow, of transit 2. The
+    route witness sends everything over fast and ends at demand + 1, but
+    by T the two arcs carry (T - 1) + (T - 2), so from demand 3 on the
+    minimum, ceil((demand + 3) / 2) in both modes, lies below it: a
+    search on this instance must probe to find it."""
+    network = Network(
+        ("s", "t"), (Arc("fast", "s", "t", F(1), 1), Arc("slow", "s", "t", F(1), 2))
+    )
+    return Instance(network, (Commodity("s", "t", F(demand)),))
+
+
 # Coefficients and right-hand sides of the small general LPs: mixed
 # signs and denominators, unlike the +-1 rows of a time expansion.
 LP_VALUES = [F(v) for v in ("-3", "-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "3/2", "2", "3")]
@@ -477,20 +490,23 @@ class TestHorizonSearch:
             min_feasible_horizon(cycle_instance(3), WITH, 0)
 
     def test_zero_demand_commodity_does_not_raise_the_lower_bound(self):
+        # Commodity 0 ships 4 over v0 -> v1 as in parallel_arcs_instance:
+        # transit bound 2, minimum 4, route witness ending at 5.
         network = Network(
             ("v0", "v1", "v2"),
             (
                 Arc("a0", "v0", "v1", F(1), 1),
+                Arc("slow", "v0", "v1", F(1), 2),
                 Arc("a1", "v1", "v2", F(1), 5),
             ),
         )
         instance = Instance(
             network,
-            (Commodity("v0", "v1", F(1)), Commodity("v1", "v2", F(0))),
+            (Commodity("v0", "v1", F(4)), Commodity("v1", "v2", F(0))),
         )
         probes: list[int] = []
-        minimum, _ = min_feasible_horizon(instance, WITH, 4, observer=horizons_into(probes))
-        assert minimum == 2
+        minimum, _ = min_feasible_horizon(instance, WITH, 10, observer=horizons_into(probes))
+        assert minimum == 4
         # The empty commodity's transit of 5 must not inflate the start
         # of the search past the only demand that matters: its transit
         # of 1 plus the step a movement copy needs to arrive by T - 1.
@@ -498,30 +514,42 @@ class TestHorizonSearch:
 
     def test_observer_sees_every_probe(self):
         # A feasible probe settles every horizon its witness has fully
-        # arrived by, so the minimum is the least last arrival among the
-        # feasible probes' witnesses (piece end plus transit), and every
-        # infeasible probe lies below it. Without storage the k=3 search
-        # probes 6 and finds a witness that arrives by 5.
-        instance = cycle_instance(3)
-        transit = {arc.id: arc.transit for arc in instance.network.arcs}
-        for mode, expected in ((WITH, 4), (WITHOUT, 5)):
-            arrivals: list[Fraction] = []
+        # arrived by, and so does the route witness, so the minimum is the
+        # least last arrival among those witnesses (piece end plus
+        # transit), and every infeasible probe lies below it. Without
+        # storage the k=3 cycle's route witness arrives by 5 and settles
+        # the minimum; with demand 5 over parallel arcs the probe of 5
+        # finds a witness that arrives by 5 and the probe of 4 one that
+        # arrives by 4, below the route witness's 6.
+        cases = [
+            (cycle_instance(3), WITH, 4),
+            (cycle_instance(3), WITHOUT, 5),
+            (parallel_arcs_instance(5), WITH, 4),
+            (parallel_arcs_instance(5), WITHOUT, 4),
+        ]
+        for instance, mode, expected in cases:
+            transit = {arc.id: arc.transit for arc in instance.network.arcs}
+
+            def arrival(flow):
+                return max(
+                    step.pieces[-1].end + transit[arc_id]
+                    for (arc_id, _), step in flow.rates.items()
+                )
+
+            _, route = solver._bracket(instance, mode, 20)
+            arrivals: list[Fraction] = [arrival(route)]
             infeasible: list[int] = []
 
             def observer(expansion, result):
                 if result.feasible:
-                    arrivals.append(
-                        max(
-                            step.pieces[-1].end + transit[arc_id]
-                            for (arc_id, _), step in result.flow.rates.items()
-                        )
-                    )
+                    arrivals.append(arrival(result.flow))
                 else:
                     infeasible.append(expansion.horizon)
 
             minimum, _ = min_feasible_horizon(instance, mode, 20, observer=observer)
             assert minimum == expected == min(arrivals), mode
             assert all(t < minimum for t in infeasible), mode
+        assert arrivals == [6, 5, 4]
 
     def test_no_horizon_is_probed_twice(self):
         def search(instance, mode, t_max):
@@ -554,14 +582,16 @@ class TestHorizonSearch:
         # The flow checker certifies each feasible probe's witness in
         # explicit code, which python -O keeps. The patched _master_values
         # corrupts the path values of every feasible master after the
-        # real ones passed their check.
+        # real ones passed their check. The instance is
+        # parallel_arcs_instance(4), whose route witness, ending at 5,
+        # leaves the minimum 4 to a probe.
         script = (
             "import sys\n"
             "from fractions import Fraction\n"
             "from qmcflow import solver\n"
             "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
-            "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
-            "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
+            "arcs = (Arc('fast', 's', 't', Fraction(1), 1), Arc('slow', 's', 't', Fraction(1), 2))\n"
+            "instance = Instance(Network(('s', 't'), arcs), (Commodity('s', 't', Fraction(4)),))\n"
             "values = solver._master_values\n"
             "def corrupted(master):\n"
             "    return [v + 1 for v in values(master)]\n"
@@ -583,6 +613,53 @@ class TestHorizonSearch:
             check=True,
         )
         assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+
+    def test_corrupted_route_witness_raises_even_under_python_O(self):
+        # The route witness is checked by check_flow in explicit code,
+        # which python -O keeps, before any search relies on it. The
+        # patched route_witness doubles every rate of the real one, so
+        # both searches must fail before their first probe.
+        script = (
+            "import sys\n"
+            "from qmcflow import solver\n"
+            "from qmcflow.core import FlowOverTime, Piece, StepFunction, StorageMode\n"
+            "from qmcflow.instances import cycle_instance\n"
+            "build = solver.route_witness\n"
+            "def doubled(instance, routes):\n"
+            "    flow = build(instance, routes)\n"
+            "    return FlowOverTime(flow.horizon, {\n"
+            "        key: StepFunction(step.domain_end, tuple(\n"
+            "            Piece(p.start, p.end, 2 * p.rate) for p in step.pieces))\n"
+            "        for key, step in flow.rates.items()})\n"
+            "solver.route_witness = doubled\n"
+            "def probe(*args):\n"
+            "    raise AssertionError('probed')\n"
+            "solver.probe_horizon = probe\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "for search in (\n"
+            "    lambda: solver.min_feasible_horizon(cycle_instance(3), StorageMode.WITH_STORAGE, 12),\n"
+            "    lambda: solver.speedup_ratio(cycle_instance(3), 12),\n"
+            "):\n"
+            "    try:\n"
+            "        search()\n"
+            "    except RuntimeError as error:\n"
+            "        print('raised', str(error).partition(': ')[0])\n"
+            "    else:\n"
+            "        print('returned')\n"
+        )
+        src = str(Path(qmcflow.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        assert completed.stdout.split("\n")[:3] == [
+            "optimize 1",
+            "raised the route witness ending at 5 fails check_flow",
+            "raised the route witness ending at 5 fails check_flow",
+        ]
 
     def test_rejected_witness_raises_in_the_probe_even_under_python_O(self):
         # The patched flow_from_paths doubles every rate of each witness,
@@ -622,8 +699,10 @@ class TestHorizonSearch:
 
     def test_only_the_probe_calls_a_checker(self, monkeypatch):
         # Each verdict is certified in its probe: check_flow once per
-        # feasible probe and check_cut once per infeasible one, and no
-        # function of the horizon search calls either checker.
+        # feasible probe and check_cut once per infeasible one. Outside
+        # the probe, only _bracket calls check_flow, once per instance,
+        # on the route witness; no function of the horizon search calls
+        # either checker.
         calls: list[tuple[str, str]] = []
 
         def spy(name):
@@ -639,9 +718,10 @@ class TestHorizonSearch:
         spy("check_cut")
         verdicts: list[bool] = []
         gap_sweep(3, 8, observer=lambda _, verdict: verdicts.append(verdict.feasible))
-        assert {caller for _, caller in calls} == {"probe_horizon"}
-        assert [name for name, _ in calls].count("check_flow") == verdicts.count(True) == 12
-        assert [name for name, _ in calls].count("check_cut") == verdicts.count(False) == 14
+        assert calls.count(("check_flow", "probe_horizon")) == verdicts.count(True) == 6
+        assert calls.count(("check_flow", "_bracket")) == 6
+        assert calls.count(("check_cut", "probe_horizon")) == verdicts.count(False) == 12
+        assert len(calls) == 24
 
     def test_unchecked_master_values_raise_even_under_python_O(self):
         # A feasible master's path values are checked in explicit code,
@@ -786,26 +866,33 @@ class TestHorizonSearch:
                 assert cuts == [lengths] == [result.cut], (mode, horizon)
 
     def test_zero_demand_commodity_behind_a_closed_arc_still_searches(self):
+        # The search skips the empty commodity: its transit bound and its
+        # route witness come from commodity 0 alone, and both say 2, so
+        # the minimum needs no probe. The probe of 2 agrees.
         instance = closed_path_instance(0)
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
-            minimum, _ = min_feasible_horizon(instance, mode, 10, observer=horizons_into(probes))
-            assert minimum == 2
-            assert probes[-1] == 2
+            minimum, flow = min_feasible_horizon(
+                instance, mode, 10, observer=horizons_into(probes)
+            )
+            assert (minimum, probes) == (2, []), mode
+            assert sorted(flow.rates) == [("a2", 0)], mode
+            assert probe_horizon(instance, 2, mode)[1].feasible, mode
 
     def test_lower_bound_counts_only_open_arcs(self):
         # The closed arc's transit of 1 would start the search at T=2;
         # only the open arc's transit of 3 bounds it, so T=4 is probed
-        # first and is the minimum.
+        # first. Demand 2 needs two departures, so the minimum is 5,
+        # where the route witness ends.
         network = Network(
             ("s", "t"),
             (Arc("shut", "s", "t", F(0), 1), Arc("open", "s", "t", F(1), 3)),
         )
-        instance = Instance(network, (Commodity("s", "t", F(1)),))
+        instance = Instance(network, (Commodity("s", "t", F(2)),))
         for mode in (WITH, WITHOUT):
             probes: list[int] = []
             minimum, _ = min_feasible_horizon(instance, mode, 10, observer=horizons_into(probes))
-            assert (minimum, probes) == (4, [4]), mode
+            assert (minimum, probes) == (5, [4]), mode
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -818,9 +905,10 @@ class TestHorizonSearch:
         # Arcs in shut get capacity 0 and commodities in idle demand 0.
         # The first horizon probed is L, the largest reference transit
         # over open arcs plus one among commodities with demand (1 if
-        # there are none), in both modes; a demanded commodity with no
-        # open path, or L > t_max, fails before any probe. The observer
-        # stops each search after its first probe.
+        # there are none), in both modes, unless the route witness ends
+        # at L and the search returns L unprobed; a demanded commodity
+        # with no open path, or L > t_max, fails before any probe. The
+        # observer stops each search after its first probe.
         base = random_instance(seed, 5, 8, 3, 3)
         arcs = tuple(
             replace(arc, capacity=F(0)) if j in shut else arc
@@ -859,9 +947,13 @@ class TestHorizonSearch:
                     min_feasible_horizon(instance, mode, t_max, observer=observer)
                 assert probes == [], mode
             else:
-                with pytest.raises(FirstProbe):
-                    min_feasible_horizon(instance, mode, t_max, observer=observer)
-                assert probes == [bound], mode
+                _, route = solver._bracket(instance, mode, t_max)
+                try:
+                    minimum, flow = min_feasible_horizon(instance, mode, t_max, observer=observer)
+                except FirstProbe:
+                    assert probes == [bound] and route.horizon > bound, mode
+                else:
+                    assert (minimum, flow, probes) == (bound, route, []), mode
 
     def test_sweep_pivot_counts(self, monkeypatch):
         # The pivot rules are deterministic, so the pivots each search
@@ -872,7 +964,8 @@ class TestHorizonSearch:
         # pricing round. Without storage each probe of the cycle has
         # one master, whose rows and columns are in the same order as
         # when every master was solved from scratch, so those counts
-        # are the cold ones.
+        # are the cold ones. Without storage the search makes one probe,
+        # at 2k - 2, below the route witness's 2k - 1.
         pivots: dict[tuple[int, StorageMode], int] = {}
         pending = [0]
         pivot = solver._pivot_exact
@@ -890,13 +983,13 @@ class TestHorizonSearch:
         gap_sweep(3, 6, observer=record)
         assert pivots == {
             (3, WITH): 12,
-            (3, WITHOUT): 14,
+            (3, WITHOUT): 5,
             (4, WITH): 20,
-            (4, WITHOUT): 24,
+            (4, WITHOUT): 10,
             (5, WITH): 28,
-            (5, WITHOUT): 43,
+            (5, WITHOUT): 16,
             (6, WITH): 40,
-            (6, WITHOUT): 46,
+            (6, WITHOUT): 25,
         }
 
     @pytest.mark.parametrize(
@@ -929,19 +1022,30 @@ class TestHorizonSearch:
         assert tuple(tally.values()) == counts
 
     @pytest.mark.parametrize(
-        "k, mode, t_max, digest",
+        "case, mode, t_max, digest",
         [
             (8, WITH, 32, "c00f3f8bb3bfd8fc883518d2e1e39c6ccd8a6b83224379d4407ec224548d7f4d"),
-            (6, WITHOUT, 24, "9fccee3047dc3420452e5c3139aefeeb73e48a806e78b0270b59b95be71aea24"),
+            (6, WITHOUT, 24, "b5145515ced7517cc4d717e2fc6b55f327d6b5734aab52848e161a1792a65567"),
+            (
+                CycleParams(4, F(3)),
+                WITHOUT,
+                16,
+                "c355945e1c493fa7998b790f9a8c4466b8fdfcdb463541cb16c8e6aad7261738",
+            ),
         ],
-        ids=["cycle8-with-storage", "cycle6-no-storage"],
+        ids=["cycle8-with-storage", "cycle6-no-storage", "cycle4-d0-3-no-storage"],
     )
-    def test_witness_bytes(self, k: int, mode: StorageMode, t_max: int, digest: str):
-        # The witness is the final master's basic solution, so a change
-        # to the simplex that keeps every verdict may still move it. A
-        # change that legitimately picks another basic solution re-pins
-        # these digests and says so in CHANGES.md.
-        _, flow = min_feasible_horizon(cycle_instance(k), mode, t_max)
+    def test_witness_bytes(
+        self, case: int | CycleParams, mode: StorageMode, t_max: int, digest: str
+    ):
+        # A probe's witness is the final master's basic solution, so a
+        # change to the simplex that keeps every verdict may still move
+        # it. A change that legitimately picks another basic solution
+        # re-pins these digests and says so in CHANGES.md. The k=6
+        # cycle's no-storage minimum is settled by the route witness, so
+        # its digest pins route_witness; with d0 = 3 the k=4 cycle's
+        # route witness ends at 8, and the probe of 7 gives the witness.
+        _, flow = min_feasible_horizon(cycle_instance(case), mode, t_max)
         assert hashlib.sha256(serialize_flow(flow).encode()).hexdigest() == digest
 
     def test_cycles_with_storage_probe_the_bound_and_the_minimum(self):
@@ -953,6 +1057,49 @@ class TestHorizonSearch:
                 cycle_instance(k), WITH, 4 * k, observer=horizons_into(probes)
             )
             assert (minimum, probes) == (k + 1, [k, k + 1]), k
+
+    def test_no_storage_search_bisects_toward_the_top_below_the_route_witness(self):
+        # Where the route witness ends above the top, min(t_max, 2W), it
+        # bounds nothing, and the no-storage search bisects toward the
+        # top, which it probes last. Nine units over three parallel arcs:
+        # the witness takes the first arc and ends at 10, above 2W = 8,
+        # so the search probes 6 and bisects down to W = 4. The k=8
+        # cycle, under a t_max of 14 below its route witness's 15,
+        # probes 11, 13 and 14 and fails.
+        network = Network(("s", "t"), tuple(Arc(a, "s", "t", F(1), 1) for a in "abc"))
+        instance = Instance(network, (Commodity("s", "t", F(9)),))
+        probes: list[tuple[int, bool]] = []
+
+        def record(expansion, verdict):
+            if expansion.mode is WITHOUT:
+                probes.append((expansion.horizon, verdict.feasible))
+
+        assert solver._bracket(instance, WITHOUT, 40)[1].horizon == 10
+        assert speedup_ratio(instance, 40, observer=record) == SpeedupReport(4, 4)
+        assert probes == [(6, True), (5, True), (4, True)]
+        probes.clear()
+        with pytest.raises(NoHorizonFound, match="infeasible at T=14"):
+            speedup_ratio(cycle_instance(8), 14, observer=record)
+        assert probes == [(11, False), (13, False), (14, False)]
+
+    def test_cycle_speedup_reports_probe_once_without_storage(self):
+        # Both searches of speedup_ratio share the route witness, which
+        # ends at 2k - 1. With storage the gallop still probes k and
+        # k + 1. Without storage the bracket is [k + 1, 2k - 1], and its
+        # one probe, at 2k - 2, is infeasible.
+        for k in range(3, 21):
+            probes: list[tuple[StorageMode, int, bool]] = []
+            report = speedup_ratio(
+                cycle_instance(k),
+                4 * k,
+                observer=lambda e, v: probes.append((e.mode, e.horizon, v.feasible)),
+            )
+            assert report == SpeedupReport(k + 1, 2 * k - 1), k
+            assert probes == [
+                (WITH, k, False),
+                (WITH, k + 1, True),
+                (WITHOUT, 2 * k - 2, False),
+            ], k
 
     @settings(max_examples=40, deadline=None)
     @example(case=CycleParams(3))
@@ -999,17 +1146,17 @@ class TestHorizonSearch:
 
         gap_sweep(3, 5, observer=record)
         # With storage the search gallops up from the transit bound k
-        # and stops at the minimum k + 1. Without storage it bisects
-        # [k + 1, 2k + 2], the bracket of the with-storage minimum, and
-        # would probe its top last. At k=3 the witness of T=6 arrives by
-        # 5, so 5 is never probed.
+        # and stops at the minimum k + 1, below the route witness's
+        # 2k - 1. Without storage the bracket is [k + 1, 2k - 1], closed
+        # above by the route witness, so the search probes 2k - 2 and
+        # finds it infeasible; 2k - 1 is never probed.
         assert probes == {
             (3, WITH): [3, 4],
-            (3, WITHOUT): [6, 4],
+            (3, WITHOUT): [4],
             (4, WITH): [4, 5],
-            (4, WITHOUT): [7, 6],
+            (4, WITHOUT): [6],
             (5, WITH): [5, 6],
-            (5, WITHOUT): [9, 7, 8],
+            (5, WITHOUT): [8],
         }
 
     def test_probe_order_digest(self, monkeypatch):
@@ -1031,9 +1178,9 @@ class TestHorizonSearch:
         for seed in range(1, 61):
             for mode in (WITH, WITHOUT):
                 min_feasible_horizon(random_instance(seed, 6, 10, 3, 3), mode, 40)
-        assert (len(record), [ok for _, ok in record].count(False)) == (176, 44)
+        assert (len(record), [ok for _, ok in record].count(False)) == (60, 42)
         digest = hashlib.sha256(repr(record).encode()).hexdigest()
-        assert digest == "d098de342f44513818e5d68ad77e80c3a028546cb111d96208eba7fdc6661528"
+        assert digest == "6b9cb6d5ca488b1a3f46769857b061945853cbddd49a708c171b968a441c028d"
 
 
     @settings(max_examples=40, deadline=None)
@@ -1077,42 +1224,49 @@ class TestHorizonSearch:
             assert speedup_ratio(instance, t_max) == SpeedupReport(scans[WITH], scans[WITHOUT])
 
     def test_cycle8_no_storage_search_skips_what_its_witness_settled(self):
-        # Inside [9, 18] the probe at 13 is infeasible and the one at 16
-        # feasible, with a witness that arrives by 15. So the search
-        # bisects [14, 15], probes 14 and returns 15 unprobed, with that
-        # witness recast to horizon 15.
-        probes: list[int] = []
+        # A witness settles every horizon it has fully arrived by, so no
+        # such horizon is probed. On the k=8 cycle the route witness
+        # settles 15, so inside [9, 15] the search probes 14 alone. On
+        # the random instance of seed 962 the route witness ends at 6 and
+        # the with-storage minimum is 4: the probe of 5 is feasible with a
+        # witness that arrives by 4, so the search returns 4 unprobed.
+        probes: list[tuple[int, bool]] = []
 
-        def record(expansion, _):
+        def record(expansion, verdict):
             if expansion.mode is WITHOUT:
-                probes.append(expansion.horizon)
+                probes.append((expansion.horizon, verdict.feasible))
 
         assert gap_sweep(8, 8, observer=record) == {8: SpeedupReport(9, 15)}
-        assert probes == [13, 16, 14]
+        assert probes == [(14, False)]
+        probes.clear()
+        report = speedup_ratio(random_instance(962, 5, 8, 3, 3), 40, observer=record)
+        assert report == SpeedupReport(4, 4)
+        assert probes == [(5, True)]
 
     def test_witness_below_a_proven_infeasible_horizon_raises(self, monkeypatch):
-        # The patched probe calls every horizon up to 6 infeasible, with an
+        # The patched probe calls every horizon up to 9 infeasible, with an
         # empty cut that no checker saw, and above it returns the real
-        # witness of T=5, which flow_from_paths ends at its last arrival,
-        # 5. The search has already proved 5 infeasible, so it must fail
-        # loudly.
-        instance = cycle_instance(3)
-        real = probe_horizon(instance, 5, WITHOUT)[1].flow
-        assert real.horizon == 5
+        # witness of T=8, which flow_from_paths ends at its last arrival,
+        # 8. The gallop from 2, capped below the route witness's 13,
+        # probes 2, 3, 5, 9 and 12; by then the search has proved 8
+        # infeasible, so it must fail loudly.
+        instance = parallel_arcs_instance(12)
+        real = probe_horizon(instance, 8, WITHOUT)[1].flow
+        assert real.horizon == 8
         assert check_flow(real, instance, WITHOUT).ok
         probe = solver.probe_horizon
 
         def faulty(instance, horizon, mode):
             expansion, result = probe(instance, horizon, mode)
-            if horizon <= 6:
+            if horizon <= 9:
                 return expansion, Verdict(cut={})
             return expansion, Verdict(real)
 
         monkeypatch.setattr(solver, "probe_horizon", faulty)
         probes: list[int] = []
-        with pytest.raises(RuntimeError, match="arrives by 5"):
+        with pytest.raises(RuntimeError, match="arrives by 8"):
             min_feasible_horizon(instance, WITHOUT, 20, observer=horizons_into(probes))
-        assert probes == [3, 4, 6, 10]
+        assert probes == [2, 3, 5, 9, 12]
 
 
 class TestVerdict:
@@ -1174,7 +1328,7 @@ class TestVerdict:
                 minimum, _ = min_feasible_horizon(instance, mode, 40, observer=record)
                 seen += [(e, v, minimum) for e, v in probes if not v.feasible]
                 probes.clear()
-        assert len(seen) == 44
+        assert len(seen) == 42
         for expansion, verdict, minimum in seen:
             instance, mode = expansion.instance, expansion.mode
             assert check_cut(expansion.horizon, verdict.cut, instance, mode).ok
@@ -1233,7 +1387,7 @@ class TestValidity:
         computed.clear()
         report = speedup_ratio(cycle_instance(8), 32, observer=horizons_into(probes))
         assert report == SpeedupReport(9, 15)
-        assert len(probes) == 5 and len(computed) == 1
+        assert len(probes) == 3 and len(computed) == 1
 
 
 class TestIntegerHorizon:
