@@ -169,10 +169,8 @@ def wave_schedule_no_storage(k: int) -> FlowOverTime:
     for j in range(k - 1):
         put(j, 0, k - 1 + j, k + j)
 
-    rates = {
-        key: StepFunction(horizon, tuple(sorted(parts, key=lambda p: p.start)))
-        for key, parts in pieces.items()
-    }
+    # Each key's pieces are put in start order.
+    rates = {key: StepFunction(horizon, tuple(parts)) for key, parts in pieces.items()}
     return FlowOverTime(horizon, rates)
 
 

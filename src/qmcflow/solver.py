@@ -104,8 +104,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
-from .core import FlowOverTime, Instance, StorageMode, format_rational, validate_instance
-from .checker import check_cut, check_flow
+from .core import (
+    FlowOverTime,
+    Instance,
+    StorageMode,
+    _require_mode,
+    format_rational,
+    validate_instance,
+)
+from .checker import ViolationReport, check_cut, check_flow
 from .expansion import (
     ExpandedNetwork,
     Path,
@@ -460,12 +467,10 @@ def probe_horizon(
             if cheapest is not None and duals[i] > cheapest[0]:
                 break
         else:
-            report = check_cut(horizon, lengths, instance, mode)
-            if not report.ok:
-                raise RuntimeError(
-                    f"the length certificate at T={horizon} does not prove"
-                    f" infeasibility: {report.violations[0].to_json()}"
-                )
+            _certify(
+                check_cut(horizon, lengths, instance, mode),
+                f"the length certificate at T={horizon} does not prove infeasibility",
+            )
             return expansion, Verdict(cut=lengths)
         start += step + 1
         column = (i, cheapest[1])
@@ -476,10 +481,16 @@ def probe_horizon(
         known.add(column)
         master.add(*column)
     flow = flow_from_paths(expansion, master.paths, _master_values(master))
-    violations = check_flow(flow, instance, mode).violations
-    if violations:
-        raise RuntimeError(f"the witness at T={horizon} fails check_flow: {violations[0].to_json()}")
+    _certify(check_flow(flow, instance, mode), f"the witness at T={horizon} fails check_flow")
     return expansion, Verdict(flow)
+
+
+def _certify(report: ViolationReport, what: str) -> None:
+    """Raise RuntimeError("<what>: <first violation as JSON>") unless the
+    independent checker's report is clean. Every certificate the solver
+    relies on passes here, in explicit code, which python -O keeps."""
+    if report.violations:
+        raise RuntimeError(f"{what}: {report.violations[0].to_json()}")
 
 
 def _master_values(master: _PathMaster) -> list[Fraction]:
@@ -612,17 +623,19 @@ def _bracket(instance: Instance, mode: StorageMode, t_max: int) -> tuple[int, Fl
     routes (route_witness), which check_flow must accept without
     storage, and so with it, or RuntimeError is raised.
 
-    Raises ValueError for an invalid instance or t_max < 1, and
-    NoHorizonFound before any probe when a commodity with positive
+    Raises ValueError for a mode that is not a StorageMode, an invalid
+    instance or a t_max that is not an integer >= 1, bools included,
+    and NoHorizonFound before any probe when a commodity with positive
     demand has no such route (every horizon is then infeasible; the
     route test is exact, since any such path carries the demand without
     waiting once the horizon is long enough) or when L > t_max.
     """
+    _require_mode(mode)
     report = validate_instance(instance)
     if not report.ok:
         raise ValueError(f"invalid instance: {report}")
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    if type(t_max) is not int or t_max < 1:
+        raise ValueError("t_max must be an integer of at least 1")
 
     routes = {}
     lower = 1
@@ -644,12 +657,10 @@ def _bracket(instance: Instance, mode: StorageMode, t_max: int) -> tuple[int, Fl
             f" bound proves every horizon below {lower} infeasible"
         )
     witness = route_witness(instance, routes)
-    violations = check_flow(witness, instance, StorageMode.NO_INTERMEDIATE_STORAGE).violations
-    if violations:
-        raise RuntimeError(
-            f"the route witness ending at {witness.horizon} fails check_flow:"
-            f" {violations[0].to_json()}"
-        )
+    _certify(
+        check_flow(witness, instance, StorageMode.NO_INTERMEDIATE_STORAGE),
+        f"the route witness ending at {witness.horizon} fails check_flow",
+    )
     return lower, witness
 
 
@@ -740,9 +751,10 @@ def gap_sweep(
 
     Runs serially in order of k, searching each k up to 4k, above both
     minima k + 1 and 2k - 1; the observer sees every probe of every
-    search. Requires 3 <= k_min <= k_max.
+    search. Requires integers 3 <= k_min <= k_max, bools excluded.
     """
-    if not 3 <= k_min <= k_max:
+    integers = all(type(k) is int for k in (k_min, k_max))
+    if not integers or not 3 <= k_min <= k_max:
         raise ValueError("need 3 <= k_min <= k_max")
     return {
         k: speedup_ratio(cycle_instance(k), 4 * k, observer=observer)

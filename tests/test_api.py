@@ -1,4 +1,5 @@
-"""The top-level API: the names qmcflow exports and where each lives.
+"""The top-level API: the names qmcflow exports and where each lives,
+and the package's source, which python -O must leave as it is.
 
 The package builds its __all__ from the modules' own, so this literal
 list is what notices a module edit that changes the top-level API.
@@ -6,8 +7,10 @@ list is what notices a module edit that changes the top-level API.
 
 from __future__ import annotations
 
+import ast
 import inspect
 from importlib import import_module
+from pathlib import Path
 
 import qmcflow
 
@@ -88,3 +91,26 @@ def test_star_import_binds_exactly_the_exported_names():
     exec("from qmcflow import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == EXPORTED
+
+
+def test_python_O_runs_every_check():
+    # python -O drops assert statements and compiles `if __debug__:`
+    # blocks away, so every check of the package is explicit code: no
+    # assert, and no read of __debug__ or sys.flags anywhere in it.
+    modules = sorted(Path(qmcflow.__file__).parent.rglob("*.py"))
+    assert len(modules) == 7
+    found = []
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Assert)
+                or (isinstance(node, ast.Name) and node.id == "__debug__")
+                or (isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.flags")
+                or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "sys"
+                    and "flags" in [alias.name for alias in node.names]
+                )
+            ):
+                found.append(f"{module.name}:{node.lineno}")
+    assert found == []

@@ -84,6 +84,20 @@ class TestGen:
         assert parse_instance(out) == random_instance(1, 5, 8, 3, 3)
         assert random_instance(1, 5, 8, 3, 3) != random_instance(1, 3, 8, 3, 3)
 
+    def test_each_bound_flag_sets_its_own_bound(self, capsys):
+        # The value 6 gives a different instance in each bound's place,
+        # so no two of the flags can be swapped unseen.
+        expected = {
+            "--arcs": random_instance(1, 5, 6, 3, 3),
+            "--commodities": random_instance(1, 5, 8, 6, 3),
+            "--tau": random_instance(1, 5, 8, 3, 6),
+        }
+        assert len({*expected.values(), random_instance(1, 5, 8, 3, 3)}) == 4
+        for flag, instance in expected.items():
+            code, out, _ = run(capsys, "gen", "random", "--seed", "1", flag, "6")
+            assert code == 0
+            assert parse_instance(out) == instance, flag
+
     def test_bad_k_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "cycle", "--k", "2")
         assert code == 2

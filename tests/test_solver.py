@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
-import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -489,6 +488,26 @@ class TestHorizonSearch:
         with pytest.raises(ValueError, match="t_max"):
             min_feasible_horizon(cycle_instance(3), WITH, 0)
 
+    # The one-arc instance's bracket [2, 2] is closed, so its searches
+    # make no probe that could check their arguments.
+    @pytest.mark.parametrize("capacity", [1, 0])
+    @pytest.mark.parametrize("mode", ["bogus", None, "no-storage"])
+    def test_search_rejects_a_mode_that_is_not_a_storage_mode(self, mode, capacity):
+        network = Network(("v0", "v1"), (Arc("a0", "v0", "v1", F(capacity), 1),))
+        instance = Instance(network, (Commodity("v0", "v1", F(1)),))
+        with pytest.raises(ValueError, match="mode must be a StorageMode"):
+            min_feasible_horizon(instance, mode, 10)
+
+    @pytest.mark.parametrize("t_max", [True, "5", 2.5, 10.0, F(10), 0])
+    @pytest.mark.parametrize(
+        "search",
+        [lambda instance, t_max: min_feasible_horizon(instance, WITH, t_max), speedup_ratio],
+        ids=["min_feasible_horizon", "speedup_ratio"],
+    )
+    def test_search_rejects_a_t_max_that_is_not_a_positive_integer(self, search, t_max):
+        with pytest.raises(ValueError, match="t_max must be an integer of at least 1"):
+            search(single_arc_instance(), t_max)
+
     def test_zero_demand_commodity_does_not_raise_the_lower_bound(self):
         # Commodity 0 ships 4 over v0 -> v1 as in parallel_arcs_instance:
         # transit bound 2, minimum 4, route witness ending at 5.
@@ -578,124 +597,52 @@ class TestHorizonSearch:
                     assert all(t < minimum for t, ok in probes if not ok)
                     assert all(t >= minimum for t, ok in probes if ok)
 
-    def test_uncertified_minimum_raises_even_under_python_O(self):
-        # The flow checker certifies each feasible probe's witness in
-        # explicit code, which python -O keeps. The patched _master_values
-        # corrupts the path values of every feasible master after the
-        # real ones passed their check. The instance is
-        # parallel_arcs_instance(4), whose route witness, ending at 5,
-        # leaves the minimum 4 to a probe.
-        script = (
-            "import sys\n"
-            "from fractions import Fraction\n"
-            "from qmcflow import solver\n"
-            "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
-            "arcs = (Arc('fast', 's', 't', Fraction(1), 1), Arc('slow', 's', 't', Fraction(1), 2))\n"
-            "instance = Instance(Network(('s', 't'), arcs), (Commodity('s', 't', Fraction(4)),))\n"
-            "values = solver._master_values\n"
-            "def corrupted(master):\n"
-            "    return [v + 1 for v in values(master)]\n"
-            "solver._master_values = corrupted\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "try:\n"
-            "    solver.min_feasible_horizon(instance, StorageMode.WITH_STORAGE, 10)\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n"
-            "else:\n"
-            "    print('returned')\n"
-        )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        assert completed.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+    @pytest.mark.parametrize("target", ["_master_values", "flow_from_paths"])
+    @pytest.mark.parametrize("mode, horizon", [(WITH, 4), (WITHOUT, 5)])
+    def test_witness_rejected_by_check_flow_raises_in_the_probe(
+        self, monkeypatch, target, mode, horizon
+    ):
+        # Each corruption comes after the master's values passed their
+        # own check: every path value plus one, or every value doubled
+        # on its way into the witness. Only check_flow in the probe can
+        # catch it.
+        real = getattr(solver, target)
+        if target == "_master_values":
+            monkeypatch.setattr(solver, target, lambda master: [v + 1 for v in real(master)])
+        else:
+            monkeypatch.setattr(
+                solver, target, lambda e, paths, values: real(e, paths, [2 * v for v in values])
+            )
+        with pytest.raises(RuntimeError, match=f"^the witness at T={horizon} fails check_flow: "):
+            probe_horizon(cycle_instance(3), horizon, mode)
 
-    def test_corrupted_route_witness_raises_even_under_python_O(self):
-        # The route witness is checked by check_flow in explicit code,
-        # which python -O keeps, before any search relies on it. The
-        # patched route_witness doubles every rate of the real one, so
-        # both searches must fail before their first probe.
-        script = (
-            "import sys\n"
-            "from qmcflow import solver\n"
-            "from qmcflow.core import FlowOverTime, Piece, StepFunction, StorageMode\n"
-            "from qmcflow.instances import cycle_instance\n"
-            "build = solver.route_witness\n"
-            "def doubled(instance, routes):\n"
-            "    flow = build(instance, routes)\n"
-            "    return FlowOverTime(flow.horizon, {\n"
-            "        key: StepFunction(step.domain_end, tuple(\n"
-            "            Piece(p.start, p.end, 2 * p.rate) for p in step.pieces))\n"
-            "        for key, step in flow.rates.items()})\n"
-            "solver.route_witness = doubled\n"
-            "def probe(*args):\n"
-            "    raise AssertionError('probed')\n"
-            "solver.probe_horizon = probe\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "for search in (\n"
-            "    lambda: solver.min_feasible_horizon(cycle_instance(3), StorageMode.WITH_STORAGE, 12),\n"
-            "    lambda: solver.speedup_ratio(cycle_instance(3), 12),\n"
-            "):\n"
-            "    try:\n"
-            "        search()\n"
-            "    except RuntimeError as error:\n"
-            "        print('raised', str(error).partition(': ')[0])\n"
-            "    else:\n"
-            "        print('returned')\n"
-        )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        assert completed.stdout.split("\n")[:3] == [
-            "optimize 1",
-            "raised the route witness ending at 5 fails check_flow",
-            "raised the route witness ending at 5 fails check_flow",
-        ]
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda instance: min_feasible_horizon(instance, WITH, 12),
+            lambda instance: speedup_ratio(instance, 12),
+        ],
+        ids=["min_feasible_horizon", "speedup_ratio"],
+    )
+    def test_corrupted_route_witness_raises_before_any_probe(self, monkeypatch, search):
+        # The route witness is checked by check_flow before any search
+        # relies on it. The patched route_witness doubles every rate of
+        # the real one, so both searches must fail before their first
+        # probe.
+        build = solver.route_witness
 
-    def test_rejected_witness_raises_in_the_probe_even_under_python_O(self):
-        # The patched flow_from_paths doubles every rate of each witness,
-        # after the master's values passed their own check, so only
-        # check_flow in the probe can catch it.
-        script = (
-            "import sys\n"
-            "from qmcflow import solver\n"
-            "from qmcflow.core import StorageMode\n"
-            "from qmcflow.instances import cycle_instance\n"
-            "build = solver.flow_from_paths\n"
-            "def doubled(expansion, paths, values):\n"
-            "    return build(expansion, paths, [2 * value for value in values])\n"
-            "solver.flow_from_paths = doubled\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "for mode, horizon in ((StorageMode.WITH_STORAGE, 4), (StorageMode.NO_INTERMEDIATE_STORAGE, 5)):\n"
-            "    try:\n"
-            "        solver.probe_horizon(cycle_instance(3), horizon, mode)\n"
-            "    except RuntimeError as error:\n"
-            "        print('raised', str(error).partition(': ')[0])\n"
-            "    else:\n"
-            "        print('returned')\n"
-        )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        assert completed.stdout.split("\n")[:3] == [
-            "optimize 1",
-            "raised the witness at T=4 fails check_flow",
-            "raised the witness at T=5 fails check_flow",
-        ]
+        def doubled(instance, routes):
+            flow = build(instance, routes)
+            rates = {
+                key: replace(step, pieces=tuple(replace(p, rate=2 * p.rate) for p in step.pieces))
+                for key, step in flow.rates.items()
+            }
+            return replace(flow, rates=rates)
+
+        monkeypatch.setattr(solver, "route_witness", doubled)
+        monkeypatch.setattr(solver, "probe_horizon", lambda *args: pytest.fail("probed"))
+        with pytest.raises(RuntimeError, match="^the route witness ending at 5 fails check_flow: "):
+            search(cycle_instance(3))
 
     def test_only_the_probe_calls_a_checker(self, monkeypatch):
         # Each verdict is certified in its probe: check_flow once per
@@ -722,52 +669,6 @@ class TestHorizonSearch:
         assert calls.count(("check_flow", "_bracket")) == 6
         assert calls.count(("check_cut", "probe_horizon")) == verdicts.count(False) == 12
         assert len(calls) == 24
-
-    def test_unchecked_master_values_raise_even_under_python_O(self):
-        # A feasible master's path values are checked in explicit code,
-        # which python -O keeps. The one path of the single-arc instance
-        # is given the value 1 (the real one), -1, 2 (over the arc's
-        # capacity 1) and 0 (short of the demand 1).
-        script = (
-            "import sys\n"
-            "from fractions import Fraction\n"
-            "from qmcflow import solver\n"
-            "from qmcflow.core import Arc, Commodity, Instance, Network, StorageMode\n"
-            "from qmcflow.expansion import build_time_expanded, route_departures\n"
-            "network = Network(('v0', 'v1'), (Arc('a0', 'v0', 'v1', Fraction(1), 1),))\n"
-            "instance = Instance(network, (Commodity('v0', 'v1', Fraction(1)),))\n"
-            "expansion = build_time_expanded(instance, 2, StorageMode.WITH_STORAGE)\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "for value in (1, -1, 2, 0):\n"
-            "    paths = [(0, path) for path in route_departures(expansion, 0)]\n"
-            "    master = solver._PathMaster(expansion, [0], paths)\n"
-            "    print('feasible', solver._run_phase_one(master))\n"
-            "    r = master.basis.index(0)\n"
-            "    master.rows[r][solver._RHS] = value * master.dens[r]\n"
-            "    try:\n"
-            "        print('returned', solver._master_values(master))\n"
-            "    except RuntimeError as error:\n"
-            "        print('raised', error)\n"
-        )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        assert completed.stdout.split("\n")[:9] == [
-            "optimize 1",
-            "feasible True",
-            "returned [Fraction(1, 1)]",
-            "feasible True",
-            "raised the master gives a path of commodity 0 a negative value",
-            "feasible True",
-            "raised the master overloads copy ('a0', 0) of the expansion",
-            "feasible True",
-            "raised the master misses the demand of commodity 0",
-        ]
 
     def test_master_values_compare_over_the_lcm_of_row_denominators(self):
         # One commodity of demand 5/6 and two departures over an arc of
@@ -1279,33 +1180,6 @@ class TestVerdict:
             with pytest.raises(ValueError, match="exactly one certificate"):
                 Verdict(**fields)
 
-    def test_exactly_one_certificate_even_under_python_O(self):
-        # The check is explicit code, which python -O keeps.
-        script = (
-            "import sys\n"
-            "from qmcflow.core import FlowOverTime\n"
-            "from qmcflow.solver import Verdict\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "flow = FlowOverTime(1, {})\n"
-            "for fields in ({}, {'flow': flow, 'cut': {}}):\n"
-            "    try:\n"
-            "        Verdict(**fields)\n"
-            "    except ValueError as error:\n"
-            "        print('raised', error)\n"
-            "    else:\n"
-            "        print('returned')\n"
-        )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        raised = "raised a verdict carries exactly one certificate: a flow or a cut"
-        assert completed.stdout.split("\n")[:3] == ["optimize 1", raised, raised]
-
     def test_every_cut_is_a_certificate_on_its_own(self):
         # Each infeasible verdict of the k=3..8 reports and of both modes'
         # searches on 60 instances at the random-solve bounds: its cut
@@ -1816,52 +1690,30 @@ class PathLPCases:
                 assert all(lengths is last[0] for _, lengths in calls), (instance, horizon)
         assert verdicts == self.infeasible_cases
 
-    def test_corrupted_length_certificate_raises_even_under_python_O(self):
-        # The cut check is explicit code, which python -O keeps. The zero
-        # length function proves nothing, so the probe must raise; a
-        # negative length is no length function at all, so the checker
-        # reports it.
+    def test_corrupted_length_certificate_raises(self, monkeypatch):
+        # The zero length function proves nothing, so the probe must
+        # raise; a negative length is no length function at all, so the
+        # checker reports it.
         horizon = self.cycle_minimum(3) - 1
-        script = (
-            "import sys\n"
-            "from qmcflow import solver\n"
-            "from qmcflow.core import StorageMode\n"
-            "from qmcflow.instances import cycle_instance\n"
-            f"mode = StorageMode.{self.mode.name}\n"
-            "print('optimize', sys.flags.optimize)\n"
-            "certificates = []\n"
-            "check = solver.check_cut\n"
-            "def recorded(*args):\n"
-            "    certificates.append(args)\n"
-            "    return check(*args)\n"
-            "solver.check_cut = recorded\n"
-            f"print('feasible', solver.probe_horizon(cycle_instance(3), {horizon}, mode)[1].feasible)\n"
-            "horizon, lengths, instance, _ = certificates[0]\n"
-            "negative = {copy: -value for copy, value in lengths.items()}\n"
-            "report = check(horizon, negative, instance, mode)\n"
-            "print('negated', report.ok, sorted({v.kind for v in report.violations}))\n"
-            "duals = solver._master_duals\n"
-            "def zero(*args):\n"
-            "    return {}, dict.fromkeys(duals(*args)[1], 0)\n"
-            "solver._master_duals = zero\n"
-            "try:\n"
-            f"    solver.probe_horizon(cycle_instance(3), {horizon}, mode)\n"
-            "except RuntimeError as error:\n"
-            "    print('raised', error)\n"
-            "else:\n"
-            "    print('returned')\n"
+        certificates = []
+        check = solver.check_cut
+
+        def recorded(*args):
+            certificates.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(solver, "check_cut", recorded)
+        assert not probe_horizon(cycle_instance(3), horizon, self.mode)[1].feasible
+        _, lengths, instance, _ = certificates[0]
+        negated = check(horizon, {copy: -v for copy, v in lengths.items()}, instance, self.mode)
+        assert not negated.ok and {v.kind for v in negated.violations} == {"cut"}
+        duals = solver._master_duals
+        monkeypatch.setattr(
+            solver, "_master_duals", lambda master: ({}, dict.fromkeys(duals(master)[1], 0))
         )
-        src = str(Path(qmcflow.__file__).resolve().parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-            check=True,
-        )
-        lines = completed.stdout.split("\n")
-        assert lines[:3] == ["optimize 1", "feasible False", "negated False ['cut']"]
-        assert lines[3].startswith(f"raised the length certificate at T={horizon} does not prove")
+        message = f"^the length certificate at T={horizon} does not prove infeasibility: "
+        with pytest.raises(RuntimeError, match=message):
+            probe_horizon(cycle_instance(3), horizon, self.mode)
 
 
 class TestDepartureLP(PathLPCases):
@@ -1942,6 +1794,11 @@ class TestSweep:
             gap_sweep(2, 5)
         with pytest.raises(ValueError):
             gap_sweep(5, 4)
+
+    @pytest.mark.parametrize("bounds", [(3.0, 4), (3, 4.5), (3, "4"), (F(3), 4), (3, True)])
+    def test_sweep_bounds_must_be_integers(self, bounds):
+        with pytest.raises(ValueError, match="need 3 <= k_min <= k_max"):
+            gap_sweep(*bounds)
 
     def test_csv_format(self):
         reports = {3: SpeedupReport(4, 5), 4: SpeedupReport(5, 7), 6: SpeedupReport(7, 11)}
