@@ -60,15 +60,21 @@ row: it is built from its cost row and updated at every pivot by the
 same elimination routine as every other row, and an infeasible run
 leaves it for the duals. An index from each column to the rows where it
 is nonzero lets a pivot, the ratio test and the build of a new column
-touch only those rows. Pivoting is deterministic. The entering rule is
-largest reduced cost with smallest-index tie break, switching to
-Bland's smallest-index rule after a run of degenerate pivots; ties in
-the ratio test always go to the smallest basic variable index.
-Structural columns rank below every slack and artificials last, in the
-order they were added, so the first master of a probe pivots exactly as
-a master solved on its own. Bland's rule guarantees the procedure
-cannot cycle, so it always terminates, and with exact arithmetic every
-verdict is exact.
+touch only those rows. Pivoting is deterministic and has one rule: the
+entering column has the largest reduced cost, the smallest column number
+on ties, and an exact tie in the ratio test goes to the row whose
+[rhs | B^-1] part, divided by its pivot entry, is lexicographically
+least, with B^-1's columns in column-number order (Dantzig, Orden and
+Wolfe, 1955). Every row of [rhs | B^-1] starts lexicographically
+positive, since rhs >= 0 and B^-1 = I, and this choice keeps it so, so
+no basis repeats and phase one terminates under any entering rule.
+Column generation keeps that: a new column leaves B^-1 as it is, and a
+row appended later holds its own slack basic (e_r in B^-1) while every
+earlier row holds 0 in that slack's column, wherever it falls in the
+column order. Structural columns rank below every slack and artificials
+last, in the order they were added, so the first master of a probe
+pivots exactly as a master solved on its own. With exact arithmetic
+every verdict is exact.
 
 Least feasible integer horizons are found by one loop (_least_horizon)
 inside a bracket proved at both ends, whose ends come from each
@@ -138,12 +144,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-# Consecutive degenerate pivots tolerated before switching the entering
-# rule to Bland's. Any cycle consists solely of degenerate pivots, so
-# running Bland's rule from within such a run guarantees termination.
-_BLAND_TRIGGER = 32
-
-
 class NoHorizonFound(Exception):
     """No feasible horizon exists within the search bound."""
 
@@ -175,8 +175,8 @@ _RHS = -1
 # Column numbers: structural columns count up from 0 in the order they
 # are added, the slack of row r is _SLACK + r and its artificial _ART + r.
 # So slacks rank above every structural column and artificials last,
-# however many rows and columns are appended later; the entering rule,
-# Bland's rule and the ratio-test tie-break all compare these numbers.
+# however many rows and columns are appended later; the entering rule's
+# tie-break and the ratio test's lexicographic order compare these numbers.
 _SLACK = 1 << 40
 _ART = 1 << 41
 
@@ -308,34 +308,32 @@ def _run_phase_one(master: _PathMaster) -> bool:
     objective, the sum of the artificials, reaches zero (the rows are
     feasible); False when it is positive and no column can enter, which
     leaves the final phase-one row in the objective."""
-    rows, basis = master.rows, master.basis
-    objective, rows_of = master.objective, master.rows_of
-    bland = False
-    degenerate_streak = 0
+    rows, objective, rows_of = master.rows, master.objective, master.rows_of
 
     while objective.get(_RHS, 0) > 0:
-        entering = _entering_exact(objective, bland)
+        entering = _entering_exact(objective)
         if entering is None:
             return False
 
         # Ratio test over pairs (rhs numerator, pivot numerator), both
         # over the same row denominator, compared by cross
-        # multiplication.
+        # multiplication; an exact tie goes to the lexicographically
+        # smaller row (_lex_less).
         pivot_row = None
         best_num = best_den = 0
-        best_basic = -1
         for i in rows_of[entering]:
             coeff = rows[i].get(entering, 0)
             if coeff <= 0:
                 continue
             num = rows[i].get(_RHS, 0)
-            if pivot_row is None:
-                pivot_row, best_num, best_den, best_basic = i, num, coeff, basis[i]
-                continue
-            left = num * best_den
-            right = best_num * coeff
-            if left < right or (left == right and basis[i] < best_basic):
-                pivot_row, best_num, best_den, best_basic = i, num, coeff, basis[i]
+            if pivot_row is not None:
+                left = num * best_den
+                right = best_num * coeff
+                if left > right or (
+                    left == right and not _lex_less(rows[i], coeff, rows[pivot_row], best_den)
+                ):
+                    continue
+            pivot_row, best_num, best_den = i, num, coeff
         if pivot_row is None:
             # The objective is bounded below by zero, so an improving
             # column always has a blocking row; reaching this means the
@@ -343,27 +341,35 @@ def _run_phase_one(master: _PathMaster) -> bool:
             raise RuntimeError("phase-one ratio test found no pivot row")
 
         _pivot_exact(master, pivot_row, entering)
-        if best_num == 0:
-            degenerate_streak += 1
-            if degenerate_streak >= _BLAND_TRIGGER:
-                bland = True
-        else:
-            degenerate_streak = 0
-            bland = False
     return True
 
 
-def _entering_exact(objective: dict[int, int], bland: bool) -> int | None:
-    """Largest positive objective numerator, smallest index on ties.
-    Under Bland's rule every positive entry counts as a tie, so the
-    smallest index wins. The _RHS cell is not a column."""
+def _lex_less(v: dict[int, int], b: int, u: dict[int, int], a: int) -> bool:
+    """Whether row v divided by its pivot entry b is lexicographically
+    smaller than row u divided by a, over the columns of B^-1 (the
+    slacks and artificials) in column order. Both pivot entries are
+    positive numerators over their own row's denominator, which cancels,
+    so v[c]/b < u[c]/a exactly when v[c] * a < u[c] * b. Rows of a
+    nonsingular B^-1 are never proportional; RuntimeError if two are."""
+    first = min(
+        (c for c in v.keys() | u.keys() if c >= _SLACK and v.get(c, 0) * a != u.get(c, 0) * b),
+        default=None,
+    )
+    if first is None:
+        raise RuntimeError("the ratio test tied two rows of B^-1 on every column")
+    return v.get(first, 0) * a < u.get(first, 0) * b
+
+
+def _entering_exact(objective: dict[int, int]) -> int | None:
+    """Largest positive objective numerator, smallest index on ties. The
+    _RHS cell is not a column. Termination does not rest on this rule:
+    the ratio test's lexicographic tie-break prevents cycling under any
+    entering rule."""
     best = None
     best_value = 0
     for j, v in objective.items():
         if v <= 0 or j == _RHS:
             continue
-        if bland:
-            v = 1
         if v > best_value or (v == best_value and j < best):
             best, best_value = j, v
     return best

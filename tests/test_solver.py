@@ -858,8 +858,8 @@ class TestHorizonSearch:
 
     def test_sweep_pivot_counts(self, monkeypatch):
         # The pivot rules are deterministic, so the pivots each search
-        # makes are fixed; a change of entering rule, ratio-test
-        # tie-break or Bland trigger shows here. They are the path
+        # makes are fixed; a change of entering rule or of the ratio
+        # test's lexicographic tie-break shows here. They are the path
         # masters' pivots, summed over each probe's column generation,
         # which resumes phase one from the last basis after each
         # pricing round. Without storage each probe of the cycle has
@@ -885,21 +885,21 @@ class TestHorizonSearch:
         assert pivots == {
             (3, WITH): 12,
             (3, WITHOUT): 5,
-            (4, WITH): 20,
-            (4, WITHOUT): 10,
-            (5, WITH): 28,
-            (5, WITHOUT): 16,
-            (6, WITH): 40,
-            (6, WITHOUT): 25,
+            (4, WITH): 17,
+            (4, WITHOUT): 7,
+            (5, WITH): 22,
+            (5, WITHOUT): 9,
+            (6, WITH): 27,
+            (6, WITHOUT): 11,
         }
 
     @pytest.mark.parametrize(
         "mode, horizon, feasible, counts",
         [
-            (WITH, 17, True, (115, 80, 79, 111)),
+            (WITH, 17, True, (132, 101, 100, 131)),
             (WITH, 16, False, (16, 1, 1, 16)),
-            (WITHOUT, 30, False, (102, 1, 1, 16)),
-            (WITHOUT, 32, True, (61, 1, 0, 0)),
+            (WITHOUT, 30, False, (37, 1, 1, 16)),
+            (WITHOUT, 32, True, (31, 1, 0, 0)),
         ],
         ids=["with-storage-17", "with-storage-16", "no-storage-30", "no-storage-32"],
     )
@@ -1580,6 +1580,8 @@ class PathLPCases:
     infeasible_probes: int
     # Infeasible verdicts among the probes of the full-pricing test.
     infeasible_cases: int
+    # (runs of phase one, final columns) of the dense instance's probes.
+    dense_columns: list[tuple[int, int]]
 
     def cycle_minimum(self, k: int) -> int:
         raise NotImplementedError
@@ -1619,17 +1621,18 @@ class PathLPCases:
         random_probes_match_the_node_arc_lp(self.mode)
 
     def test_dense_instance_verdicts_match_with_few_columns(self):
-        verdicts = []
+        verdicts, columns = [], []
         for horizon in range(3, 11):
             expansion, result, master = assert_matches_the_node_arc_lp(
                 complete_digraph_instance(), horizon, self.mode
             )
             verdicts.append(result.feasible)
-            # Pricing keeps the master small: at most 26 rounds and 40
-            # final columns in either mode, against up to 702 (movement
-            # copy, commodity) columns of the node-arc LP.
-            rounds = (master.appends, len(master.paths))
-            assert master.appends <= 26 and len(master.paths) <= 40, (horizon, rounds)
+            columns.append((master.appends, len(master.paths)))
+        # Pricing keeps the master small: the runs of phase one and the
+        # final columns at T = 3..10, against up to 702 (movement copy,
+        # commodity) columns of the node-arc LP. They are pinned, as the
+        # pivots are, because they follow the pivoting rule exactly.
+        assert columns == self.dense_columns
         assert len(expansion.movement_copies) * len(expansion.instance.commodities) == 702
         assert verdicts == [False] * 4 + [True] * 4
 
@@ -1723,6 +1726,7 @@ class TestDepartureLP(PathLPCases):
     infeasible_probes = 11
     infeasible_cases = 25
     cycle6_rounds = [1, 1]
+    dense_columns = [(1, 3), (3, 8), (9, 17), (21, 32), (27, 41), (22, 39), (18, 38), (15, 38)]
 
     def cycle_minimum(self, k: int) -> int:
         return 2 * k - 1
@@ -1739,7 +1743,8 @@ class TestWaitingPathLP(PathLPCases):
     mode = WITH
     infeasible_probes = 6
     infeasible_cases = 18
-    cycle6_rounds = [1, 20]
+    cycle6_rounds = [1, 10]
+    dense_columns = [(1, 3), (3, 8), (9, 17), (21, 32), (33, 47), (22, 39), (18, 38), (15, 38)]
 
     def cycle_minimum(self, k: int) -> int:
         return k + 1
@@ -1761,6 +1766,78 @@ class TestWaitingPathLP(PathLPCases):
         assert result.feasible
         assert check_flow(result.flow, cycle_instance(20), WITH).ok
         assert pivots[0] <= 1000
+
+
+def lexicographically_positive(row: dict[int, int]) -> bool:
+    """Whether a tableau row's [rhs | B^-1] part, the right-hand side and
+    then the slack and artificial columns in column order, starts with a
+    positive entry."""
+    if rhs := row.get(solver._RHS, 0):
+        return rhs > 0
+    first = min((c for c, v in row.items() if c >= solver._SLACK and v), default=None)
+    return first is not None and row[first] > 0
+
+
+class TestLexicographicRule:
+    """Phase one breaks exact ratio-test ties lexicographically over
+    [rhs | B^-1], so every row of it stays lexicographically positive and
+    no basis repeats, whatever the entering rule; with no other rule
+    beside it, phase one terminates on its own."""
+
+    def checked_pivots(self, monkeypatch) -> list[int]:
+        """Check every row after each pivot; returns [pivots, exact ties
+        broken], counted from here."""
+        counts = [0, 0]
+        pivot, lex_less = solver._pivot_exact, solver._lex_less
+
+        def checked(master, r, entering):
+            pivot(master, r, entering)
+            counts[0] += 1
+            for i, entries in enumerate(master.rows):
+                assert lexicographically_positive(entries), (i, master.basis[i], entries)
+
+        def tie(*args):
+            counts[1] += 1
+            return lex_less(*args)
+
+        monkeypatch.setattr(solver, "_pivot_exact", checked)
+        monkeypatch.setattr(solver, "_lex_less", tie)
+        return counts
+
+    @pytest.mark.parametrize("mode", [WITH, WITHOUT], ids=["with-storage", "no-storage"])
+    def test_every_row_stays_lexicographically_positive(self, monkeypatch, mode):
+        counts = self.checked_pivots(monkeypatch)
+        cases = [(cycle_instance(6), t) for t in range(6, 15)]
+        cases.append((complete_digraph_instance(), 7))
+        cases += [(random_instance(seed, 5, 8, 3, 3), t) for seed in range(1, 21) for t in (2, 4)]
+        for instance, horizon in cases:
+            probe_horizon(instance, horizon, mode)
+        # Ties do occur, so the rule is exercised, not just present.
+        assert counts[0] > 0 and counts[1] > 0, counts
+
+    def test_degenerate_cycle_pivots(self, monkeypatch):
+        # With d0 = 3 the cycle's feasible probes are highly degenerate.
+        # Ties to the smallest basic index, with a switch to Bland's rule
+        # after 32 degenerate pivots, made [8, 62, 227, 219] here.
+        counts = self.checked_pivots(monkeypatch)
+        pivots: list[int] = []
+
+        def record(*_):
+            pivots.append(counts[0] - sum(pivots))
+
+        minimum, _ = min_feasible_horizon(
+            cycle_instance(CycleParams(8, F(3))), WITH, 32, observer=record
+        )
+        assert (minimum, pivots) == (10, [8, 32, 117, 217])
+
+    def test_rows_tied_on_every_column_raise(self):
+        # Rows of a nonsingular B^-1 are never proportional, so a tie on
+        # every column means the tableau is corrupt.
+        entries = {solver._RHS: 2, 0: 5, solver._SLACK: 3, solver._ART + 1: -1}
+        doubled = {c: 2 * v for c, v in entries.items()}
+        with pytest.raises(RuntimeError, match=r"tied two rows of B\^-1 on every column"):
+            solver._lex_less(entries, 1, doubled, 2)
+        assert solver._lex_less({solver._SLACK + 1: 1}, 1, {solver._SLACK: 1}, 1)
 
 
 class TestMovementSolution:
