@@ -66,8 +66,8 @@ on ties, and an exact tie in the ratio test goes to the row whose
 [rhs | B^-1] part, divided by its pivot entry, is lexicographically
 least, with B^-1's columns in column-number order (Dantzig, Orden and
 Wolfe, 1955). Every row of [rhs | B^-1] starts lexicographically
-positive, since rhs >= 0 and B^-1 = I, and this choice keeps it so, so
-no basis repeats and phase one terminates under any entering rule.
+positive, since rhs >= 0 and B^-1 = I, and this choice keeps it so;
+hence no basis repeats and phase one terminates under any entering rule.
 Column generation keeps that: a new column leaves B^-1 as it is, and a
 row appended later holds its own slack basic (e_r in B^-1) while every
 earlier row holds 0 in that slack's column, wherever it falls in the
