@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable
 
 __all__ = [
@@ -155,6 +156,21 @@ class Instance:
     @cached_property
     def _report(self) -> ValidationReport:
         return _find_defects(self)
+
+    @cached_property
+    def least_transits(self) -> tuple[int, ...]:
+        """Each commodity's least total transit from its source to its
+        sink over every arc, capacity 0 and transit 0 included, worked
+        out once per Instance by one Dijkstra search per distinct source.
+        Only for an instance that validate_instance accepts, where every
+        sink is reachable; KeyError otherwise."""
+        searched: dict[str, dict[str, int]] = {}
+        transits = []
+        for goods in self.commodities:
+            if goods.source not in searched:
+                searched[goods.source] = _transit_distances(self.network, goods.source)
+            transits.append(searched[goods.source][goods.sink])
+        return tuple(transits)
 
 
 class StorageMode(Enum):
@@ -371,6 +387,23 @@ def reachable_nodes(network: Network, source: str) -> frozenset[str]:
                 seen.add(arc.head)
                 frontier.append(arc.head)
     return frozenset(seen)
+
+
+def _transit_distances(network: Network, source: str) -> dict[str, int]:
+    """Least total transit from source to every node it reaches, over
+    every arc whatever its capacity."""
+    best = {source: 0}
+    heap = [(0, source)]
+    while heap:
+        dist, node = heappop(heap)
+        if dist > best[node]:
+            continue
+        for arc in network.out_arcs[node]:
+            candidate = dist + arc.transit
+            if candidate < best.get(arc.head, candidate + 1):
+                best[arc.head] = candidate
+                heappush(heap, (candidate, arc.head))
+    return best
 
 
 # --- file formats ---------------------------------------------------------

@@ -45,6 +45,12 @@ Both arguments take the default d0 = 2:
   (a1, 0), and commodity i >= 2 pays (a0, k-i). The demand side is
   2 + 1 + (k-2) = k+1 > k.
   The cut proves T = k infeasible without (a1, 0) too: k against k-1.
+
+Both are time-slice cuts, which the solver finds with no LP
+(qmcflow.solver._time_slice_cut): the first is its no-storage slice at
+theta = k-2. Its with-storage slice differs from the second: since every
+commodity must depart at 0, it puts length 1 on every (aj, 0), not on
+a0's copies, again a budget of k against k+1.
 """
 
 from __future__ import annotations

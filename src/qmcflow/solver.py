@@ -2,7 +2,19 @@
 
 A probe decides whether an instance can be routed within an integer
 horizon T. The time expansion turns that into a static linear
-feasibility problem, and one path LP decides it in both storage modes.
+feasibility problem, and one path LP decides it in both storage modes
+unless a time-slice cut settles it first.
+
+Before any master, the probe tries a time-slice cut (_time_slice_cut),
+a counting argument over each commodity's least transit t_i over every
+arc. Without storage, a commodity with t_i > theta and t_i > T - 2 -
+theta is on an arc at theta + 1/2 on every walk; with storage, one with
+t_i >= T - 1 leaves its source by a copy at layer 0. Unit lengths on the
+movement copies that span theta + 1/2, or on every copy at layer 0, are
+a cut when those commodities' demand exceeds the copies' capacity.
+check_cut must accept it, as every cut, and no LP is built. Both cut
+probes of each cycle search are settled this way.
+
 A column is one commodity and one path in the expansion (see
 qmcflow.expansion): it departs (s_i, theta), takes movement copies,
 waits in between only where the storage mode allows it (never without
@@ -441,11 +453,88 @@ def probe_horizon(
     horizon: int,
     mode: StorageMode,
 ) -> tuple[ExpandedNetwork, Verdict]:
-    """Build the expansion for one horizon and decide its feasibility on
-    the path LP by column generation over paths, on one warm master (see
-    the module docstring); build_time_expanded rejects invalid instances.
+    """Build the expansion for one horizon and decide its feasibility:
+    by a time-slice cut when one proves it infeasible (_time_slice_cut),
+    with no LP, and otherwise on the path LP (_decide_by_paths); see the
+    module docstring. build_time_expanded rejects invalid instances.
     Returns the expansion and the Verdict, which carries its checked
-    certificate.
+    certificate: a slice must pass check_cut, or RuntimeError is raised.
+    """
+    expansion = build_time_expanded(instance, horizon, mode)
+    lengths = _time_slice_cut(instance, horizon, mode)
+    if lengths is None:
+        return expansion, _decide_by_paths(expansion)
+    return expansion, _certified_cut(expansion, lengths)
+
+
+def _time_slice_cut(
+    instance: Instance, horizon: int, mode: StorageMode
+) -> dict[tuple[str, int], int] | None:
+    """The time-slice cut of the horizon (see the module docstring), or
+    None. t_i is commodity i's least transit over every arc
+    (Instance.least_transits), since check_cut's walks may use any arc,
+    and capacity-0 copies get length 1 too.
+
+    Without storage, waiting is allowed only at s_i and t_i, so a walk
+    of a commodity with t_i > theta and t_i > T - 2 - theta that is not
+    on an arc at theta + 1/2 either arrived by theta or leaves s_i after
+    theta and arrives by T - 1, both shorter than t_i. Of the thetas
+    whose slice is a cut, the one of largest margin (demand less
+    capacity) is kept, the first on ties. With storage, a walk of total
+    transit T - 1 or more that arrives by T - 1 cannot wait before its
+    first copy. Only for valid instances; costs O(K + T * A) and makes
+    no check_cut call.
+    """
+    arcs = instance.network.arcs
+    demanded = [
+        (transit, goods.demand)
+        for transit, goods in zip(instance.least_transits, instance.commodities)
+        if goods.demand > 0
+    ]
+    last = horizon - 1
+    if mode is StorageMode.WITH_STORAGE:
+        first = [arc for arc in arcs if arc.transit <= last]
+        demand = sum([d for transit, d in demanded if transit >= last])
+        if _excess(demand, [arc.capacity for arc in first]) is None:
+            return None
+        return {(arc.id, 0): 1 for arc in first}
+    # Commodity i is on an arc at theta + 1/2 for T - 2 - t_i < theta < t_i.
+    longest = max([transit for transit, _ in demanded], default=0)
+    moving = [arc for arc in arcs if 0 < arc.transit <= last]
+    best, best_margin = None, 0
+    for theta in range(max(0, last - longest), min(last, longest)):
+        bound = max(theta, last - 1 - theta)
+        demand = sum([d for transit, d in demanded if transit > bound])
+        # The copies (a, t) that span theta + 1/2: theta - tau < t <= theta, t + tau <= T - 1.
+        capacities = (
+            arc.capacity * (min(theta, last - arc.transit) - max(0, theta + 1 - arc.transit) + 1)
+            for arc in moving
+        )
+        excess = _excess(demand - best_margin, capacities)
+        if excess is not None:
+            best, best_margin = theta, best_margin + excess
+    if best is None:
+        return None
+    return {
+        (arc.id, start): 1
+        for arc in moving
+        for start in range(max(0, best + 1 - arc.transit), min(best, last - arc.transit) + 1)
+    }
+
+
+def _excess(demand: Fraction, capacities: Iterable[Fraction]) -> Fraction | None:
+    """demand less the sum of capacities when that is positive, else
+    None, found without summing past the point where it is not."""
+    for capacity in capacities:
+        if demand <= 0:
+            return None
+        demand -= capacity
+    return demand if demand > 0 else None
+
+
+def _decide_by_paths(expansion: ExpandedNetwork) -> Verdict:
+    """Decide the expansion's feasibility on the path LP by column
+    generation over paths, on one warm master (see the module docstring).
 
     The first master holds each commodity's fewest-transit route at
     every departure that fits. While phase one ends infeasible, its
@@ -459,7 +548,7 @@ def probe_horizon(
     become the witness flow, ending at its last arrival, which check_flow
     must accept, or RuntimeError is raised.
     """
-    expansion = build_time_expanded(instance, horizon, mode)
+    instance, horizon, mode = expansion.instance, expansion.horizon, expansion.mode
     demanded = [i for i, goods in enumerate(instance.commodities) if goods.demand > 0]
     paths = [(i, path) for i in demanded for path in route_departures(expansion, i)]
     master = _PathMaster(expansion, demanded, paths)
@@ -473,11 +562,7 @@ def probe_horizon(
             if cheapest is not None and duals[i] > cheapest[0]:
                 break
         else:
-            _certify(
-                check_cut(horizon, lengths, instance, mode),
-                f"the length certificate at T={horizon} does not prove infeasibility",
-            )
-            return expansion, Verdict(cut=lengths)
+            return _certified_cut(expansion, lengths)
         start += step + 1
         column = (i, cheapest[1])
         if column in known:
@@ -488,7 +573,18 @@ def probe_horizon(
         master.add(*column)
     flow = flow_from_paths(expansion, master.paths, _master_values(master))
     _certify(check_flow(flow, instance, mode), f"the witness at T={horizon} fails check_flow")
-    return expansion, Verdict(flow)
+    return Verdict(flow)
+
+
+def _certified_cut(expansion: ExpandedNetwork, lengths: dict[tuple[str, int], int]) -> Verdict:
+    """The infeasible verdict of lengths, which check_cut must accept at
+    the expansion's horizon and mode, or RuntimeError is raised."""
+    horizon = expansion.horizon
+    _certify(
+        check_cut(horizon, lengths, expansion.instance, expansion.mode),
+        f"the length certificate at T={horizon} does not prove infeasibility",
+    )
+    return Verdict(cut=lengths)
 
 
 def _certify(report: ViolationReport, what: str) -> None:

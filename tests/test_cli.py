@@ -143,7 +143,9 @@ class TestSolve:
 
     def test_emit_flow_solves_no_extra_lp(self, capsys, cycle4, tmp_path, monkeypatch):
         # Every master of every probe, cold or resumed after a pricing
-        # round, is one run of phase one.
+        # round, is one run of phase one. With storage the k=4 cycle's
+        # search probes 4, which a time-slice cut settles, and 5, which
+        # the path LP decides.
         calls = []
         run_phase_one = solver._run_phase_one
 
@@ -155,8 +157,8 @@ class TestSolve:
         counts = []
         for extra in ([], ["--emit-flow", str(tmp_path / "flow.json")]):
             calls.clear()
-            code, out, _ = run(capsys, "solve", "--mode", "no-storage", "--max-T", "10", *extra, cycle4)
-            assert (code, out) == (0, "7\n")
+            code, out, _ = run(capsys, "solve", "--mode", "with-storage", "--max-T", "10", *extra, cycle4)
+            assert (code, out) == (0, "5\n")
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]

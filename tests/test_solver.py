@@ -646,10 +646,11 @@ class TestHorizonSearch:
 
     def test_only_the_probe_calls_a_checker(self, monkeypatch):
         # Each verdict is certified in its probe: check_flow once per
-        # feasible probe and check_cut once per infeasible one. Outside
-        # the probe, only _bracket calls check_flow, once per instance,
-        # on the route witness; no function of the horizon search calls
-        # either checker.
+        # feasible probe, by the path LP that found the witness, and
+        # check_cut once per infeasible one, on a time-slice cut or the
+        # path LP's lengths alike. Outside the probe, only _bracket calls
+        # check_flow, once per instance, on the route witness; no
+        # function of the horizon search calls either checker.
         calls: list[tuple[str, str]] = []
 
         def spy(name):
@@ -665,9 +666,9 @@ class TestHorizonSearch:
         spy("check_cut")
         verdicts: list[bool] = []
         gap_sweep(3, 8, observer=lambda _, verdict: verdicts.append(verdict.feasible))
-        assert calls.count(("check_flow", "probe_horizon")) == verdicts.count(True) == 6
+        assert calls.count(("check_flow", "_decide_by_paths")) == verdicts.count(True) == 6
         assert calls.count(("check_flow", "_bracket")) == 6
-        assert calls.count(("check_cut", "probe_horizon")) == verdicts.count(False) == 12
+        assert calls.count(("check_cut", "_certified_cut")) == verdicts.count(False) == 12
         assert len(calls) == 24
 
     def test_master_values_compare_over_the_lcm_of_row_denominators(self):
@@ -862,11 +863,10 @@ class TestHorizonSearch:
         # test's lexicographic tie-break shows here. They are the path
         # masters' pivots, summed over each probe's column generation,
         # which resumes phase one from the last basis after each
-        # pricing round. Without storage each probe of the cycle has
-        # one master, whose rows and columns are in the same order as
-        # when every master was solved from scratch, so those counts
-        # are the cold ones. Without storage the search makes one probe,
-        # at 2k - 2, below the route witness's 2k - 1.
+        # pricing round. Time-slice cuts settle the cut probes with no
+        # LP: with storage the probe of k, and without storage the
+        # search's one probe, at 2k - 2, below the route witness's
+        # 2k - 1. So only the with-storage probe of k + 1 pivots.
         pivots: dict[tuple[int, StorageMode], int] = {}
         pending = [0]
         pivot = solver._pivot_exact
@@ -883,14 +883,14 @@ class TestHorizonSearch:
         monkeypatch.setattr(solver, "_pivot_exact", counted)
         gap_sweep(3, 6, observer=record)
         assert pivots == {
-            (3, WITH): 12,
-            (3, WITHOUT): 5,
-            (4, WITH): 17,
-            (4, WITHOUT): 7,
-            (5, WITH): 22,
-            (5, WITHOUT): 9,
-            (6, WITH): 27,
-            (6, WITHOUT): 11,
+            (3, WITH): 9,
+            (3, WITHOUT): 0,
+            (4, WITH): 13,
+            (4, WITHOUT): 0,
+            (5, WITH): 17,
+            (5, WITHOUT): 0,
+            (6, WITH): 21,
+            (6, WITHOUT): 0,
         }
 
     @pytest.mark.parametrize(
@@ -905,9 +905,11 @@ class TestHorizonSearch:
     )
     def test_probe_counters(self, monkeypatch, mode, horizon, feasible, counts):
         # Pivots, runs of phase one, pricing rounds (one reading of the
-        # duals each) and pricing calls of single probes of the k=16
-        # cycle. They do not depend on timing, so a change that moves
-        # any of them changes the path the column generation takes.
+        # duals each) and pricing calls of the path LP on single
+        # horizons of the k=16 cycle, two of which a time-slice cut
+        # settles in a probe. They do not depend on timing, so a change
+        # that moves any of them changes the path the column generation
+        # takes.
         names = ("_pivot_exact", "_run_phase_one", "_master_duals", "cheapest_path")
         tally = dict.fromkeys(names, 0)
         for name in tally:
@@ -918,7 +920,7 @@ class TestHorizonSearch:
                 return original(*args)
 
             monkeypatch.setattr(solver, name, counted)
-        _, result = probe_horizon(cycle_instance(16), horizon, mode)
+        result = solver._decide_by_paths(build_time_expanded(cycle_instance(16), horizon, mode))
         assert result.feasible == feasible
         assert tuple(tally.values()) == counts
 
@@ -1477,6 +1479,132 @@ class TestLengthCertificate:
         assert checker._distance_to_sink(3, {}, network, first, WITHOUT) == 0
 
 
+class TestTimeSliceCut:
+    """Cuts of unit lengths that a counting argument proves, found from
+    the least transits alone and settled in the probe with no LP."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=1, max_value=10_000),
+        shut=st.sets(st.integers(min_value=0, max_value=7)),
+    )
+    def test_least_transits_cross_every_arc(self, seed, shut):
+        # Arcs in shut get capacity 0; the transits still cross them.
+        base = random_instance(seed, 5, 8, 3, 3)
+        arcs = tuple(
+            replace(arc, capacity=F(0)) if j in shut else arc
+            for j, arc in enumerate(base.network.arcs)
+        )
+        instance = Instance(Network(base.network.nodes, arcs), base.commodities)
+        expected = [
+            transit_distances(instance.network, goods.source)[goods.sink]
+            for goods in instance.commodities
+        ]
+        assert list(instance.least_transits) == expected
+
+    def test_cycle_slices_are_the_closed_forms(self):
+        # Without storage the slice at layer k - 2 proves 2k - 2; with
+        # storage layer 0 proves k, over every arc rather than a0's
+        # copies (instances.py). Neither proves the minimum.
+        for k in range(3, 13):
+            instance = cycle_instance(k)
+            assert solver._time_slice_cut(instance, 2 * k - 2, WITHOUT) == {
+                (f"a{j}", k - 2): 1 for j in range(k)
+            }
+            assert solver._time_slice_cut(instance, k, WITH) == {
+                (f"a{j}", 0): 1 for j in range(k)
+            }
+            assert solver._time_slice_cut(instance, 2 * k - 1, WITHOUT) is None
+            assert solver._time_slice_cut(instance, k + 1, WITH) is None
+
+    def test_a_slice_check_cut_rejects_raises(self, monkeypatch):
+        # No fallback to the LP: a slice that fails check_cut is a defect.
+        monkeypatch.setattr(solver, "_time_slice_cut", lambda *_: {})
+        message = "^the length certificate at T=3 does not prove infeasibility: "
+        with pytest.raises(RuntimeError, match=message):
+            probe_horizon(cycle_instance(3), 3, WITH)
+
+    def test_minimum_minus_one_beyond_every_slice_is_decided_by_the_lp(self, monkeypatch):
+        # Five units over a fast and a slow parallel arc: the minimum is
+        # 4 in both modes, and at T = 3 the commodity's least transit, 1,
+        # is too short for any slice, so the path LP proves it.
+        masters: list[solver._PathMaster] = []
+
+        class Counted(solver._PathMaster):
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                masters.append(self)
+
+        monkeypatch.setattr(solver, "_PathMaster", Counted)
+        instance = parallel_arcs_instance(5)
+        for mode in (WITH, WITHOUT):
+            masters.clear()
+            assert solver._time_slice_cut(instance, 3, mode) is None
+            expansion, verdict = probe_horizon(instance, 3, mode)
+            assert not verdict.feasible and len(masters) == 1, mode
+            assert check_cut(3, verdict.cut, instance, mode).ok
+            assert not full_verdict(expansion), mode
+            assert min_feasible_horizon(instance, mode, 10)[0] == 4, mode
+
+    @pytest.mark.parametrize("mode", [WITH, WITHOUT], ids=["with-storage", "no-storage"])
+    def test_slice_crosses_an_arc_of_capacity_zero(self, monkeypatch, mode):
+        # Three units s -> t over the open route s -> m -> t beside a
+        # shortcut s -> t of the same transit 2 and capacity 0. At T = 3
+        # the three units cross the slice and the open copies carry two.
+        # A walk may take the shortcut at layer 0, so the cut puts length
+        # 1 on it: without it, that walk costs nothing.
+        monkeypatch.setattr(solver, "_PathMaster", lambda *_: pytest.fail("an LP was built"))
+        arcs = (
+            Arc("a", "s", "m", F(1), 1),
+            Arc("b", "m", "t", F(1), 1),
+            Arc("shut", "s", "t", F(0), 2),
+        )
+        instance = Instance(Network(("s", "m", "t"), arcs), (Commodity("s", "t", F(3)),))
+        expansion, verdict = probe_horizon(instance, 3, mode)
+        assert verdict.cut == {("a", 0): 1, ("b", 0): 1, ("shut", 0): 1}
+        assert not full_verdict(expansion)
+        open_only = {copy: 1 for copy in verdict.cut if copy[0] != "shut"}
+        assert not check_cut(3, open_only, instance, mode).ok
+
+    def test_a_commodity_that_can_pass_off_the_arcs_is_not_counted(self):
+        # Commodity 0 crosses four unit arcs with demand 4 and commodity
+        # 1 two others with demand 3. Without storage at T = 5, commodity
+        # 1 (transit 2) can arrive by 2 or depart at 2, so it is off the
+        # arcs at 1 + 1/2 and 2 + 1/2 and no slice counts it; counted, it
+        # would make a slice at layer 1 that check_cut rejects. The path
+        # LP proves T = 5 infeasible, as commodity 0 needs T = 8.
+        nodes = ("s", "a", "b", "c", "t", "u", "x", "w")
+        arcs = [
+            Arc(f"r{j}", tail, head, F(1), 1) for j, (tail, head) in enumerate(zip("sabc", "abct"))
+        ]
+        arcs += [Arc("q0", "u", "x", F(1), 1), Arc("q1", "x", "w", F(1), 1)]
+        commodities = (Commodity("s", "t", F(4)), Commodity("u", "w", F(3)))
+        instance = Instance(Network(nodes, tuple(arcs)), commodities)
+        assert instance.least_transits == (4, 2)
+        assert solver._time_slice_cut(instance, 5, WITHOUT) is None
+        counted = {(arc.id, 1): 1 for arc in arcs}
+        assert not check_cut(5, counted, instance, WITHOUT).ok
+        expansion, verdict = probe_horizon(instance, 5, WITHOUT)
+        assert not verdict.feasible and not full_verdict(expansion)
+        assert min_feasible_horizon(instance, WITHOUT, 20)[0] == 8
+
+    def test_gap_sweep_solves_one_lp_per_k(self, monkeypatch):
+        # Every cycle's cut probes are slices; only the with-storage
+        # witness at k + 1 builds a master.
+        built: list[tuple[int, int, StorageMode]] = []
+
+        class Counted(solver._PathMaster):
+            def __init__(self, expansion, *args) -> None:
+                super().__init__(expansion, *args)
+                nodes = len(expansion.instance.network.nodes)
+                built.append((nodes, expansion.horizon, expansion.mode))
+
+        monkeypatch.setattr(solver, "_PathMaster", Counted)
+        reports = gap_sweep(3, 12)
+        assert reports == {k: SpeedupReport(k + 1, 2 * k - 1) for k in range(3, 13)}
+        assert built == [(k, k + 1, WITH) for k in range(3, 13)]
+
+
 def complete_digraph_instance() -> Instance:
     """Every ordered pair of 6 nodes is an arc of capacity 1 and transit
     1 + (u + 2v) mod 3; three commodities with large demands. Its
@@ -1533,26 +1661,35 @@ class RecordedMaster(solver._PathMaster):
 
 
 def assert_matches_the_node_arc_lp(instance: Instance, horizon: int, mode: StorageMode):
-    """Probe in the mode and check the verdict against the unreduced
-    node-arc LP's; returns the probe's (expansion, result, final master).
-    A feasible verdict's flow, lifted onto that LP, must satisfy every
-    row of it, which proves it feasible; an infeasible verdict must agree with
-    lp_feasible on it. (Solving the feasible node-arc LPs with storage
-    would take minutes at k = 8.) The verdict of the warm master must
-    also equal lp_feasible's on the same final master built from
-    scratch, and the demand-part rule must hold after every append."""
+    """Decide the horizon in the mode on the path LP alone
+    (solver._decide_by_paths, which a probe skips when a time-slice cut
+    settles it) and check the verdict against the unreduced node-arc
+    LP's; returns (expansion, result, final master). A feasible verdict's
+    flow, lifted onto that LP, must satisfy every row of it, which
+    proves it feasible; an infeasible verdict must agree with lp_feasible
+    on it. (Solving the feasible node-arc LPs with storage would take
+    minutes at k = 8.) The verdict of the warm master must also equal
+    lp_feasible's on the same final master built from scratch, and the
+    demand-part rule must hold after every append. Where the time-slice
+    cut proves the horizon, check_cut must accept it and the verdict
+    must be infeasible, and so the node-arc LP too."""
     masters: list[RecordedMaster] = []
 
     def recorded(*args) -> RecordedMaster:
         masters.append(RecordedMaster(*args))
         return masters[-1]
 
+    expansion = build_time_expanded(instance, horizon, mode)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_PathMaster", recorded)
-        expansion, result = probe_horizon(instance, horizon, mode)
+        result = solver._decide_by_paths(expansion)
     [master] = masters
     cold, _ = path_master_lp(expansion, master.paths)
     assert lp_feasible(cold).feasible == result.feasible, (instance, horizon, mode)
+    lengths = solver._time_slice_cut(instance, horizon, mode)
+    if lengths is not None:
+        assert check_cut(horizon, lengths, instance, mode).ok, (instance, horizon, mode)
+        assert not result.feasible, (instance, horizon, mode)
     if result.feasible:
         assert flow_satisfies_unreduced_lp(expansion, result.flow), (instance, horizon, mode)
     else:
@@ -1592,10 +1729,10 @@ class PathLPCases:
         ids=lambda p: None if isinstance(p, int) else f"{p.k}-d0={p.d0}",
     )
     def test_cycle_verdicts_match_the_node_arc_lp(self, params: int | CycleParams):
-        # The cycles of the closed form from the transit bound k up, the
-        # separating cycles from T = 1.
+        # The cycles of the closed form up to 2k + 2 and the separating
+        # cycles up to 2k + 3, from T = 1.
         if isinstance(params, int):
-            horizons, minimum = range(params, 2 * params + 3), self.cycle_minimum(params)
+            horizons, minimum = range(1, 2 * params + 3), self.cycle_minimum(params)
         else:
             horizons = range(1, 2 * params.k + 4)
             minimum = SEPARATING_CYCLES[params][self.mode is WITHOUT]
@@ -1684,7 +1821,7 @@ class PathLPCases:
         verdicts = 0
         for instance, horizon in cases:
             calls.clear()
-            _, result = probe_horizon(instance, horizon, self.mode)
+            result = solver._decide_by_paths(build_time_expanded(instance, horizon, self.mode))
             if not result.feasible:
                 verdicts += 1
                 goods = instance.commodities
@@ -1694,10 +1831,12 @@ class PathLPCases:
         assert verdicts == self.infeasible_cases
 
     def test_corrupted_length_certificate_raises(self, monkeypatch):
-        # The zero length function proves nothing, so the probe must
+        # The zero length function proves nothing, so the path LP must
         # raise; a negative length is no length function at all, so the
-        # checker reports it.
+        # checker reports it. A time-slice cut settles this horizon in a
+        # probe, so the path LP is called on its own.
         horizon = self.cycle_minimum(3) - 1
+        expansion = build_time_expanded(cycle_instance(3), horizon, self.mode)
         certificates = []
         check = solver.check_cut
 
@@ -1706,7 +1845,7 @@ class PathLPCases:
             return check(*args)
 
         monkeypatch.setattr(solver, "check_cut", recorded)
-        assert not probe_horizon(cycle_instance(3), horizon, self.mode)[1].feasible
+        assert not solver._decide_by_paths(expansion).feasible
         _, lengths, instance, _ = certificates[0]
         negated = check(horizon, {copy: -v for copy, v in lengths.items()}, instance, self.mode)
         assert not negated.ok and {v.kind for v in negated.violations} == {"cut"}
@@ -1716,7 +1855,7 @@ class PathLPCases:
         )
         message = f"^the length certificate at T={horizon} does not prove infeasibility: "
         with pytest.raises(RuntimeError, match=message):
-            probe_horizon(cycle_instance(3), horizon, self.mode)
+            solver._decide_by_paths(expansion)
 
 
 class TestDepartureLP(PathLPCases):
@@ -1811,15 +1950,18 @@ class TestLexicographicRule:
         cases.append((complete_digraph_instance(), 7))
         cases += [(random_instance(seed, 5, 8, 3, 3), t) for seed in range(1, 21) for t in (2, 4)]
         for instance, horizon in cases:
-            probe_horizon(instance, horizon, mode)
+            solver._decide_by_paths(build_time_expanded(instance, horizon, mode))
         # Ties do occur, so the rule is exercised, not just present.
         assert counts[0] > 0 and counts[1] > 0, counts
 
     def test_degenerate_cycle_pivots(self, monkeypatch):
         # With d0 = 3 the cycle's feasible probes are highly degenerate.
         # Ties to the smallest basic index, with a switch to Bland's rule
-        # after 32 degenerate pivots, made [8, 62, 227, 219] here.
+        # after 32 degenerate pivots, made [8, 62, 227, 219] here. The
+        # time-slice cut, which settles the first probe with no pivot,
+        # is switched off, so that every probe runs the path LP.
         counts = self.checked_pivots(monkeypatch)
+        monkeypatch.setattr(solver, "_time_slice_cut", lambda *_: None)
         pivots: list[int] = []
 
         def record(*_):
